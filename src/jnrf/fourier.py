@@ -1,11 +1,15 @@
-"""Radix-2 Cooley-Tukey FFT kernel and two-axis real Fourier token mixing.
+"""Two-axis real Fourier token mixing on numpy's FFT.
 
 The mixing operation takes a real n x d matrix, zero-pads both axes to the
 next power of two, applies an unnormalized DFT first along the hidden axis
 and then along the sequence axis, keeps the real part, and crops back to
-n x d. The padded semantics are the contract. Because the DFT matrix is
-symmetric, the adjoint of the whole (real-linear) map is the map itself,
-which is what the tape uses as the backward rule.
+n x d. The padded semantics are the contract; `np.fft` does the transform
+in float64. Because the DFT matrix is symmetric, the adjoint of the whole
+(real-linear) map is the map itself, which is what the tape uses as the
+backward rule.
+
+Every transform adds to `COUNTER` the multiplies a radix-2 Cooley-Tukey
+transform of the padded length performs (see `instrument`).
 """
 
 import numpy as np
@@ -28,6 +32,12 @@ def next_pow2(n: int) -> int:
     return m
 
 
+def _radix2_mults(n: int, batch: int) -> int:
+    """Real multiplies of `batch` radix-2 transforms of length n: log2(n)
+    stages of n/2 butterflies, 4 real multiplies each."""
+    return 2 * n * (n.bit_length() - 1) * batch
+
+
 class ComplexBuffer:
     """Power-of-two length complex signal stored as separate re/im arrays."""
 
@@ -46,77 +56,12 @@ class ComplexBuffer:
         return len(self.re)
 
 
-_BITREV_CACHE: dict[int, np.ndarray] = {}
-
-
-def _bitrev(n: int) -> np.ndarray:
-    perm = _BITREV_CACHE.get(n)
-    if perm is None:
-        bits = n.bit_length() - 1
-        perm = np.zeros(n, dtype=np.intp)
-        for i in range(n):
-            r = 0
-            x = i
-            for _ in range(bits):
-                r = (r << 1) | (x & 1)
-                x >>= 1
-            perm[i] = r
-        _BITREV_CACHE[n] = perm
-    return perm
-
-
-def _fft_batched(re, im, inverse: bool):
-    """Iterative radix-2 transform along axis 0 of (n, batch) arrays.
-
-    Forward is the unnormalized DFT; inverse conjugates the twiddles and
-    scales by 1/n. Returns fresh arrays.
-    """
-    n, batch = re.shape
-    if not is_pow2(n):
-        raise LengthError(f"transform length {n} is not a power of two")
-    if n == 1:
-        out_re, out_im = re.copy(), im.copy()
-        if inverse:
-            pass  # 1/n scaling is a no-op at n == 1
-        return out_re, out_im
-
-    perm = _bitrev(n)
-    re = np.ascontiguousarray(re[perm])
-    im = np.ascontiguousarray(im[perm])
-
-    sign = 1.0 if inverse else -1.0
-    size = 2
-    while size <= n:
-        half = size // 2
-        ang = sign * 2.0 * np.pi * np.arange(half) / size
-        wr = np.cos(ang).reshape(1, half, 1)
-        wi = np.sin(ang).reshape(1, half, 1)
-
-        vr = re.reshape(n // size, size, batch)
-        vi = im.reshape(n // size, size, batch)
-        top_r, bot_r = vr[:, :half], vr[:, half:]
-        top_i, bot_i = vi[:, :half], vi[:, half:]
-
-        tr = wr * bot_r - wi * bot_i
-        ti = wr * bot_i + wi * bot_r
-        COUNTER.add(4 * (n // 2) * batch)
-
-        bot_r[...] = top_r - tr
-        bot_i[...] = top_i - ti
-        top_r[...] += tr
-        top_i[...] += ti
-        size <<= 1
-
-    if inverse:
-        re = re / n
-        im = im / n
-    return re, im
-
-
 def fft_pow2(buf: ComplexBuffer, inverse: bool = False) -> ComplexBuffer:
     """Transform a ComplexBuffer; forward unnormalized, inverse scaled by 1/len."""
-    re, im = _fft_batched(buf.re.reshape(-1, 1), buf.im.reshape(-1, 1), inverse)
-    return ComplexBuffer(re.ravel(), im.ravel())
+    COUNTER.add(_radix2_mults(len(buf), 1))
+    transform = np.fft.ifft if inverse else np.fft.fft
+    out = transform(buf.re + 1j * buf.im)
+    return ComplexBuffer(out.real, out.imag)
 
 
 def mix_real2d(x: np.ndarray) -> np.ndarray:
@@ -124,12 +69,5 @@ def mix_real2d(x: np.ndarray) -> np.ndarray:
     of two along each axis and cropped back to the input shape."""
     n, d = x.shape
     np_, dp = next_pow2(n), next_pow2(d)
-    re = np.zeros((np_, dp))
-    re[:n, :d] = x
-    im = np.zeros_like(re)
-
-    # hidden axis first: each row is a length-dp signal, batched over rows
-    hr, hi = _fft_batched(np.ascontiguousarray(re.T), np.ascontiguousarray(im.T), False)
-    # then the sequence axis, batched over hidden dims
-    sr, _ = _fft_batched(np.ascontiguousarray(hr.T), np.ascontiguousarray(hi.T), False)
-    return np.ascontiguousarray(sr[:n, :d])
+    COUNTER.add(_radix2_mults(dp, np_) + _radix2_mults(np_, dp))
+    return np.ascontiguousarray(np.fft.fft2(x, s=(np_, dp)).real[:n, :d])

@@ -4,6 +4,11 @@ Counts scalar multiplications performed by the two expensive primitive
 families: matrix products (m*k*p multiply-accumulates) and FFT butterflies
 (4 real multiplies per complex twiddle product). Elementwise work is not
 counted; complexity claims are about these two families.
+
+The FFT figure is the radix-2 model count, 2 * n * log2(n) real multiplies
+per length-n transform of the power-of-two padded length, not the work
+np.fft happens to do. It depends on the shapes alone, so multiplies per
+token stay comparable across commits and FFT back ends.
 """
 
 

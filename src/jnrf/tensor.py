@@ -224,12 +224,14 @@ _GELU_C = np.sqrt(2.0 / np.pi)
 
 def gelu(x: Tensor) -> Tensor:
     v = x.data
-    t = np.tanh(_GELU_C * (v + 0.044715 * v**3))
+    t = np.tanh(_GELU_C * (v + 0.044715 * (v * v * v)))
     out = Tensor(0.5 * v * (1.0 + t))
 
+    # v*v is recomputed here rather than kept from the forward: holding it
+    # would keep one more n x d array per gelu on the tape.
     def backward(g):
-        du = _GELU_C * (1.0 + 3 * 0.044715 * v**2)
-        return (g * (0.5 * (1.0 + t) + 0.5 * v * (1.0 - t**2) * du),)
+        du = _GELU_C * (1.0 + 3 * 0.044715 * (v * v))
+        return (g * (0.5 * (1.0 + t) + 0.5 * v * (1.0 - t * t) * du),)
 
     return _record(out, (x,), backward)
 

@@ -62,15 +62,24 @@ class AdamState:
 
 
 def adam_step(params: Params, state: AdamState):
-    """One bias-corrected update; grads are left as-is (caller zeroes)."""
+    """One bias-corrected update; grads are left as-is (caller zeroes).
+
+    Raises TrainingError, before touching any weight or moment, when a
+    gradient holds an inf or a NaN.
+    """
+    grads = {}
+    for name, p in params.items():
+        g = p.grad if p.grad is not None else np.zeros(p.shape)
+        if not np.isfinite(g).all():
+            kind = "NaN" if np.isnan(g).any() else "inf"
+            raise TrainingError(f"{kind} gradient in parameter {name!r}")
+        grads[name] = g
     state.step_count += 1
     t = state.step_count
     bc1 = 1.0 - state.beta1**t
     bc2 = 1.0 - state.beta2**t
     for name, p in params.items():
-        g = p.grad if p.grad is not None else np.zeros(p.shape)
-        if np.isnan(g).any():
-            raise TrainingError(f"NaN gradient in parameter {name!r}")
+        g = grads[name]
         m = state.m[name]
         v = state.v[name]
         m *= state.beta1
@@ -106,6 +115,14 @@ class EpochStats:
 
 @dataclass
 class TrainResult:
+    """Outcome of `train`.
+
+    With dev documents, the model holds the weights of `best_epoch`, the
+    epoch with the highest dev end-to-end F1 (ties go earliest). With no dev
+    documents there is nothing to select on: the model keeps the weights of
+    the final epoch, `best_epoch` is `cfg.epochs` and `best_dev_f1` is 0.0.
+    """
+
     best_epoch: int          # 1-based
     best_dev_f1: float
     history: list[EpochStats]
@@ -181,13 +198,15 @@ def train(
             if log:
                 log.write(f"{epoch}\t{stats.train_loss:.6f}\t{dev_f1:.4f}\t{seconds:.3f}\n")
                 log.flush()
-            if dev_f1 > best_f1:
+            if dev_docs and dev_f1 > best_f1:
                 best_f1, best_epoch = dev_f1, epoch
                 best_snapshot = {n: p.data.copy() for n, p in model.params.items()}
     finally:
         if log:
             log.close()
 
+    if not dev_docs:
+        return TrainResult(cfg.epochs, 0.0, history)
     if best_snapshot is not None:
         for name, arr in best_snapshot.items():
             model.params[name].data[...] = arr

@@ -50,6 +50,11 @@ def naive_mix(x: np.ndarray) -> np.ndarray:
     return seq.real[:n, :d]
 
 
+def scalar_gelu(x: float) -> float:
+    """tanh-approximated gelu from the formula in the tensor module docstring."""
+    return 0.5 * x * (1.0 + math.tanh(math.sqrt(2.0 / math.pi) * (x + 0.044715 * x**3)))
+
+
 def linear_map_matrix(f, rows: int, cols: int) -> np.ndarray:
     """Materialize a linear map on rows x cols matrices as a dense matrix
     by probing it with basis inputs. Used to get adjoints independently."""

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from jnrf import tensor as T
+from jnrf import fourier, tensor as T
+from jnrf.instrument import COUNTER
 from jnrf.tensor import ShapeError, Tape, Tensor
 
-from oracles import fd_grad, linear_map_matrix, naive_mix, rel_err
+from oracles import fd_grad, linear_map_matrix, naive_mix, rel_err, scalar_gelu
 
 
 def grad_check(build, arrs, tol=1e-6, h=1e-5, coords=None):
@@ -56,6 +57,10 @@ class TestMatmul:
             grad_check(lambda x, y: T.sum_all(T.matmul(x, y)), [a, b])
 
 
+# near zero, and |x| in [1.5, 4] where the cubic term of gelu dominates
+GELU_POINTS = np.concatenate([[1e-8, -1e-8], np.linspace(1.5, 4.0, 11), -np.linspace(1.5, 4.0, 11)])
+
+
 class TestElementwise:
     def test_add(self):
         out = T.add(Tensor([[1.0, 1.0]]), Tensor([[2.0, 3.0]]))
@@ -66,7 +71,16 @@ class TestElementwise:
         np.testing.assert_array_equal(out.data, [[0.0, 2.0]])
 
     def test_gelu_gradient_at_half(self):
-        grad_check(lambda x: T.sum_all(T.gelu(x)), [np.array([[0.5]])])
+        x = np.concatenate([[0.5], GELU_POINTS]).reshape(1, -1)
+        grad_check(lambda a: T.sum_all(T.gelu(a)), [x])
+
+    def test_gelu_matches_scalar_oracle(self):
+        x = np.concatenate([np.linspace(-50.0, 50.0, 2001), GELU_POINTS])
+        got = T.gelu(Tensor(x.reshape(1, -1))).data.ravel()
+        want = [scalar_gelu(float(v)) for v in x]
+        # rel_err floors the denominator at 1: below x = -3, 1 + tanh cancels,
+        # so no float64 evaluation of the formula is relatively accurate there
+        assert rel_err(got, want) < 1e-14
 
     def test_scalar_and_row_broadcast(self):
         x = Tensor(np.ones((3, 2)))
@@ -191,12 +205,20 @@ class TestFourierMixOp:
         out = T.fourier_mix(Tensor([[1.0]]))
         assert out.item() == 1.0
 
-    def test_forward_matches_naive(self):
+    @pytest.mark.parametrize("shape", [(7, 5), (1, 5), (9, 1), (33, 17)], ids=lambda s: "%dx%d" % s)
+    def test_forward_matches_naive(self, shape):
         rng = np.random.default_rng(10)
-        x = rng.standard_normal((7, 5))
+        x = rng.standard_normal(shape)
         out = T.fourier_mix(Tensor(x))
         want = naive_mix(x)
         assert np.max(np.abs(out.data - want)) / np.max(np.abs(want)) < 1e-9
+
+    @pytest.mark.parametrize("n, d", [(1, 1), (1, 64), (8191, 1), (7, 5), (4097, 64)])
+    def test_counts_radix2_multiplies(self, n, d):
+        np_, dp = 1 << (n - 1).bit_length(), 1 << (d - 1).bit_length()
+        COUNTER.reset()
+        fourier.mix_real2d(np.ones((n, d)))
+        assert COUNTER.total == 2 * np_ * dp * (math.log2(np_) + math.log2(dp))
 
     def test_backward_matches_naive_adjoint(self):
         rng = np.random.default_rng(11)
