@@ -1,9 +1,9 @@
 """Joint NER + relation extraction with Fourier token mixing.
 
-Pure-numpy implementation: a small reverse-mode autodiff tape, a radix-2
-FFT kernel, pluggable token mixers (Fourier / token-wise MLP / windowed
-attention), selective pooling with a trainable polynomial distance bias,
-and a full train / predict / evaluate / benchmark toolchain over BRAT
+Pure-numpy implementation: a small reverse-mode autodiff tape, Fourier
+mixing on np.fft, pluggable token mixers (Fourier / token-wise MLP /
+windowed attention), selective pooling with a trainable polynomial distance
+bias, Adam training with checkpoints, and lenient evaluation over BRAT
 standoff corpora.
 """
 

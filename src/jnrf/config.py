@@ -1,117 +1,94 @@
 """Line-oriented "key = value" run configuration.
 
-Unknown keys are rejected; every key has a default, so an empty file is a
-valid configuration. Values keep the type of their default. '#' starts a
-comment.
+The model's shape is declared once, in `ModelConfig`; `RunConfig` adds the
+fields training reads. Both are frozen and validate themselves on
+construction. Unknown keys are rejected; every key has a default, so an
+empty file is a valid configuration. Values keep the type of their default.
+'#' starts a comment.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, asdict
+import math
+from dataclasses import asdict, dataclass, fields
 
 
 class ConfigError(ValueError):
     pass
 
 
-@dataclass
-class RunConfig:
-    seed: int = 0
+def _require(ok: bool, key: str, rule: str, value):
+    if not ok:
+        raise ConfigError(f"{key} must be {rule}, got {value!r}")
 
-    # paths
-    corpus_dir: str = "corpus"
-    vocab_path: str = ""          # empty: <corpus_dir>/vocab.txt
-    embeddings_path: str = ""     # empty: seeded random table
-    checkpoint_path: str = "model.ckpt"
-    out_dir: str = "out"
 
-    # model
+@dataclass(frozen=True)
+class ModelConfig:
     emb_dim: int = 64
     d_model: int = 64
     ffn_hidden: int = 128
     mixer: str = "fnet"           # fnet | mlp | windowed_attention
     n_blocks: int = 2
-    window: int = 512
-    n_attn_heads: int = 1
-    pool: str = "first"           # first | mean
-    train_pooling: str = "gold"   # gold | predicted
+    window: int = 512             # windowed_attention only
+    n_attn_heads: int = 1         # windowed_attention only
+    pool: str = "first"           # span vector: first token row or span mean
+    train_pooling: str = "gold"   # gold | predicted spans during training
 
-    # training
+    def __post_init__(self):
+        _require(self.mixer in ("fnet", "mlp", "windowed_attention"), "mixer",
+                 "fnet|mlp|windowed_attention", self.mixer)
+        _require(self.pool in ("first", "mean"), "pool", "first|mean", self.pool)
+        _require(self.train_pooling in ("gold", "predicted"), "train_pooling",
+                 "gold|predicted", self.train_pooling)
+        _require(self.emb_dim >= 1 and self.emb_dim % 2 == 0, "emb_dim",
+                 "even and >= 1 for positional encodings", self.emb_dim)
+        for key in ("d_model", "ffn_hidden", "n_blocks", "window", "n_attn_heads"):
+            _require(getattr(self, key) >= 1, key, ">= 1", getattr(self, key))
+        if self.mixer == "windowed_attention":
+            _require(self.d_model % self.n_attn_heads == 0, "n_attn_heads",
+                     f"a divisor of d_model={self.d_model}", self.n_attn_heads)
+
+    @classmethod
+    def from_run_config(cls, cfg: RunConfig) -> ModelConfig:
+        return cls(**{f.name: getattr(cfg, f.name) for f in fields(cls)})
+
+
+@dataclass(frozen=True)
+class RunConfig(ModelConfig):
+    seed: int = 0
     granularity: str = "document"  # document | sentence | mixed
     accumulate_over: int = 0       # 0 = auto: 1 per document, 64 per sentence batch
     epochs: int = 10
     lr: float = 1e-3
 
-    # synthetic corpus generation
-    synth_train: int = 8
-    synth_dev: int = 4
-    synth_test: int = 4
-    synth_len_min: int = 150
-    synth_len_max: int = 600
-    synth_entity_density: float = 12.0   # entities per 100 tokens
-    synth_distance_profile: str = "0:0.8,-1:0.15,1:0.05"
-    synth_style: str = "contextual"      # contextual | nearest_drug
-
-    # benchmarking
-    bench_lengths: str = "2048,4096,8192"
-    bench_trials: int = 3
-    bench_systems: str = "jnrf,attention_full"
-    bench_entities: int = 6
-
-    def validate(self) -> "RunConfig":
-        if self.mixer not in ("fnet", "mlp", "windowed_attention"):
-            raise ConfigError(f"mixer must be fnet|mlp|windowed_attention, got {self.mixer!r}")
-        if self.granularity not in ("document", "sentence", "mixed"):
-            raise ConfigError(f"granularity must be document|sentence|mixed, got {self.granularity!r}")
-        if self.pool not in ("first", "mean"):
-            raise ConfigError(f"pool must be first|mean, got {self.pool!r}")
-        if self.train_pooling not in ("gold", "predicted"):
-            raise ConfigError(f"train_pooling must be gold|predicted, got {self.train_pooling!r}")
-        if self.synth_style not in ("contextual", "nearest_drug"):
-            raise ConfigError(f"synth_style must be contextual|nearest_drug, got {self.synth_style!r}")
-        if self.window < 1 or self.n_blocks < 1 or self.d_model < 1 or self.ffn_hidden < 1:
-            raise ConfigError("model widths and window must be >= 1")
-        if self.accumulate_over < 0:
-            raise ConfigError("accumulate_over must be >= 0")
-        if self.emb_dim % 2 or self.d_model < 1:
-            raise ConfigError("emb_dim must be even for positional encodings")
-        distance_profile(self.synth_distance_profile)
-        bench_lengths(self.bench_lengths)
-        return self
+    def __post_init__(self):
+        super().__post_init__()
+        _require(self.seed >= 0, "seed", ">= 0", self.seed)
+        _require(self.granularity in ("document", "sentence", "mixed"), "granularity",
+                 "document|sentence|mixed", self.granularity)
+        _require(self.accumulate_over >= 0, "accumulate_over", ">= 0", self.accumulate_over)
+        _require(self.epochs >= 1, "epochs", ">= 1", self.epochs)
+        _require(math.isfinite(self.lr) and self.lr > 0, "lr", "finite and > 0", self.lr)
 
     def effective_accumulate(self, granularity: str) -> int:
         if self.accumulate_over > 0:
             return self.accumulate_over
         return 64 if granularity == "sentence" else 1
 
-    def vocab_file(self) -> str:
-        import os
 
-        return self.vocab_path or os.path.join(self.corpus_dir, "vocab.txt")
-
-
-_FIELDS = {f.name: f.type for f in fields(RunConfig)}
+_DEFAULTS = {f.name: f.default for f in fields(RunConfig)}
 
 
 def _convert(key: str, raw: str, lineno: int):
-    default = getattr(RunConfig(), key)
     raw = raw.strip()
     try:
-        if isinstance(default, bool):
-            if raw.lower() not in ("true", "false"):
-                raise ValueError
-            return raw.lower() == "true"
-        if isinstance(default, int):
-            return int(raw)
-        if isinstance(default, float):
-            return float(raw)
-        return raw
+        return type(_DEFAULTS[key])(raw)
     except ValueError:
         raise ConfigError(f"line {lineno}: bad value {raw!r} for key {key!r}") from None
 
 
 def parse_config_text(text: str) -> RunConfig:
-    cfg = RunConfig()
+    values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -120,10 +97,10 @@ def parse_config_text(text: str) -> RunConfig:
         key = key.strip()
         if not sep:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
-        if key not in _FIELDS:
+        if key not in _DEFAULTS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        setattr(cfg, key, _convert(key, value, lineno))
-    return cfg.validate()
+        values[key] = _convert(key, value, lineno)
+    return RunConfig(**values)
 
 
 def load_config(path: str) -> RunConfig:
@@ -133,36 +110,3 @@ def load_config(path: str) -> RunConfig:
 
 def serialize_config(cfg: RunConfig) -> str:
     return "\n".join(f"{k} = {v}" for k, v in asdict(cfg).items()) + "\n"
-
-
-def distance_profile(spec: str) -> dict[int, float]:
-    """Parse "0:0.8,-1:0.15,1:0.05" into {distance: probability}."""
-    out: dict[int, float] = {}
-    for part in spec.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        d, sep, p = part.partition(":")
-        try:
-            if not sep:
-                raise ValueError
-            dist, prob = int(d), float(p)
-        except ValueError:
-            raise ConfigError(f"bad distance profile entry {part!r}") from None
-        if prob < 0:
-            raise ConfigError(f"negative probability in distance profile: {part!r}")
-        out[dist] = out.get(dist, 0.0) + prob
-    total = sum(out.values())
-    if not out or total <= 0:
-        raise ConfigError(f"distance profile {spec!r} has no mass")
-    return {d: p / total for d, p in out.items()}
-
-
-def bench_lengths(spec: str) -> list[int]:
-    try:
-        lengths = [int(x) for x in spec.split(",") if x.strip()]
-    except ValueError:
-        raise ConfigError(f"bad bench_lengths {spec!r}") from None
-    if not lengths or lengths != sorted(lengths):
-        raise ConfigError("bench_lengths must be ascending and non-empty")
-    return lengths

@@ -13,7 +13,6 @@ import os
 import numpy as np
 
 from .config import ConfigError
-from .corpus import Document
 from .tensor import Tensor
 from .tokenizer import Vocab
 
@@ -60,17 +59,6 @@ def load_table(path: str | None, vocab: Vocab, d: int, seed: int = 0) -> Embeddi
     return EmbeddingTable(np.stack([rows[t] for t in vocab.tokens]))
 
 
-def positional_encoding(pos: int, d: int) -> np.ndarray:
-    if d % 2:
-        raise ConfigError(f"positional encoding needs even width, got {d}")
-    vec = np.empty(d)
-    i = np.arange(d // 2)
-    angle = pos / np.power(10000.0, 2.0 * i / d)
-    vec[0::2] = np.sin(angle)
-    vec[1::2] = np.cos(angle)
-    return vec
-
-
 _PE_CACHE: dict[int, np.ndarray] = {}
 
 
@@ -97,7 +85,3 @@ def embed(vocab_ids, table: EmbeddingTable) -> Tensor:
         bad = ids[(ids < 0) | (ids >= table.vocab_size)][0]
         raise ConfigError(f"vocab id {bad} out of range [0, {table.vocab_size})")
     return Tensor(table.weights[ids] + pe_matrix(len(ids), table.d))
-
-
-def embed_document(doc: Document, table: EmbeddingTable) -> Tensor:
-    return embed([t.vocab_id for t in doc.tokens], table)

@@ -267,22 +267,3 @@ def render_report_text(report: EvalReport) -> str:
     )
     return "\n".join(lines)
 
-
-def render_report_machine(report: EvalReport) -> str:
-    rows = []
-
-    def emit(section, key, counts):
-        p, r, f = counts.prf()
-        rows.append(f"{section}\t{key}\t{_pct(p)}\t{_pct(r)}\t{_pct(f)}")
-
-    emit("ner", "overall", report.ner)
-    for t, c in report.ner_by_type.items():
-        emit("ner_type", t, c)
-    emit("e2e", "overall", report.e2e)
-    for t, c in report.e2e_by_type.items():
-        emit("e2e_type", t, c)
-    for lo, hi, _, c in report.by_length_bin:
-        emit("length_bin", f"[{lo},{hi}]", c)
-    for d, c in sorted(report.by_sentence_distance.items()):
-        emit("sentence_distance", str(d), c)
-    return "\n".join(rows) + "\n"

@@ -22,8 +22,4 @@ class MulCounter:
     def reset(self):
         self.total = 0
 
-    def snapshot(self) -> int:
-        return self.total
-
-
 COUNTER = MulCounter()

@@ -13,35 +13,23 @@ attention kind).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import tensor as T
+from .config import ModelConfig
 from .params import Params, add_layer_norm, add_linear, linear_init
-from .tensor import ShapeError, Tensor
+from .tensor import Tensor
 
 
-@dataclass
-class MixerConfig:
-    kind: str = "fnet"            # fnet | mlp | windowed_attention
-    n_blocks: int = 2
-    d: int = 64
-    ffn_hidden: int = 128
-    window: int = 512             # windowed_attention only
-    n_attn_heads: int = 1         # windowed_attention only
-
-
-def init_mixer_params(params: Params, cfg: MixerConfig, rng, prefix: str = "lm"):
-    if cfg.kind == "windowed_attention" and cfg.d % cfg.n_attn_heads:
-        raise ShapeError(f"d={cfg.d} not divisible by n_attn_heads={cfg.n_attn_heads}")
+def init_mixer_params(params: Params, cfg: ModelConfig, rng, prefix: str = "lm"):
+    d = cfg.d_model
     for b in range(cfg.n_blocks):
         p = f"{prefix}.{b}"
-        add_layer_norm(params, f"{p}.ln1", cfg.d)
-        add_linear(params, rng, f"{p}.ffn.1", cfg.d, cfg.ffn_hidden)
-        add_linear(params, rng, f"{p}.ffn.2", cfg.ffn_hidden, cfg.d)
-        add_layer_norm(params, f"{p}.ln2", cfg.d)
-        if cfg.kind == "windowed_attention":
+        add_layer_norm(params, f"{p}.ln1", d)
+        add_linear(params, rng, f"{p}.ffn.1", d, cfg.ffn_hidden)
+        add_linear(params, rng, f"{p}.ffn.2", cfg.ffn_hidden, d)
+        add_layer_norm(params, f"{p}.ln2", d)
+        if cfg.mixer == "windowed_attention":
             for name in ("wq", "wk", "wv", "wo"):
-                params.add(f"{p}.{name}", linear_init(rng, cfg.d, cfg.d))
+                params.add(f"{p}.{name}", linear_init(rng, d, d))
 
 
 def _ffn(h: Tensor, params: Params, p: str) -> Tensor:
@@ -98,17 +86,15 @@ def windowed_attention_block(
     return _ffn_sublayer(h, params, prefix)
 
 
-def shared_lm(x: Tensor, cfg: MixerConfig, params: Params, prefix: str = "lm") -> Tensor:
+def shared_lm(x: Tensor, cfg: ModelConfig, params: Params, prefix: str = "lm") -> Tensor:
     """One weight set producing the single contextualized matrix consumed by
     both the entity and the relation heads."""
     for b in range(cfg.n_blocks):
         p = f"{prefix}.{b}"
-        if cfg.kind == "fnet":
+        if cfg.mixer == "fnet":
             x = fnet_block(x, params, p)
-        elif cfg.kind == "mlp":
+        elif cfg.mixer == "mlp":
             x = mlp_mixer_block(x, params, p)
-        elif cfg.kind == "windowed_attention":
+        else:  # windowed_attention; ModelConfig admits no other mixer
             x = windowed_attention_block(x, params, p, cfg.window, cfg.n_attn_heads)
-        else:
-            raise ShapeError(f"unknown mixer kind {cfg.kind!r}")
     return x

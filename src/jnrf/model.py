@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .config import RunConfig
+from .config import ModelConfig
 from .corpus import (
     ATTRIBUTE_TYPES,
     Document,
@@ -28,48 +28,11 @@ from .corpus import (
     relation_head,
 )
 from .embedding import EmbeddingTable, embed
-from .mixers import MixerConfig, init_mixer_params, shared_lm
+from .mixers import init_mixer_params, shared_lm
 from .params import Params, add_linear
 from .tensor import Tape, Tensor
 
 N_REL_HEADS = len(RELATION_TYPES)
-
-
-@dataclass
-class ModelConfig:
-    emb_dim: int = 64
-    d_model: int = 64
-    ffn_hidden: int = 128
-    mixer: str = "fnet"
-    n_blocks: int = 2
-    window: int = 512
-    n_attn_heads: int = 1
-    pool: str = "first"            # span vector: first token row or span mean
-    train_pooling: str = "gold"    # gold | predicted spans during training
-
-    @classmethod
-    def from_run_config(cls, cfg: RunConfig) -> "ModelConfig":
-        return cls(
-            emb_dim=cfg.emb_dim,
-            d_model=cfg.d_model,
-            ffn_hidden=cfg.ffn_hidden,
-            mixer=cfg.mixer,
-            n_blocks=cfg.n_blocks,
-            window=cfg.window,
-            n_attn_heads=cfg.n_attn_heads,
-            pool=cfg.pool,
-            train_pooling=cfg.train_pooling,
-        )
-
-    def mixer_config(self) -> MixerConfig:
-        return MixerConfig(
-            kind=self.mixer,
-            n_blocks=self.n_blocks,
-            d=self.d_model,
-            ffn_hidden=self.ffn_hidden,
-            window=self.window,
-            n_attn_heads=self.n_attn_heads,
-        )
 
 
 @dataclass
@@ -80,6 +43,8 @@ class EncodedInstance:
     labels: np.ndarray                  # BIO label ids, length n
     spans: list[tuple[int, int, str]]   # gold (tok_start, tok_end, etype)
     relations: list[tuple[int, int, int]]  # (attr span idx, drug span idx, head)
+    doc_id: str = ""
+    sentence: int | None = None         # sentence index; None for a whole document
 
 
 def encode_document(doc: Document) -> EncodedInstance:
@@ -93,7 +58,7 @@ def encode_document(doc: Document) -> EncodedInstance:
         (index_of[id(r.arg1)], index_of[id(r.arg2)], relation_head(r.rtype))
         for r in doc.gold_relations
     ]
-    return EncodedInstance(ids, labels, spans, relations)
+    return EncodedInstance(ids, labels, spans, relations, doc.doc_id)
 
 
 def encode_sentences(doc: Document) -> list[EncodedInstance]:
@@ -119,7 +84,7 @@ def encode_sentences(doc: Document) -> list[EncodedInstance]:
             if a in remap and d in remap
         ]
         out.append(
-            EncodedInstance(full.ids[lo:hi], full.labels[lo:hi], spans, rels)
+            EncodedInstance(full.ids[lo:hi], full.labels[lo:hi], spans, rels, doc.doc_id, s)
         )
     return out
 
@@ -258,7 +223,7 @@ class JNRF:
         c = config
         add_linear(self.params, rng, "in.1", c.emb_dim, c.ffn_hidden)
         add_linear(self.params, rng, "in.2", c.ffn_hidden, c.d_model)
-        init_mixer_params(self.params, c.mixer_config(), rng, prefix="lm")
+        init_mixer_params(self.params, c, rng, prefix="lm")
         add_linear(self.params, rng, "ner.1", c.d_model, c.ffn_hidden)
         add_linear(self.params, rng, "ner.2", c.ffn_hidden, NUM_LABELS)
         add_linear(self.params, rng, "re.1", c.d_model, c.ffn_hidden)
@@ -277,7 +242,7 @@ class JNRF:
     def encode(self, emb: Tensor) -> Tensor:
         """Token-wise input MLP followed by the weight-shared language model;
         the single output feeds both heads."""
-        return shared_lm(self._mlp(emb, "in"), self.config.mixer_config(), self.params, "lm")
+        return shared_lm(self._mlp(emb, "in"), self.config, self.params, "lm")
 
     def ner_head(self, e2: Tensor) -> Tensor:
         return self._mlp(e2, "ner")
@@ -361,10 +326,6 @@ def predictions_to_brat(doc: Document, spans, relations):
             )
         )
     return entities, rels
-
-
-def attribute_head(etype: str) -> int:
-    return relation_head(f"{etype}-Drug")
 
 
 __all__ = [

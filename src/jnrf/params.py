@@ -42,10 +42,6 @@ class Params:
     def count(self) -> int:
         return sum(t.data.size for t in self._store.values())
 
-    def count_prefix(self, prefix: str) -> int:
-        return sum(t.data.size for n, t in self.items() if n.startswith(prefix))
-
-
 def linear_init(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     return rng.standard_normal((fan_in, fan_out)) / np.sqrt(fan_in)
 

@@ -10,6 +10,7 @@ granularity runs a full document pass then a full sentence pass per epoch.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 import time
@@ -89,13 +90,6 @@ def adam_step(params: Params, state: AdamState):
         p.data -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
 
 
-def select_best(dev_scores) -> int:
-    """Index of the checkpoint with the best dev score; ties go earliest."""
-    if not len(dev_scores):
-        raise TrainingError("no epochs to select from")
-    return int(np.argmax(dev_scores))
-
-
 def dev_e2e_f1(model: JNRF, table: EmbeddingTable, docs: list[Document]) -> float:
     counts = MatchCounts()
     for doc in docs:
@@ -130,14 +124,23 @@ class TrainResult:
 
 def _accumulate_pass(model, table, instances, order, state, batch) -> tuple[float, int]:
     """Run backward over instances in the given order, stepping every
-    `batch` instances and flushing the remainder. Returns (loss sum, count)."""
+    `batch` instances and flushing the remainder. Returns (loss sum, count).
+
+    Raises TrainingError, before backward runs on it, when an instance's
+    loss is not finite."""
     total, pending = 0.0, 0
     for idx in order:
         inst = instances[idx]
         with Tape() as tape:
             loss, _, _ = model.instance_losses(inst, table)
+            value = loss.item()
+            if not math.isfinite(value):
+                where = f"document {inst.doc_id!r}"
+                if inst.sentence is not None:
+                    where += f", sentence {inst.sentence}"
+                raise TrainingError(f"non-finite loss {value} in {where}")
             tape.backward(loss)
-        total += loss.item()
+        total += value
         pending += 1
         if pending == batch:
             adam_step(model.params, state)
@@ -207,10 +210,10 @@ def train(
 
     if not dev_docs:
         return TrainResult(cfg.epochs, 0.0, history)
-    if best_snapshot is not None:
-        for name, arr in best_snapshot.items():
-            model.params[name].data[...] = arr
-    return TrainResult(best_epoch or 1, max(best_f1, 0.0), history)
+    # epochs >= 1 and every dev F1 >= 0, so the first epoch always sets a best
+    for name, arr in best_snapshot.items():
+        model.params[name].data[...] = arr
+    return TrainResult(best_epoch, best_f1, history)
 
 
 # --- checkpoint container -------------------------------------------------

@@ -55,6 +55,16 @@ def scalar_gelu(x: float) -> float:
     return 0.5 * x * (1.0 + math.tanh(math.sqrt(2.0 / math.pi) * (x + 0.044715 * x**3)))
 
 
+def scalar_positional_encoding(pos: int, d: int) -> list[float]:
+    """Sinusoidal encoding of one position from the formula, one float at a
+    time: sin at even indices, cos at odd, angle pos / 10000^(2i/d)."""
+    out = []
+    for i in range(d // 2):
+        angle = pos / 10000.0 ** (2.0 * i / d)
+        out += [math.sin(angle), math.cos(angle)]
+    return out
+
+
 def linear_map_matrix(f, rows: int, cols: int) -> np.ndarray:
     """Materialize a linear map on rows x cols matrices as a dense matrix
     by probing it with basis inputs. Used to get adjoints independently."""

@@ -1,15 +1,12 @@
 import numpy as np
 import pytest
 
+from jnrf import embedding
 from jnrf.config import ConfigError
-from jnrf.embedding import (
-    EmbeddingTable,
-    embed,
-    load_table,
-    positional_encoding,
-    random_table,
-)
+from jnrf.embedding import EmbeddingTable, embed, load_table, pe_matrix, random_table
 from jnrf.tokenizer import Vocab
+
+from oracles import scalar_positional_encoding
 
 
 def vocab3():
@@ -46,35 +43,45 @@ class TestLoadTable:
 
 class TestPositionalEncoding:
     def test_position_zero(self):
-        vec = positional_encoding(0, 8)
+        vec = pe_matrix(1, 8)[0]
         np.testing.assert_array_equal(vec, [0, 1, 0, 1, 0, 1, 0, 1])
 
     def test_frozen_values_at_position_one(self):
-        vec = positional_encoding(1, 4)
+        vec = pe_matrix(2, 4)[1]
         assert abs(vec[0] - 0.8414709848078965) < 1e-12      # sin(1)
         assert abs(vec[2] - 0.009999833334166664) < 1e-12    # sin(1/100)
 
     def test_odd_width_rejected(self):
         with pytest.raises(ConfigError):
-            positional_encoding(3, 5)
+            pe_matrix(3, 5)
 
     def test_norm_is_position_independent(self):
         d = 32
-        norms = [np.linalg.norm(positional_encoding(p, d)) for p in (0, 1, 17, 5000)]
+        norms = np.linalg.norm(pe_matrix(5001, d)[[0, 1, 17, 5000]], axis=1)
         np.testing.assert_allclose(norms, np.sqrt(d / 2), rtol=1e-12)
+
+    def test_cache_growth_matches_oracle(self, monkeypatch):
+        # an empty cache: the first call fills 512 rows, the second regrows it
+        monkeypatch.setattr(embedding, "_PE_CACHE", {})
+        d = 10
+        assert pe_matrix(3, d).shape == (3, d)
+        pe = pe_matrix(5001, d)
+        assert pe.shape == (5001, d)
+        for pos in (0, 1, 511, 512, 5000):
+            assert np.max(np.abs(pe[pos] - scalar_positional_encoding(pos, d))) < 1e-12
 
 
 class TestEmbed:
     def test_zero_table_gives_pure_positional(self):
         table = EmbeddingTable(np.zeros((4, 6)))
         out = embed([1, 3, 2], table)
-        np.testing.assert_allclose(out.data[2], positional_encoding(2, 6))
+        np.testing.assert_allclose(out.data[2], scalar_positional_encoding(2, 6))
 
     def test_single_token(self):
         table = random_table(vocab3(), d=6, seed=1)
         out = embed([2], table)
         np.testing.assert_allclose(
-            out.data[0], table.weights[2] + positional_encoding(0, 6)
+            out.data[0], table.weights[2] + scalar_positional_encoding(0, 6)
         )
 
     def test_out_of_range_id(self):

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from jnrf import tensor as T
+from jnrf.config import ModelConfig
 from jnrf.mixers import (
-    MixerConfig,
     fnet_block,
     init_mixer_params,
     mlp_mixer_block,
@@ -17,7 +17,7 @@ from oracles import fd_grad, rel_err
 
 
 def make_params(kind="fnet", n_blocks=1, d=8, ffn=12, heads=1, seed=0):
-    cfg = MixerConfig(kind=kind, n_blocks=n_blocks, d=d, ffn_hidden=ffn, n_attn_heads=heads)
+    cfg = ModelConfig(mixer=kind, n_blocks=n_blocks, d_model=d, ffn_hidden=ffn, n_attn_heads=heads)
     params = Params()
     init_mixer_params(params, cfg, np.random.default_rng(seed))
     return cfg, params

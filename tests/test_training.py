@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from jnrf.config import RunConfig
-from jnrf.model import JNRF, encode_document
+from jnrf.model import JNRF, encode_document, encode_sentences
 from jnrf.params import Params
 from jnrf.tensor import Tape
-from jnrf.training import AdamState, TrainingError, adam_step, train
+from jnrf.training import AdamState, TrainingError, _accumulate_pass, adam_step, train
 
 from test_model import TINY, build_toy_doc, tiny_table
 
@@ -55,3 +55,41 @@ def test_train_without_dev_docs_keeps_final_weights():
     assert any(not np.array_equal(after[0][n], after[2][n]) for n in after[2])
     for name, p in model.params.items():
         np.testing.assert_array_equal(p.data, after[2][name], err_msg=name)
+
+
+class TestNonFiniteLoss:
+    def _nan_model(self):
+        # alpha only enters the relation scores, so only an instance that
+        # pools both a drug and an attribute gets a NaN loss
+        model = JNRF(TINY, seed=22)
+        model.params["alpha"].data[0, 2] = np.nan
+        return model
+
+    def test_sentence_loss_rejected_before_backward(self):
+        doc, vocab = build_toy_doc()
+        table = tiny_table(len(vocab))
+        model = self._nan_model()
+        before = {n: p.data.copy() for n, p in model.params.items()}
+        state = AdamState.for_params(model.params, lr=0.05)
+        # sentence 1 holds no drug: its loss is finite and its backward runs;
+        # sentence 0 pools a drug and its attributes
+        instances = encode_sentences(doc)
+        with pytest.raises(
+            TrainingError, match=r"^non-finite loss nan in document 'toy', sentence 0$"
+        ):
+            _accumulate_pass(model, table, instances, [1, 0], state, batch=64)
+        assert model.params["alpha"].grad is None  # sentence 0 never ran backward
+        assert state.step_count == 0
+        for name, p in model.params.items():
+            np.testing.assert_array_equal(p.data, before[name], err_msg=name)
+            np.testing.assert_array_equal(state.m[name], 0.0)
+            np.testing.assert_array_equal(state.v[name], 0.0)
+
+    def test_train_names_the_document(self):
+        doc, vocab = build_toy_doc()
+        model = self._nan_model()
+        before = {n: p.data.copy() for n, p in model.params.items()}
+        with pytest.raises(TrainingError, match=r"^non-finite loss nan in document 'toy'$"):
+            train(model, tiny_table(len(vocab)), [doc], [], RunConfig(epochs=1))
+        for name, p in model.params.items():
+            np.testing.assert_array_equal(p.data, before[name], err_msg=name)
