@@ -32,24 +32,24 @@ def random_table(vocab: Vocab, d: int, seed: int) -> EmbeddingTable:
 
 def load_table(path: str | None, vocab: Vocab, d: int, seed: int = 0) -> EmbeddingTable:
     """Read a "token<TAB>v1 v2 ... vd" file ordered into vocab-id rows, or
-    fall back to a seeded random table when no path is given / present."""
-    if not path or not os.path.exists(path):
+    fall back to a seeded random table when no path is given."""
+    if not path:
         return random_table(vocab, d, seed)
+    if not os.path.exists(path):
+        raise ConfigError(f"{path}: embeddings file does not exist")
     rows: dict[str, np.ndarray] = {}
-    dim = None
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
             line = line.rstrip("\n")
             if not line:
                 continue
             tok, _, rest = line.partition("\t")
-            vec = np.array([float(v) for v in rest.split()])
-            if dim is None:
-                dim = len(vec)
-            elif len(vec) != dim:
-                raise ConfigError(
-                    f"{path}:{lineno}: embedding width {len(vec)} != {dim}"
-                )
+            try:
+                vec = np.array([float(v) for v in rest.split()])
+            except ValueError as exc:
+                raise ConfigError(f"{path}:{lineno}: {exc}") from None
+            if len(vec) != d:
+                raise ConfigError(f"{path}:{lineno}: embedding width {len(vec)} != {d}")
             if tok not in vocab:
                 raise ConfigError(f"{path}:{lineno}: token {tok!r} not in vocabulary")
             rows[tok] = vec

@@ -14,6 +14,7 @@ and per signed sentence distance (negative when the drug comes first).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 
@@ -72,50 +73,57 @@ def _entity_order(e: EntitySpan):
     return (e.start, e.end, e.etype)
 
 
-def match_entities(pred, gold) -> MatchCounts:
-    pred = sorted(pred, key=_entity_order)
-    gold = sorted(gold, key=_entity_order)
-    taken = [False] * len(gold)
-    counts = MatchCounts()
-    for p in pred:
-        for i, g in enumerate(gold):
-            if not taken[i] and _entity_matches(p, g):
-                taken[i] = True
-                counts.tp += 1
-                break
-        else:
-            counts.fp += 1
-    counts.fn = taken.count(False)
-    return counts
-
-
 def _relation_order(r: Relation):
     return (r.arg1.start, r.arg1.end, r.arg2.start, r.arg2.end, r.rtype)
 
 
-def _relation_matches(p: Relation, g: Relation) -> bool:
-    return (
-        p.rtype == g.rtype
-        and _entity_matches(p.arg1, g.arg1)
-        and _entity_matches(p.arg2, g.arg2)
-    )
+def _arguments_match(p: Relation, g: Relation) -> bool:
+    return _entity_matches(p.arg1, g.arg1) and _entity_matches(p.arg2, g.arg2)
 
 
-def match_relations(pred, gold) -> MatchCounts:
-    pred = sorted(pred, key=_relation_order)
-    gold = sorted(gold, key=_relation_order)
-    taken = [False] * len(gold)
-    counts = MatchCounts()
-    for p in pred:
-        for i, g in enumerate(gold):
-            if not taken[i] and _relation_matches(p, g):
-                taken[i] = True
-                counts.tp += 1
+def _greedy_match(pred, gold, order, type_of, same) -> dict[str, MatchCounts]:
+    """Greedy one-to-one matching, counted per type: with both lists sorted
+    by `order`, each prediction in turn takes the earliest gold item of its
+    type that no earlier prediction took and that `same` accepts. A match
+    needs equal types, so each type's counts are exactly those of matching
+    that type's items alone."""
+    open_gold: dict[str, list] = {}
+    for g in sorted(gold, key=order):
+        open_gold.setdefault(type_of(g), []).append(g)
+    counts: dict[str, MatchCounts] = {}
+    for p in sorted(pred, key=order):
+        t = type_of(p)
+        c = counts.setdefault(t, MatchCounts())
+        candidates = open_gold.get(t, [])
+        for i, g in enumerate(candidates):
+            if same(p, g):
+                del candidates[i]
+                c.tp += 1
                 break
         else:
-            counts.fp += 1
-    counts.fn = taken.count(False)
+            c.fp += 1
+    for t, rest in open_gold.items():
+        counts.setdefault(t, MatchCounts()).fn += len(rest)
     return counts
+
+
+def match_entities(pred, gold) -> dict[str, MatchCounts]:
+    return _greedy_match(pred, gold, _entity_order, attrgetter("etype"), _overlap)
+
+
+def match_relations(pred, gold) -> dict[str, MatchCounts]:
+    return _greedy_match(pred, gold, _relation_order, attrgetter("rtype"), _arguments_match)
+
+
+def _tally(by_type: dict[str, MatchCounts], per_type: dict | None = None) -> MatchCounts:
+    """Sum of the per-type counts; each type listed in per_type is also
+    added to its entry there."""
+    total = MatchCounts()
+    for t, c in by_type.items():
+        total.add(c)
+        if per_type is not None and t in per_type:
+            per_type[t].add(c)
+    return total
 
 
 def fd_length_bins(lengths) -> list[tuple[int, int]]:
@@ -158,9 +166,18 @@ class PredictedDoc:
     relations: list
 
 
+def _by_id(docs, side: str) -> dict:
+    by_id = {}
+    for d in docs:
+        if d.doc_id in by_id:
+            raise EvaluationError(f"duplicate {side} document id {d.doc_id!r}")
+        by_id[d.doc_id] = d
+    return by_id
+
+
 def build_report(pred_docs: list[PredictedDoc], gold_docs: list[Document]) -> EvalReport:
-    preds = {p.doc_id: p for p in pred_docs}
-    golds = {d.doc_id: d for d in gold_docs}
+    preds = _by_id(pred_docs, "pred")
+    golds = _by_id(gold_docs, "gold")
     missing = sorted(set(golds) ^ set(preds))
     if missing:
         raise EvaluationError(f"pred/gold document ids disagree: {missing}")
@@ -169,50 +186,26 @@ def build_report(pred_docs: list[PredictedDoc], gold_docs: list[Document]) -> Ev
     report.ner_by_type = {t: MatchCounts() for t in ENTITY_TYPES}
     report.e2e_by_type = {t: MatchCounts() for t in RELATION_TYPES}
     per_doc_e2e: dict[str, MatchCounts] = {}
-    dist_pred: dict[int, dict[str, list]] = {}
-    dist_gold: dict[int, dict[str, list]] = {}
+    by_distance: dict[int, MatchCounts] = {}
 
     for doc_id, gold in sorted(golds.items()):
         pred = preds[doc_id]
-        report.ner.add(match_entities(pred.entities, gold.gold_entities))
-        for t in ENTITY_TYPES:
-            report.ner_by_type[t].add(
-                match_entities(
-                    [e for e in pred.entities if e.etype == t],
-                    [e for e in gold.gold_entities if e.etype == t],
-                )
-            )
-        doc_counts = match_relations(pred.relations, gold.gold_relations)
+        report.ner.add(_tally(match_entities(pred.entities, gold.gold_entities), report.ner_by_type))
+        doc_counts = _tally(match_relations(pred.relations, gold.gold_relations), report.e2e_by_type)
         per_doc_e2e[doc_id] = doc_counts
         report.e2e.add(doc_counts)
-        for t in RELATION_TYPES:
-            report.e2e_by_type[t].add(
-                match_relations(
-                    [r for r in pred.relations if r.rtype == t],
-                    [r for r in gold.gold_relations if r.rtype == t],
-                )
-            )
         # distance strata: gold relations keyed by gold distance, predictions
         # by their own distance, matched within the stratum
+        strata: dict[int, tuple[list, list]] = {}  # distance -> (pred, gold)
         for r in gold.gold_relations:
             d = sentence_distance(r, gold)
-            dist_gold.setdefault(d, {}).setdefault(doc_id, []).append(r)
+            strata.setdefault(d, ([], []))[1].append(r)
             report.distance_gold_counts[d] = report.distance_gold_counts.get(d, 0) + 1
         for r in pred.relations:
-            d = sentence_distance(r, gold)
-            dist_pred.setdefault(d, {}).setdefault(doc_id, []).append(r)
-
-    for d in sorted(set(dist_gold) | set(dist_pred)):
-        counts = MatchCounts()
-        doc_ids = set(dist_gold.get(d, {})) | set(dist_pred.get(d, {}))
-        for doc_id in sorted(doc_ids):
-            counts.add(
-                match_relations(
-                    dist_pred.get(d, {}).get(doc_id, []),
-                    dist_gold.get(d, {}).get(doc_id, []),
-                )
-            )
-        report.by_sentence_distance[d] = counts
+            strata.setdefault(sentence_distance(r, gold), ([], []))[0].append(r)
+        for d, (p, g) in strata.items():
+            by_distance.setdefault(d, MatchCounts()).add(_tally(match_relations(p, g)))
+    report.by_sentence_distance = dict(sorted(by_distance.items()))
 
     lengths = {doc_id: len(golds[doc_id].tokens) for doc_id in golds}
     if len(golds) >= 2:

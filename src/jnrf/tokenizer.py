@@ -9,6 +9,9 @@ whole span, so character offsets always cover the non-whitespace text.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+from operator import attrgetter
+
 from .corpus import Document, Token, bio_label
 
 UNK = "[UNK]"
@@ -113,6 +116,17 @@ def split_sentences(doc: Document) -> list[int]:
     return starts
 
 
+def token_range(tokens: list[Token], start: int, end: int) -> tuple[int, int]:
+    """Index range [first, stop) of the tokens that overlap characters
+    [start, end); first >= stop when none does.
+
+    Relies on the order wordpiece_tokenize guarantees: tokens are in text
+    order and do not overlap, so their starts and their ends both ascend.
+    """
+    first = bisect_right(tokens, start, key=attrgetter("end"))
+    return first, bisect_left(tokens, end, key=attrgetter("start"))
+
+
 def align_bio(doc: Document) -> list[int]:
     """Project gold character spans onto tokens: overlap means inside, the
     first overlapped token is B-, the rest I-. Also records the token range
@@ -121,15 +135,12 @@ def align_bio(doc: Document) -> list[int]:
     owner = [None] * len(doc.tokens)
     doc.entity_token_spans = []
     for ent in doc.gold_entities:
-        tok_idx = [
-            i for i, t in enumerate(doc.tokens)
-            if t.start < ent.end and ent.start < t.end
-        ]
-        if not tok_idx:
+        first, stop = token_range(doc.tokens, ent.start, ent.end)
+        if first >= stop:
             raise AlignmentError(
                 f"{doc.doc_id}: entity {ent.id} ({ent.etype} {ent.start}..{ent.end}) covers no token"
             )
-        for i in tok_idx:
+        for i in range(first, stop):
             if owner[i] is not None:
                 other = owner[i]
                 raise AlignmentError(
@@ -137,10 +148,8 @@ def align_bio(doc: Document) -> list[int]:
                     f"{other.id} ({other.etype}) and {ent.id} ({ent.etype})"
                 )
             owner[i] = ent
-        labels[tok_idx[0]] = bio_label(ent.etype, first=True)
-        for i in tok_idx[1:]:
-            labels[i] = bio_label(ent.etype, first=False)
-        doc.entity_token_spans.append((tok_idx[0], tok_idx[-1] + 1))
+            labels[i] = bio_label(ent.etype, first=i == first)
+        doc.entity_token_spans.append((first, stop))
     return labels
 
 
@@ -154,20 +163,10 @@ def prepare(doc: Document, vocab: Vocab) -> Document:
 
 def sentence_index_of_token(doc: Document, tok: int) -> int:
     """Index of the sentence containing a token."""
-    starts = doc.sentence_starts
-    lo, hi = 0, len(starts) - 1
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if starts[mid] <= tok:
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
+    return max(bisect_right(doc.sentence_starts, tok) - 1, 0)
 
 
 def sentence_index_of_char(doc: Document, pos: int) -> int:
-    """Sentence of the first token at or after a character position."""
-    for i, t in enumerate(doc.tokens):
-        if t.end > pos:
-            return sentence_index_of_token(doc, i)
-    return sentence_index_of_token(doc, len(doc.tokens) - 1) if doc.tokens else 0
+    """Sentence of the first token ending after a character position, or of
+    the last token when none does (no sentence starts past the last token)."""
+    return sentence_index_of_token(doc, token_range(doc.tokens, pos, pos + 1)[0])

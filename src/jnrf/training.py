@@ -95,7 +95,8 @@ def dev_e2e_f1(model: JNRF, table: EmbeddingTable, docs: list[Document]) -> floa
     for doc in docs:
         spans, relations = model.predict_instance(encode_document(doc), table)
         _, pred_rels = predictions_to_brat(doc, spans, relations)
-        counts.add(match_relations(pred_rels, doc.gold_relations))
+        for c in match_relations(pred_rels, doc.gold_relations).values():
+            counts.add(c)
     return counts.f1
 
 

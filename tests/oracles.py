@@ -6,8 +6,11 @@ and never calls the fast paths it is used to check.
 """
 
 import math
+import statistics
 
 import numpy as np
+
+from jnrf.corpus import bio_label
 
 
 def naive_dft(re, im, inverse=False):
@@ -130,3 +133,85 @@ def scalar_re_loss(psi: np.ndarray, targets: np.ndarray) -> float:
                 if targets[j, h, p]:
                     total += psi[j, h, p] - lse
     return -total / (nh * nl)
+
+
+def scan_token_range(tokens, start: int, end: int) -> list[int]:
+    """Indices of the tokens overlapping characters [start, end), by testing
+    every token; needs no ordering of the tokens."""
+    return [i for i, t in enumerate(tokens) if t.start < end and start < t.end]
+
+
+def scan_align_bio(doc, error):
+    """BIO labels and entity token spans by a scan over every token per
+    entity: overlap means inside, the first overlapped token is B-, the rest
+    I-. Raises `error` with the message the tokenizer uses."""
+    labels = [0] * len(doc.tokens)
+    owner = [None] * len(doc.tokens)
+    spans = []
+    for ent in doc.gold_entities:
+        idx = scan_token_range(doc.tokens, ent.start, ent.end)
+        if not idx:
+            raise error(
+                f"{doc.doc_id}: entity {ent.id} ({ent.etype} {ent.start}..{ent.end}) covers no token"
+            )
+        for i in idx:
+            if owner[i] is not None:
+                other = owner[i]
+                raise error(
+                    f"{doc.doc_id}: token {i} ({doc.tokens[i].surface!r}) overlaps both "
+                    f"{other.id} ({other.etype}) and {ent.id} ({ent.etype})"
+                )
+            owner[i] = ent
+        for i in idx:
+            labels[i] = bio_label(ent.etype, first=i == idx[0])
+        spans.append((idx[0], idx[-1] + 1))
+    return labels, spans
+
+
+def scan_sentence_index_of_token(starts, tok: int) -> int:
+    """Last sentence whose start is at or before the token, 0 if none is."""
+    found = 0
+    for i, s in enumerate(starts):
+        if s <= tok:
+            found = i
+    return found
+
+
+def scan_sentence_index_of_char(tokens, starts, pos: int) -> int:
+    """Sentence of the first token ending after the character position, or
+    of the last token when none does; 0 for a document without tokens."""
+    for i, t in enumerate(tokens):
+        if t.end > pos:
+            return scan_sentence_index_of_token(starts, i)
+    return scan_sentence_index_of_token(starts, len(tokens) - 1) if tokens else 0
+
+
+def naive_greedy_counts(pred, gold, order, same) -> tuple[int, int, int]:
+    """(tp, fp, fn) of greedy one-to-one matching from the rule: both lists
+    sorted by `order`, each prediction in turn takes the earliest gold item
+    it matches that no earlier prediction took."""
+    pred = sorted(pred, key=order)
+    gold = sorted(gold, key=order)
+    used = set()
+    for p in pred:
+        free = [i for i in range(len(gold)) if i not in used and same(p, gold[i])]
+        if free:
+            used.add(min(free))
+    tp = len(used)
+    return tp, len(pred) - tp, len(gold) - tp
+
+
+def fd_bins(lengths) -> list[tuple[int, int]]:
+    """Freedman-Diaconis bins from the formula: width round(2 * IQR * N^(-1/3))
+    with quartiles interpolated linearly between order statistics, edges at
+    multiples of the width from 0 up to the first past the longest length,
+    and one bin [0, max + 1) when the width rounds below 1."""
+    q1, _, q3 = statistics.quantiles(lengths, n=4, method="inclusive")
+    width = round(2.0 * (q3 - q1) * len(lengths) ** (-1.0 / 3.0))
+    longest = max(lengths)
+    if width < 1:
+        return [(0, longest + 1)]
+    edges = [0]
+    while edges[-1] <= longest:
+        edges.append(edges[-1] + width)
+    return list(zip(edges, edges[1:]))

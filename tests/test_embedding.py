@@ -33,6 +33,28 @@ class TestLoadTable:
         with pytest.raises(ConfigError, match="missing"):
             load_table(str(path), vocab3(), d=2)
 
+    def test_missing_file_rejected(self, tmp_path):
+        path = tmp_path / "nope.tsv"
+        with pytest.raises(ConfigError, match=f"{path}: embeddings file does not exist"):
+            load_table(str(path), vocab3(), d=4)
+
+    def test_width_other_than_d_rejected(self, tmp_path):
+        path = tmp_path / "emb.tsv"
+        path.write_text("[UNK]\t0 0 0\naa\t1 2 3\nbb\t4 5 6\n")
+        with pytest.raises(ConfigError, match=r"emb\.tsv:1: embedding width 3 != 4"):
+            load_table(str(path), vocab3(), d=4)
+
+    def test_non_numeric_value_rejected(self, tmp_path):
+        path = tmp_path / "emb.tsv"
+        path.write_text("[UNK]\t0 0 0\naa\t1 x 3\nbb\t4 5 6\n")
+        with pytest.raises(ConfigError, match=r"emb\.tsv:2: .*'x'"):
+            load_table(str(path), vocab3(), d=3)
+
+    @pytest.mark.parametrize("path", [None, ""])
+    def test_fallback_only_without_a_path(self, path):
+        table = load_table(path, vocab3(), d=4, seed=3)
+        assert np.array_equal(table.weights, random_table(vocab3(), 4, 3).weights)
+
     def test_fallback_is_deterministic(self):
         a = load_table(None, vocab3(), d=16, seed=7)
         b = load_table(None, vocab3(), d=16, seed=7)

@@ -1,15 +1,25 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from jnrf.corpus import Document, EntitySpan, bio_label, parse_brat
+from jnrf.corpus import Document, EntitySpan, Token, bio_label, parse_brat
 from jnrf.tokenizer import (
     UNK,
     AlignmentError,
     Vocab,
     align_bio,
     prepare,
+    sentence_index_of_char,
     sentence_index_of_token,
     split_sentences,
+    token_range,
     wordpiece_tokenize,
+)
+
+from oracles import (
+    scan_align_bio,
+    scan_sentence_index_of_char,
+    scan_sentence_index_of_token,
+    scan_token_range,
 )
 
 
@@ -136,3 +146,79 @@ def test_prepare_round_trip_through_brat():
     assert doc.bio_labels[:3] == [b_drug, b_str, i_str]
     assert all(lab == 0 for lab in doc.bio_labels[3:])
     assert doc.entity_token_spans == [(0, 1), (1, 3)]
+
+
+@st.composite
+def token_layouts(draw):
+    """Tokens in text order that do not overlap, with gaps of 0 to 3
+    characters (also before the first), and sorted sentence starts; the
+    document may have no tokens."""
+    tokens, pos = [], 0
+    for gap, width in draw(st.lists(st.tuples(st.integers(0, 3), st.integers(1, 3)), max_size=12)):
+        pos += gap
+        tokens.append(Token(f"t{len(tokens)}", pos, pos + width))
+        pos += width
+    starts = sorted(draw(st.sets(st.integers(0, max(len(tokens) - 1, 0)))))
+    return tokens, starts
+
+
+char_positions = st.integers(-2, 45)
+
+
+class TestLookupsAgainstScans:
+    @settings(max_examples=300, deadline=None)
+    @given(layout=token_layouts(), start=char_positions, width=st.integers(1, 6))
+    def test_token_range(self, layout, start, width):
+        tokens, _ = layout
+        first, stop = token_range(tokens, start, start + width)
+        assert list(range(first, stop)) == scan_token_range(tokens, start, start + width)
+
+    @settings(max_examples=300, deadline=None)
+    @given(layout=token_layouts(), pos=char_positions)
+    def test_sentence_index_of_char(self, layout, pos):
+        tokens, starts = layout
+        doc = Document("d", "", tokens=tokens, sentence_starts=starts)
+        assert sentence_index_of_char(doc, pos) == scan_sentence_index_of_char(tokens, starts, pos)
+
+    @settings(max_examples=300, deadline=None)
+    @given(layout=token_layouts(), tok=st.integers(-1, 13))
+    def test_sentence_index_of_token(self, layout, tok):
+        tokens, starts = layout
+        doc = Document("d", "", tokens=tokens, sentence_starts=starts)
+        assert sentence_index_of_token(doc, tok) == scan_sentence_index_of_token(starts, tok)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        layout=token_layouts(),
+        spans=st.lists(st.tuples(char_positions, st.integers(1, 6), st.sampled_from(("Drug", "Route"))), max_size=5),
+    )
+    def test_align_bio(self, layout, spans):
+        tokens, _ = layout
+        doc = Document("d", "", tokens=tokens)
+        doc.gold_entities = [EntitySpan(f"T{i}", t, s, s + w) for i, (s, w, t) in enumerate(spans)]
+
+        def outcome(align):
+            try:
+                return align()
+            except AlignmentError as exc:
+                return str(exc)
+
+        want = outcome(lambda: scan_align_bio(doc, AlignmentError))
+        got = outcome(lambda: (align_bio(doc), doc.entity_token_spans))
+        assert got == want
+
+    def test_gaps_and_ends(self):
+        # tokens "ab" at 1..3 and "c" at 5..6: characters in the gap map to
+        # the next token, those after the last token to the last one
+        doc = Document("d", "", tokens=[Token("ab", 1, 3), Token("c", 5, 6)], sentence_starts=[0, 1])
+        assert [sentence_index_of_char(doc, p) for p in range(8)] == [0, 0, 0, 1, 1, 1, 1, 1]
+        assert token_range(doc.tokens, 3, 5) == (1, 1)
+        doc.gold_entities = [EntitySpan("T1", "Drug", 3, 5)]
+        with pytest.raises(AlignmentError, match="T1 .*covers no token"):
+            align_bio(doc)
+
+    def test_no_tokens(self):
+        doc = Document("d", "")
+        assert sentence_index_of_char(doc, 4) == 0
+        assert sentence_index_of_token(doc, 0) == 0
+        assert align_bio(doc) == []
