@@ -52,6 +52,8 @@ def load_table(path: str | None, vocab: Vocab, d: int, seed: int = 0) -> Embeddi
                 raise ConfigError(f"{path}:{lineno}: embedding width {len(vec)} != {d}")
             if tok not in vocab:
                 raise ConfigError(f"{path}:{lineno}: token {tok!r} not in vocabulary")
+            if tok in rows:
+                raise ConfigError(f"{path}:{lineno}: duplicate embedding for token {tok!r}")
             rows[tok] = vec
     missing = [t for t in vocab.tokens if t not in rows]
     if missing:

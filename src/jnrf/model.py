@@ -3,10 +3,14 @@ BIO decoding, selective pooling into drug/attribute sets, per-relation-type
 bilinear scoring with a trainable polynomial distance bias, and the two
 cross-entropy losses summed into the training objective.
 
-Relation scoring runs over pooled entities only, so its cost scales with
-t * |H| * |L| and never with the square of the document length. The
-log-softmax inside the relation loss runs over the drug axis for each fixed
-(attribute, relation-type) pair: every attribute selects its drug.
+Relation scoring runs over pooled entities only: one (|L|, |H|) score
+matrix, attributes by drugs. An attribute of type X can only be in an X-Drug
+relation (`parse_brat` rejects any other pairing), so scoring row l under
+that one head is exact: no other head's score could reach the loss or the
+decoder. The cost is |H| * |L| scores plus, per head present, projections
+of the drugs and of that head's attributes; it never grows with the square
+of the document length. The relation loss's log-softmax runs over each row,
+the drug axis: every attribute selects its drug.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ class EncodedInstance:
     ids: np.ndarray                     # vocab ids, length n
     labels: np.ndarray                  # BIO label ids, length n
     spans: list[tuple[int, int, str]]   # gold (tok_start, tok_end, etype)
-    relations: list[tuple[int, int, int]]  # (attr span idx, drug span idx, head)
+    relations: list[tuple[int, int]]    # (attr span idx, drug span idx)
     doc_id: str = ""
     sentence: int | None = None         # sentence index; None for a whole document
 
@@ -54,10 +58,7 @@ def encode_document(doc: Document) -> EncodedInstance:
         (s, e, ent.etype) for (s, e), ent in zip(doc.entity_token_spans, doc.gold_entities)
     ]
     index_of = {id(ent): i for i, ent in enumerate(doc.gold_entities)}
-    relations = [
-        (index_of[id(r.arg1)], index_of[id(r.arg2)], relation_head(r.rtype))
-        for r in doc.gold_relations
-    ]
+    relations = [(index_of[id(r.arg1)], index_of[id(r.arg2)]) for r in doc.gold_relations]
     return EncodedInstance(ids, labels, spans, relations, doc.doc_id)
 
 
@@ -78,11 +79,7 @@ def encode_sentences(doc: Document) -> list[EncodedInstance]:
             (ts - lo, te - lo, et)
             for ts, te, et in (full.spans[i] for i in keep)
         ]
-        rels = [
-            (remap[a], remap[d], j)
-            for a, d, j in full.relations
-            if a in remap and d in remap
-        ]
+        rels = [(remap[a], remap[d]) for a, d in full.relations if a in remap and d in remap]
         out.append(
             EncodedInstance(full.ids[lo:hi], full.labels[lo:hi], spans, rels, doc.doc_id, s)
         )
@@ -129,6 +126,11 @@ class Pooled:
     def empty(self) -> bool:
         return len(self.h_spans) == 0 or len(self.l_spans) == 0
 
+    @property
+    def heads(self) -> np.ndarray:
+        """Relation head of each attribute: type X can only be in X-Drug."""
+        return np.array([relation_head(f"{et}-Drug") for _, _, et in self.l_spans], dtype=np.intp)
+
 
 def selective_pool(e3: Tensor, spans, pool: str = "first") -> Pooled:
     h_spans = [s for s in spans if s[2] == "Drug"]
@@ -153,25 +155,24 @@ def _mean_matrix(spans, n: int) -> np.ndarray:
     return w
 
 
-def distance_matrix(pos_h: np.ndarray, pos_l: np.ndarray) -> np.ndarray:
-    """Absolute token distance between pooled entities; a constant in the
-    graph (no gradient flows into positions)."""
-    return np.abs(pos_h.reshape(-1, 1) - pos_l.reshape(1, -1)).astype(np.float64)
+def distance_matrix(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Absolute token distance |rows[i] - cols[j]| between pooled entities;
+    a constant in the graph (no gradient flows into positions)."""
+    return np.abs(rows.reshape(-1, 1) - cols.reshape(1, -1)).astype(np.float64)
 
 
 def build_relation_targets(pooled: Pooled, spans, relations) -> np.ndarray:
-    """(t, |H|, |L|) one-hot-per-(key, head) target array. Pooled spans are
-    matched to gold spans by exact token range and type; relations whose
-    arguments are not pooled contribute all-zero slices."""
-    t = N_REL_HEADS
-    r = np.zeros((t, len(pooled.h_spans), len(pooled.l_spans)))
+    """(|L|, |H|) target array, at most one 1 per attribute row. Pooled
+    spans are matched to gold spans by exact token range and type; relations
+    whose arguments are not pooled contribute nothing."""
+    r = np.zeros((len(pooled.l_spans), len(pooled.h_spans)))
     h_index = {s: i for i, s in enumerate(pooled.h_spans)}
     l_index = {s: i for i, s in enumerate(pooled.l_spans)}
-    for attr_idx, drug_idx, head in relations:
+    for attr_idx, drug_idx in relations:
         h = h_index.get(spans[drug_idx])
         l = l_index.get(spans[attr_idx])
         if h is not None and l is not None:
-            r[head, h, l] = 1.0
+            r[l, h] = 1.0
     return r
 
 
@@ -183,16 +184,13 @@ def ner_loss(logits: Tensor, labels: np.ndarray) -> Tensor:
     return T.scale(T.sum_all(picked), -1.0 / n)
 
 
-def re_loss(psis: list[Tensor], targets: np.ndarray) -> Tensor:
-    """Mean negative log-softmax (over the drug axis) at the target cells,
-    normalized by |H| * |L| exactly as the objective is written."""
-    nh, nl = psis[0].shape
-    total = None
-    for j, psi in enumerate(psis):
-        ls = T.transpose(T.log_softmax_rows(T.transpose(psi)))
-        picked = T.sum_all(T.mul(ls, Tensor(targets[j])))
-        total = picked if total is None else T.add(total, picked)
-    return T.scale(total, -1.0 / (nh * nl))
+def re_loss(psi: Tensor, targets: np.ndarray) -> Tensor:
+    """Mean negative log-softmax (over the drug axis, one row per attribute)
+    at the target cells, normalized by |H| * |L| exactly as the objective is
+    written."""
+    nl, nh = psi.shape
+    picked = T.sum_all(T.mul(T.log_softmax_rows(psi), Tensor(targets)))
+    return T.scale(picked, -1.0 / (nh * nl))
 
 
 def joint_loss(lner: Tensor, lre: Tensor | None) -> Tensor:
@@ -201,18 +199,11 @@ def joint_loss(lner: Tensor, lre: Tensor | None) -> Tensor:
     return T.add(lner, lre)
 
 
-def predict_relations(psis: np.ndarray, l_spans) -> list[tuple[int, int, int]]:
-    """Forced-argmax inference: each pooled attribute of type X picks the
-    highest-scoring drug under the X-Drug head (ties to the lowest index).
-    Returns (drug idx in H, attr idx in L, head) triples."""
-    out = []
-    if psis.shape[1] == 0:
-        return out
-    for p, (_, _, etype) in enumerate(l_spans):
-        j = relation_head(f"{etype}-Drug")
-        h = int(np.argmax(psis[j, :, p]))
-        out.append((h, p, j))
-    return out
+def predict_relations(psi: np.ndarray, heads) -> list[tuple[int, int, int]]:
+    """Forced-argmax inference: each pooled attribute (row) picks the
+    highest-scoring drug under its own head (ties to the lowest index); needs
+    at least one drug. Returns (drug idx in H, attr idx in L, head) triples."""
+    return list(zip(np.argmax(psi, axis=1).tolist(), range(len(heads)), np.asarray(heads).tolist()))
 
 
 class JNRF:
@@ -250,20 +241,27 @@ class JNRF:
     def re_embed(self, e2: Tensor) -> Tensor:
         return self._mlp(e2, "re")
 
-    def relation_scores(self, q: Tensor, k: Tensor, dist: np.ndarray) -> list[Tensor]:
-        """Per-head bilinear scores plus the trainable distance polynomial
-        a*D^2 + b*D + c (c acts through an all-ones matrix)."""
-        nh, nl = dist.shape
-        basis = Tensor(np.stack([dist.ravel() ** 2, dist.ravel(), np.ones(nh * nl)]))
+    def relation_scores(self, q: Tensor, k: Tensor, dist: np.ndarray, heads) -> Tensor:
+        """(|L|, |H|) scores, rows in attribute order: attribute l against
+        every drug under its own head j = heads[l], the bilinear form plus
+        the trainable distance polynomial a_j*D^2 + b_j*D + c_j (c acts
+        through an all-ones basis row). dist is (|L|, |H|). Each head's
+        projections and alpha row are applied once, to its group of rows."""
+        heads = np.asarray(heads, dtype=np.intp)
         alpha = self.params["alpha"]
-        out = []
-        for j in range(N_REL_HEADS):
+        groups, order = [], []
+        for j in np.unique(heads):
+            rows = np.flatnonzero(heads == j)
             qj = T.add(T.matmul(q, self.params[f"rel.{j}.q.w"]), self.params[f"rel.{j}.q.b"])
-            kj = T.add(T.matmul(k, self.params[f"rel.{j}.k.w"]), self.params[f"rel.{j}.k.b"])
-            a = T.matmul(qj, T.transpose(kj))
-            poly = T.reshape(T.matmul(T.pick_rows(alpha, [j]), basis), nh, nl)
-            out.append(T.add(a, poly))
-        return out
+            kj = T.matmul(T.pick_rows(k, rows), self.params[f"rel.{j}.k.w"])
+            kj = T.add(kj, self.params[f"rel.{j}.k.b"])
+            d = dist[rows].ravel()
+            basis = Tensor(np.stack([d**2, d, np.ones(d.size)]))
+            poly = T.reshape(T.matmul(T.pick_rows(alpha, [j]), basis), len(rows), q.rows)
+            groups.append(T.add(T.matmul(kj, T.transpose(qj)), poly))
+            order.append(rows)
+        # rows arrive grouped by head; put them back in attribute order
+        return T.pick_rows(T.concat_rows(groups), np.argsort(np.concatenate(order)))
 
     def instance_losses(self, inst: EncodedInstance, table: EmbeddingTable):
         """(joint, ner, re) loss tensors for one document or sentence."""
@@ -278,11 +276,11 @@ class JNRF:
         pooled = selective_pool(self.re_embed(e2), spans, self.config.pool)
         if pooled.empty:
             return lner, lner, None
-        psis = self.relation_scores(
-            pooled.q, pooled.k, distance_matrix(pooled.pos_h, pooled.pos_l)
+        psi = self.relation_scores(
+            pooled.q, pooled.k, distance_matrix(pooled.pos_l, pooled.pos_h), pooled.heads
         )
         targets = build_relation_targets(pooled, inst.spans, inst.relations)
-        lre = re_loss(psis, targets)
+        lre = re_loss(psi, targets)
         return joint_loss(lner, lre), lner, lre
 
     def predict_instance(self, inst: EncodedInstance, table: EmbeddingTable):
@@ -294,14 +292,12 @@ class JNRF:
         pooled = selective_pool(self.re_embed(e2), spans, self.config.pool)
         if pooled.empty:
             return spans, []
-        psis_t = self.relation_scores(
-            pooled.q, pooled.k, distance_matrix(pooled.pos_h, pooled.pos_l)
+        heads = pooled.heads
+        psi = self.relation_scores(
+            pooled.q, pooled.k, distance_matrix(pooled.pos_l, pooled.pos_h), heads
         )
-        psis = np.stack([p.data for p in psis_t])
-        triples = predict_relations(psis, pooled.l_spans)
-        relations = [
-            (pooled.h_spans[h], pooled.l_spans[p], j) for h, p, j in triples
-        ]
+        triples = predict_relations(psi.data, heads)
+        relations = [(pooled.h_spans[h], pooled.l_spans[p], j) for h, p, j in triples]
         return spans, relations
 
 

@@ -176,15 +176,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     )
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    return _elementwise(
-        a, b,
-        lambda x, y: x - y,
-        lambda g, x, y: g,
-        lambda g, x, y: -g,
-    )
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     return _elementwise(
         a, b,
@@ -217,16 +208,6 @@ def gelu(x: Tensor) -> Tensor:
     def backward(g):
         du = _GELU_C * (1.0 + 3 * 0.044715 * (v * v))
         return (g * (0.5 * (1.0 + t) + 0.5 * v * (1.0 - t * t) * du),)
-
-    return _record(out, (x,), backward)
-
-
-def relu(x: Tensor) -> Tensor:
-    mask = x.data > 0
-    out = Tensor(np.where(mask, x.data, 0.0))
-
-    def backward(g):
-        return (g * mask,)
 
     return _record(out, (x,), backward)
 

@@ -295,9 +295,26 @@ def load_checkpoint(path: str) -> Checkpoint:
             (step_count,) = struct.unpack("<Q", _read_exact(f, 8))
             lr, b1, b2, eps = struct.unpack("<dddd", _read_exact(f, 32))
             optimizer = AdamState(lr=lr, beta1=b1, beta2=b2, eps=eps, step_count=step_count)
-            optimizer.m = dict(_read_record(f) for _ in range(n_params))
-            optimizer.v = dict(_read_record(f) for _ in range(n_params))
+            optimizer.m = _read_moments(f, params, "m")
+            optimizer.v = _read_moments(f, params, "v")
+        if f.read(1):
+            raise CheckpointError(f"{path}: unexpected bytes after the last record")
     return Checkpoint(config_text, params, optimizer)
+
+
+def _read_moments(f, params: dict, which: str) -> dict:
+    """One Adam moment record per parameter, each named and shaped like it."""
+    moments = dict(_read_record(f) for _ in range(len(params)))
+    for name, arr in params.items():
+        got = moments.get(name)
+        if got is None:
+            raise CheckpointError(f"optimizer {which} has no record for parameter {name!r}")
+        if got.shape != arr.shape:
+            raise CheckpointError(
+                f"optimizer {which} for parameter {name!r}: "
+                f"shape {got.shape} != parameter {arr.shape}"
+            )
+    return moments
 
 
 def apply_checkpoint(model: JNRF, ckpt: Checkpoint):

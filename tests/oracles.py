@@ -135,6 +135,20 @@ def scalar_re_loss(psi: np.ndarray, targets: np.ndarray) -> float:
     return -total / (nh * nl)
 
 
+def all_heads_relation_scores(params, q: np.ndarray, k: np.ndarray, dist: np.ndarray) -> np.ndarray:
+    """Every (head, drug, attribute) score, as (t, |H|, |L|) planes: the
+    bilinear form (q W_q^j + b) (k W_k^j + b)^T plus a_j D^2 + b_j D + c_j for
+    every head j, whatever the attribute's type. dist is (|H|, |L|)."""
+    alpha = params["alpha"].data
+    planes = []
+    for j in range(alpha.shape[0]):
+        qj = q @ params[f"rel.{j}.q.w"].data + params[f"rel.{j}.q.b"].data
+        kj = k @ params[f"rel.{j}.k.w"].data + params[f"rel.{j}.k.b"].data
+        a, b, c = alpha[j]
+        planes.append(qj @ kj.T + (a * dist**2 + b * dist + c))
+    return np.stack(planes)
+
+
 def scan_token_range(tokens, start: int, end: int) -> list[int]:
     """Indices of the tokens overlapping characters [start, end), by testing
     every token; needs no ordering of the tokens."""

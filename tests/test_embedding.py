@@ -50,6 +50,12 @@ class TestLoadTable:
         with pytest.raises(ConfigError, match=r"emb\.tsv:2: .*'x'"):
             load_table(str(path), vocab3(), d=3)
 
+    def test_duplicate_token_rejected(self, tmp_path):
+        path = tmp_path / "emb.tsv"
+        path.write_text("[UNK]\t0 0\naa\t1 2\nbb\t4 5\naa\t9 9\n")
+        with pytest.raises(ConfigError, match=rf"^{path}:4: duplicate embedding for token 'aa'$"):
+            load_table(str(path), vocab3(), d=2)
+
     @pytest.mark.parametrize("path", [None, ""])
     def test_fallback_only_without_a_path(self, path):
         table = load_table(path, vocab3(), d=4, seed=3)

@@ -23,7 +23,13 @@ from jnrf.model import (
 from jnrf.tensor import Tape, Tensor
 from jnrf.tokenizer import Vocab, prepare
 
-from oracles import fd_grad, rel_err, scalar_ner_loss, scalar_re_loss
+from oracles import (
+    all_heads_relation_scores,
+    fd_grad,
+    rel_err,
+    scalar_ner_loss,
+    scalar_re_loss,
+)
 
 TINY = ModelConfig(emb_dim=6, d_model=6, ffn_hidden=8, mixer="fnet", n_blocks=1)
 
@@ -152,47 +158,44 @@ class TestRelationScores:
     def test_pure_quadratic_term(self):
         model = self.zeroed_model()
         model.params["alpha"].data[0] = [1.0, 0.0, 0.0]
-        psis = model.relation_scores(
-            Tensor(np.zeros((1, 6))), Tensor(np.zeros((1, 6))), np.array([[2.0]])
+        psi = model.relation_scores(
+            Tensor(np.zeros((1, 6))), Tensor(np.zeros((1, 6))), np.array([[2.0]]), [0]
         )
-        assert psis[0].item() == 4.0
+        assert psi.item() == 4.0
 
     def test_constant_term_via_ones(self):
         model = self.zeroed_model()
         model.params["alpha"].data[3] = [0.0, 0.0, 5.0]
         d = np.array([[1.0, 7.0], [3.0, 0.0]])
-        psis = model.relation_scores(
-            Tensor(np.zeros((2, 6))), Tensor(np.zeros((2, 6))), d
+        psi = model.relation_scores(
+            Tensor(np.zeros((2, 6))), Tensor(np.zeros((2, 6))), d, [3, 3]
         )
-        np.testing.assert_array_equal(psis[3].data, np.full((2, 2), 5.0))
+        np.testing.assert_array_equal(psi.data, np.full((2, 2), 5.0))
 
     def test_alpha_zero_equals_plain_scores(self):
         model = JNRF(TINY, seed=6)
         rng = np.random.default_rng(7)
         q, k = rng.standard_normal((2, 6)), rng.standard_normal((3, 6))
-        d = distance_matrix(np.array([0, 5]), np.array([1, 2, 9]))
-        psis = model.relation_scores(Tensor(q), Tensor(k), d)
-        for j, psi in enumerate(psis):
+        d = distance_matrix(np.array([1, 2, 9]), np.array([0, 5]))
+        for j in range(8):
+            psi = model.relation_scores(Tensor(q), Tensor(k), d, [j] * 3)
             qj = q @ model.params[f"rel.{j}.q.w"].data + model.params[f"rel.{j}.q.b"].data
             kj = k @ model.params[f"rel.{j}.k.w"].data + model.params[f"rel.{j}.k.b"].data
-            np.testing.assert_array_equal(psi.data, qj @ kj.T)
+            np.testing.assert_array_equal(psi.data, kj @ qj.T)
 
     def test_alpha_gradient_vs_finite_differences(self):
         model = JNRF(TINY, seed=8)
         rng = np.random.default_rng(9)
-        q, k = rng.standard_normal((2, 6)), rng.standard_normal((2, 6))
-        d = distance_matrix(np.array([1, 4]), np.array([2, 8]))
-        w = [rng.standard_normal((2, 2)) for _ in range(8)]
+        q, k = rng.standard_normal((2, 6)), rng.standard_normal((4, 6))
+        d = distance_matrix(np.array([2, 8, 3, 11]), np.array([1, 4]))
+        heads = [0, 3, 3, 7]
+        w = rng.standard_normal((4, 2))
         alpha = model.params["alpha"]
         base = alpha.data.copy()
 
         def run():
-            psis = model.relation_scores(Tensor(q), Tensor(k), d)
-            total = None
-            for psi, wi in zip(psis, w):
-                s = T.sum_all(T.mul(psi, Tensor(wi)))
-                total = s if total is None else T.add(total, s)
-            return total
+            psi = model.relation_scores(Tensor(q), Tensor(k), d, heads)
+            return T.sum_all(T.mul(psi, Tensor(w)))
 
         with Tape() as tape:
             loss = run()
@@ -204,6 +207,21 @@ class TestRelationScores:
                 return run().item()
 
         assert rel_err(alpha.grad, fd_grad(value, base)) < 1e-6
+
+    def test_rows_match_all_heads_oracle(self):
+        """Row l is the oracle's plane heads[l], column l: types interleaved,
+        heads 1, 3 and 5 absent, a nonzero distance polynomial."""
+        model = JNRF(TINY, seed=22)
+        rng = np.random.default_rng(23)
+        model.params["alpha"].data[...] = rng.standard_normal((8, 3)) * [1e-3, 0.1, 1.0]
+        q, k = rng.standard_normal((3, 6)), rng.standard_normal((7, 6))
+        pos_h, pos_l = np.array([4, 30, 17]), np.array([0, 9, 21, 40, 5, 33, 12])
+        heads = [4, 0, 4, 7, 0, 2, 6]
+        psi = model.relation_scores(Tensor(q), Tensor(k), distance_matrix(pos_l, pos_h), heads)
+        planes = all_heads_relation_scores(model.params, q, k, distance_matrix(pos_h, pos_l))
+        assert psi.shape == (7, 3)
+        for l, j in enumerate(heads):
+            assert rel_err(psi.data[l], planes[j, :, l]) < 1e-12, l
 
 
 class TestLosses:
@@ -231,26 +249,43 @@ class TestLosses:
         assert abs(got - scalar_ner_loss(logits, labels)) < 1e-12
 
     def test_re_uniform_column(self):
-        nh, nl = 2, 3
-        psis = [Tensor(np.zeros((nh, nl))) for _ in range(8)]
-        targets = np.zeros((8, nh, nl))
-        targets[0, 1, 0] = 1.0
-        got = re_loss(psis, targets).item()
+        nl, nh = 3, 2  # one row per attribute, uniform over its drugs
+        targets = np.zeros((nl, nh))
+        targets[0, 1] = 1.0
+        got = re_loss(Tensor(np.zeros((nl, nh))), targets).item()
         assert abs(got - math.log(2) / (nh * nl)) < 1e-12
 
     def test_re_all_zero_targets(self):
-        psis = [Tensor(np.random.default_rng(11).standard_normal((2, 2))) for _ in range(8)]
-        assert re_loss(psis, np.zeros((8, 2, 2))).item() == 0.0
+        psi = Tensor(np.random.default_rng(11).standard_normal((2, 2)))
+        assert re_loss(psi, np.zeros((2, 2))).item() == 0.0
 
     def test_re_matches_scalar_oracle(self):
         rng = np.random.default_rng(12)
-        arr = rng.standard_normal((8, 3, 4))
-        targets = np.zeros((8, 3, 4))
-        for p, (j, h) in zip(range(4), [(0, 1), (3, 2), (5, 0), (7, 1)]):
-            targets[j, h, p] = 1.0
-        targets[2, 0, 1] = 1.0  # 5 gold relations in total
-        got = re_loss([Tensor(arr[j]) for j in range(8)], targets).item()
-        assert abs(got - scalar_re_loss(arr, targets)) < 1e-12
+        psi = rng.standard_normal((4, 3))
+        targets = np.zeros((4, 3))
+        for p, h in enumerate([1, 2, 0, 1]):
+            targets[p, h] = 1.0
+        got = re_loss(Tensor(psi), targets).item()
+        # the oracle takes (t, H, L) planes: one plane, drugs by attributes
+        assert abs(got - scalar_re_loss(psi.T[None], targets.T[None])) < 1e-12
+
+    def test_re_rows_match_scalar_oracle_on_full_planes(self):
+        """Targets only at each attribute's own head: the loss on the rows
+        equals the loss on every head's plane."""
+        model = JNRF(TINY, seed=24)
+        rng = np.random.default_rng(25)
+        model.params["alpha"].data[...] = rng.standard_normal((8, 3)) * [1e-3, 0.1, 1.0]
+        q, k = rng.standard_normal((3, 6)), rng.standard_normal((6, 6))
+        pos_h, pos_l = np.array([2, 19, 40]), np.array([7, 0, 25, 33, 11, 45])
+        heads = [5, 1, 5, 0, 7, 1]
+        gold_drug = {0: 2, 1: 0, 3: 1, 4: 1, 5: 2}  # attribute 2 has no relation
+        psi = model.relation_scores(Tensor(q), Tensor(k), distance_matrix(pos_l, pos_h), heads)
+        planes = all_heads_relation_scores(model.params, q, k, distance_matrix(pos_h, pos_l))
+        rows, full = np.zeros((6, 3)), np.zeros((8, 3, 6))
+        for l, h in gold_drug.items():
+            rows[l, h] = full[heads[l], h, l] = 1.0
+        got = re_loss(psi, rows).item()
+        assert rel_err(got, scalar_re_loss(planes, full)) < 1e-12
 
     def test_joint_sum(self):
         assert joint_loss(Tensor([[2.0]]), Tensor([[0.5]])).item() == 2.5
@@ -265,29 +300,25 @@ class TestPredictRelations:
         from jnrf.corpus import relation_head
 
         j = relation_head("Form-Drug")
-        psis = np.zeros((8, 2, 1))
-        psis[j, :, 0] = [0.1, 3.2]
-        triples = predict_relations(psis, [(0, 1, "Form")])
+        triples = predict_relations(np.array([[0.1, 3.2]]), [j])
         assert triples == [(1, 0, j)]
 
     def test_single_drug_takes_all(self):
-        psis = np.random.default_rng(13).standard_normal((8, 1, 3))
-        l_spans = [(1, 2, "Dosage"), (4, 5, "Route"), (7, 8, "Reason")]
-        triples = predict_relations(psis, l_spans)
-        assert [h for h, _, _ in triples] == [0, 0, 0]
+        psi = np.random.default_rng(13).standard_normal((3, 1))
+        triples = predict_relations(psi, [2, 4, 6])  # Dosage, Route, Reason
+        assert triples == [(0, 0, 2), (0, 1, 4), (0, 2, 6)]
 
     def test_tie_takes_lowest_drug(self):
-        psis = np.zeros((8, 3, 1))
-        triples = predict_relations(psis, [(0, 1, "ADE")])
+        triples = predict_relations(np.zeros((1, 3)), [7])  # ADE
         assert triples[0][0] == 0
 
     def test_column_shift_invariance(self):
         rng = np.random.default_rng(14)
-        psis = rng.standard_normal((8, 4, 3))
-        l_spans = [(0, 1, "Form"), (2, 3, "Route"), (5, 6, "ADE")]
-        base = predict_relations(psis, l_spans)
-        shifted = psis + rng.standard_normal((8, 1, 3))  # constant per column
-        assert predict_relations(shifted, l_spans) == base
+        psi = rng.standard_normal((3, 4))
+        heads = [1, 4, 7]  # Form, Route, ADE
+        base = predict_relations(psi, heads)
+        shifted = psi + rng.standard_normal((3, 1))  # constant per attribute
+        assert predict_relations(shifted, heads) == base
 
 
 def build_toy_doc():
@@ -408,7 +439,29 @@ def test_relation_targets_hold_one_hot_invariant():
     inst = encode_document(doc)
     pooled = selective_pool(Tensor(np.zeros((len(inst.ids), 6))), inst.spans)
     r = build_relation_targets(pooled, inst.spans, inst.relations)
-    assert r.shape == (8, 1, 4)
-    sums = r.sum(axis=1)  # over drugs, per (head, key)
+    assert r.shape == (4, 1)
+    sums = r.sum(axis=1)  # over drugs, per attribute
     assert set(np.unique(sums)) <= {0.0, 1.0}
     assert r.sum() == 4.0
+
+
+def test_relation_targets_mark_each_attribute_row_at_its_drug():
+    text = "aspirin 50 mg then ibuprofen daily."
+    ann = (
+        "T1\tDrug 0 7\taspirin\n"
+        "T2\tStrength 8 13\t50 mg\n"
+        "T3\tDrug 19 28\tibuprofen\n"
+        "T4\tFrequency 29 34\tdaily\n"
+        "R1\tStrength-Drug Arg1:T2 Arg2:T1\n"
+        "R2\tFrequency-Drug Arg1:T4 Arg2:T3\n"
+    )
+    vocab = Vocab(["[UNK]", "aspirin", "50", "mg", "then", "ibuprofen", "daily", "."])
+    inst = encode_document(prepare(parse_brat(text, ann), vocab))
+    e3 = Tensor(np.zeros((len(inst.ids), 6)))
+    pooled = selective_pool(e3, inst.spans)
+    r = build_relation_targets(pooled, inst.spans, inst.relations)
+    np.testing.assert_array_equal(r, [[1.0, 0.0], [0.0, 1.0]])
+    # a relation whose drug is not pooled leaves its attribute's row empty
+    pooled = selective_pool(e3, [s for s in inst.spans if s[0] != inst.spans[2][0]])
+    r = build_relation_targets(pooled, inst.spans, inst.relations)
+    np.testing.assert_array_equal(r, [[1.0], [0.0]])
