@@ -4,7 +4,7 @@ The model's shape is declared once, in `ModelConfig`; `RunConfig` adds the
 fields training reads. Both are frozen and validate themselves on
 construction. Unknown keys are rejected; every key has a default, so an
 empty file is a valid configuration. Values keep the type of their default.
-'#' starts a comment.
+'#' starts a comment. Every error in parsed text names its line.
 """
 
 from __future__ import annotations
@@ -14,12 +14,16 @@ from dataclasses import asdict, dataclass, fields
 
 
 class ConfigError(ValueError):
-    pass
+    """`key` names the configuration key a validation rule rejected, if any."""
+
+    def __init__(self, message: str, key: str | None = None):
+        super().__init__(message)
+        self.key = key
 
 
 def _require(ok: bool, key: str, rule: str, value):
     if not ok:
-        raise ConfigError(f"{key} must be {rule}, got {value!r}")
+        raise ConfigError(f"{key} must be {rule}, got {value!r}", key)
 
 
 @dataclass(frozen=True)
@@ -88,7 +92,7 @@ def _convert(key: str, raw: str, lineno: int):
 
 
 def parse_config_text(text: str) -> RunConfig:
-    values = {}
+    values, line_of = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -100,7 +104,11 @@ def parse_config_text(text: str) -> RunConfig:
         if key not in _DEFAULTS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         values[key] = _convert(key, value, lineno)
-    return RunConfig(**values)
+        line_of[key] = lineno
+    try:
+        return RunConfig(**values)
+    except ConfigError as e:  # defaults are valid, so the text set the rejected key
+        raise ConfigError(f"line {line_of[e.key]}: {e}", e.key) from None
 
 
 def load_config(path: str) -> RunConfig:

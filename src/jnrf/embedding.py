@@ -18,8 +18,6 @@ from .tokenizer import Vocab
 
 
 class EmbeddingTable:
-    frozen = True
-
     def __init__(self, weights: np.ndarray):
         self.weights = np.asarray(weights, dtype=np.float64)
         self.vocab_size, self.d = self.weights.shape

@@ -17,14 +17,6 @@ import numpy as np
 from .instrument import COUNTER
 
 
-class LengthError(ValueError):
-    """Raised when a buffer length is not a power of two."""
-
-
-def is_pow2(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
-
-
 def next_pow2(n: int) -> int:
     m = 1
     while m < n:
@@ -36,32 +28,6 @@ def _radix2_mults(n: int, batch: int) -> int:
     """Real multiplies of `batch` radix-2 transforms of length n: log2(n)
     stages of n/2 butterflies, 4 real multiplies each."""
     return 2 * n * (n.bit_length() - 1) * batch
-
-
-class ComplexBuffer:
-    """Power-of-two length complex signal stored as separate re/im arrays."""
-
-    def __init__(self, re, im=None):
-        self.re = np.asarray(re, dtype=np.float64).copy()
-        if im is None:
-            self.im = np.zeros_like(self.re)
-        else:
-            self.im = np.asarray(im, dtype=np.float64).copy()
-        if self.re.ndim != 1 or self.im.shape != self.re.shape:
-            raise LengthError("re and im must be 1-D arrays of equal length")
-        if not is_pow2(len(self.re)):
-            raise LengthError(f"buffer length {len(self.re)} is not a power of two")
-
-    def __len__(self):
-        return len(self.re)
-
-
-def fft_pow2(buf: ComplexBuffer, inverse: bool = False) -> ComplexBuffer:
-    """Transform a ComplexBuffer; forward unnormalized, inverse scaled by 1/len."""
-    COUNTER.add(_radix2_mults(len(buf), 1))
-    transform = np.fft.ifft if inverse else np.fft.fft
-    out = transform(buf.re + 1j * buf.im)
-    return ComplexBuffer(out.real, out.imag)
 
 
 def mix_real2d(x: np.ndarray) -> np.ndarray:

@@ -32,14 +32,15 @@ def init_mixer_params(params: Params, cfg: ModelConfig, rng, prefix: str = "lm")
                 params.add(f"{p}.{name}", linear_init(rng, d, d))
 
 
-def _ffn(h: Tensor, params: Params, p: str) -> Tensor:
-    mid = T.gelu(T.add(T.matmul(h, params[f"{p}.ffn.1.w"]), params[f"{p}.ffn.1.b"]))
-    return T.add(T.matmul(mid, params[f"{p}.ffn.2.w"]), params[f"{p}.ffn.2.b"])
+def ffn(x: Tensor, params: Params, prefix: str) -> Tensor:
+    """Two-layer gelu MLP applied row-wise, from `{prefix}.1.*` and `{prefix}.2.*`."""
+    mid = T.gelu(T.linear(x, params[f"{prefix}.1.w"], params[f"{prefix}.1.b"]))
+    return T.linear(mid, params[f"{prefix}.2.w"], params[f"{prefix}.2.b"])
 
 
 def _ffn_sublayer(h: Tensor, params: Params, p: str) -> Tensor:
     return T.layer_norm_rows(
-        T.add(h, _ffn(h, params, p)), params[f"{p}.ln2.g"], params[f"{p}.ln2.b"]
+        T.add(h, ffn(h, params, f"{p}.ffn")), params[f"{p}.ln2.g"], params[f"{p}.ln2.b"]
     )
 
 

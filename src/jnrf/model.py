@@ -32,7 +32,7 @@ from .corpus import (
     relation_head,
 )
 from .embedding import EmbeddingTable, embed
-from .mixers import init_mixer_params, shared_lm
+from .mixers import ffn, init_mixer_params, shared_lm
 from .params import Params, add_linear
 from .tensor import Tape, Tensor
 
@@ -226,20 +226,16 @@ class JNRF:
         # zero-initialized so training starts distance-agnostic
         self.params.add("alpha", np.zeros((N_REL_HEADS, 3)))
 
-    def _mlp(self, x: Tensor, prefix: str) -> Tensor:
-        h = T.gelu(T.add(T.matmul(x, self.params[f"{prefix}.1.w"]), self.params[f"{prefix}.1.b"]))
-        return T.add(T.matmul(h, self.params[f"{prefix}.2.w"]), self.params[f"{prefix}.2.b"])
-
     def encode(self, emb: Tensor) -> Tensor:
         """Token-wise input MLP followed by the weight-shared language model;
         the single output feeds both heads."""
-        return shared_lm(self._mlp(emb, "in"), self.config, self.params, "lm")
+        return shared_lm(ffn(emb, self.params, "in"), self.config, self.params, "lm")
 
     def ner_head(self, e2: Tensor) -> Tensor:
-        return self._mlp(e2, "ner")
+        return ffn(e2, self.params, "ner")
 
     def re_embed(self, e2: Tensor) -> Tensor:
-        return self._mlp(e2, "re")
+        return ffn(e2, self.params, "re")
 
     def relation_scores(self, q: Tensor, k: Tensor, dist: np.ndarray, heads) -> Tensor:
         """(|L|, |H|) scores, rows in attribute order: attribute l against
@@ -252,13 +248,15 @@ class JNRF:
         groups, order = [], []
         for j in np.unique(heads):
             rows = np.flatnonzero(heads == j)
-            qj = T.add(T.matmul(q, self.params[f"rel.{j}.q.w"]), self.params[f"rel.{j}.q.b"])
-            kj = T.matmul(T.pick_rows(k, rows), self.params[f"rel.{j}.k.w"])
-            kj = T.add(kj, self.params[f"rel.{j}.k.b"])
+            qj = T.linear(q, self.params[f"rel.{j}.q.w"], self.params[f"rel.{j}.q.b"])
+            kj = T.linear(
+                T.pick_rows(k, rows), self.params[f"rel.{j}.k.w"], self.params[f"rel.{j}.k.b"]
+            )
             d = dist[rows].ravel()
             basis = Tensor(np.stack([d**2, d, np.ones(d.size)]))
             poly = T.reshape(T.matmul(T.pick_rows(alpha, [j]), basis), len(rows), q.rows)
-            groups.append(T.add(T.matmul(kj, T.transpose(qj)), poly))
+            bilinear = T.matmul(kj, T.transpose(qj))
+            groups.append(T.add(bilinear, poly))
             order.append(rows)
         # rows arrive grouped by head; put them back in attribute order
         return T.pick_rows(T.concat_rows(groups), np.argsort(np.concatenate(order)))

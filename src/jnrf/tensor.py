@@ -6,6 +6,9 @@ gradient; the forward recording order is the topological order used for the
 reverse sweep. Leaf tensors (those not produced by an op) accumulate into
 `.grad`; running backward twice without zeroing doubles every grad.
 
+Elementwise ops (add, mul) take operands of equal shape; nothing broadcasts.
+A bias row goes through `linear`, which computes x @ w + b as one node.
+
 gelu uses the tanh approximation as the defined contract:
     0.5 * x * (1 + tanh(sqrt(2/pi) * (x + 0.044715 * x**3)))
 """
@@ -135,54 +138,47 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _record(out, (a, b), backward)
 
 
-def _broadcast_ok(x: tuple, y: tuple) -> bool:
-    if x == y:
-        return True
-    small, big = (x, y) if x[0] * x[1] <= y[0] * y[1] else (y, x)
-    return small == (1, 1) or small == (1, big[1])
-
-
-def _reduce_to(g: np.ndarray, shape: tuple) -> np.ndarray:
-    if g.shape == shape:
-        return g.copy()
-    if shape == (1, 1):
-        return g.sum().reshape(1, 1)
-    if shape == (1, g.shape[1]):
-        return g.sum(axis=0, keepdims=True)
-    raise ShapeError(f"cannot reduce gradient {g.shape} to {shape}")
-
-
-def _elementwise(a: Tensor, b: Tensor, fwd, da, db) -> Tensor:
-    if not _broadcast_ok(a.shape, b.shape):
-        raise ShapeError(
-            f"broadcast limited to scalar-with-matrix and row-with-matrix: {a.shape} vs {b.shape}"
-        )
-    out = Tensor(fwd(a.data, b.data))
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w + b as one node; b is a (1, w.cols) row added to every row."""
+    if x.cols != w.rows:
+        raise ShapeError(f"linear: inner dimensions disagree: {x.shape} x {w.shape}")
+    if b.shape != (1, w.cols):
+        raise ShapeError(f"linear: bias must be (1, {w.cols}), got {b.shape}")
+    out = Tensor(_mm(x.data, w.data) + b.data)
 
     def backward(g):
-        ga = _reduce_to(da(g, a.data, b.data), a.shape) if a.requires_grad else None
-        gb = _reduce_to(db(g, a.data, b.data), b.shape) if b.requires_grad else None
-        return ga, gb
+        gx = _mm(g, w.data.T) if x.requires_grad else None
+        gw = _mm(x.data.T, g) if w.requires_grad else None
+        gb = g.sum(axis=0, keepdims=True) if b.requires_grad else None
+        return gx, gw, gb
+
+    return _record(out, (x, w, b), backward)
+
+
+def _same_shape(op: str, a: Tensor, b: Tensor):
+    if a.shape != b.shape:
+        raise ShapeError(f"{op}: elementwise ops take equal shapes: {a.shape} vs {b.shape}")
+
+
+def add(a: Tensor, b: Tensor) -> Tensor:
+    _same_shape("add", a, b)
+    out = Tensor(a.data + b.data)
+
+    # copies: the tape adds into adjoints in place, so g must not be shared
+    def backward(g):
+        return g.copy() if a.requires_grad else None, g.copy() if b.requires_grad else None
 
     return _record(out, (a, b), backward)
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    return _elementwise(
-        a, b,
-        lambda x, y: x + y,
-        lambda g, x, y: g,
-        lambda g, x, y: g,
-    )
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    return _elementwise(
-        a, b,
-        lambda x, y: x * y,
-        lambda g, x, y: g * y,
-        lambda g, x, y: g * x,
-    )
+    _same_shape("mul", a, b)
+    out = Tensor(a.data * b.data)
+
+    def backward(g):
+        return g * b.data if a.requires_grad else None, g * a.data if b.requires_grad else None
+
+    return _record(out, (a, b), backward)
 
 
 def scale(x: Tensor, s: float) -> Tensor:

@@ -13,23 +13,6 @@ import numpy as np
 from jnrf.corpus import bio_label
 
 
-def naive_dft(re, im, inverse=False):
-    """O(n^2) DFT from the definition, via real cos/sin matrix products."""
-    re = np.asarray(re, dtype=np.float64)
-    im = np.asarray(im, dtype=np.float64)
-    n = len(re)
-    k = np.arange(n)
-    theta = 2.0 * np.pi * np.outer(k, k) / n
-    c, s = np.cos(theta), np.sin(theta)
-    if inverse:
-        out_re = (c @ re - s @ im) / n
-        out_im = (c @ im + s @ re) / n
-    else:
-        out_re = c @ re + s @ im
-        out_im = c @ im - s @ re
-    return out_re, out_im
-
-
 def naive_dft_matrix(n: int) -> np.ndarray:
     """Complex forward DFT matrix, for batched naive transforms."""
     k = np.arange(n)

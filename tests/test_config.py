@@ -93,8 +93,16 @@ def test_missing_equals_names_its_line():
 
 
 def test_parsed_values_are_validated():
-    with pytest.raises(ConfigError, match=r"^epochs must be >= 1, got 0$"):
+    with pytest.raises(ConfigError, match=r"^line 2: epochs must be >= 1, got 0$"):
         parse_config_text("lr = 0.01\nepochs = 0\n")
+
+
+def test_validation_error_names_the_line_that_set_the_key():
+    # the last assignment of a key is the one validated
+    with pytest.raises(ConfigError, match=r"^line 3: mixer must be "):
+        parse_config_text("mixer = mlp\n# a comment\nmixer = conv\nepochs = 2\n")
+    with pytest.raises(ConfigError, match=r"^line 2: n_attn_heads must be a divisor of d_model=64,"):
+        parse_config_text("mixer = windowed_attention\nn_attn_heads = 5\n")
 
 
 def test_fields_are_frozen():

@@ -1,10 +1,18 @@
+import hashlib
+import os
+import random
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
-from jnrf.config import RunConfig
+from jnrf.config import ModelConfig, RunConfig
+from jnrf.corpus import parse_brat
 from jnrf.model import JNRF, encode_document, encode_sentences
 from jnrf.params import Params
 from jnrf.tensor import Tape
+from jnrf.tokenizer import Vocab, prepare
 from jnrf.training import AdamState, TrainingError, _accumulate_pass, adam_step, train
 
 from test_model import TINY, build_toy_doc, tiny_table
@@ -93,3 +101,108 @@ class TestNonFiniteLoss:
             train(model, tiny_table(len(vocab)), [doc], [], RunConfig(epochs=1))
         for name, p in model.params.items():
             np.testing.assert_array_equal(p.data, before[name], err_msg=name)
+
+
+_DRUGS = ("metoprin", "lisinol", "warfex")
+_FREQS = ("daily", "weekly")
+_REASONS = ("nausea", "pain", "cough")
+_ADES = ("rash", "fever")
+_FILLER = ("the", "patient", "developed", "mg", "for", ".")
+
+
+def synthetic_docs(n_docs: int, seed: int):
+    """Small BRAT documents of 3-5 sentences. Each sentence is either
+    "<drug> <n> mg <freq> for <reason>." (three attributes of that drug) or
+    "the patient developed <ade>." (an ADE of the previous sentence's drug,
+    so sentence granularity drops that relation)."""
+    rng = random.Random(seed)
+    numbers = ("10", "25", "50")
+    vocab = Vocab(["[UNK]", *_DRUGS, *_FREQS, *_REASONS, *_ADES, *_FILLER, *numbers])
+    docs = []
+    for d in range(n_docs):
+        text, ents, rels, drug = "", [], [], None
+
+        def mention(etype, surface):
+            nonlocal text
+            start = len(text)
+            text += surface
+            ents.append(f"T{len(ents) + 1}\t{etype} {start} {len(text)}\t{surface}")
+            return f"T{len(ents)}"
+
+        for s in range(rng.randint(3, 5)):
+            if text:
+                text += " "
+            if s > 0 and rng.random() < 0.3:
+                text += "the patient developed "
+                ade = mention("ADE", rng.choice(_ADES))
+                rels.append(("ADE-Drug", ade, drug))
+            else:
+                drug = mention("Drug", rng.choice(_DRUGS))
+                text += " "
+                attrs = [("Strength", mention("Strength", f"{rng.choice(numbers)} mg"))]
+                text += " "
+                attrs.append(("Frequency", mention("Frequency", rng.choice(_FREQS))))
+                text += " for "
+                attrs.append(("Reason", mention("Reason", rng.choice(_REASONS))))
+                rels.extend((f"{etype}-Drug", t, drug) for etype, t in attrs)
+            text += "."
+        ann = "\n".join(
+            ents + [f"R{i + 1}\t{r} Arg1:{a} Arg2:{b}" for i, (r, a, b) in enumerate(rels)]
+        )
+        doc = parse_brat(text, ann + "\n", f"synth{d}")
+        prepare(doc, vocab)
+        docs.append(doc)
+    return docs, vocab
+
+
+def training_run(granularity: str):
+    """Weights, history (without wall-clock seconds) and predictions of a
+    2-epoch run with a dev document."""
+    docs, vocab = synthetic_docs(3, seed=5)
+    cfg = RunConfig(emb_dim=6, d_model=6, ffn_hidden=8, n_blocks=1, epochs=2, lr=0.05,
+                    granularity=granularity)
+    table = tiny_table(len(vocab))
+    model = JNRF(ModelConfig.from_run_config(cfg), seed=23)
+    result = train(model, table, docs[:2], docs[2:], cfg)
+    history = [(s.epoch, s.train_loss, s.dev_f1) for s in result.history]
+    predictions = [model.predict_instance(encode_document(d), table) for d in docs]
+    weights = {n: p.data.copy() for n, p in model.params.items()}
+    return weights, (result.best_epoch, result.best_dev_f1, history), predictions
+
+
+def run_digest(granularity: str) -> str:
+    weights, outcome, predictions = training_run(granularity)
+    h = hashlib.sha256()
+    for name, arr in weights.items():
+        h.update(name.encode())
+        h.update(arr.tobytes())
+    h.update(repr((outcome, predictions)).encode())
+    return h.hexdigest()
+
+
+class TestDeterminism:
+    @pytest.mark.parametrize("granularity", ["document", "sentence", "mixed"])
+    def test_train_is_bit_identical_within_a_process(self, granularity):
+        (w1, out1, pred1), (w2, out2, pred2) = training_run(granularity), training_run(granularity)
+        assert list(w1) == list(w2)
+        for name in w1:
+            assert np.array_equal(w1[name], w2[name]), name
+        assert out1 == out2
+        assert pred1 == pred2
+
+    @pytest.mark.parametrize("granularity", ["document", "sentence", "mixed"])
+    def test_train_is_bit_identical_across_hash_seeds(self, granularity):
+        here = os.path.dirname(os.path.abspath(__file__))
+        src = os.path.join(os.path.dirname(here), "src")
+        code = (
+            f"import sys; sys.path[:0] = [{src!r}, {here!r}]; "
+            f"from test_training import run_digest; print(run_digest({granularity!r}))"
+        )
+        digests = {
+            subprocess.run(
+                [sys.executable, "-c", code], check=True, capture_output=True, text=True,
+                env={**os.environ, "PYTHONHASHSEED": hash_seed},
+            ).stdout.strip()
+            for hash_seed in ("1", "2")
+        }
+        assert digests == {run_digest(granularity)}
