@@ -163,7 +163,8 @@ def render_ann(entities, relations) -> str:
     ids = {}
     for i, e in enumerate(entities, start=1):
         ids[id(e)] = f"T{i}"
-        surface = e.surface.replace("\n", " ")
+        # every break parse_brat's splitlines() honours, not only "\n"
+        surface = " ".join(e.surface.splitlines())
         lines.append(f"T{i}\t{e.etype} {e.start} {e.end}\t{surface}")
     for i, r in enumerate(relations, start=1):
         lines.append(f"R{i}\t{r.rtype} Arg1:{ids[id(r.arg1)]} Arg2:{ids[id(r.arg2)]}")

@@ -6,9 +6,11 @@ families: matrix products (m*k*p multiply-accumulates) and FFT butterflies
 counted; complexity claims are about these two families.
 
 The FFT figure is the radix-2 model count, 2 * n * log2(n) real multiplies
-per length-n transform of the power-of-two padded length, not the work
-np.fft happens to do. It depends on the shapes alone, so multiplies per
-token stay comparable across commits and FFT back ends.
+per length-n complex transform of the power-of-two padded length, not the
+work np.fft happens to do. `fourier.mix_real2d` runs a real-input `rfft2`,
+which skips about half of that work, and still adds the full complex count.
+It depends on the shapes alone, so multiplies per token stay comparable
+across commits and FFT back ends.
 """
 
 

@@ -143,16 +143,9 @@ def selective_pool(e3: Tensor, spans, pool: str = "first") -> Pooled:
         q = T.pick_rows(e3, pos_h)
         k = T.pick_rows(e3, pos_l)
     else:  # mean over the span's rows
-        q = T.matmul(Tensor(_mean_matrix(h_spans, e3.rows)), e3)
-        k = T.matmul(Tensor(_mean_matrix(l_spans, e3.rows)), e3)
+        q = T.span_mean(e3, pos_h, [s[1] for s in h_spans])
+        k = T.span_mean(e3, pos_l, [s[1] for s in l_spans])
     return Pooled(q, k, pos_h, pos_l, h_spans, l_spans)
-
-
-def _mean_matrix(spans, n: int) -> np.ndarray:
-    w = np.zeros((len(spans), n))
-    for i, (ts, te, _) in enumerate(spans):
-        w[i, ts:te] = 1.0 / (te - ts)
-    return w
 
 
 def distance_matrix(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:

@@ -11,6 +11,9 @@ A bias row goes through `linear`, which computes x @ w + b as one node.
 
 gelu uses the tanh approximation as the defined contract:
     0.5 * x * (1 + tanh(sqrt(2/pi) * (x + 0.044715 * x**3)))
+Only while a tape records it does gelu also compute its derivative, in the
+forward pass, reusing the array that held the tanh; its backward is then
+one product. Without a tape (prediction) no derivative is computed.
 """
 
 import numpy as np
@@ -113,8 +116,13 @@ class Tape:
                     parent.grad = contrib if parent.grad is None else parent.grad + contrib
 
 
+def _recording(parents) -> bool:
+    """Whether an op on these inputs will be recorded onto a tape."""
+    return bool(_TAPES) and any(p.requires_grad for p in parents)
+
+
 def _record(out: Tensor, parents, backward) -> Tensor:
-    if _TAPES and any(p.requires_grad for p in parents):
+    if _recording(parents):
         out.requires_grad = True
         _TAPES[-1].record(out, parents, backward)
     return out
@@ -144,7 +152,9 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"linear: inner dimensions disagree: {x.shape} x {w.shape}")
     if b.shape != (1, w.cols):
         raise ShapeError(f"linear: bias must be (1, {w.cols}), got {b.shape}")
-    out = Tensor(_mm(x.data, w.data) + b.data)
+    y = _mm(x.data, w.data)
+    y += b.data
+    out = Tensor(y)
 
     def backward(g):
         gx = _mm(g, w.data.T) if x.requires_grad else None
@@ -196,16 +206,41 @@ _GELU_C = np.sqrt(2.0 / np.pi)
 
 def gelu(x: Tensor) -> Tensor:
     v = x.data
-    t = np.tanh(_GELU_C * (v + 0.044715 * (v * v * v)))
-    out = Tensor(0.5 * v * (1.0 + t))
+    t = v * v
+    t *= v
+    t *= 0.044715
+    t += v
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    if not _recording((x,)):
+        y = v * 0.5
+        t += 1.0
+        y *= t
+        return Tensor(y)
 
-    # v*v is recomputed here rather than kept from the forward: holding it
-    # would keep one more n x d array per gelu on the tape.
+    # d/dv = 0.5 (1 + t) + 0.5 v (1 - t^2) c (1 + 3 * 0.044715 v^2)
+    #      = 0.5 (1 + t) (1 + v (1 - t) c (1 + 3 * 0.044715 v^2)),
+    # built in t's array, so the closure holds this one array and nothing else
+    du = v * v
+    du *= 3 * 0.044715
+    du += 1.0
+    du *= _GELU_C
+    one_plus_t = t + 1.0
+    dy = t
+    np.subtract(1.0, dy, out=dy)
+    dy *= v
+    dy *= du
+    dy += 1.0
+    dy *= one_plus_t
+    dy *= 0.5
+    # (0.5 v)(1 + t), the same operations as without a tape, bit for bit
+    y = np.multiply(v, 0.5, out=du)
+    y *= one_plus_t
+
     def backward(g):
-        du = _GELU_C * (1.0 + 3 * 0.044715 * (v * v))
-        return (g * (0.5 * (1.0 + t) + 0.5 * v * (1.0 - t * t) * du),)
+        return (g * dy,)
 
-    return _record(out, (x,), backward)
+    return _record(Tensor(y), (x,), backward)
 
 
 def log_softmax_rows(x: Tensor) -> Tensor:
@@ -234,21 +269,28 @@ def softmax_rows(x: Tensor) -> Tensor:
 def layer_norm_rows(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     if gain.shape != (1, x.cols) or bias.shape != (1, x.cols):
         raise ShapeError(f"layer norm gain/bias must be (1, {x.cols})")
-    mu = x.data.mean(axis=1, keepdims=True)
-    xc = x.data - mu
-    inv = 1.0 / np.sqrt((xc**2).mean(axis=1, keepdims=True) + eps)
-    xh = xc * inv
-    out = Tensor(xh * gain.data + bias.data)
+    xh = x.data - x.data.mean(axis=1, keepdims=True)
+    y = np.square(xh)
+    inv = 1.0 / np.sqrt(y.mean(axis=1, keepdims=True) + eps)
+    xh *= inv
+    np.multiply(xh, gain.data, out=y)
+    y += bias.data
+    out = Tensor(y)
 
     def backward(g):
-        gxh = g * gain.data
+        tmp = g * xh
+        ggain = tmp.sum(axis=0, keepdims=True) if gain.requires_grad else None
+        gbias = g.sum(axis=0, keepdims=True) if bias.requires_grad else None
         gx = None
         if x.requires_grad:
-            m1 = gxh.mean(axis=1, keepdims=True)
-            m2 = (gxh * xh).mean(axis=1, keepdims=True)
-            gx = inv * (gxh - m1 - xh * m2)
-        ggain = (g * xh).sum(axis=0, keepdims=True) if gain.requires_grad else None
-        gbias = g.sum(axis=0, keepdims=True) if bias.requires_grad else None
+            gx = g * gain.data
+            m1 = gx.mean(axis=1, keepdims=True)
+            np.multiply(gx, xh, out=tmp)
+            m2 = tmp.mean(axis=1, keepdims=True)
+            gx -= m1
+            np.multiply(xh, m2, out=tmp)
+            gx -= tmp
+            gx *= inv
         return gx, ggain, gbias
 
     return _record(out, (x, gain, bias), backward)
@@ -272,6 +314,26 @@ def pick_rows(x: Tensor, indices) -> Tensor:
     def backward(g):
         gx = np.zeros(x.shape)
         np.add.at(gx, idx, g)
+        return (gx,)
+
+    return _record(out, (x,), backward)
+
+
+def span_mean(x: Tensor, starts, ends) -> Tensor:
+    """Row i is the mean of x's rows starts[i]..ends[i]-1. Spans may overlap;
+    only the rows inside some span are read, and only they get gradient."""
+    s = np.asarray(starts, dtype=np.intp)
+    e = np.asarray(ends, dtype=np.intp)
+    if s.ndim != 1 or s.shape != e.shape or not np.all((0 <= s) & (s < e) & (e <= x.rows)):
+        raise ShapeError(f"span_mean: spans must satisfy 0 <= start < end <= {x.rows}")
+    lens = e - s
+    offsets = np.cumsum(lens) - lens  # where each span starts among the gathered rows
+    rows = np.arange(lens.sum()) + np.repeat(s - offsets, lens)
+    out = Tensor(np.add.reduceat(x.data[rows], offsets, axis=0) / lens[:, None])
+
+    def backward(g):
+        gx = np.zeros(x.shape)
+        np.add.at(gx, rows, np.repeat(g / lens[:, None], lens, axis=0))
         return (gx,)
 
     return _record(out, (x,), backward)

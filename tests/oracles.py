@@ -41,6 +41,60 @@ def scalar_gelu(x: float) -> float:
     return 0.5 * x * (1.0 + math.tanh(math.sqrt(2.0 / math.pi) * (x + 0.044715 * x**3)))
 
 
+def scalar_gelu_grad(x: float) -> float:
+    """Derivative of the tensor module docstring's gelu formula by the
+    product and chain rules: with u = c (x + 0.044715 x^3), c = sqrt(2/pi),
+    0.5 (1 + tanh u) + 0.5 x (1 - tanh(u)^2) c (1 + 3 * 0.044715 x^2)."""
+    c = math.sqrt(2.0 / math.pi)
+    t = math.tanh(c * (x + 0.044715 * x**3))
+    return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * c * (1.0 + 3.0 * 0.044715 * x**2)
+
+
+def scalar_layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float = 1e-5):
+    """Row-wise layer norm with each row's mean and (biased) variance summed
+    exactly by math.fsum: gain * (x - mean) / sqrt(var + eps) + bias."""
+    n, d = x.shape
+    out = np.zeros((n, d))
+    for i in range(n):
+        row = [float(v) for v in x[i]]
+        mu = math.fsum(row) / d
+        var = math.fsum((v - mu) ** 2 for v in row) / d
+        inv = 1.0 / math.sqrt(var + eps)
+        for j in range(d):
+            out[i, j] = gain[0, j] * ((row[j] - mu) * inv) + bias[0, j]
+    return out
+
+
+def layer_norm_input_grad(x: np.ndarray, gain: np.ndarray, g: np.ndarray, eps: float = 1e-5):
+    """d(sum(g * layer_norm(x)))/dx through each row's explicit Jacobian
+    J[j, i] = dy_j/dx_i = gain_j (inv (delta_ij - 1/d) - inv^3 (x_j - mu)(x_i - mu) / d),
+    with inv = 1 / sqrt(var + eps); the row gradient is J^T g."""
+    n, d = x.shape
+    out = np.zeros((n, d))
+    for r in range(n):
+        row = [float(v) for v in x[r]]
+        mu = math.fsum(row) / d
+        var = math.fsum((v - mu) ** 2 for v in row) / d
+        inv = 1.0 / math.sqrt(var + eps)
+        for i in range(d):
+            terms = []
+            for j in range(d):
+                jac = gain[0, j] * (inv * ((1.0 if i == j else 0.0) - 1.0 / d)
+                                    - inv**3 * (row[j] - mu) * (row[i] - mu) / d)
+                terms.append(g[r, j] * jac)
+            out[r, i] = math.fsum(terms)
+    return out
+
+
+def dense_span_mean(x: np.ndarray, spans) -> np.ndarray:
+    """Span means as one dense (spans x n) averaging matrix times x: row i
+    holds 1/len over the span's columns and zeros elsewhere."""
+    w = np.zeros((len(spans), x.shape[0]))
+    for i, (s, e) in enumerate(spans):
+        w[i, s:e] = 1.0 / (e - s)
+    return w @ x
+
+
 def scalar_positional_encoding(pos: int, d: int) -> list[float]:
     """Sinusoidal encoding of one position from the formula, one float at a
     time: sin at even indices, cos at odd, angle pos / 10000^(2i/d)."""

@@ -1,15 +1,21 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jnrf.corpus import (
     BratParseError,
     ENTITY_TYPES,
     NUM_LABELS,
     RELATION_TYPES,
+    EntitySpan,
+    Relation,
     bio_label,
     label_parts,
     parse_brat,
     render_ann,
 )
+
+HYPOTHESIS = settings(max_examples=100, deadline=None)
+LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 
 
 def test_schema_sizes():
@@ -102,3 +108,83 @@ def test_render_ann_round_trip():
 def test_blank_and_comment_like_lines_ignored():
     doc = parse_brat("aspirin", "\nT1\tDrug 0 7\taspirin\n#1\tAnnotatorNotes T1\tnote\n")
     assert len(doc.gold_entities) == 1
+
+
+@st.composite
+def annotated_texts(draw):
+    """A text of any characters, 1 to 8 entities of any type inside it, and
+    relations from attributes to drugs, as `render_ann` takes them. Tabs and
+    every character str.splitlines() breaks at are drawn often."""
+    chars = st.one_of(st.sampled_from(LINE_BREAKS + "\t "), st.characters())
+    text = draw(st.text(chars, min_size=1, max_size=60))
+    n = len(text)
+    ents = []
+    for _ in range(draw(st.integers(1, 8))):
+        start = draw(st.integers(0, n - 1))
+        end = draw(st.integers(start + 1, n))
+        ents.append(EntitySpan("", draw(st.sampled_from(ENTITY_TYPES)), start, end, text[start:end]))
+    drugs = [e for e in ents if e.etype == "Drug"]
+    attrs = [e for e in ents if e.etype != "Drug"]
+    rels = []
+    if drugs and attrs:
+        for a, d in draw(st.lists(st.tuples(st.sampled_from(attrs), st.sampled_from(drugs)), max_size=6)):
+            rels.append(Relation(f"{a.etype}-Drug", a, d))
+    return text, ents, rels
+
+
+def _index(entities, ent) -> int:
+    return next(i for i, e in enumerate(entities) if e is ent)
+
+
+class TestBratFuzz:
+    @HYPOTHESIS
+    @given(case=annotated_texts())
+    def test_render_parse_round_trip(self, case):
+        text, ents, rels = case
+        doc = parse_brat(text, render_ann(ents, rels))
+        assert [(e.etype, e.start, e.end) for e in doc.gold_entities] == [
+            (e.etype, e.start, e.end) for e in ents
+        ]
+        assert [
+            (r.rtype, _index(doc.gold_entities, r.arg1), _index(doc.gold_entities, r.arg2))
+            for r in doc.gold_relations
+        ] == [(r.rtype, _index(ents, r.arg1), _index(ents, r.arg2)) for r in rels]
+
+    @HYPOTHESIS
+    @given(case=annotated_texts())
+    def test_offsets_slice_the_text(self, case):
+        text, ents, rels = case
+        doc = parse_brat(text, render_ann(ents, rels))
+        assert all(e.surface == doc.text[e.start:e.end] for e in doc.gold_entities)
+        assert [e.surface for e in doc.gold_entities] == [e.surface for e in ents]
+
+    @HYPOTHESIS
+    @given(case=annotated_texts(), pick=st.integers(0, 10**6), how=st.integers(0, 5))
+    def test_corrupted_line_is_named(self, case, pick, how):
+        text, ents, rels = case
+        lines = render_ann(ents, rels).split("\n")[:-1]
+        k = pick % len(lines)
+        if k < len(ents):  # "T<i>\t<type> <start> <end>\t<surface>"
+            tag, header, surface = lines[k].split("\t", 2)
+            etype, start, _ = header.split(" ")
+            lines[k] = [
+                tag,
+                f"{tag}\t{etype}\t{surface}",
+                f"{tag}\tGadget {header.split(' ', 1)[1]}\t{surface}",
+                f"{tag}\t{etype} {start} x\t{surface}",
+                f"{tag}\t{etype} {start}\t{surface}",
+                f"{tag}\t{etype} {start} {len(text) + 1}\t{surface}",
+            ][how]
+        else:  # "R<j>\t<type> Arg1:T<a> Arg2:T<d>"
+            tag, header = lines[k].split("\t")
+            rtype, arg1, arg2 = header.split(" ")
+            lines[k] = [
+                tag,
+                f"{tag}\tMade-Up {arg1} {arg2}",
+                f"{tag}\t{rtype} {arg1}",
+                f"{tag}\t{rtype} Arg1:T0 {arg2}",
+                f"{tag}\t{rtype} Arg1:{arg2[5:]} Arg2:{arg1[5:]}",
+                f"{tag}\t{rtype} {arg1} Arg2:T0",
+            ][how]
+        with pytest.raises(BratParseError, match=rf"^line {k + 1}: "):
+            parse_brat(text, "\n".join(lines) + "\n")

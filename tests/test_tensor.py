@@ -8,7 +8,17 @@ from jnrf import fourier, tensor as T
 from jnrf.instrument import COUNTER
 from jnrf.tensor import ShapeError, Tape, Tensor
 
-from oracles import fd_grad, linear_map_matrix, naive_mix, rel_err, scalar_gelu
+from oracles import (
+    dense_span_mean,
+    fd_grad,
+    layer_norm_input_grad,
+    linear_map_matrix,
+    naive_mix,
+    rel_err,
+    scalar_gelu,
+    scalar_gelu_grad,
+    scalar_layer_norm,
+)
 
 
 def grad_check(build, arrs, tol=1e-6, h=1e-5, coords=None):
@@ -107,6 +117,7 @@ class TestLinear:
 
 # near zero, and |x| in [1.5, 4] where the cubic term of gelu dominates
 GELU_POINTS = np.concatenate([[1e-8, -1e-8], np.linspace(1.5, 4.0, 11), -np.linspace(1.5, 4.0, 11)])
+GELU_GRID = np.concatenate([np.linspace(-50.0, 50.0, 2001), GELU_POINTS])
 
 
 class TestElementwise:
@@ -119,12 +130,26 @@ class TestElementwise:
         grad_check(lambda a: T.sum_all(T.gelu(a)), [x])
 
     def test_gelu_matches_scalar_oracle(self):
-        x = np.concatenate([np.linspace(-50.0, 50.0, 2001), GELU_POINTS])
-        got = T.gelu(Tensor(x.reshape(1, -1))).data.ravel()
-        want = [scalar_gelu(float(v)) for v in x]
+        got = T.gelu(Tensor(GELU_GRID.reshape(1, -1))).data.ravel()
+        want = [scalar_gelu(float(v)) for v in GELU_GRID]
         # rel_err floors the denominator at 1: below x = -3, 1 + tanh cancels,
         # so no float64 evaluation of the formula is relatively accurate there
         assert rel_err(got, want) < 1e-14
+
+    def test_gelu_forward_is_the_same_under_a_tape(self):
+        plain = T.gelu(Tensor(GELU_GRID.reshape(1, -1)))
+        with Tape():
+            taped = T.gelu(Tensor(GELU_GRID.reshape(1, -1), requires_grad=True))
+        assert taped.requires_grad and not plain.requires_grad
+        assert np.array_equal(taped.data, plain.data)
+
+    def test_gelu_tape_gradient_matches_scalar_oracle(self):
+        x = Tensor(GELU_GRID.reshape(1, -1), requires_grad=True)
+        with Tape() as tape:
+            loss = T.sum_all(T.gelu(x))
+        tape.backward(loss)
+        want = [scalar_gelu_grad(float(v)) for v in GELU_GRID]
+        assert rel_err(x.grad.ravel(), want) < 1e-13
 
     def test_column_broadcast_rejected(self):
         # nothing broadcasts: every operand shape other than (3, 2) is refused
@@ -200,6 +225,62 @@ class TestSoftmaxAndNorm:
                 tol=1e-5,
             )
 
+    def test_layer_norm_matches_fsum_oracle(self):
+        rng = np.random.default_rng(17)
+        # rows of very different scale and offset; one constant row, whose
+        # variance is 0 and whose scale is set by eps alone
+        x = rng.standard_normal((5, 7)) * np.array([[1e-3], [1.0], [50.0], [1.0], [0.0]])
+        x += np.array([[0.0], [1e3], [-7.0], [0.5], [3.0]])
+        gain = rng.standard_normal((1, 7))
+        bias = rng.standard_normal((1, 7))
+        out = T.layer_norm_rows(Tensor(x), Tensor(gain), Tensor(bias))
+        assert rel_err(out.data, scalar_layer_norm(x, gain, bias)) < 1e-12
+
+    def test_layer_norm_input_gradient_matches_jacobian_oracle(self):
+        rng = np.random.default_rng(18)
+        x = rng.standard_normal((4, 6)) * np.array([[1e-2], [1.0], [30.0], [1.0]])
+        x += np.array([[0.0], [-2.0], [5.0], [1e3]])
+        gain = rng.standard_normal((1, 6))
+        g = rng.standard_normal((4, 6))
+        xt = Tensor(x, requires_grad=True)
+        with Tape() as tape:
+            y = T.layer_norm_rows(xt, Tensor(gain), Tensor(np.zeros((1, 6))))
+            loss = T.sum_all(T.mul(y, Tensor(g)))
+        tape.backward(loss)
+        assert rel_err(xt.grad, layer_norm_input_grad(x, gain, g)) < 1e-10
+
+
+# length 1 (first and last row), overlapping, repeated, and ending at the last row
+SPANS = [(0, 1), (2, 6), (3, 5), (9, 10), (4, 10), (2, 6), (0, 10)]
+
+
+class TestSpanMean:
+    def test_forward_matches_dense_oracle(self):
+        x = np.random.default_rng(19).standard_normal((10, 4))
+        out = T.span_mean(Tensor(x), [s for s, _ in SPANS], [e for _, e in SPANS])
+        assert out.shape == (len(SPANS), 4)
+        assert rel_err(out.data, dense_span_mean(x, SPANS)) < 1e-12
+
+    def test_gradients_vs_finite_differences(self):
+        rng = np.random.default_rng(20)
+        starts, ends = [s for s, _ in SPANS], [e for _, e in SPANS]
+        for _ in range(20):
+            x = rng.standard_normal((10, 4))
+            w = rng.standard_normal((len(SPANS), 4))
+            grad_check(lambda a, c: T.sum_all(T.mul(T.span_mean(a, starts, ends), c)), [x, w])
+
+    def test_rows_outside_every_span_get_zero_gradient(self):
+        x = Tensor(np.ones((8, 3)), requires_grad=True)
+        with Tape() as tape:
+            loss = T.sum_all(T.span_mean(x, [1, 5], [3, 6]))
+        tape.backward(loss)
+        np.testing.assert_array_equal(x.grad[:, 0], [0, 0.5, 0.5, 0, 0, 1, 0, 0])
+
+    @pytest.mark.parametrize("start, end", [(3, 3), (4, 3), (-1, 2), (5, 11)])
+    def test_empty_or_out_of_range_span_rejected(self, start, end):
+        with pytest.raises(ShapeError, match=r"span_mean: .*<= 10"):
+            T.span_mean(Tensor(np.zeros((10, 2))), [0, start], [1, end])
+
 
 class TestStructuralOps:
     def test_pick_rows_scatter(self):
@@ -237,7 +318,13 @@ class TestFourierMixOp:
         out = T.fourier_mix(Tensor([[1.0]]))
         assert out.item() == 1.0
 
-    @pytest.mark.parametrize("shape", [(7, 5), (1, 5), (9, 1), (33, 17)], ids=lambda s: "%dx%d" % s)
+    # the last five have columns past dp/2 + 1, which mix_real2d fills from
+    # Hermitian symmetry rather than reading them from the transform
+    @pytest.mark.parametrize(
+        "shape",
+        [(7, 5), (1, 5), (9, 1), (33, 17), (7, 7), (8, 6), (1, 7), (5, 64), (16, 64)],
+        ids=lambda s: "%dx%d" % s,
+    )
     def test_forward_matches_naive(self, shape):
         rng = np.random.default_rng(10)
         x = rng.standard_normal(shape)
@@ -252,19 +339,26 @@ class TestFourierMixOp:
         fourier.mix_real2d(np.ones((n, d)))
         assert COUNTER.total == 2 * np_ * dp * (math.log2(np_) + math.log2(dp))
 
-    def test_backward_matches_naive_adjoint(self):
+    @staticmethod
+    def check_backward_against_naive_adjoint(n, d):
         rng = np.random.default_rng(11)
-        x = rng.standard_normal((7, 5))
-        g_out = rng.standard_normal((7, 5))
+        x = rng.standard_normal((n, d))
+        g_out = rng.standard_normal((n, d))
         xt = Tensor(x, requires_grad=True)
         with Tape() as tape:
             out = T.fourier_mix(xt)
             loss = T.sum_all(T.mul(out, Tensor(g_out)))
         tape.backward(loss)
-        m = linear_map_matrix(naive_mix, 7, 5)
-        want = (m.T @ g_out.ravel()).reshape(7, 5)
+        m = linear_map_matrix(naive_mix, n, d)
+        want = (m.T @ g_out.ravel()).reshape(n, d)
         denom = max(1.0, np.max(np.abs(want)))
         assert np.max(np.abs(xt.grad - want)) / denom < 1e-9
+
+    def test_backward_matches_naive_adjoint(self):
+        self.check_backward_against_naive_adjoint(7, 5)
+
+    def test_backward_matches_naive_adjoint_with_hermitian_fill(self):
+        self.check_backward_against_naive_adjoint(8, 6)
 
     def test_gradient_vs_finite_differences(self):
         rng = np.random.default_rng(12)
