@@ -6,11 +6,13 @@ cross-entropy losses summed into the training objective.
 Relation scoring runs over pooled entities only: one (|L|, |H|) score
 matrix, attributes by drugs. An attribute of type X can only be in an X-Drug
 relation (`parse_brat` rejects any other pairing), so scoring row l under
-that one head is exact: no other head's score could reach the loss or the
-decoder. The cost is |H| * |L| scores plus, per head present, projections
-of the drugs and of that head's attributes; it never grows with the square
-of the document length. The relation loss's log-softmax runs over each row,
-the drug axis: every attribute selects its drug.
+that one head is exact. Pooling groups the attributes by head, so each
+head's rows are one block: its projected attributes against its projected
+drugs, plus a_j*D^2 + b_j*D. The cost is |H| * |L| scores plus, per head
+present, projections of the drugs and of that head's attributes; it never
+grows with the square of the document length. The relation loss's
+log-softmax runs over each row, the drug axis, so the model has no term that
+is constant along a row (a drug bias, a constant c_j): it would cancel.
 """
 
 from __future__ import annotations
@@ -33,10 +35,12 @@ from .corpus import (
 )
 from .embedding import EmbeddingTable, embed
 from .mixers import ffn, init_mixer_params, shared_lm
-from .params import Params, add_linear
-from .tensor import Tape, Tensor
+from .params import Params, add_linear, linear_init
+from .tensor import ShapeError, Tensor
 
 N_REL_HEADS = len(RELATION_TYPES)
+# type X can only be Arg1 of an X-Drug relation
+_HEAD_OF = {t: relation_head(f"{t}-Drug") for t in ATTRIBUTE_TYPES}
 
 
 @dataclass
@@ -75,10 +79,7 @@ def encode_sentences(doc: Document) -> list[EncodedInstance]:
             continue
         keep = [i for i, (ts, te, _) in enumerate(full.spans) if ts >= lo and te <= hi]
         remap = {old: new for new, old in enumerate(keep)}
-        spans = [
-            (ts - lo, te - lo, et)
-            for ts, te, et in (full.spans[i] for i in keep)
-        ]
+        spans = [(ts - lo, te - lo, et) for ts, te, et in (full.spans[i] for i in keep)]
         rels = [(remap[a], remap[d]) for a, d in full.relations if a in remap and d in remap]
         out.append(
             EncodedInstance(full.ids[lo:hi], full.labels[lo:hi], spans, rels, doc.doc_id, s)
@@ -113,12 +114,14 @@ def decode_bio(logits: np.ndarray):
 
 @dataclass
 class Pooled:
-    """Selective pooling output: drugs (queries) and attributes (keys)."""
+    """Selective pooling output: drugs (queries) and attributes (keys).
+    `heads[l]` is the relation head of attribute l; it ascends."""
 
     q: Tensor | None
     k: Tensor | None
     pos_h: np.ndarray
     pos_l: np.ndarray
+    heads: np.ndarray
     h_spans: list[tuple[int, int, str]] = field(default_factory=list)
     l_spans: list[tuple[int, int, str]] = field(default_factory=list)
 
@@ -126,26 +129,25 @@ class Pooled:
     def empty(self) -> bool:
         return len(self.h_spans) == 0 or len(self.l_spans) == 0
 
-    @property
-    def heads(self) -> np.ndarray:
-        """Relation head of each attribute: type X can only be in X-Drug."""
-        return np.array([relation_head(f"{et}-Drug") for _, _, et in self.l_spans], dtype=np.intp)
-
 
 def selective_pool(e3: Tensor, spans, pool: str = "first") -> Pooled:
+    """Drugs in the order given; attributes grouped by relation head, in the
+    order given within a head (a stable sort), so each head's rows of the
+    relation scores are one block."""
     h_spans = [s for s in spans if s[2] == "Drug"]
-    l_spans = [s for s in spans if s[2] != "Drug"]
+    l_spans = sorted((s for s in spans if s[2] != "Drug"), key=lambda s: _HEAD_OF[s[2]])
+    heads = np.array([_HEAD_OF[s[2]] for s in l_spans], dtype=np.intp)
     pos_h = np.array([s[0] for s in h_spans], dtype=np.intp)
     pos_l = np.array([s[0] for s in l_spans], dtype=np.intp)
     if not h_spans or not l_spans:
-        return Pooled(None, None, pos_h, pos_l, h_spans, l_spans)
+        return Pooled(None, None, pos_h, pos_l, heads, h_spans, l_spans)
     if pool == "first":
         q = T.pick_rows(e3, pos_h)
         k = T.pick_rows(e3, pos_l)
     else:  # mean over the span's rows
         q = T.span_mean(e3, pos_h, [s[1] for s in h_spans])
         k = T.span_mean(e3, pos_l, [s[1] for s in l_spans])
-    return Pooled(q, k, pos_h, pos_l, h_spans, l_spans)
+    return Pooled(q, k, pos_h, pos_l, heads, h_spans, l_spans)
 
 
 def distance_matrix(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -213,11 +215,11 @@ class JNRF:
         add_linear(self.params, rng, "re.1", c.d_model, c.ffn_hidden)
         add_linear(self.params, rng, "re.2", c.ffn_hidden, c.d_model)
         for j in range(N_REL_HEADS):
-            add_linear(self.params, rng, f"rel.{j}.q", c.d_model, c.d_model)
+            self.params.add(f"rel.{j}.q.w", linear_init(rng, c.d_model, c.d_model))
             add_linear(self.params, rng, f"rel.{j}.k", c.d_model, c.d_model)
-        # distance polynomial coefficients, one (a, b, c) row per head;
+        # distance polynomial coefficients, one (a, b) row per head;
         # zero-initialized so training starts distance-agnostic
-        self.params.add("alpha", np.zeros((N_REL_HEADS, 3)))
+        self.params.add("alpha", np.zeros((N_REL_HEADS, 2)))
 
     def encode(self, emb: Tensor) -> Tensor:
         """Token-wise input MLP followed by the weight-shared language model;
@@ -231,28 +233,28 @@ class JNRF:
         return ffn(e2, self.params, "re")
 
     def relation_scores(self, q: Tensor, k: Tensor, dist: np.ndarray, heads) -> Tensor:
-        """(|L|, |H|) scores, rows in attribute order: attribute l against
-        every drug under its own head j = heads[l], the bilinear form plus
-        the trainable distance polynomial a_j*D^2 + b_j*D + c_j (c acts
-        through an all-ones basis row). dist is (|L|, |H|). Each head's
-        projections and alpha row are applied once, to its group of rows."""
+        """(|L|, |H|) scores: attribute l against every drug under its own
+        head j = heads[l], the bilinear form (k_l W_k^j + bias) (q W_q^j)^T
+        plus alpha[j] . (D^2, D). dist is (|L|, |H|). heads must ascend, as
+        `selective_pool` orders them, so each head's rows are one block."""
         heads = np.asarray(heads, dtype=np.intp)
-        alpha = self.params["alpha"]
-        groups, order = [], []
-        for j in np.unique(heads):
-            rows = np.flatnonzero(heads == j)
-            qj = T.linear(q, self.params[f"rel.{j}.q.w"], self.params[f"rel.{j}.q.b"])
-            kj = T.linear(
-                T.pick_rows(k, rows), self.params[f"rel.{j}.k.w"], self.params[f"rel.{j}.k.b"]
+        if np.any(heads[1:] < heads[:-1]):
+            raise ShapeError(
+                f"relation_scores: heads must ascend (grouped by head), got {heads.tolist()}"
             )
-            d = dist[rows].ravel()
-            basis = Tensor(np.stack([d**2, d, np.ones(d.size)]))
-            poly = T.reshape(T.matmul(T.pick_rows(alpha, [j]), basis), len(rows), q.rows)
+        alpha = self.params["alpha"]
+        present, starts = np.unique(heads, return_index=True)
+        blocks = []
+        for j, lo, hi in zip(present, starts, [*starts[1:], len(heads)]):
+            qj = T.matmul(q, self.params[f"rel.{j}.q.w"])
+            kj = T.linear(
+                T.slice_rows(k, lo, hi), self.params[f"rel.{j}.k.w"], self.params[f"rel.{j}.k.b"]
+            )
+            d = dist[lo:hi].ravel()
+            poly = T.matmul(T.slice_rows(alpha, j, j + 1), Tensor(np.stack([d**2, d])))
             bilinear = T.matmul(kj, T.transpose(qj))
-            groups.append(T.add(bilinear, poly))
-            order.append(rows)
-        # rows arrive grouped by head; put them back in attribute order
-        return T.pick_rows(T.concat_rows(groups), np.argsort(np.concatenate(order)))
+            blocks.append(T.add(bilinear, T.reshape(poly, hi - lo, q.rows)))
+        return blocks[0] if len(blocks) == 1 else T.concat_rows(blocks)
 
     def instance_losses(self, inst: EncodedInstance, table: EmbeddingTable):
         """(joint, ner, re) loss tensors for one document or sentence."""
@@ -283,11 +285,10 @@ class JNRF:
         pooled = selective_pool(self.re_embed(e2), spans, self.config.pool)
         if pooled.empty:
             return spans, []
-        heads = pooled.heads
         psi = self.relation_scores(
-            pooled.q, pooled.k, distance_matrix(pooled.pos_l, pooled.pos_h), heads
+            pooled.q, pooled.k, distance_matrix(pooled.pos_l, pooled.pos_h), pooled.heads
         )
-        triples = predict_relations(psi.data, heads)
+        triples = predict_relations(psi.data, pooled.heads)
         relations = [(pooled.h_spans[h], pooled.l_spans[p], j) for h, p, j in triples]
         return spans, relations
 
@@ -303,33 +304,8 @@ def predictions_to_brat(doc: Document, spans, relations):
         ent = EntitySpan(f"T{i + 1}", etype, start, end, doc.text[start:end])
         entities.append(ent)
         span_to_entity[(ts, te, etype)] = ent
-    rels = []
-    for h_span, l_span, j in relations:
-        rels.append(
-            Relation(
-                RELATION_TYPES[j],
-                span_to_entity[l_span],
-                span_to_entity[h_span],
-            )
-        )
+    rels = [
+        Relation(RELATION_TYPES[j], span_to_entity[l_span], span_to_entity[h_span])
+        for h_span, l_span, j in relations
+    ]
     return entities, rels
-
-
-__all__ = [
-    "ATTRIBUTE_TYPES",
-    "EncodedInstance",
-    "JNRF",
-    "ModelConfig",
-    "Pooled",
-    "build_relation_targets",
-    "decode_bio",
-    "distance_matrix",
-    "encode_document",
-    "encode_sentences",
-    "joint_loss",
-    "ner_loss",
-    "predict_relations",
-    "predictions_to_brat",
-    "re_loss",
-    "selective_pool",
-]

@@ -220,7 +220,7 @@ def train(
 # --- checkpoint container -------------------------------------------------
 
 _MAGIC = b"JNRFCKPT"
-_VERSION = 1
+_VERSION = 2  # bump with any change to the file format or the parameter layout
 
 
 def _write_record(f, name: str, arr: np.ndarray):
@@ -231,19 +231,43 @@ def _write_record(f, name: str, arr: np.ndarray):
     f.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
-def _read_exact(f, n: int) -> bytes:
-    data = f.read(n)
-    if len(data) != n:
-        raise CheckpointError("truncated checkpoint file")
-    return data
+class _Reader:
+    """Cursor over a checkpoint file's bytes; each error names the file."""
 
+    def __init__(self, path: str, data: bytes):
+        self.path, self.data, self.at = path, data, 0
 
-def _read_record(f):
-    (name_len,) = struct.unpack("<I", _read_exact(f, 4))
-    name = _read_exact(f, name_len).decode("utf-8")
-    rows, cols = struct.unpack("<II", _read_exact(f, 8))
-    data = np.frombuffer(_read_exact(f, 8 * rows * cols), dtype="<f8")
-    return name, data.reshape(rows, cols).astype(np.float64)
+    def error(self, message: str) -> CheckpointError:
+        return CheckpointError(f"{self.path}: {message}")
+
+    def take(self, n: int, what: str) -> bytes:
+        left = len(self.data) - self.at
+        if n > left:
+            raise self.error(f"truncated checkpoint file: {what} needs {n} bytes, {left} left")
+        self.at += n
+        return self.data[self.at - n:self.at]
+
+    def unpack(self, fmt: str, what: str):
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
+
+    def text(self, n: int, what: str) -> str:
+        try:
+            return self.take(n, what).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise self.error(f"{what} is not UTF-8 ({exc.reason} at byte {exc.start})") from None
+
+    def records(self, count: int, section: str) -> dict:
+        """`count` named (rows, cols) float64 records; names must differ."""
+        out = {}
+        for i in range(count):
+            (n,) = self.unpack("<I", f"{section} {i} name length")
+            name = self.text(n, f"{section} {i} name")
+            rows, cols = self.unpack("<II", f"{section} {name!r} shape")
+            data = self.take(8 * rows * cols, f"{section} {name!r} ({rows}, {cols})")
+            if name in out:
+                raise self.error(f"duplicate {section} record {name!r}")
+            out[name] = np.frombuffer(data, dtype="<f8").reshape(rows, cols).astype(np.float64)
+        return out
 
 
 def save_checkpoint(path: str, model: JNRF, state: AdamState | None = None,
@@ -264,10 +288,9 @@ def save_checkpoint(path: str, model: JNRF, state: AdamState | None = None,
             f.write(struct.pack("<B", 1))
             f.write(struct.pack("<Q", state.step_count))
             f.write(struct.pack("<dddd", state.lr, state.beta1, state.beta2, state.eps))
-            for name in model.params:
-                _write_record(f, name, state.m[name])
-            for name in model.params:
-                _write_record(f, name, state.v[name])
+            for moments in (state.m, state.v):
+                for name in model.params:
+                    _write_record(f, name, moments[name])
     os.replace(tmp, path)
 
 
@@ -279,38 +302,39 @@ class Checkpoint:
 
 
 def load_checkpoint(path: str) -> Checkpoint:
+    """Read a checkpoint written by `save_checkpoint`; any file that is not
+    one, in whole, raises CheckpointError naming the path."""
     with open(path, "rb") as f:
-        if _read_exact(f, len(_MAGIC)) != _MAGIC:
-            raise CheckpointError(f"{path} is not a checkpoint file")
-        (version,) = struct.unpack("<I", _read_exact(f, 4))
-        if version != _VERSION:
-            raise CheckpointError(f"checkpoint version {version} != supported {_VERSION}")
-        (blob_len,) = struct.unpack("<I", _read_exact(f, 4))
-        config_text = _read_exact(f, blob_len).decode("utf-8")
-        (n_params,) = struct.unpack("<I", _read_exact(f, 4))
-        params = dict(_read_record(f) for _ in range(n_params))
-        (has_optim,) = struct.unpack("<B", _read_exact(f, 1))
-        optimizer = None
-        if has_optim:
-            (step_count,) = struct.unpack("<Q", _read_exact(f, 8))
-            lr, b1, b2, eps = struct.unpack("<dddd", _read_exact(f, 32))
-            optimizer = AdamState(lr=lr, beta1=b1, beta2=b2, eps=eps, step_count=step_count)
-            optimizer.m = _read_moments(f, params, "m")
-            optimizer.v = _read_moments(f, params, "v")
-        if f.read(1):
-            raise CheckpointError(f"{path}: unexpected bytes after the last record")
+        r = _Reader(path, f.read())
+    if r.take(len(_MAGIC), "magic") != _MAGIC:
+        raise r.error("not a checkpoint file")
+    (version,) = r.unpack("<I", "version")
+    if version != _VERSION:
+        raise r.error(f"checkpoint version {version} != supported {_VERSION}")
+    config_text = r.text(r.unpack("<I", "config text length")[0], "config text")
+    params = r.records(r.unpack("<I", "parameter count")[0], "parameter")
+    (has_optim,) = r.unpack("<B", "optimizer flag")
+    optimizer = None
+    if has_optim:
+        (step_count,) = r.unpack("<Q", "optimizer step count")
+        lr, b1, b2, eps = r.unpack("<dddd", "optimizer hyperparameters")
+        optimizer = AdamState(lr=lr, beta1=b1, beta2=b2, eps=eps, step_count=step_count)
+        optimizer.m = _read_moments(r, params, "m")
+        optimizer.v = _read_moments(r, params, "v")
+    if r.at != len(r.data):
+        raise r.error("unexpected bytes after the last record")
     return Checkpoint(config_text, params, optimizer)
 
 
-def _read_moments(f, params: dict, which: str) -> dict:
+def _read_moments(r: _Reader, params: dict, which: str) -> dict:
     """One Adam moment record per parameter, each named and shaped like it."""
-    moments = dict(_read_record(f) for _ in range(len(params)))
+    moments = r.records(len(params), f"optimizer {which}")
     for name, arr in params.items():
         got = moments.get(name)
         if got is None:
-            raise CheckpointError(f"optimizer {which} has no record for parameter {name!r}")
+            raise r.error(f"optimizer {which} has no record for parameter {name!r}")
         if got.shape != arr.shape:
-            raise CheckpointError(
+            raise r.error(
                 f"optimizer {which} for parameter {name!r}: "
                 f"shape {got.shape} != parameter {arr.shape}"
             )

@@ -20,11 +20,12 @@ from jnrf.model import (
     re_loss,
     selective_pool,
 )
-from jnrf.tensor import Tape, Tensor
+from jnrf.tensor import ShapeError, Tape, Tensor
 from jnrf.tokenizer import Vocab, prepare
 
 from oracles import (
     all_heads_relation_scores,
+    dense_span_mean,
     fd_grad,
     rel_err,
     scalar_ner_loss,
@@ -133,6 +134,31 @@ class TestSelectivePooling:
         )
         np.testing.assert_allclose(pooled.q.data[0], e3[:2].mean(axis=0))
 
+    @pytest.mark.parametrize("pool", ["first", "mean"])
+    def test_attributes_grouped_by_head(self, pool):
+        """Interleaved attribute types come out grouped by relation head,
+        ascending, in the given order within a head; drugs keep their order."""
+        e3 = np.random.default_rng(26).standard_normal((30, 6))
+        spans = [
+            (0, 2, "Route"), (3, 4, "Drug"), (5, 7, "Strength"), (8, 9, "Route"),
+            (10, 13, "ADE"), (14, 15, "Strength"), (16, 18, "Drug"), (20, 21, "Form"),
+            (22, 25, "Route"),
+        ]
+        pooled = selective_pool(Tensor(e3), spans, pool)
+        want = [
+            (5, 7, "Strength"), (14, 15, "Strength"), (20, 21, "Form"),
+            (0, 2, "Route"), (8, 9, "Route"), (22, 25, "Route"), (10, 13, "ADE"),
+        ]
+        assert pooled.l_spans == want
+        assert pooled.h_spans == [(3, 4, "Drug"), (16, 18, "Drug")]
+        np.testing.assert_array_equal(pooled.pos_l, [s for s, _, _ in want])
+        np.testing.assert_array_equal(pooled.heads, [0, 0, 1, 4, 4, 4, 7])
+        if pool == "first":
+            np.testing.assert_array_equal(pooled.k.data, e3[[s for s, _, _ in want]])
+        else:
+            want_k = dense_span_mean(e3, [(s, e) for s, e, _ in want])
+            assert rel_err(pooled.k.data, want_k) < 1e-12
+
 
 class TestDistanceMatrix:
     def test_values(self):
@@ -150,27 +176,17 @@ class TestRelationScores:
     def zeroed_model(self):
         model = JNRF(TINY, seed=5)
         for j in range(8):
-            for side in ("q", "k"):
-                model.params[f"rel.{j}.{side}.w"].data[...] = 0.0
-                model.params[f"rel.{j}.{side}.b"].data[...] = 0.0
+            for name in ("q.w", "k.w", "k.b"):
+                model.params[f"rel.{j}.{name}"].data[...] = 0.0
         return model
 
     def test_pure_quadratic_term(self):
         model = self.zeroed_model()
-        model.params["alpha"].data[0] = [1.0, 0.0, 0.0]
+        model.params["alpha"].data[0] = [1.0, 0.0]
         psi = model.relation_scores(
             Tensor(np.zeros((1, 6))), Tensor(np.zeros((1, 6))), np.array([[2.0]]), [0]
         )
         assert psi.item() == 4.0
-
-    def test_constant_term_via_ones(self):
-        model = self.zeroed_model()
-        model.params["alpha"].data[3] = [0.0, 0.0, 5.0]
-        d = np.array([[1.0, 7.0], [3.0, 0.0]])
-        psi = model.relation_scores(
-            Tensor(np.zeros((2, 6))), Tensor(np.zeros((2, 6))), d, [3, 3]
-        )
-        np.testing.assert_array_equal(psi.data, np.full((2, 2), 5.0))
 
     def test_alpha_zero_equals_plain_scores(self):
         model = JNRF(TINY, seed=6)
@@ -179,7 +195,7 @@ class TestRelationScores:
         d = distance_matrix(np.array([1, 2, 9]), np.array([0, 5]))
         for j in range(8):
             psi = model.relation_scores(Tensor(q), Tensor(k), d, [j] * 3)
-            qj = q @ model.params[f"rel.{j}.q.w"].data + model.params[f"rel.{j}.q.b"].data
+            qj = q @ model.params[f"rel.{j}.q.w"].data
             kj = k @ model.params[f"rel.{j}.k.w"].data + model.params[f"rel.{j}.k.b"].data
             np.testing.assert_array_equal(psi.data, kj @ qj.T)
 
@@ -208,15 +224,21 @@ class TestRelationScores:
 
         assert rel_err(alpha.grad, fd_grad(value, base)) < 1e-6
 
+    def test_heads_must_ascend(self):
+        model = JNRF(TINY, seed=5)
+        q, k = Tensor(np.zeros((2, 6))), Tensor(np.zeros((3, 6)))
+        with pytest.raises(ShapeError, match=r"heads must ascend .*\[4, 0, 4\]"):
+            model.relation_scores(q, k, np.zeros((3, 2)), [4, 0, 4])
+
     def test_rows_match_all_heads_oracle(self):
-        """Row l is the oracle's plane heads[l], column l: types interleaved,
+        """Row l is the oracle's plane heads[l], column l: heads grouped,
         heads 1, 3 and 5 absent, a nonzero distance polynomial."""
         model = JNRF(TINY, seed=22)
         rng = np.random.default_rng(23)
-        model.params["alpha"].data[...] = rng.standard_normal((8, 3)) * [1e-3, 0.1, 1.0]
+        model.params["alpha"].data[...] = rng.standard_normal((8, 2)) * [1e-3, 0.1]
         q, k = rng.standard_normal((3, 6)), rng.standard_normal((7, 6))
         pos_h, pos_l = np.array([4, 30, 17]), np.array([0, 9, 21, 40, 5, 33, 12])
-        heads = [4, 0, 4, 7, 0, 2, 6]
+        heads = [0, 0, 2, 4, 4, 6, 7]
         psi = model.relation_scores(Tensor(q), Tensor(k), distance_matrix(pos_l, pos_h), heads)
         planes = all_heads_relation_scores(model.params, q, k, distance_matrix(pos_h, pos_l))
         assert psi.shape == (7, 3)
@@ -274,10 +296,10 @@ class TestLosses:
         equals the loss on every head's plane."""
         model = JNRF(TINY, seed=24)
         rng = np.random.default_rng(25)
-        model.params["alpha"].data[...] = rng.standard_normal((8, 3)) * [1e-3, 0.1, 1.0]
+        model.params["alpha"].data[...] = rng.standard_normal((8, 2)) * [1e-3, 0.1]
         q, k = rng.standard_normal((3, 6)), rng.standard_normal((6, 6))
         pos_h, pos_l = np.array([2, 19, 40]), np.array([7, 0, 25, 33, 11, 45])
-        heads = [5, 1, 5, 0, 7, 1]
+        heads = [0, 1, 1, 5, 5, 7]
         gold_drug = {0: 2, 1: 0, 3: 1, 4: 1, 5: 2}  # attribute 2 has no relation
         psi = model.relation_scores(Tensor(q), Tensor(k), distance_matrix(pos_l, pos_h), heads)
         planes = all_heads_relation_scores(model.params, q, k, distance_matrix(pos_h, pos_l))
@@ -293,6 +315,39 @@ class TestLosses:
     def test_joint_degenerate_is_ner(self):
         lner = Tensor([[1.25]])
         assert joint_loss(lner, None) is lner
+
+
+class TestRowConstantCancels:
+    """A term that adds the same amount to every drug in an attribute's row
+    reaches neither the loss nor the decoder: why the drug projection has no
+    bias and the distance polynomial no constant term."""
+
+    def cases(self):
+        """Random scores; rows with a target and rows without one."""
+        rng = np.random.default_rng(31)
+        for nl, nh in [(1, 1), (2, 1), (4, 3), (9, 7), (30, 12)]:
+            psi = rng.standard_normal((nl, nh)) * 3
+            targets = np.zeros((nl, nh))
+            rows = np.flatnonzero(np.arange(nl) % 2 == 0)  # odd rows have none
+            targets[rows, rng.integers(0, nh, rows.size)] = 1.0
+            yield rng, psi, targets
+
+    def test_re_loss_gradient_rows_sum_to_zero(self):
+        for _, psi, targets in self.cases():
+            x = Tensor(psi, requires_grad=True)
+            with Tape() as tape:
+                loss = re_loss(x, targets)
+            tape.backward(loss)
+            assert x.grad.any() or psi.shape[1] == 1
+            assert np.abs(x.grad.sum(axis=1)).max() <= 1e-15, psi.shape
+
+    def test_row_constant_changes_neither_loss_nor_prediction(self):
+        for rng, psi, targets in self.cases():
+            heads = np.sort(rng.integers(0, 8, psi.shape[0]))
+            shifted = psi + rng.standard_normal((psi.shape[0], 1)) * 10
+            base = re_loss(Tensor(psi), targets).item()
+            assert abs(re_loss(Tensor(shifted), targets).item() - base) <= 1e-14, psi.shape
+            assert predict_relations(shifted, heads) == predict_relations(psi, heads)
 
 
 class TestPredictRelations:

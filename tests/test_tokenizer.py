@@ -222,3 +222,44 @@ class TestLookupsAgainstScans:
         assert sentence_index_of_char(doc, 4) == 0
         assert sentence_index_of_token(doc, 0) == 0
         assert align_bio(doc) == []
+
+
+# letters, digits, punctuation, '#', mixed whitespace (str.isspace) and
+# non-ASCII alphanumerics: a Latin letter with an accent, a titlecase
+# digraph and an Arabic-Indic digit
+FUZZ_ALPHABET = "abzXY019" + ".,;-/()" + "#" + " \t\n\r\x0b\x0c\x1c\xa0\u2028\u3000" + "éǅ٣"
+
+
+@st.composite
+def texts_and_vocabs(draw):
+    """A text, and a vocabulary of pieces cut from it (some with '##') plus
+    short random strings, so that lookups both hit and miss."""
+    text = draw(st.text(FUZZ_ALPHABET, max_size=60))
+    cuts = draw(
+        st.lists(st.tuples(st.integers(0, 60), st.integers(1, 5), st.booleans()), max_size=12)
+    )
+    pieces = {("##" if cont else "") + text[i:i + n] for i, n, cont in cuts if text[i:i + n]}
+    visible = "".join(ch for ch in FUZZ_ALPHABET if not ch.isspace())
+    pieces |= draw(st.sets(st.text(visible, min_size=1, max_size=3), max_size=6))
+    return text, Vocab([UNK, *sorted(pieces - {UNK})])
+
+
+class TestTokenizerFuzz:
+    @settings(max_examples=500, deadline=None)
+    @given(case=texts_and_vocabs())
+    def test_character_offsets(self, case):
+        text, vocab = case
+        tokens = wordpiece_tokenize(text, vocab)
+        for a, b in zip(tokens, tokens[1:]):
+            assert a.end <= b.start  # ascending, no overlap
+        covered = [i for t in tokens for i in range(t.start, t.end)]
+        # no token covers whitespace, and every other character is covered
+        assert covered == [i for i, ch in enumerate(text) if not ch.isspace()]
+        for t in tokens:
+            assert t.vocab_id == vocab.id_of[t.surface]
+            if t.surface == UNK:
+                continue
+            assert t.surface.removeprefix("##") == text[t.start:t.end]
+            # '##' marks exactly the pieces that continue an alphanumeric run
+            continues = t.start > 0 and text[t.start - 1].isalnum() and text[t.start].isalnum()
+            assert t.surface.startswith("##") == continues

@@ -70,7 +70,7 @@ class TestNonFiniteLoss:
         # alpha only enters the relation scores, so only an instance that
         # pools both a drug and an attribute gets a NaN loss
         model = JNRF(TINY, seed=22)
-        model.params["alpha"].data[0, 2] = np.nan
+        model.params["alpha"].data[0, 1] = np.nan
         return model
 
     def test_sentence_loss_rejected_before_backward(self):
