@@ -34,19 +34,21 @@ def init_mixer_params(params: Params, cfg: ModelConfig, rng, prefix: str = "lm")
 
 def ffn(x: Tensor, params: Params, prefix: str) -> Tensor:
     """Two-layer gelu MLP applied row-wise, from `{prefix}.1.*` and `{prefix}.2.*`."""
-    mid = T.gelu(T.linear(x, params[f"{prefix}.1.w"], params[f"{prefix}.1.b"]))
-    return T.linear(mid, params[f"{prefix}.2.w"], params[f"{prefix}.2.b"])
+    return T.ffn(
+        x, params[f"{prefix}.1.w"], params[f"{prefix}.1.b"],
+        params[f"{prefix}.2.w"], params[f"{prefix}.2.b"],
+    )
 
 
 def _ffn_sublayer(h: Tensor, params: Params, p: str) -> Tensor:
     return T.layer_norm_rows(
-        T.add(h, ffn(h, params, f"{p}.ffn")), params[f"{p}.ln2.g"], params[f"{p}.ln2.b"]
+        h, params[f"{p}.ln2.g"], params[f"{p}.ln2.b"], residual=ffn(h, params, f"{p}.ffn")
     )
 
 
 def fnet_block(x: Tensor, params: Params, prefix: str) -> Tensor:
     h = T.layer_norm_rows(
-        T.add(x, T.fourier_mix(x)), params[f"{prefix}.ln1.g"], params[f"{prefix}.ln1.b"]
+        x, params[f"{prefix}.ln1.g"], params[f"{prefix}.ln1.b"], residual=T.fourier_mix(x)
     )
     return _ffn_sublayer(h, params, prefix)
 
@@ -81,9 +83,7 @@ def windowed_attention_block(
         xs = T.slice_rows(x, s0, min(s0 + window, n))
         parts.append(_attention_segment(xs, params, prefix, n_attn_heads))
     mixed = parts[0] if len(parts) == 1 else T.concat_rows(parts)
-    h = T.layer_norm_rows(
-        T.add(x, mixed), params[f"{prefix}.ln1.g"], params[f"{prefix}.ln1.b"]
-    )
+    h = T.layer_norm_rows(x, params[f"{prefix}.ln1.g"], params[f"{prefix}.ln1.b"], residual=mixed)
     return _ffn_sublayer(h, params, prefix)
 
 

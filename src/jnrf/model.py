@@ -130,10 +130,14 @@ class Pooled:
         return len(self.h_spans) == 0 or len(self.l_spans) == 0
 
 
-def selective_pool(e3: Tensor, spans, pool: str = "first") -> Pooled:
+def selective_pool(e2: Tensor, spans, pool: str = "first", embed=None) -> Pooled:
     """Drugs in the order given; attributes grouped by relation head, in the
     order given within a head (a stable sort), so each head's rows of the
-    relation scores are one block."""
+    relation scores are one block.
+
+    Only the rows pooling reads are gathered: the span starts for `first`,
+    every row inside a span for `mean`. `embed`, a row-wise map, runs on
+    those rows alone, which equals pooling `embed(e2)`."""
     h_spans = [s for s in spans if s[2] == "Drug"]
     l_spans = sorted((s for s in spans if s[2] != "Drug"), key=lambda s: _HEAD_OF[s[2]])
     heads = np.array([_HEAD_OF[s[2]] for s in l_spans], dtype=np.intp)
@@ -141,19 +145,34 @@ def selective_pool(e3: Tensor, spans, pool: str = "first") -> Pooled:
     pos_l = np.array([s[0] for s in l_spans], dtype=np.intp)
     if not h_spans or not l_spans:
         return Pooled(None, None, pos_h, pos_l, heads, h_spans, l_spans)
+    starts = np.concatenate([pos_h, pos_l])
     if pool == "first":
-        q = T.pick_rows(e3, pos_h)
-        k = T.pick_rows(e3, pos_l)
+        ends = starts + 1
     else:  # mean over the span's rows
-        q = T.span_mean(e3, pos_h, [s[1] for s in h_spans])
-        k = T.span_mean(e3, pos_l, [s[1] for s in l_spans])
+        ends = np.array([s[1] for s in h_spans + l_spans], dtype=np.intp)
+    lens = ends - starts
+    # every span's rows end to end, each run counting up from its start
+    read = np.unique(np.repeat(ends - np.cumsum(lens), lens) + np.arange(lens.sum()))
+    rows = T.pick_rows(e2, read)
+    if embed is not None:
+        rows = embed(rows)
+    # a span's rows are contiguous in `read`, from where its start is
+    lo = np.searchsorted(read, starts)
+    nh = len(h_spans)
+    if pool == "first":
+        q, k = T.pick_rows(rows, lo[:nh]), T.pick_rows(rows, lo[nh:])
+    else:
+        hi = lo + lens
+        q, k = T.span_mean(rows, lo[:nh], hi[:nh]), T.span_mean(rows, lo[nh:], hi[nh:])
     return Pooled(q, k, pos_h, pos_l, heads, h_spans, l_spans)
 
 
 def distance_matrix(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """Absolute token distance |rows[i] - cols[j]| between pooled entities;
-    a constant in the graph (no gradient flows into positions)."""
-    return np.abs(rows.reshape(-1, 1) - cols.reshape(1, -1)).astype(np.float64)
+    a constant in the graph (no gradient flows into positions). Positions
+    are integers, so their float64 differences are exact."""
+    d = np.subtract.outer(np.asarray(rows, dtype=np.float64), np.asarray(cols, dtype=np.float64))
+    return np.abs(d, out=d)
 
 
 def build_relation_targets(pooled: Pooled, spans, relations) -> np.ndarray:
@@ -238,6 +257,12 @@ class JNRF:
         plus alpha[j] . (D^2, D). dist is (|L|, |H|). heads must ascend, as
         `selective_pool` orders them, so each head's rows are one block."""
         heads = np.asarray(heads, dtype=np.intp)
+        if len(heads) != k.rows:
+            raise ShapeError(f"relation_scores: {len(heads)} heads for {k.rows} attribute rows")
+        if dist.shape != (k.rows, q.rows):
+            raise ShapeError(
+                f"relation_scores: dist must be (|L|, |H|) = {(k.rows, q.rows)}, got {dist.shape}"
+            )
         if np.any(heads[1:] < heads[:-1]):
             raise ShapeError(
                 f"relation_scores: heads must ascend (grouped by head), got {heads.tolist()}"
@@ -266,7 +291,7 @@ class JNRF:
             _, spans = decode_bio(logits.data)
         else:
             spans = inst.spans
-        pooled = selective_pool(self.re_embed(e2), spans, self.config.pool)
+        pooled = selective_pool(e2, spans, self.config.pool, self.re_embed)
         if pooled.empty:
             return lner, lner, None
         psi = self.relation_scores(
@@ -282,7 +307,7 @@ class JNRF:
         e2 = self.encode(embed(inst.ids, table))
         logits = self.ner_head(e2)
         _, spans = decode_bio(logits.data)
-        pooled = selective_pool(self.re_embed(e2), spans, self.config.pool)
+        pooled = selective_pool(e2, spans, self.config.pool, self.re_embed)
         if pooled.empty:
             return spans, []
         psi = self.relation_scores(

@@ -4,15 +4,24 @@ All arithmetic is 64-bit. Operations record themselves onto the innermost
 active Tape (opened as a context manager) whenever any input requires a
 gradient; the forward recording order is the topological order used for the
 reverse sweep. Leaf tensors (those not produced by an op) accumulate into
-`.grad`; running backward twice without zeroing doubles every grad.
+`.grad`, so gradients from two tapes add up unless the caller zeroes them.
+
+A tape is single-use: `backward` pops each node as it runs it, so every
+array a node saved for its gradient is freed during the sweep, and a second
+`backward` on the same tape, or one for a loss the tape did not record,
+raises TapeError. Ops save only what their backward reads.
 
 Elementwise ops (add, mul) take operands of equal shape; nothing broadcasts.
-A bias row goes through `linear`, which computes x @ w + b as one node.
+A bias row goes through `linear`, which computes x @ w + b as one node, and
+a two-layer MLP through `ffn`, gelu(x @ w1 + b1) @ w2 + b2 as one node that
+keeps x, the gelu output and its derivative but no pre-activation.
+`layer_norm_rows(x, gain, bias, residual=r)` normalizes x + r as one node,
+so no residual sum is kept either.
 
 gelu uses the tanh approximation as the defined contract:
     0.5 * x * (1 + tanh(sqrt(2/pi) * (x + 0.044715 * x**3)))
-Only while a tape records it does gelu also compute its derivative, in the
-forward pass, reusing the array that held the tanh; its backward is then
+`gelu` and `ffn` share one implementation of it. Only while a tape records
+it is the derivative computed too, in the forward pass, so its backward is
 one product. Without a tape (prediction) no derivative is computed.
 """
 
@@ -68,11 +77,19 @@ class Tensor:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
+class TapeError(RuntimeError):
+    """Raised on a second backward over a tape, or on a loss it did not record."""
+
+
 class Tape:
-    """Ordered record of operations; reversing it is the backward pass."""
+    """Ordered record of operations; reversing it is the backward pass.
+
+    A tape runs backward once: the sweep pops each node as it runs it, so
+    the arrays a node saved are freed as soon as its gradient is out."""
 
     def __init__(self):
         self.nodes = []
+        self._spent = False
 
     def __enter__(self):
         _TAPES.append(self)
@@ -87,16 +104,24 @@ class Tape:
         self.nodes.append((out, tuple(parents), backward))
 
     def backward(self, loss: Tensor):
-        """Accumulate d(loss)/d(leaf) into every reachable leaf's .grad."""
+        """Accumulate d(loss)/d(leaf) into every reachable leaf's .grad,
+        emptying the tape."""
         if loss.shape != (1, 1):
             raise ShapeError(f"backward seed must be 1x1, got {loss.shape}")
+        if self._spent:
+            raise TapeError("backward already ran on this tape; record the graph on a new tape")
+        if loss._produced and not any(out is loss for out, _, _ in self.nodes):
+            raise TapeError("the loss was not recorded on this tape")
+        self._spent = True
         if not loss._produced:
             if loss.requires_grad:
                 seed = np.ones((1, 1))
                 loss.grad = seed if loss.grad is None else loss.grad + seed
             return
         adjoint = {id(loss): np.ones((1, 1))}
-        for out, parents, backward in reversed(self.nodes):
+        nodes = self.nodes
+        while nodes:
+            out, parents, backward = nodes.pop()
             g = adjoint.pop(id(out), None)
             if g is None:
                 continue
@@ -143,12 +168,16 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _record(out, (a, b), backward)
 
 
+def _check_affine(op: str, x_shape, w: Tensor, b: Tensor):
+    if x_shape[1] != w.rows:
+        raise ShapeError(f"{op}: inner dimensions disagree: {x_shape} x {w.shape}")
+    if b.shape != (1, w.cols):
+        raise ShapeError(f"{op}: bias must be (1, {w.cols}), got {b.shape}")
+
+
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """x @ w + b as one node; b is a (1, w.cols) row added to every row."""
-    if x.cols != w.rows:
-        raise ShapeError(f"linear: inner dimensions disagree: {x.shape} x {w.shape}")
-    if b.shape != (1, w.cols):
-        raise ShapeError(f"linear: bias must be (1, {w.cols}), got {b.shape}")
+    _check_affine("linear", x.shape, w, b)
     y = _mm(x.data, w.data)
     y += b.data
     out = Tensor(y)
@@ -201,43 +230,73 @@ def scale(x: Tensor, s: float) -> Tensor:
 _GELU_C = np.sqrt(2.0 / np.pi)
 
 
-def gelu(x: Tensor) -> Tensor:
-    v = x.data
+def _gelu(v: np.ndarray, out: np.ndarray, derivative: bool):
+    """Write gelu(v) into `out`, which may be v itself. With `derivative`,
+    also return d gelu/dv as a new array; otherwise return None."""
     t = v * v
     t *= v
     t *= 0.044715
     t += v
     t *= _GELU_C
     np.tanh(t, out=t)
-    if not _recording((x,)):
-        y = v * 0.5
-        t += 1.0
-        y *= t
-        return Tensor(y)
+    dy = None
+    if derivative:
+        # d/dv = 0.5 (1 + t) + 0.5 v (1 - t^2) c (1 + 3 * 0.044715 v^2)
+        #      = 0.5 (1 + t) (1 + v (1 - t) c (1 + 3 * 0.044715 v^2))
+        du = v * v
+        du *= 3 * 0.044715
+        du += 1.0
+        du *= _GELU_C
+        dy = np.subtract(1.0, t)
+        dy *= v
+        dy *= du
+        dy += 1.0
+    t += 1.0
+    if derivative:
+        dy *= t
+        dy *= 0.5
+    # (0.5 v)(1 + t), written last since out may be v
+    np.multiply(v, 0.5, out=out)
+    out *= t
+    return dy
 
-    # d/dv = 0.5 (1 + t) + 0.5 v (1 - t^2) c (1 + 3 * 0.044715 v^2)
-    #      = 0.5 (1 + t) (1 + v (1 - t) c (1 + 3 * 0.044715 v^2)),
-    # built in t's array, so the closure holds this one array and nothing else
-    du = v * v
-    du *= 3 * 0.044715
-    du += 1.0
-    du *= _GELU_C
-    one_plus_t = t + 1.0
-    dy = t
-    np.subtract(1.0, dy, out=dy)
-    dy *= v
-    dy *= du
-    dy += 1.0
-    dy *= one_plus_t
-    dy *= 0.5
-    # (0.5 v)(1 + t), the same operations as without a tape, bit for bit
-    y = np.multiply(v, 0.5, out=du)
-    y *= one_plus_t
+
+def gelu(x: Tensor) -> Tensor:
+    y = np.empty_like(x.data)
+    dy = _gelu(x.data, y, _recording((x,)))
 
     def backward(g):
         return (g * dy,)
 
     return _record(Tensor(y), (x,), backward)
+
+
+def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """gelu(x @ w1 + b1) @ w2 + b2 as one node. The gelu runs in place over
+    the pre-activation, so backward holds x, the gelu output and its
+    derivative, and no pre-activation."""
+    parents = (x, w1, b1, w2, b2)
+    _check_affine("ffn", x.shape, w1, b1)
+    _check_affine("ffn", (x.rows, w1.cols), w2, b2)
+    h = _mm(x.data, w1.data)
+    h += b1.data
+    dh = _gelu(h, h, _recording(parents))
+    y = _mm(h, w2.data)
+    y += b2.data
+
+    def backward(g):
+        gw2 = _mm(h.T, g) if w2.requires_grad else None
+        gb2 = g.sum(axis=0, keepdims=True) if b2.requires_grad else None
+        gx = gw1 = gb1 = None
+        if x.requires_grad or w1.requires_grad or b1.requires_grad:
+            gh = _mm(g, w2.data.T)
+            gh *= dh
+            gx = _mm(gh, w1.data.T) if x.requires_grad else None
+            gw1 = _mm(x.data.T, gh) if w1.requires_grad else None
+            gb1 = gh.sum(axis=0, keepdims=True) if b1.requires_grad else None
+        return gx, gw1, gb1, gw2, gb2
+
+    return _record(Tensor(y), parents, backward)
 
 
 def log_softmax_rows(x: Tensor) -> Tensor:
@@ -263,10 +322,21 @@ def softmax_rows(x: Tensor) -> Tensor:
     return _record(out, (x,), backward)
 
 
-def layer_norm_rows(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm_rows(
+    x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5, residual: Tensor | None = None
+) -> Tensor:
+    """Row-wise layer norm of x, or of x + residual as one node; each of x
+    and residual then gets its own gradient array."""
     if gain.shape != (1, x.cols) or bias.shape != (1, x.cols):
         raise ShapeError(f"layer norm gain/bias must be (1, {x.cols})")
-    xh = x.data - x.data.mean(axis=1, keepdims=True)
+    if residual is None:
+        parents = (x, gain, bias)
+        xh = x.data - x.data.mean(axis=1, keepdims=True)
+    else:
+        _same_shape("layer_norm_rows residual", x, residual)
+        parents = (x, gain, bias, residual)
+        xh = x.data + residual.data
+        xh -= xh.mean(axis=1, keepdims=True)
     y = np.square(xh)
     inv = 1.0 / np.sqrt(y.mean(axis=1, keepdims=True) + eps)
     xh *= inv
@@ -279,7 +349,7 @@ def layer_norm_rows(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) ->
         ggain = tmp.sum(axis=0, keepdims=True) if gain.requires_grad else None
         gbias = g.sum(axis=0, keepdims=True) if bias.requires_grad else None
         gx = None
-        if x.requires_grad:
+        if x.requires_grad or residual is not None and residual.requires_grad:
             gx = g * gain.data
             m1 = gx.mean(axis=1, keepdims=True)
             np.multiply(gx, xh, out=tmp)
@@ -288,9 +358,13 @@ def layer_norm_rows(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) ->
             np.multiply(xh, m2, out=tmp)
             gx -= tmp
             gx *= inv
-        return gx, ggain, gbias
+        if residual is None:
+            return gx, ggain, gbias
+        # copies: the tape adds into adjoints in place, so no array is shared
+        gr = gx.copy() if x.requires_grad and residual.requires_grad else gx
+        return gx, ggain, gbias, gr
 
-    return _record(out, (x, gain, bias), backward)
+    return _record(out, parents, backward)
 
 
 def sum_all(x: Tensor) -> Tensor:

@@ -296,6 +296,7 @@ def save_checkpoint(path: str, model: JNRF, state: AdamState | None = None,
 
 @dataclass
 class Checkpoint:
+    path: str  # the file it was loaded from; apply_checkpoint's errors name it
     config_text: str
     params: dict
     optimizer: AdamState | None
@@ -323,7 +324,7 @@ def load_checkpoint(path: str) -> Checkpoint:
         optimizer.v = _read_moments(r, params, "v")
     if r.at != len(r.data):
         raise r.error("unexpected bytes after the last record")
-    return Checkpoint(config_text, params, optimizer)
+    return Checkpoint(path, config_text, params, optimizer)
 
 
 def _read_moments(r: _Reader, params: dict, which: str) -> dict:
@@ -342,16 +343,17 @@ def _read_moments(r: _Reader, params: dict, which: str) -> dict:
 
 
 def apply_checkpoint(model: JNRF, ckpt: Checkpoint):
-    """Copy checkpoint weights into the model, validating names and shapes."""
+    """Copy checkpoint weights into the model, validating names and shapes;
+    each error starts with the checkpoint's path."""
     for name, p in model.params.items():
         if name not in ckpt.params:
-            raise CheckpointError(f"checkpoint is missing parameter {name!r}")
+            raise CheckpointError(f"{ckpt.path}: checkpoint is missing parameter {name!r}")
         arr = ckpt.params[name]
         if arr.shape != p.shape:
             raise CheckpointError(
-                f"parameter {name!r}: checkpoint shape {arr.shape} != model {p.shape}"
+                f"{ckpt.path}: parameter {name!r}: checkpoint shape {arr.shape} != model {p.shape}"
             )
         p.data[...] = arr
     extra = set(ckpt.params) - set(n for n, _ in model.params.items())
     if extra:
-        raise CheckpointError(f"checkpoint has unknown parameters {sorted(extra)[:3]}")
+        raise CheckpointError(f"{ckpt.path}: checkpoint has unknown parameters {sorted(extra)[:3]}")

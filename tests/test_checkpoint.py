@@ -105,6 +105,30 @@ def test_trailing_bytes_rejected(tmp_path, with_optimizer):
         load_checkpoint(str(path))
 
 
+def test_apply_errors_name_the_file(tmp_path):
+    path, _ = saved_bytes(tmp_path, *trained_state())
+    ckpt = load_checkpoint(str(path))
+    assert ckpt.path == str(path)
+    wider = JNRF(ModelConfig(emb_dim=2, d_model=4, ffn_hidden=2, mixer="fnet", n_blocks=1))
+    with pytest.raises(
+        CheckpointError,
+        match=rf"^{re.escape(str(path))}: parameter 'in\.2\.w': "
+        rf"checkpoint shape \(2, 2\) != model \(2, 4\)$",
+    ):
+        apply_checkpoint(wider, ckpt)
+    del ckpt.params["alpha"]
+    with pytest.raises(
+        CheckpointError, match=rf"^{re.escape(str(path))}: checkpoint is missing parameter 'alpha'$"
+    ):
+        apply_checkpoint(JNRF(SMALL), ckpt)
+    ckpt.params["alpha"] = np.zeros((8, 2))
+    ckpt.params["extra"] = np.zeros((1, 1))
+    with pytest.raises(
+        CheckpointError, match=rf"^{re.escape(str(path))}: checkpoint has unknown parameters \['extra'\]$"
+    ):
+        apply_checkpoint(JNRF(SMALL), ckpt)
+
+
 @pytest.mark.parametrize("which", ["m", "v"])
 def test_moment_shape_must_match_parameter(tmp_path, which):
     model, state = trained_state()

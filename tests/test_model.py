@@ -1,13 +1,18 @@
+import dataclasses
+import gc
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from jnrf import tensor as T
-from jnrf.corpus import NUM_LABELS, bio_label, parse_brat
+from jnrf.corpus import ATTRIBUTE_TYPES, NUM_LABELS, bio_label, parse_brat
 from jnrf.embedding import EmbeddingTable
 from jnrf.model import (
     JNRF,
+    EncodedInstance,
     ModelConfig,
     build_relation_targets,
     decode_bio,
@@ -160,6 +165,53 @@ class TestSelectivePooling:
             assert rel_err(pooled.k.data, want_k) < 1e-12
 
 
+    @pytest.mark.parametrize("pool", ["first", "mean"])
+    def test_embed_on_gathered_rows_equals_embed_then_pool(self, pool):
+        """The relation FFN runs on the rows pooling reads alone: the same
+        q and k as embedding every row first, and the same gradients up to
+        the order BLAS sums the weight gradients' rows in."""
+        model = JNRF(TINY, seed=27)
+        rng = np.random.default_rng(28)
+        e2 = rng.standard_normal((30, 6))
+        # overlapping and nested spans, a drug and an attribute starting on
+        # one row, and rows outside every span
+        spans = [
+            (2, 5, "Drug"), (4, 8, "Route"), (4, 5, "Drug"), (10, 11, "Strength"),
+            (12, 16, "ADE"), (13, 14, "Drug"), (20, 23, "Route"), (20, 21, "Form"),
+        ]
+        cq, ck = rng.standard_normal((3, 6)), rng.standard_normal((5, 6))
+        seen = []
+
+        def gathered(x):
+            seen.append(x.rows)
+            return model.re_embed(x)
+
+        results = []
+        for build in (
+            lambda x: selective_pool(x, spans, pool, gathered),
+            lambda x: selective_pool(model.re_embed(x), spans, pool),
+        ):
+            model.params.zero_grad()
+            x = Tensor(e2, requires_grad=True)
+            with Tape() as tape:
+                pooled = build(x)
+                loss = T.add(T.sum_all(T.mul(pooled.q, Tensor(cq))), T.sum_all(T.mul(pooled.k, Tensor(ck))))
+            tape.backward(loss)
+            results.append((pooled, x.grad, {n: model.params[n].grad for n in ("re.1.w", "re.2.w")}))
+        (got, gx, gw), (want, wx, ww) = results
+        assert np.array_equal(got.q.data, want.q.data)
+        assert np.array_equal(got.k.data, want.k.data)
+        assert rel_err(gx, wx) < 1e-14
+        for name in gw:
+            assert rel_err(gw[name], ww[name]) < 1e-14, name
+        if pool == "first":
+            read = {s for s, _, _ in spans}
+        else:
+            read = {i for s, e, _ in spans for i in range(s, e)}
+        assert seen == [len(read)]
+        assert np.count_nonzero(np.abs(gx).sum(axis=1)) == len(read)
+
+
 class TestDistanceMatrix:
     def test_values(self):
         d = distance_matrix(np.array([2, 10]), np.array([5, 7]))
@@ -170,6 +222,15 @@ class TestDistanceMatrix:
 
     def test_table_scale_extreme(self):
         assert distance_matrix(np.array([0]), np.array([13989]))[0, 0] == 13989
+
+
+    def test_bit_identical_to_the_integer_formula(self):
+        rng = np.random.default_rng(29)
+        rows, cols = rng.integers(0, 20000, 300), rng.integers(0, 20000, 40)
+        old = np.abs(rows.reshape(-1, 1) - cols.reshape(1, -1)).astype(np.float64)
+        got = distance_matrix(rows, cols)
+        assert got.dtype == np.float64 and got.shape == (300, 40)
+        assert np.array_equal(got, old)
 
 
 class TestRelationScores:
@@ -229,6 +290,19 @@ class TestRelationScores:
         q, k = Tensor(np.zeros((2, 6))), Tensor(np.zeros((3, 6)))
         with pytest.raises(ShapeError, match=r"heads must ascend .*\[4, 0, 4\]"):
             model.relation_scores(q, k, np.zeros((3, 2)), [4, 0, 4])
+
+    def test_heads_must_match_attribute_rows(self):
+        model = JNRF(TINY, seed=5)
+        q, k = Tensor(np.zeros((2, 6))), Tensor(np.zeros((3, 6)))
+        with pytest.raises(ShapeError, match=r"relation_scores: 2 heads for 3 attribute rows"):
+            model.relation_scores(q, k, np.zeros((3, 2)), [0, 0])
+
+    @pytest.mark.parametrize("shape", [(2, 2), (5, 2), (3, 1), (2, 3)], ids=lambda s: "%dx%d" % s)
+    def test_dist_must_be_attributes_by_drugs(self, shape):
+        model = JNRF(TINY, seed=5)
+        q, k = Tensor(np.zeros((2, 6))), Tensor(np.zeros((3, 6)))
+        with pytest.raises(ShapeError, match=re.escape(f"= (3, 2), got {shape}")):
+            model.relation_scores(q, k, np.zeros(shape), [0, 0, 0])
 
     def test_rows_match_all_heads_oracle(self):
         """Row l is the oracle's plane heads[l], column l: heads grouped,
@@ -451,6 +525,26 @@ class TestEndToEnd:
             got = np.where(np.isin(np.arange(base.size).reshape(base.shape), coords), p.grad, 0)
             assert rel_err(got.ravel()[coords], want.ravel()[coords]) < 1e-4, name
 
+    @pytest.mark.parametrize("pool", ["first", "mean"])
+    def test_relation_ffn_runs_on_pooled_rows_only(self, pool):
+        doc, vocab = build_toy_doc()
+        inst = encode_document(doc)
+        model = JNRF(dataclasses.replace(TINY, pool=pool), seed=20)
+        seen, re_embed = [], model.re_embed
+
+        def counted(x):
+            seen.append(x.rows)
+            return re_embed(x)
+
+        model.re_embed = counted
+        with Tape():
+            model.instance_losses(inst, tiny_table(len(vocab)))
+        if pool == "first":
+            read = {s for s, _, _ in inst.spans}
+        else:
+            read = {i for s, e, _ in inst.spans for i in range(s, e)}
+        assert seen == [len(read)] and len(read) < len(inst.ids)
+
     def test_no_drug_instance_uses_ner_only(self):
         text = "patient developed rash."
         ann = "T1\tADE 18 22\trash\n"
@@ -520,3 +614,53 @@ def test_relation_targets_mark_each_attribute_row_at_its_drug():
     pooled = selective_pool(e3, [s for s in inst.spans if s[0] != inst.spans[2][0]])
     r = build_relation_targets(pooled, inst.spans, inst.relations)
     np.testing.assert_array_equal(r, [[1.0], [0.0]])
+
+
+def synthetic_instance(n: int, rng) -> EncodedInstance:
+    """n tokens with entities of 1-3 tokens about every 8 tokens, a third of
+    them drugs, each attribute related to a random drug."""
+    spans, labels = [], np.zeros(n, dtype=np.intp)
+    pos = 0
+    while pos + 12 < n:
+        pos += int(rng.integers(3, 12))
+        length = int(rng.integers(1, 4))
+        etype = "Drug" if rng.random() < 1 / 3 else ATTRIBUTE_TYPES[rng.integers(len(ATTRIBUTE_TYPES))]
+        spans.append((pos, pos + length, etype))
+        labels[pos] = bio_label(etype, True)
+        labels[pos + 1:pos + length] = bio_label(etype, False)
+        pos += length
+    drugs = [i for i, s in enumerate(spans) if s[2] == "Drug"]
+    relations = [(i, drugs[rng.integers(len(drugs))]) for i, s in enumerate(spans) if s[2] != "Drug"]
+    return EncodedInstance(rng.integers(0, 50, n), labels, spans, relations)
+
+
+class TestTrainStepMemory:
+    # Bytes live after the forward of one default-config fnet training step
+    # on this instance, in units of n * d_model float64s: 51.7 while every
+    # FFN kept its pre-activation, every layer norm its residual sum and the
+    # relation FFN ran on all n rows; 33.3 without them.
+    BUDGET = 36.5
+
+    def test_forward_holds_only_what_backward_reads(self):
+        n, cfg = 2048, ModelConfig()
+        model = JNRF(cfg, seed=0)
+        rng = np.random.default_rng(50)
+        table = EmbeddingTable(rng.standard_normal((50, cfg.emb_dim)))
+        inst = synthetic_instance(n, rng)
+        model.instance_losses(inst, table)  # untaped: fills the positional-encoding cache
+        gc.collect()
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            with Tape() as tape:
+                loss, _, _ = model.instance_losses(inst, table)
+            live = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            if started:
+                tracemalloc.stop()
+        tape.backward(loss)
+        assert tape.nodes == []
+        units = live / (n * cfg.d_model * 8)
+        assert units < self.BUDGET, f"{units:.1f} units live after the forward"

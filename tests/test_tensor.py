@@ -6,7 +6,7 @@ import pytest
 
 from jnrf import fourier, tensor as T
 from jnrf.instrument import COUNTER
-from jnrf.tensor import ShapeError, Tape, Tensor
+from jnrf.tensor import ShapeError, Tape, TapeError, Tensor
 
 from oracles import (
     dense_span_mean,
@@ -113,6 +113,71 @@ class TestLinear:
         assert COUNTER.total == 5 * 4 * 3
         tape.backward(loss)
         assert COUNTER.total == 3 * 5 * 4 * 3
+
+
+def composed_ffn(x, w1, b1, w2, b2):
+    """The two-node reference for T.ffn: linear, gelu, linear."""
+    return T.linear(T.gelu(T.linear(x, w1, b1)), w2, b2)
+
+
+class TestFfn:
+    SHAPES = [(7, 5), (5, 9), (1, 9), (9, 4), (1, 4)]
+
+    def arrays(self, seed):
+        rng = np.random.default_rng(seed)
+        # a pre-activation spread over gelu's curved range
+        return [rng.standard_normal(s) * 2.0 for s in self.SHAPES]
+
+    def test_forward_is_the_composition_bit_for_bit(self):
+        arrs = self.arrays(30)
+        plain = T.ffn(*(Tensor(a) for a in arrs))
+        with Tape():
+            taped = T.ffn(*(Tensor(a, requires_grad=True) for a in arrs))
+        want = composed_ffn(*(Tensor(a) for a in arrs))
+        assert taped.requires_grad and not plain.requires_grad
+        assert np.array_equal(plain.data, want.data)
+        assert np.array_equal(taped.data, want.data)
+
+    def test_gradients_are_the_composition_bit_for_bit(self):
+        arrs = self.arrays(31)
+        g = np.random.default_rng(32).standard_normal((7, 4))
+        grads = []
+        for op in (T.ffn, composed_ffn):
+            ts = [Tensor(a, requires_grad=True) for a in arrs]
+            with Tape() as tape:
+                loss = T.sum_all(T.mul(op(*ts), Tensor(g)))
+            tape.backward(loss)
+            grads.append([t.grad for t in ts])
+        for got, want in zip(*grads):
+            assert np.array_equal(got, want)
+
+    def test_gradients_vs_finite_differences(self):
+        rng = np.random.default_rng(33)
+        for _ in range(20):
+            arrs = [rng.standard_normal(s) for s in self.SHAPES]
+            c = rng.standard_normal((7, 4))
+            grad_check(lambda *ts: T.sum_all(T.mul(T.ffn(*ts[:5]), ts[5])), arrs + [c])
+
+    def test_counts_multiplies_like_two_linears(self):
+        ts = [Tensor(np.ones(s), requires_grad=True) for s in self.SHAPES]
+        COUNTER.reset()
+        with Tape() as tape:
+            loss = T.sum_all(T.ffn(*ts))
+        assert COUNTER.total == 7 * 5 * 9 + 7 * 9 * 4
+        tape.backward(loss)
+        assert COUNTER.total == 3 * (7 * 5 * 9 + 7 * 9 * 4)
+
+    @pytest.mark.parametrize("which, shape, match", [
+        (1, (4, 9), r"ffn: inner dimensions disagree: \(7, 5\) x \(4, 9\)"),
+        (2, (9, 1), r"ffn: bias must be \(1, 9\)"),
+        (3, (8, 4), r"ffn: inner dimensions disagree: \(7, 9\) x \(8, 4\)"),
+        (4, (1, 5), r"ffn: bias must be \(1, 4\)"),
+    ])
+    def test_shapes_checked(self, which, shape, match):
+        ts = [Tensor(np.zeros(s)) for s in self.SHAPES]
+        ts[which] = Tensor(np.zeros(shape))
+        with pytest.raises(ShapeError, match=match):
+            T.ffn(*ts)
 
 
 # near zero, and |x| in [1.5, 4] where the cubic term of gelu dominates
@@ -250,6 +315,64 @@ class TestSoftmaxAndNorm:
         assert rel_err(xt.grad, layer_norm_input_grad(x, gain, g)) < 1e-10
 
 
+class TestLayerNormResidual:
+    SHAPES = [(5, 6), (5, 6), (1, 6), (1, 6), (5, 6)]  # x, residual, gain, bias, weights
+
+    def arrays(self, rng):
+        return [rng.standard_normal(s) for s in self.SHAPES]
+
+    def test_equals_layer_norm_of_the_sum_bit_for_bit(self):
+        x, r, gain, bias, g = self.arrays(np.random.default_rng(40))
+        results = []
+        for fused in (True, False):
+            xt, rt, gt, bt = (Tensor(a, requires_grad=True) for a in (x, r, gain, bias))
+            with Tape() as tape:
+                if fused:
+                    y = T.layer_norm_rows(xt, gt, bt, residual=rt)
+                else:
+                    y = T.layer_norm_rows(T.add(xt, rt), gt, bt)
+                loss = T.sum_all(T.mul(y, Tensor(g)))
+            tape.backward(loss)
+            results.append([y.data, xt.grad, rt.grad, gt.grad, bt.grad])
+            if fused:
+                assert xt.grad is not rt.grad
+        for got, want in zip(*results):
+            assert np.array_equal(got, want)
+
+    def test_each_parent_gets_its_own_adjoint(self):
+        # x gains another contribution (from c, recorded before the norm)
+        # after the norm hands x and the residual their gradients; a shared
+        # array would pass that contribution on to the residual
+        rng = np.random.default_rng(42)
+
+        def build(a, w, gain, bias):
+            x, r = T.gelu(a), T.scale(a, 0.5)
+            c = T.mul(x, w)
+            y = T.layer_norm_rows(x, gain, bias, residual=r)
+            return T.sum_all(T.add(T.mul(y, w), c))
+
+        arrs = [rng.standard_normal(s) for s in [(3, 4), (3, 4), (1, 4), (1, 4)]]
+        grad_check(build, arrs, tol=1e-5)
+
+    def test_gradients_vs_finite_differences(self):
+        rng = np.random.default_rng(43)
+        for _ in range(20):
+            grad_check(
+                lambda a, rr, gg, bb, c: T.sum_all(
+                    T.mul(T.layer_norm_rows(a, gg, bb, residual=rr), c)
+                ),
+                self.arrays(rng),
+                tol=1e-5,
+            )
+
+    def test_residual_shape_must_match(self):
+        with pytest.raises(ShapeError, match=r"residual: elementwise ops take equal shapes"):
+            T.layer_norm_rows(
+                Tensor(np.zeros((3, 4))), Tensor(np.ones((1, 4))), Tensor(np.zeros((1, 4))),
+                residual=Tensor(np.zeros((2, 4))),
+            )
+
+
 # length 1 (first and last row), overlapping, repeated, and ending at the last row
 SPANS = [(0, 1), (2, 6), (3, 5), (9, 10), (4, 10), (2, 6), (0, 10)]
 
@@ -371,12 +494,45 @@ class TestTapeSemantics:
     def test_accumulation_doubles_without_zeroing(self):
         x = Tensor(np.arange(6, dtype=float).reshape(2, 3), requires_grad=True)
         w = Tensor(np.ones((2, 3)))
+        # a tape runs backward once, so the same graph is recorded twice
         with Tape() as tape:
             loss = T.sum_all(T.mul(x, w))
         tape.backward(loss)
         once = x.grad.copy()
+        with Tape() as tape:
+            loss = T.sum_all(T.mul(x, w))
         tape.backward(loss)
         np.testing.assert_array_equal(x.grad, 2.0 * once)
+
+    def test_backward_empties_the_tape(self):
+        x = Tensor(np.ones((2, 3)), requires_grad=True)
+        with Tape() as tape:
+            loss = T.sum_all(T.gelu(T.scale(x, 2.0)))
+        assert len(tape.nodes) == 3
+        tape.backward(loss)
+        assert tape.nodes == []
+
+    def test_second_backward_raises(self):
+        x = Tensor(np.ones((2, 3)), requires_grad=True)
+        with Tape() as tape:
+            loss = T.sum_all(T.mul(x, x))
+        tape.backward(loss)
+        once = x.grad.copy()
+        with pytest.raises(TapeError, match="backward already ran on this tape"):
+            tape.backward(loss)
+        np.testing.assert_array_equal(x.grad, once)
+
+    def test_loss_recorded_on_another_tape_raises(self):
+        x = Tensor(np.ones((2, 3)), requires_grad=True)
+        with Tape() as t1:
+            loss = T.sum_all(T.mul(x, x))
+        with Tape() as t2:
+            T.sum_all(T.scale(x, 3.0))
+        with pytest.raises(TapeError, match="loss was not recorded on this tape"):
+            t2.backward(loss)
+        assert x.grad is None
+        t1.backward(loss)
+        np.testing.assert_array_equal(x.grad, 2.0 * x.data)
 
     def test_no_grad_without_requires(self):
         x = Tensor(np.ones((2, 2)), requires_grad=False)
