@@ -6,24 +6,41 @@ gradient; the forward recording order is the topological order used for the
 reverse sweep. Leaf tensors (those not produced by an op) accumulate into
 `.grad`, so gradients from two tapes add up unless the caller zeroes them.
 
+A tape node is (serial, links, backward). The serial numbers the op's output
+on its tape, and adjoints are keyed by it, so a freed tensor whose id() is
+reused cannot take over its gradient. A link is the parent's serial if an op
+on this tape produced it, the parent itself if it is a leaf that requires a
+gradient, or None. Neither nodes nor backward closures hold a produced
+Tensor: each closure captures only the arrays and flags its gradient reads,
+so an output that no backward reads is freed as soon as its caller drops it.
+
 A tape is single-use: `backward` pops each node as it runs it, so every
 array a node saved for its gradient is freed during the sweep, and a second
-`backward` on the same tape, or one for a loss the tape did not record,
-raises TapeError. Ops save only what their backward reads.
+`backward` on the same tape, a loss the tape did not record, or a gradient
+reaching a tensor that another tape recorded raises TapeError. Leaf `.grad`s
+are written only once the sweep has finished, so a raising sweep writes none.
 
 Elementwise ops (add, mul) take operands of equal shape; nothing broadcasts.
 A bias row goes through `linear`, which computes x @ w + b as one node, and
 a two-layer MLP through `ffn`, gelu(x @ w1 + b1) @ w2 + b2 as one node that
-keeps x, the gelu output and its derivative but no pre-activation.
-`layer_norm_rows(x, gain, bias, residual=r)` normalizes x + r as one node,
-so no residual sum is kept either.
+keeps x and the pre-activation, and computes gelu and its derivative again
+in backward. `layer_norm_rows(x, gain, bias, residual=r)` normalizes x + r as
+one node, keeping the normalized rows and each row's inverse deviation.
+
+`ffn` and `layer_norm_rows` run forward and backward over blocks of
+_BLOCK = 256 rows: a block of the ffn hidden layer (256 x 128 float64s at the
+default width, 256 KB) stays in L2 cache, and their temporaries are
+block-sized, so neither training nor prediction builds an n x ffn_hidden
+gelu output.
 
 gelu uses the tanh approximation as the defined contract:
     0.5 * x * (1 + tanh(sqrt(2/pi) * (x + 0.044715 * x**3)))
-`gelu` and `ffn` share one implementation of it. Only while a tape records
-it is the derivative computed too, in the forward pass, so its backward is
-one product. Without a tape (prediction) no derivative is computed.
+`gelu` and `ffn` share one implementation of it. Both save their input, not
+the derivative: the forward computes gelu alone, and the derivative is
+computed in backward.
 """
+
+import itertools
 
 import numpy as np
 
@@ -36,6 +53,9 @@ class ShapeError(ValueError):
 
 
 _TAPES: list["Tape"] = []
+_TAPE_IDS = itertools.count()
+_ELSEWHERE = object()  # the link to a tensor that another tape recorded
+_BLOCK = 256  # rows per block in ffn and layer_norm_rows
 
 
 def _as2d(data) -> np.ndarray:
@@ -54,7 +74,7 @@ class Tensor:
         self.data = _as2d(data)
         self.requires_grad = bool(requires_grad)
         self.grad = None
-        self._produced = False
+        self._node = None  # (tape id, serial) once an op records it
 
     @property
     def rows(self) -> int:
@@ -77,8 +97,17 @@ class Tensor:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
+class _Serial(int):
+    """A node's serial number. Its `data` is an empty buffer because a node
+    holds no output: `sum(out.data.nbytes for out, _, _ in tape.nodes)`,
+    the bytes the nodes hold in outputs, is 0."""
+
+    data = memoryview(b"")
+
+
 class TapeError(RuntimeError):
-    """Raised on a second backward over a tape, or on a loss it did not record."""
+    """Raised on a second backward over a tape, on a loss it did not record,
+    or when gradient reaches a tensor that another tape recorded."""
 
 
 class Tape:
@@ -89,6 +118,8 @@ class Tape:
 
     def __init__(self):
         self.nodes = []
+        self._id = next(_TAPE_IDS)
+        self._serials = itertools.count()
         self._spent = False
 
     def __enter__(self):
@@ -99,9 +130,17 @@ class Tape:
         _TAPES.pop()
         return False
 
+    def _link(self, parent: Tensor):
+        if parent._node is not None:
+            tape, serial = parent._node
+            return serial if tape == self._id else _ELSEWHERE
+        return parent if parent.requires_grad else None
+
     def record(self, out: Tensor, parents, backward):
-        out._produced = True
-        self.nodes.append((out, tuple(parents), backward))
+        serial = _Serial(next(self._serials))
+        out.requires_grad = True
+        out._node = (self._id, serial)
+        self.nodes.append((serial, tuple(map(self._link, parents)), backward))
 
     def backward(self, loss: Tensor):
         """Accumulate d(loss)/d(leaf) into every reachable leaf's .grad,
@@ -110,32 +149,38 @@ class Tape:
             raise ShapeError(f"backward seed must be 1x1, got {loss.shape}")
         if self._spent:
             raise TapeError("backward already ran on this tape; record the graph on a new tape")
-        if loss._produced and not any(out is loss for out, _, _ in self.nodes):
+        if loss._node is not None and loss._node[0] != self._id:
             raise TapeError("the loss was not recorded on this tape")
         self._spent = True
-        if not loss._produced:
+        if loss._node is None:
             if loss.requires_grad:
                 seed = np.ones((1, 1))
                 loss.grad = seed if loss.grad is None else loss.grad + seed
             return
-        adjoint = {id(loss): np.ones((1, 1))}
+        adjoint = {loss._node[1]: np.ones((1, 1))}
+        leaf_grads = {}  # leaf Tensor -> its .grad after this sweep
         nodes = self.nodes
         while nodes:
-            out, parents, backward = nodes.pop()
-            g = adjoint.pop(id(out), None)
+            serial, links, backward = nodes.pop()
+            g = adjoint.pop(serial, None)
             if g is None:
                 continue
-            for parent, contrib in zip(parents, backward(g)):
-                if contrib is None or not parent.requires_grad:
+            for link, contrib in zip(links, backward(g)):
+                if link is None or contrib is None:
                     continue
-                if parent._produced:
-                    key = id(parent)
-                    if key in adjoint:
-                        adjoint[key] += contrib
+                if link is _ELSEWHERE:
+                    raise TapeError("gradient reached a tensor that another tape recorded")
+                if isinstance(link, Tensor):  # a leaf
+                    if link in leaf_grads:
+                        leaf_grads[link] += contrib
                     else:
-                        adjoint[key] = contrib
+                        leaf_grads[link] = contrib if link.grad is None else link.grad + contrib
+                elif link in adjoint:
+                    adjoint[link] += contrib
                 else:
-                    parent.grad = contrib if parent.grad is None else parent.grad + contrib
+                    adjoint[link] = contrib
+        for leaf, grad in leaf_grads.items():
+            leaf.grad = grad
 
 
 def _recording(parents) -> bool:
@@ -145,25 +190,30 @@ def _recording(parents) -> bool:
 
 def _record(out: Tensor, parents, backward) -> Tensor:
     if _recording(parents):
-        out.requires_grad = True
         _TAPES[-1].record(out, parents, backward)
     return out
 
 
-def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _mm(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     COUNTER.add(a.shape[0] * a.shape[1] * b.shape[1])
-    return a @ b
+    return np.matmul(a, b, out=out)
+
+
+def _row_blocks(n: int):
+    """(rows, buffer rows) per block of _BLOCK rows: the block's slice of an
+    n-row array and the matching leading slice of a block-sized buffer."""
+    return [(slice(i, min(i + _BLOCK, n)), slice(0, min(_BLOCK, n - i))) for i in range(0, n, _BLOCK)]
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.cols != b.rows:
         raise ShapeError(f"matmul: inner dimensions disagree: {a.shape} x {b.shape}")
     out = Tensor(_mm(a.data, b.data))
+    ra, rb = a.requires_grad, b.requires_grad
+    ad, bd = a.data if rb else None, b.data if ra else None
 
     def backward(g):
-        ga = _mm(g, b.data.T) if a.requires_grad else None
-        gb = _mm(a.data.T, g) if b.requires_grad else None
-        return ga, gb
+        return _mm(g, bd.T) if ra else None, _mm(ad.T, g) if rb else None
 
     return _record(out, (a, b), backward)
 
@@ -180,15 +230,16 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     _check_affine("linear", x.shape, w, b)
     y = _mm(x.data, w.data)
     y += b.data
-    out = Tensor(y)
+    rx, rw, rb = x.requires_grad, w.requires_grad, b.requires_grad
+    xd, wd = x.data if rw else None, w.data if rx else None
 
     def backward(g):
-        gx = _mm(g, w.data.T) if x.requires_grad else None
-        gw = _mm(x.data.T, g) if w.requires_grad else None
-        gb = g.sum(axis=0, keepdims=True) if b.requires_grad else None
+        gx = _mm(g, wd.T) if rx else None
+        gw = _mm(xd.T, g) if rw else None
+        gb = g.sum(axis=0, keepdims=True) if rb else None
         return gx, gw, gb
 
-    return _record(out, (x, w, b), backward)
+    return _record(Tensor(y), (x, w, b), backward)
 
 
 def _same_shape(op: str, a: Tensor, b: Tensor):
@@ -199,10 +250,11 @@ def _same_shape(op: str, a: Tensor, b: Tensor):
 def add(a: Tensor, b: Tensor) -> Tensor:
     _same_shape("add", a, b)
     out = Tensor(a.data + b.data)
+    ra, rb = a.requires_grad, b.requires_grad
 
     # copies: the tape adds into adjoints in place, so g must not be shared
     def backward(g):
-        return g.copy() if a.requires_grad else None, g.copy() if b.requires_grad else None
+        return g.copy() if ra else None, g.copy() if rb else None
 
     return _record(out, (a, b), backward)
 
@@ -210,9 +262,11 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _same_shape("mul", a, b)
     out = Tensor(a.data * b.data)
+    ra, rb = a.requires_grad, b.requires_grad
+    ad, bd = a.data if rb else None, b.data if ra else None
 
     def backward(g):
-        return g * b.data if a.requires_grad else None, g * a.data if b.requires_grad else None
+        return g * bd if ra else None, g * ad if rb else None
 
     return _record(out, (a, b), backward)
 
@@ -230,9 +284,10 @@ def scale(x: Tensor, s: float) -> Tensor:
 _GELU_C = np.sqrt(2.0 / np.pi)
 
 
-def _gelu(v: np.ndarray, out: np.ndarray, derivative: bool):
-    """Write gelu(v) into `out`, which may be v itself. With `derivative`,
-    also return d gelu/dv as a new array; otherwise return None."""
+def _gelu(v: np.ndarray, out: np.ndarray | None, derivative: bool = False):
+    """Write gelu(v) into `out`, which may be v itself, unless it is None.
+    With `derivative`, also return d gelu/dv as a new array; otherwise
+    return None."""
     t = v * v
     t *= v
     t *= 0.044715
@@ -255,45 +310,80 @@ def _gelu(v: np.ndarray, out: np.ndarray, derivative: bool):
     if derivative:
         dy *= t
         dy *= 0.5
-    # (0.5 v)(1 + t), written last since out may be v
-    np.multiply(v, 0.5, out=out)
-    out *= t
+    if out is not None:
+        # (0.5 v)(1 + t), written last since out may be v
+        np.multiply(v, 0.5, out=out)
+        out *= t
     return dy
 
 
 def gelu(x: Tensor) -> Tensor:
+    """Saves its input; the derivative is computed in backward."""
     y = np.empty_like(x.data)
-    dy = _gelu(x.data, y, _recording((x,)))
+    _gelu(x.data, y)
+    xd = x.data
 
     def backward(g):
-        return (g * dy,)
+        dy = _gelu(xd, None, derivative=True)
+        dy *= g
+        return (dy,)
 
     return _record(Tensor(y), (x,), backward)
 
 
 def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
-    """gelu(x @ w1 + b1) @ w2 + b2 as one node. The gelu runs in place over
-    the pre-activation, so backward holds x, the gelu output and its
-    derivative, and no pre-activation."""
+    """gelu(x @ w1 + b1) @ w2 + b2 as one node, run over blocks of _BLOCK
+    rows with one block-sized hidden buffer.
+
+    On a tape the node saves x and the pre-activation x @ w1 + b1 (n x
+    ffn_hidden); backward computes gelu and its derivative again from the
+    pre-activation, block by block, and sums the weight and bias gradients
+    over the blocks. Without a tape nothing n x ffn_hidden is built."""
     parents = (x, w1, b1, w2, b2)
     _check_affine("ffn", x.shape, w1, b1)
     _check_affine("ffn", (x.rows, w1.cols), w2, b2)
-    h = _mm(x.data, w1.data)
-    h += b1.data
-    dh = _gelu(h, h, _recording(parents))
-    y = _mm(h, w2.data)
-    y += b2.data
+    keep = _recording(parents)
+    n, hidden = x.rows, w1.cols
+    blocks = _row_blocks(n)
+    pre = np.empty((n, hidden)) if keep else None
+    h = np.empty((min(n, _BLOCK), hidden))
+    y = np.empty((n, w2.cols))
+    for rows, part in blocks:
+        hb = h[part]
+        a = pre[rows] if keep else hb
+        _mm(x.data[rows], w1.data, out=a)
+        a += b1.data
+        _gelu(a, hb)
+        yb = _mm(hb, w2.data, out=y[rows])
+        yb += b2.data
+
+    rx, rw1, rb1, rw2, rb2 = (p.requires_grad for p in parents)
+    inner = rx or rw1 or rb1  # whether gradient goes below the gelu
+    xd = x.data if rw1 else None
+    w1d = w1.data if rx else None
+    w2d = w2.data if inner else None
+    x_shape, w1_shape, w2_shape = x.shape, w1.shape, w2.shape
 
     def backward(g):
-        gw2 = _mm(h.T, g) if w2.requires_grad else None
-        gb2 = g.sum(axis=0, keepdims=True) if b2.requires_grad else None
-        gx = gw1 = gb1 = None
-        if x.requires_grad or w1.requires_grad or b1.requires_grad:
-            gh = _mm(g, w2.data.T)
-            gh *= dh
-            gx = _mm(gh, w1.data.T) if x.requires_grad else None
-            gw1 = _mm(x.data.T, gh) if w1.requires_grad else None
-            gb1 = gh.sum(axis=0, keepdims=True) if b1.requires_grad else None
+        gx = np.empty(x_shape) if rx else None
+        gw1 = np.zeros(w1_shape) if rw1 else None
+        gb1 = np.zeros((1, hidden)) if rb1 else None
+        gw2 = np.zeros(w2_shape) if rw2 else None
+        h = np.empty((min(n, _BLOCK), hidden))
+        for rows, part in blocks:
+            hb, gr = h[part], g[rows]
+            dh = _gelu(pre[rows], hb, derivative=inner)
+            if rw2:
+                gw2 += _mm(hb.T, gr)
+            if inner:
+                dh *= _mm(gr, w2d.T)
+                if rx:
+                    _mm(dh, w1d.T, out=gx[rows])
+                if rw1:
+                    gw1 += _mm(xd[rows].T, dh)
+                if rb1:
+                    gb1 += dh.sum(axis=0, keepdims=True)
+        gb2 = g.sum(axis=0, keepdims=True) if rb2 else None
         return gx, gw1, gb1, gw2, gb2
 
     return _record(Tensor(y), parents, backward)
@@ -326,52 +416,79 @@ def layer_norm_rows(
     x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5, residual: Tensor | None = None
 ) -> Tensor:
     """Row-wise layer norm of x, or of x + residual as one node; each of x
-    and residual then gets its own gradient array."""
+    and residual then gets its own gradient array.
+
+    Forward and backward run over blocks of _BLOCK rows, so their
+    temporaries are block-sized. On a tape the node saves the normalized
+    rows (n x d) and each row's inverse deviation (n x 1), and no residual
+    sum; without a tape the normalized rows are one block-sized buffer."""
     if gain.shape != (1, x.cols) or bias.shape != (1, x.cols):
         raise ShapeError(f"layer norm gain/bias must be (1, {x.cols})")
     if residual is None:
         parents = (x, gain, bias)
-        xh = x.data - x.data.mean(axis=1, keepdims=True)
     else:
         _same_shape("layer_norm_rows residual", x, residual)
         parents = (x, gain, bias, residual)
-        xh = x.data + residual.data
-        xh -= xh.mean(axis=1, keepdims=True)
-    y = np.square(xh)
-    inv = 1.0 / np.sqrt(y.mean(axis=1, keepdims=True) + eps)
-    xh *= inv
-    np.multiply(xh, gain.data, out=y)
-    y += bias.data
-    out = Tensor(y)
+    keep = _recording(parents)
+    n, d = x.shape
+    blocks = _row_blocks(n)
+    xh = np.empty((n, d) if keep else (min(n, _BLOCK), d))
+    inv = np.empty((n, 1))
+    y = np.empty((n, d))
+    for rows, part in blocks:
+        xb, yb, xr = xh[rows if keep else part], y[rows], x.data[rows]
+        if residual is None:
+            np.subtract(xr, xr.mean(axis=1, keepdims=True), out=xb)
+        else:
+            np.add(xr, residual.data[rows], out=xb)
+            xb -= xb.mean(axis=1, keepdims=True)
+        np.square(xb, out=yb)
+        inv[rows] = 1.0 / np.sqrt(yb.mean(axis=1, keepdims=True) + eps)
+        xb *= inv[rows]
+        np.multiply(xb, gain.data, out=yb)
+        yb += bias.data
+
+    rx, rgain, rbias = x.requires_grad, gain.requires_grad, bias.requires_grad
+    fused = residual is not None
+    rres = fused and residual.requires_grad
+    gaind = gain.data if rx or rres else None
 
     def backward(g):
-        tmp = g * xh
-        ggain = tmp.sum(axis=0, keepdims=True) if gain.requires_grad else None
-        gbias = g.sum(axis=0, keepdims=True) if bias.requires_grad else None
-        gx = None
-        if x.requires_grad or residual is not None and residual.requires_grad:
-            gx = g * gain.data
-            m1 = gx.mean(axis=1, keepdims=True)
-            np.multiply(gx, xh, out=tmp)
-            m2 = tmp.mean(axis=1, keepdims=True)
-            gx -= m1
-            np.multiply(xh, m2, out=tmp)
-            gx -= tmp
-            gx *= inv
-        if residual is None:
+        ggain = np.zeros((1, d)) if rgain else None
+        gbias = np.zeros((1, d)) if rbias else None
+        gx = np.empty((n, d)) if rx or rres else None
+        for rows, _ in blocks:
+            gr, xb = g[rows], xh[rows]
+            tmp = gr * xb
+            if rgain:
+                ggain += tmp.sum(axis=0, keepdims=True)
+            if rbias:
+                gbias += gr.sum(axis=0, keepdims=True)
+            if gx is not None:
+                gxb = gx[rows]
+                np.multiply(gr, gaind, out=gxb)
+                m1 = gxb.mean(axis=1, keepdims=True)
+                np.multiply(gxb, xb, out=tmp)
+                m2 = tmp.mean(axis=1, keepdims=True)
+                gxb -= m1
+                np.multiply(xb, m2, out=tmp)
+                gxb -= tmp
+                gxb *= inv[rows]
+        if not fused:
             return gx, ggain, gbias
         # copies: the tape adds into adjoints in place, so no array is shared
-        gr = gx.copy() if x.requires_grad and residual.requires_grad else gx
+        gr = gx.copy() if rx and rres else gx
         return gx, ggain, gbias, gr
 
-    return _record(out, parents, backward)
+    return _record(Tensor(y), parents, backward)
 
 
 def sum_all(x: Tensor) -> Tensor:
     out = Tensor(x.data.sum().reshape(1, 1))
+    shape = x.shape
 
     def backward(g):
-        return (np.full(x.shape, g[0, 0]),)
+        return (np.full(shape, g[0, 0]),)
 
     return _record(out, (x,), backward)
 
@@ -381,9 +498,10 @@ def pick_rows(x: Tensor, indices) -> Tensor:
     if idx.ndim != 1:
         raise ShapeError("pick_rows expects a flat index list")
     out = Tensor(x.data[idx])
+    shape = x.shape
 
     def backward(g):
-        gx = np.zeros(x.shape)
+        gx = np.zeros(shape)
         np.add.at(gx, idx, g)
         return (gx,)
 
@@ -401,9 +519,10 @@ def span_mean(x: Tensor, starts, ends) -> Tensor:
     offsets = np.cumsum(lens) - lens  # where each span starts among the gathered rows
     rows = np.arange(lens.sum()) + np.repeat(s - offsets, lens)
     out = Tensor(np.add.reduceat(x.data[rows], offsets, axis=0) / lens[:, None])
+    shape = x.shape
 
     def backward(g):
-        gx = np.zeros(x.shape)
+        gx = np.zeros(shape)
         np.add.at(gx, rows, np.repeat(g / lens[:, None], lens, axis=0))
         return (gx,)
 
@@ -412,9 +531,10 @@ def span_mean(x: Tensor, starts, ends) -> Tensor:
 
 def slice_rows(x: Tensor, i0: int, i1: int) -> Tensor:
     out = Tensor(x.data[i0:i1])
+    shape = x.shape
 
     def backward(g):
-        gx = np.zeros(x.shape)
+        gx = np.zeros(shape)
         gx[i0:i1] = g
         return (gx,)
 
@@ -423,9 +543,10 @@ def slice_rows(x: Tensor, i0: int, i1: int) -> Tensor:
 
 def slice_cols(x: Tensor, j0: int, j1: int) -> Tensor:
     out = Tensor(x.data[:, j0:j1])
+    shape = x.shape
 
     def backward(g):
-        gx = np.zeros(x.shape)
+        gx = np.zeros(shape)
         gx[:, j0:j1] = g
         return (gx,)
 
@@ -436,11 +557,11 @@ def concat_rows(parts) -> Tensor:
     parts = tuple(parts)
     out = Tensor(np.concatenate([p.data for p in parts], axis=0))
     offsets = np.cumsum([0] + [p.rows for p in parts])
+    needs = [p.requires_grad for p in parts]
 
     def backward(g):
         return tuple(
-            g[offsets[i]:offsets[i + 1]].copy() if p.requires_grad else None
-            for i, p in enumerate(parts)
+            g[offsets[i]:offsets[i + 1]].copy() if need else None for i, need in enumerate(needs)
         )
 
     return _record(out, parts, backward)
@@ -450,11 +571,11 @@ def concat_cols(parts) -> Tensor:
     parts = tuple(parts)
     out = Tensor(np.concatenate([p.data for p in parts], axis=1))
     offsets = np.cumsum([0] + [p.cols for p in parts])
+    needs = [p.requires_grad for p in parts]
 
     def backward(g):
         return tuple(
-            g[:, offsets[i]:offsets[i + 1]].copy() if p.requires_grad else None
-            for i, p in enumerate(parts)
+            g[:, offsets[i]:offsets[i + 1]].copy() if need else None for i, need in enumerate(needs)
         )
 
     return _record(out, parts, backward)
@@ -464,9 +585,10 @@ def reshape(x: Tensor, rows: int, cols: int) -> Tensor:
     if rows * cols != x.rows * x.cols:
         raise ShapeError(f"cannot reshape {x.shape} to ({rows}, {cols})")
     out = Tensor(x.data.reshape(rows, cols))
+    shape = x.shape
 
     def backward(g):
-        return (g.reshape(x.shape),)
+        return (g.reshape(shape),)
 
     return _record(out, (x,), backward)
 

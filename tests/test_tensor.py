@@ -180,6 +180,97 @@ class TestFfn:
             T.ffn(*ts)
 
 
+B = T._BLOCK
+# one row, the edges of one and two blocks, and a short third block
+BLOCK_NS = [1, B - 1, B, B + 1, 2 * B + 3]
+
+
+def boundary_coords(n: int, d: int) -> list[int]:
+    """Flat indices of every entry in the first and last rows and in the
+    rows on either side of each block edge."""
+    edges = {r for e in range(B, n, B) for r in (e - 1, e)}
+    rows = sorted(edges | {0, n - 1})
+    return [r * d + j for r in rows for j in range(d)]
+
+
+class TestRowBlocks:
+    """ffn and layer_norm_rows at the edges of their row blocks."""
+
+    FFN_SHAPES = [(5, 9), (1, 9), (9, 4), (1, 4)]  # w1, b1, w2, b2
+
+    @pytest.mark.parametrize("n", BLOCK_NS)
+    def test_ffn_equals_the_composition(self, n):
+        rng = np.random.default_rng(70 + n)
+        arrs = [rng.standard_normal(s) * 2.0 for s in [(n, 5), *self.FFN_SHAPES]]
+        g = rng.standard_normal((n, 4))
+        results = []
+        for op in (T.ffn, composed_ffn):
+            ts = [Tensor(a, requires_grad=True) for a in arrs]
+            with Tape() as tape:
+                y = op(*ts)
+                loss = T.sum_all(T.mul(y, Tensor(g)))
+            tape.backward(loss)
+            results.append([y.data] + [t.grad for t in ts])
+        for got, want in zip(*results):
+            assert rel_err(got, want) < 1e-12
+        untaped = T.ffn(*(Tensor(a) for a in arrs))
+        assert rel_err(untaped.data, results[1][0]) < 1e-12
+
+    @pytest.mark.parametrize("n", BLOCK_NS)
+    def test_ffn_gradients_vs_finite_differences(self, n):
+        rng = np.random.default_rng(80 + n)
+        x = rng.standard_normal((n, 5))
+        ws = [rng.standard_normal(s) for s in self.FFN_SHAPES]
+        c = Tensor(rng.standard_normal((n, 4)))
+        grad_check(
+            lambda xx: T.sum_all(T.mul(T.ffn(xx, *(Tensor(w, requires_grad=True) for w in ws)), c)),
+            [x], coords=boundary_coords(n, 5),
+        )
+        xt = Tensor(x)
+        grad_check(lambda *wts: T.sum_all(T.mul(T.ffn(xt, *wts), c)), ws)
+
+    @pytest.mark.parametrize("fused", [False, True])
+    @pytest.mark.parametrize("n", BLOCK_NS)
+    def test_layer_norm_matches_the_oracles(self, n, fused):
+        rng = np.random.default_rng(90 + n)
+        x, r, g = (rng.standard_normal((n, 6)) for _ in range(3))
+        gain, bias = rng.standard_normal((1, 6)), rng.standard_normal((1, 6))
+        xt, rt, gt, bt = (Tensor(a, requires_grad=True) for a in (x, r, gain, bias))
+        with Tape() as tape:
+            y = T.layer_norm_rows(xt, gt, bt, residual=rt if fused else None)
+            loss = T.sum_all(T.mul(y, Tensor(g)))
+        tape.backward(loss)
+        s = x + r if fused else x
+        assert rel_err(y.data, scalar_layer_norm(s, gain, bias)) < 1e-12
+        untaped = T.layer_norm_rows(Tensor(x), Tensor(gain), Tensor(bias),
+                                    residual=Tensor(r) if fused else None)
+        assert np.array_equal(untaped.data, y.data)
+        want_gx = layer_norm_input_grad(s, gain, g)
+        assert rel_err(xt.grad, want_gx) < 1e-12
+        if fused:
+            assert rel_err(rt.grad, want_gx) < 1e-12
+        xhat = scalar_layer_norm(s, np.ones((1, 6)), np.zeros((1, 6)))
+        assert rel_err(gt.grad, (g * xhat).sum(axis=0, keepdims=True)) < 1e-12
+        assert rel_err(bt.grad, g.sum(axis=0, keepdims=True)) < 1e-12
+
+    @pytest.mark.parametrize("fused", [False, True])
+    @pytest.mark.parametrize("n", BLOCK_NS)
+    def test_layer_norm_gradients_vs_finite_differences(self, n, fused):
+        rng = np.random.default_rng(100 + n)
+        x, r = rng.standard_normal((n, 6)), rng.standard_normal((n, 6))
+        gain, bias = rng.standard_normal((1, 6)), rng.standard_normal((1, 6))
+        c = Tensor(rng.standard_normal((n, 6)))
+        gbt = [Tensor(gain, requires_grad=True), Tensor(bias, requires_grad=True)]
+
+        def norm(xx, rr, gg, bb):
+            return T.sum_all(T.mul(T.layer_norm_rows(xx, gg, bb, residual=rr), c))
+
+        rows = [x, r] if fused else [x]
+        grad_check(lambda xx, rr=None: norm(xx, rr, *gbt), rows, coords=boundary_coords(n, 6), tol=1e-5)
+        xt, rt = Tensor(x), Tensor(r) if fused else None
+        grad_check(lambda gg, bb: norm(xt, rt, gg, bb), [gain, bias], tol=1e-5)
+
+
 # near zero, and |x| in [1.5, 4] where the cubic term of gelu dominates
 GELU_POINTS = np.concatenate([[1e-8, -1e-8], np.linspace(1.5, 4.0, 11), -np.linspace(1.5, 4.0, 11)])
 GELU_GRID = np.concatenate([np.linspace(-50.0, 50.0, 2001), GELU_POINTS])
@@ -533,6 +624,34 @@ class TestTapeSemantics:
         assert x.grad is None
         t1.backward(loss)
         np.testing.assert_array_equal(x.grad, 2.0 * x.data)
+
+    def test_gradient_reaching_another_tapes_tensor_raises(self):
+        w = Tensor(np.ones((2, 3)), requires_grad=True)
+        v = Tensor(np.ones((2, 3)), requires_grad=True)
+        with Tape():
+            h = T.scale(w, 3.0)
+        with Tape() as tape:
+            # v's node runs before h's in the reverse sweep
+            loss = T.sum_all(T.add(T.scale(h, 1.0), T.scale(v, 2.0)))
+        with pytest.raises(TapeError, match="gradient reached a tensor that another tape recorded"):
+            tape.backward(loss)
+        assert w.grad is None and v.grad is None
+
+    def test_a_freed_tensors_id_reused_by_a_later_output(self):
+        reused = []
+
+        def build(x, w):
+            a = T.mul(x, w)
+            freed = id(a)
+            b = T.gelu(T.scale(a, 0.5))  # neither node keeps the Tensor a
+            del a
+            c = T.scale(x, 3.0)
+            reused.append(id(c) == freed)
+            return T.sum_all(T.add(T.mul(b, w), T.mul(c, c)))
+
+        rng = np.random.default_rng(17)
+        grad_check(build, [rng.standard_normal((2, 3)), rng.standard_normal((2, 3))])
+        assert reused and all(reused)
 
     def test_no_grad_without_requires(self):
         x = Tensor(np.ones((2, 2)), requires_grad=False)
