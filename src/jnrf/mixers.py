@@ -5,6 +5,9 @@ mlp_block:    h = LN(x);                   out = LN(h + FFN(h))
 windowed_attention_block: fourier_mix replaced by scaled dot-product
 self-attention applied independently per non-overlapping window; no token
 attends across a window boundary, and window = n is exactly full attention.
+The attention is one tape node per block (`T.windowed_attention`): it saves
+x, q, k, v and the merged heads, and backward recomputes each window's
+probabilities instead of keeping them.
 
 The Fourier sublayer contributes no trainable parameters; each block trains
 only its two LayerNorms and the FFN (plus q/k/v/o projections for the
@@ -58,31 +61,13 @@ def mlp_mixer_block(x: Tensor, params: Params, prefix: str) -> Tensor:
     return _ffn_sublayer(h, params, prefix)
 
 
-def _attention_segment(xs: Tensor, params: Params, p: str, n_heads: int) -> Tensor:
-    d = xs.cols
-    dk = d // n_heads
-    q = T.matmul(xs, params[f"{p}.wq"])
-    k = T.matmul(xs, params[f"{p}.wk"])
-    v = T.matmul(xs, params[f"{p}.wv"])
-    heads = []
-    for h in range(n_heads):
-        j0, j1 = h * dk, (h + 1) * dk
-        qh = T.scale(T.slice_cols(q, j0, j1), dk ** -0.5)
-        att = T.softmax_rows(T.matmul(qh, T.transpose(T.slice_cols(k, j0, j1))))
-        heads.append(T.matmul(att, T.slice_cols(v, j0, j1)))
-    merged = heads[0] if n_heads == 1 else T.concat_cols(heads)
-    return T.matmul(merged, params[f"{p}.wo"])
-
-
 def windowed_attention_block(
     x: Tensor, params: Params, prefix: str, window: int, n_attn_heads: int = 1
 ) -> Tensor:
-    n = x.rows
-    parts = []
-    for s0 in range(0, n, window):
-        xs = T.slice_rows(x, s0, min(s0 + window, n))
-        parts.append(_attention_segment(xs, params, prefix, n_attn_heads))
-    mixed = parts[0] if len(parts) == 1 else T.concat_rows(parts)
+    mixed = T.windowed_attention(
+        x, params[f"{prefix}.wq"], params[f"{prefix}.wk"], params[f"{prefix}.wv"],
+        params[f"{prefix}.wo"], window, n_attn_heads,
+    )
     h = T.layer_norm_rows(x, params[f"{prefix}.ln1.g"], params[f"{prefix}.ln1.b"], residual=mixed)
     return _ffn_sublayer(h, params, prefix)
 

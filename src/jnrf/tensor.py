@@ -27,6 +27,12 @@ keeps x and the pre-activation, and computes gelu and its derivative again
 in backward. `layer_norm_rows(x, gain, bias, residual=r)` normalizes x + r as
 one node, keeping the normalized rows and each row's inverse deviation.
 
+`windowed_attention` is one node per attention sublayer: it projects q, k
+and v once, runs softmax(q k^T) v per window and head into one merged array
+and multiplies it by the output projection. It saves x, q, k, v and the
+merged array, and backward recomputes each window's probabilities, so no
+window x window matrix is kept. It and `softmax_rows` share one softmax.
+
 `ffn` and `layer_norm_rows` run forward and backward over blocks of
 _BLOCK = 256 rows: a block of the ffn hidden layer (256 x 128 float64s at the
 default width, 256 KB) stays in L2 cache, and their temporaries are
@@ -400,16 +406,90 @@ def log_softmax_rows(x: Tensor) -> Tensor:
     return _record(out, (x,), backward)
 
 
+def _softmax(z: np.ndarray) -> np.ndarray:
+    """Row-wise softmax of z, written into z, which it returns."""
+    z -= z.max(axis=1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=1, keepdims=True)
+    return z
+
+
 def softmax_rows(x: Tensor) -> Tensor:
-    z = x.data - x.data.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    y = e / e.sum(axis=1, keepdims=True)
+    y = _softmax(x.data.copy())
     out = Tensor(y)
 
     def backward(g):
         return (y * (g - (g * y).sum(axis=1, keepdims=True)),)
 
     return _record(out, (x,), backward)
+
+
+def windowed_attention(
+    x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor, window: int, n_heads: int
+) -> Tensor:
+    """Multi-head self-attention inside non-overlapping windows of `window`
+    rows, as one node: q = x @ wq scaled by dk^-0.5, k = x @ wk and
+    v = x @ wv are projected once over all n rows; each window and head
+    writes softmax(q k^T) v into its cells of one merged array, and the
+    result is merged @ wo. No row attends across a window boundary.
+
+    On a tape the node saves x, q, k, v and the merged array. Backward
+    recomputes each window's probabilities from q and k with the forward's
+    own calls, so they are bit-identical to it, and no window x window
+    matrix outlives its window and head."""
+    parents = (x, wq, wk, wv, wo)
+    d, m = x.cols, wq.cols
+    for name, w in (("wq", wq), ("wk", wk), ("wv", wv)):
+        if w.shape != (d, m):
+            raise ShapeError(f"windowed_attention: {name} must be ({d}, {m}), got {w.shape}")
+    if wo.rows != m:
+        raise ShapeError(f"windowed_attention: wo must have {m} rows, got {wo.shape}")
+    if window < 1 or n_heads < 1 or m % n_heads:
+        raise ShapeError(f"windowed_attention: window {window} and {n_heads} heads over width {m}")
+    n, dk = x.rows, m // n_heads
+    s = dk ** -0.5
+    cells = [
+        (slice(i, min(i + window, n)), slice(h * dk, (h + 1) * dk))
+        for i in range(0, n, window)
+        for h in range(n_heads)
+    ]
+    xd, wqd, wkd, wvd, wod = (t.data for t in parents)
+    q = _mm(xd, wqd)
+    q *= s
+    k, v = _mm(xd, wkd), _mm(xd, wvd)
+    merged = np.empty((n, m))
+    for rows, cols in cells:
+        p = _softmax(_mm(q[rows, cols], k[rows, cols].T))
+        _mm(p, v[rows, cols], out=merged[rows, cols])
+    rx, rwq, rwk, rwv, rwo = (t.requires_grad for t in parents)
+
+    def backward(g):
+        gm = _mm(g, wod.T)
+        gq, gk, gv = np.empty((n, m)), np.empty((n, m)), np.empty((n, m))
+        for rows, cols in cells:
+            qc, kc, gc = q[rows, cols], k[rows, cols], gm[rows, cols]
+            p = _softmax(_mm(qc, kc.T))
+            _mm(p.T, gc, out=gv[rows, cols])
+            gs = _mm(gc, v[rows, cols].T)  # d loss / d p
+            gs -= (gs * p).sum(axis=1, keepdims=True)
+            gs *= p  # d loss / d (q k^T)
+            _mm(gs, kc, out=gq[rows, cols])
+            _mm(gs.T, qc, out=gk[rows, cols])
+        gq *= s
+        gx = None
+        if rx:
+            gx = _mm(gq, wqd.T)
+            gx += _mm(gk, wkd.T)
+            gx += _mm(gv, wvd.T)
+        return (
+            gx,
+            _mm(xd.T, gq) if rwq else None,
+            _mm(xd.T, gk) if rwk else None,
+            _mm(xd.T, gv) if rwv else None,
+            _mm(merged.T, g) if rwo else None,
+        )
+
+    return _record(Tensor(_mm(merged, wod)), parents, backward)
 
 
 def layer_norm_rows(
@@ -541,18 +621,6 @@ def slice_rows(x: Tensor, i0: int, i1: int) -> Tensor:
     return _record(out, (x,), backward)
 
 
-def slice_cols(x: Tensor, j0: int, j1: int) -> Tensor:
-    out = Tensor(x.data[:, j0:j1])
-    shape = x.shape
-
-    def backward(g):
-        gx = np.zeros(shape)
-        gx[:, j0:j1] = g
-        return (gx,)
-
-    return _record(out, (x,), backward)
-
-
 def concat_rows(parts) -> Tensor:
     parts = tuple(parts)
     out = Tensor(np.concatenate([p.data for p in parts], axis=0))
@@ -562,20 +630,6 @@ def concat_rows(parts) -> Tensor:
     def backward(g):
         return tuple(
             g[offsets[i]:offsets[i + 1]].copy() if need else None for i, need in enumerate(needs)
-        )
-
-    return _record(out, parts, backward)
-
-
-def concat_cols(parts) -> Tensor:
-    parts = tuple(parts)
-    out = Tensor(np.concatenate([p.data for p in parts], axis=1))
-    offsets = np.cumsum([0] + [p.cols for p in parts])
-    needs = [p.requires_grad for p in parts]
-
-    def backward(g):
-        return tuple(
-            g[:, offsets[i]:offsets[i + 1]].copy() if need else None for i, need in enumerate(needs)
         )
 
     return _record(out, parts, backward)

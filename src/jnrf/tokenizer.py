@@ -36,6 +36,8 @@ class Vocab:
             raise VocabError(f"vocabulary must contain {UNK}")
         self.tokens = list(self.id_of)
         self.unk_id = self.id_of[UNK]
+        # no wordpiece candidate longer than this, "##" aside, can match
+        self.longest = max(len(tok.removeprefix("##")) for tok in self.tokens)
 
     def __len__(self):
         return len(self.id_of)
@@ -75,6 +77,7 @@ def _pretokens(text: str):
 def wordpiece_tokenize(text: str, vocab: Vocab) -> list[Token]:
     if len(vocab) == 0:
         raise VocabError("empty vocabulary")
+    ids, longest = vocab.id_of, vocab.longest
     out = []
     for word, start, end in _pretokens(text):
         pieces = []
@@ -82,18 +85,18 @@ def wordpiece_tokenize(text: str, vocab: Vocab) -> list[Token]:
         ok = True
         while pos < len(word):
             best = None
-            for stop in range(len(word), pos, -1):
+            for stop in range(min(len(word), pos + longest), pos, -1):
                 cand = word[pos:stop]
                 if pos > 0:
                     cand = "##" + cand
-                if cand in vocab:
+                if cand in ids:
                     best = (cand, stop)
                     break
             if best is None:
                 ok = False
                 break
             piece, stop = best
-            pieces.append(Token(piece, start + pos, start + stop, vocab.id_of[piece]))
+            pieces.append(Token(piece, start + pos, start + stop, ids[piece]))
             pos = stop
         if ok:
             out.extend(pieces)

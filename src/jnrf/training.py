@@ -257,7 +257,8 @@ class _Reader:
             raise self.error(f"{what} is not UTF-8 ({exc.reason} at byte {exc.start})") from None
 
     def records(self, count: int, section: str) -> dict:
-        """`count` named (rows, cols) float64 records; names must differ."""
+        """`count` named (rows, cols) float64 records; names must differ and
+        every value must be finite."""
         out = {}
         for i in range(count):
             (n,) = self.unpack("<I", f"{section} {i} name length")
@@ -266,7 +267,10 @@ class _Reader:
             data = self.take(8 * rows * cols, f"{section} {name!r} ({rows}, {cols})")
             if name in out:
                 raise self.error(f"duplicate {section} record {name!r}")
-            out[name] = np.frombuffer(data, dtype="<f8").reshape(rows, cols).astype(np.float64)
+            arr = np.frombuffer(data, dtype="<f8").reshape(rows, cols).astype(np.float64)
+            if not np.isfinite(arr).all():
+                raise self.error(f"{section} record {name!r} holds NaN or inf")
+            out[name] = arr
         return out
 
 

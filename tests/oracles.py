@@ -10,6 +10,7 @@ import statistics
 
 import numpy as np
 
+from jnrf import tensor as T
 from jnrf.corpus import bio_label
 
 
@@ -93,6 +94,32 @@ def dense_span_mean(x: np.ndarray, spans) -> np.ndarray:
     for i, (s, e) in enumerate(spans):
         w[i, s:e] = 1.0 / (e - s)
     return w @ x
+
+
+def composed_windowed_attention(x, wq, wk, wv, wo, window: int, n_heads: int):
+    """Windowed attention built from the tape's elementary ops, one window
+    and head at a time: each window's rows are sliced out and projected, a
+    head's columns are picked by a matmul with 0/1 selection columns, the
+    head computes softmax(q_h k_h^T / sqrt(dk)) v_h, the heads go back side
+    by side through the transposed selections, the window is multiplied by
+    wo, and the windows are concatenated. Takes and returns Tensors, so a
+    tape records every step and gives the reference gradients."""
+    n, m = x.rows, wq.cols
+    dk = m // n_heads
+    eye = np.eye(m)
+    parts = []
+    for s0 in range(0, n, window):
+        xs = T.slice_rows(x, s0, min(s0 + window, n))
+        q, k, v = (T.matmul(xs, w) for w in (wq, wk, wv))
+        merged = None
+        for h in range(n_heads):
+            pick = T.Tensor(eye[:, h * dk:(h + 1) * dk])
+            qh = T.scale(T.matmul(q, pick), dk ** -0.5)
+            att = T.softmax_rows(T.matmul(qh, T.transpose(T.matmul(k, pick))))
+            head = T.matmul(T.matmul(att, T.matmul(v, pick)), T.transpose(pick))
+            merged = head if merged is None else T.add(merged, head)
+        parts.append(T.matmul(merged, wo))
+    return parts[0] if len(parts) == 1 else T.concat_rows(parts)
 
 
 def scalar_positional_encoding(pos: int, d: int) -> list[float]:

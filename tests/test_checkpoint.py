@@ -142,6 +142,28 @@ def test_moment_shape_must_match_parameter(tmp_path, which):
         load_checkpoint(str(path))
 
 
+@pytest.mark.parametrize(
+    "section, record, value",
+    [
+        ("parameter", "in.1.w", np.nan),
+        ("optimizer m", "alpha", np.inf),
+        ("optimizer v", "rel.3.k.b", -np.inf),
+    ],
+)
+def test_non_finite_record_rejected(tmp_path, section, record, value):
+    model, state = trained_state()
+    if section == "parameter":
+        model.params[record].data[0, 1] = value
+    else:
+        getattr(state, section[-1])[record][0, 1] = value
+    path, _ = saved_bytes(tmp_path, model, state)
+    with pytest.raises(
+        CheckpointError,
+        match=rf"^{re.escape(str(path))}: {section} record {re.escape(repr(record))} holds NaN or inf$",
+    ):
+        load_checkpoint(str(path))
+
+
 @pytest.mark.parametrize("which, occurrence", [("m", 1), ("v", 2)])
 def test_moment_names_must_match_parameters(tmp_path, which, occurrence):
     path, data = saved_bytes(tmp_path, *trained_state())

@@ -13,7 +13,7 @@ from jnrf.mixers import (
 from jnrf.params import Params
 from jnrf.tensor import Tape, Tensor
 
-from oracles import fd_grad, rel_err
+from oracles import composed_windowed_attention, fd_grad, rel_err
 
 
 def make_params(kind="fnet", n_blocks=1, d=8, ffn=12, heads=1, seed=0):
@@ -58,18 +58,18 @@ def _block_grad_check(block_fn, kind, tol=1e-5, n=9, d=8, seed=2, **kw):
 
     want = fd_grad(value, x)
     assert rel_err(xt.grad, want) < tol
-    # and one parameter tensor for good measure
-    name = next(iter(params))
-    p = params[name]
-    base = p.data.copy()
+    xt.data[...] = x  # value() last copied x with one entry still moved
+    for name, p in params.items():
+        base = p.data.copy()
 
-    def pvalue():
+        def pvalue():
+            p.data[...] = base
+            with Tape():
+                return run().item()
+
+        want_p = fd_grad(pvalue, base)
         p.data[...] = base
-        with Tape():
-            return run().item()
-
-    want_p = fd_grad(pvalue, base)
-    assert rel_err(p.grad, want_p) < tol
+        assert rel_err(p.grad, want_p) < tol, name
 
 
 def test_fnet_block_gradients():
@@ -104,13 +104,10 @@ class TestMlpMixer:
         np.testing.assert_array_equal(out.data[1], out.data[2])
 
 
-def _full_attention_oracle(x, params, p, n_heads):
-    """Single-window attention block recomputed with plain numpy."""
-    d = x.shape[1]
-    dk = d // n_heads
-    q = x @ params[f"{p}.wq"].data
-    k = x @ params[f"{p}.wk"].data
-    v = x @ params[f"{p}.wv"].data
+def _full_attention(x, wq, wk, wv, wo, n_heads):
+    """Multi-head attention over all rows, then wo, with plain numpy."""
+    dk = wq.shape[1] // n_heads
+    q, k, v = x @ wq, x @ wk, x @ wv
     outs = []
     for h in range(n_heads):
         sl = slice(h * dk, (h + 1) * dk)
@@ -118,7 +115,12 @@ def _full_attention_oracle(x, params, p, n_heads):
         e = np.exp(scores - scores.max(axis=1, keepdims=True))
         att = e / e.sum(axis=1, keepdims=True)
         outs.append(att @ v[:, sl])
-    mixed = np.concatenate(outs, axis=1) @ params[f"{p}.wo"].data
+    return np.concatenate(outs, axis=1) @ wo
+
+
+def _full_attention_oracle(x, params, p, n_heads):
+    """Single-window attention block recomputed with plain numpy."""
+    mixed = _full_attention(x, *(params[f"{p}.{w}"].data for w in ("wq", "wk", "wv", "wo")), n_heads)
 
     def ln(z, g, b):
         mu = z.mean(axis=1, keepdims=True)
@@ -166,6 +168,94 @@ class TestWindowedAttention:
         out = windowed_attention_block(Tensor(bumped), params, "lm.0", 512, 1).data
         changed = np.where(np.abs(out - base).max(axis=1) > 0)[0]
         assert changed.min() >= 1024 and changed.max() <= 1029
+
+
+WINDOW = 4
+
+
+def _attention_inputs(n, seed, d=8):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, d))
+    weights = [rng.standard_normal((d, d)) * 0.5 for _ in range(4)]
+    return x, weights, rng.standard_normal((n, d))
+
+
+def _attention_run(op, x, weights, c, window, heads):
+    """op's output, then the gradients of sum(out * c) for x, wq, wk, wv, wo."""
+    xt = Tensor(x, requires_grad=True)
+    wt = [Tensor(w, requires_grad=True) for w in weights]
+    with Tape() as tape:
+        out = op(xt, *wt, window, heads)
+        loss = T.sum_all(T.mul(out, Tensor(c)))
+    tape.backward(loss)
+    return [out.data, xt.grad] + [w.grad for w in wt]
+
+
+class TestWindowedAttentionOp:
+    """T.windowed_attention against the per-window composition of
+    elementary ops, for lengths around the window edge."""
+
+    @pytest.mark.parametrize("heads", [1, 2])
+    @pytest.mark.parametrize("n", [1, WINDOW - 1, WINDOW, WINDOW + 1, 2 * WINDOW + 3])
+    def test_matches_the_composition(self, n, heads):
+        x, weights, c = _attention_inputs(n, seed=n + 10 * heads)
+        got = _attention_run(T.windowed_attention, x, weights, c, WINDOW, heads)
+        want = _attention_run(composed_windowed_attention, x, weights, c, WINDOW, heads)
+        for name, a, b in zip(("out", "x", "wq", "wk", "wv", "wo"), got, want):
+            assert rel_err(a, b) < 1e-12, name
+        untaped = T.windowed_attention(Tensor(x), *map(Tensor, weights), WINDOW, heads)
+        np.testing.assert_array_equal(untaped.data, got[0])
+
+    @pytest.mark.parametrize("heads", [1, 2])
+    @pytest.mark.parametrize("n", [1, WINDOW, 2 * WINDOW + 3])
+    def test_window_at_least_n_is_full_attention(self, n, heads):
+        x, weights, _ = _attention_inputs(n, seed=20 + n)
+        want = _full_attention(x, *weights, heads)
+        for window in (n, n + 5):
+            got = T.windowed_attention(Tensor(x), *map(Tensor, weights), window, heads)
+            assert rel_err(got.data, want) < 1e-12
+
+    @pytest.mark.parametrize("heads", [1, 2])
+    def test_backward_recomputes_the_forward_probabilities_bit_for_bit(self, heads, monkeypatch):
+        x, weights, c = _attention_inputs(2 * WINDOW + 3, seed=30)
+        seen = []
+
+        def softmax(z, _softmax=T._softmax):
+            p = _softmax(z)
+            seen.append(p.copy())
+            return p
+
+        monkeypatch.setattr(T, "_softmax", softmax)
+        xt = Tensor(x, requires_grad=True)
+        with Tape() as tape:
+            out = T.windowed_attention(xt, *map(Tensor, weights), WINDOW, heads)
+            loss = T.sum_all(T.mul(out, Tensor(c)))
+        cells = 3 * heads  # windows of 4, 4 and 3 rows
+        assert len(seen) == cells
+        tape.backward(loss)
+        assert len(seen) == 2 * cells
+        for forward, recomputed in zip(seen[:cells], seen[cells:]):
+            np.testing.assert_array_equal(recomputed, forward)
+
+    def test_block_node_count_does_not_grow_with_n(self):
+        _, params = make_params(kind="windowed_attention", heads=2)
+        counts = []
+        for n in (1, WINDOW, 9 * WINDOW + 1):
+            xt = Tensor(np.random.default_rng(n).standard_normal((n, 8)), requires_grad=True)
+            with Tape() as tape:
+                windowed_attention_block(xt, params, "lm.0", WINDOW, 2)
+            counts.append(len(tape.nodes))
+        assert counts == [4, 4, 4]  # attention, two layer norms, ffn
+
+    def test_shape_errors(self):
+        x, weights, _ = _attention_inputs(5, seed=40)
+        ws = list(map(Tensor, weights))
+        with pytest.raises(T.ShapeError, match="wk must be"):
+            T.windowed_attention(Tensor(x), ws[0], Tensor(weights[1][:6]), ws[2], ws[3], 4, 1)
+        with pytest.raises(T.ShapeError, match="wo must have 8 rows"):
+            T.windowed_attention(Tensor(x), *ws[:3], Tensor(weights[3][:6]), 4, 1)
+        with pytest.raises(T.ShapeError, match="3 heads"):
+            T.windowed_attention(Tensor(x), *ws, 4, 3)
 
 
 class TestSharedLm:

@@ -1,3 +1,6 @@
+import random
+import string
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -64,6 +67,31 @@ def test_offsets_cover_non_whitespace():
     # offset-based detokenization reproduces the non-whitespace text
     joined = "".join(text[t.start:t.end] for t in toks)
     assert joined == "".join(ch for ch in text if not ch.isspace())
+
+
+class CountingIds(dict):
+    """A vocabulary's token -> id map that counts membership tests and fails
+    at the first one over `budget`, so a tokenizer that searches too far
+    fails at once instead of running for hours."""
+
+    lookups, budget = 0, 0
+
+    def __contains__(self, tok):
+        self.lookups += 1
+        assert self.lookups <= self.budget, f"more than {self.budget} vocabulary lookups"
+        return super().__contains__(tok)
+
+
+def test_lookups_stay_linear_in_a_long_alphanumeric_run():
+    chars = string.ascii_lowercase + string.digits
+    v = vocab_of(*chars, *("##" + c for c in chars), "ab", "##abc")
+    v.id_of = ids = CountingIds(v.id_of)
+    rng = random.Random(0)
+    text = "".join(rng.choice(chars) for _ in range(20_000))
+    ids.budget = len(text) * max(len(tok.removeprefix("##")) for tok in v.tokens)
+    tokens = wordpiece_tokenize(text, v)
+    assert "".join(t.surface.removeprefix("##") for t in tokens) == text
+    assert ids.lookups >= len(tokens)
 
 
 class TestAlignBio:
