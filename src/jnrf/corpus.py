@@ -45,7 +45,7 @@ class BratParseError(ValueError):
     """Malformed standoff annotation; message carries the 1-based line number."""
 
 
-@dataclass
+@dataclass(slots=True)
 class EntitySpan:
     id: str
     etype: str
@@ -54,14 +54,14 @@ class EntitySpan:
     surface: str = ""
 
 
-@dataclass
+@dataclass(slots=True)
 class Relation:
     rtype: str
     arg1: EntitySpan  # attribute
     arg2: EntitySpan  # drug
 
 
-@dataclass
+@dataclass(slots=True)
 class Token:
     surface: str
     start: int
@@ -86,6 +86,12 @@ class Document:
 
 
 def _parse_offsets(chunk: str, lineno: int):
+    if ";" not in chunk:
+        # the common single-fragment "s e"; anything amiss takes the general
+        # path below, which raises the error
+        fields = chunk.split()
+        if len(fields) == 2 and fields[0].isdecimal() and fields[1].isdecimal():
+            return int(fields[0]), int(fields[1])
     spans = []
     for part in chunk.split(";"):
         fields = part.split()
@@ -102,8 +108,7 @@ def parse_brat(text: str, ann: str, doc_id: str = "doc") -> Document:
     """Ingest a .txt/.ann pair; entity and relation lines only."""
     entities: dict[str, EntitySpan] = {}
     pending_relations = []
-    for lineno, raw in enumerate(ann.splitlines(), start=1):
-        line = raw.rstrip("\n")
+    for lineno, line in enumerate(ann.splitlines(), start=1):
         if not line.strip():
             continue
         fields = line.split("\t")
@@ -115,7 +120,7 @@ def parse_brat(text: str, ann: str, doc_id: str = "doc") -> Document:
             if len(head) != 2:
                 raise BratParseError(f"line {lineno}: malformed entity header {fields[1]!r}")
             etype, offsets = head
-            if etype not in ENTITY_TYPES:
+            if etype not in _TYPE_INDEX:
                 raise BratParseError(f"line {lineno}: unknown entity type {etype!r}")
             start, end = _parse_offsets(offsets, lineno)
             if not (0 <= start < end <= len(text)):
@@ -132,7 +137,7 @@ def parse_brat(text: str, ann: str, doc_id: str = "doc") -> Document:
             if len(body) != 3 or not body[1].startswith("Arg1:") or not body[2].startswith("Arg2:"):
                 raise BratParseError(f"line {lineno}: malformed relation {fields[1]!r}")
             rtype = body[0]
-            if rtype not in RELATION_TYPES:
+            if rtype not in _HEAD_INDEX:
                 raise BratParseError(f"line {lineno}: unknown relation type {rtype!r}")
             pending_relations.append((lineno, rtype, body[1][5:], body[2][5:]))
         else:

@@ -1,14 +1,23 @@
-"""Greedy wordpiece tokenization, rule-based sentence splitting, BIO alignment.
+r"""Wordpiece tokenization, rule-based sentence splitting, BIO alignment.
 
-The tokenizer pre-splits on whitespace and punctuation (every non-alphanumeric
-character is its own pre-token), then decomposes each pre-token greedily
-longest-match-first against the vocabulary, prefixing continuations with
-"##". A pre-token with no match becomes a single [UNK] token covering its
-whole span, so character offsets always cover the non-whitespace text.
+Pre-tokens come from one pass of a compiled regex over the text: each maximal
+run of alphanumeric characters is one pre-token, and so is every other
+character that is not whitespace. The split is exactly the one that
+`str.isalnum` and `str.isspace` define, because on every code point `[^\W_]`
+matches precisely the characters that `str.isalnum` accepts and `\s` those
+that `str.isspace` accepts (the tests check all 0x110000).
+
+A pre-token that is itself a vocabulary entry is looked up whole and becomes
+one token. Only the others are decomposed greedily longest-match-first
+against the vocabulary, prefixing continuations with "##"; the whole-word
+lookup gives what that search would, since it tries the whole word first. A
+pre-token with no full decomposition becomes a single [UNK] token covering
+its whole span, so character offsets always cover the non-whitespace text.
 """
 
 from __future__ import annotations
 
+import re
 from bisect import bisect_left, bisect_right
 from operator import attrgetter
 
@@ -16,9 +25,20 @@ from .corpus import Document, Token, bio_label
 
 UNK = "[UNK]"
 
+# leading whitespace, then a pre-token: an alphanumeric run or one other
+# non-whitespace character
+_PRETOKEN = re.compile(r"(\s*)([^\W_]+|\S)")
+_SPACE = re.compile(r"\s")
+_BOUNDARY = re.compile(r"[.!?]|\n")
+
 
 class VocabError(ValueError):
-    pass
+    """A malformed vocabulary; `index` is the position in the input of the
+    token at fault, or None when no single token is."""
+
+    def __init__(self, message: str, index: int | None = None):
+        super().__init__(message)
+        self.index = index
 
 
 class AlignmentError(ValueError):
@@ -28,10 +48,13 @@ class AlignmentError(ValueError):
 class Vocab:
     def __init__(self, tokens):
         self.id_of = {}
-        for tok in tokens:
+        for i, tok in enumerate(tokens):
             if tok in self.id_of:
-                raise VocabError(f"duplicate vocab token {tok!r}")
-            self.id_of[tok] = len(self.id_of)
+                raise VocabError(f"duplicate vocab token {tok!r}", i)
+            if _SPACE.search(tok):
+                # no pre-token holds whitespace, so this could never match
+                raise VocabError(f"vocab token {tok!r} contains whitespace", i)
+            self.id_of[tok] = i
         if UNK not in self.id_of:
             raise VocabError(f"vocabulary must contain {UNK}")
         self.tokens = list(self.id_of)
@@ -47,8 +70,15 @@ class Vocab:
 
     @classmethod
     def load(cls, path: str) -> "Vocab":
-        with open(path, encoding="utf-8") as f:
-            return cls([line.rstrip("\n") for line in f if line.rstrip("\n")])
+        """One token per line; blank lines and a UTF-8 byte order mark are
+        skipped. Errors name the file and the line."""
+        with open(path, encoding="utf-8-sig") as f:
+            lines = [(n, tok) for n, line in enumerate(f, start=1) if (tok := line.rstrip("\n"))]
+        try:
+            return cls(tok for _, tok in lines)
+        except VocabError as exc:
+            where = path if exc.index is None else f"{path}:{lines[exc.index][0]}"
+            raise VocabError(f"{where}: {exc}", exc.index) from None
 
     def save(self, path: str):
         with open(path, "w", encoding="utf-8") as f:
@@ -56,65 +86,71 @@ class Vocab:
                 f.write(tok + "\n")
 
 
-def _pretokens(text: str):
-    """Yield (surface, start, end) split on whitespace and punctuation."""
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch.isalnum():
-            j = i + 1
-            while j < n and text[j].isalnum():
-                j += 1
-            yield text[i:j], i, j
-            i = j
+def _greedy_pieces(word: str, vocab: Vocab) -> list[tuple[str, int, int, int]]:
+    """(surface, start, end, vocab id) of each greedy longest-match piece of a
+    pre-token, offsets relative to it; one [UNK] over the whole pre-token
+    when some position has no match."""
+    ids, longest, n = vocab.id_of, vocab.longest, len(word)
+    pieces = []
+    pos = 0
+    while pos < n:
+        for stop in range(min(n, pos + longest), pos, -1):
+            piece = word[pos:stop] if pos == 0 else "##" + word[pos:stop]
+            if piece in ids:
+                break
         else:
-            yield ch, i, i + 1
-            i += 1
+            return [(UNK, 0, n, vocab.unk_id)]
+        pieces.append((piece, pos, stop, ids[piece]))
+        pos = stop
+    return pieces
 
 
 def wordpiece_tokenize(text: str, vocab: Vocab) -> list[Token]:
-    if len(vocab) == 0:
-        raise VocabError("empty vocabulary")
-    ids, longest = vocab.id_of, vocab.longest
+    lookup = vocab.id_of.get
+    split = {}  # pieces of each pre-token not in the vocabulary, found once
     out = []
-    for word, start, end in _pretokens(text):
-        pieces = []
-        pos = 0
-        ok = True
-        while pos < len(word):
-            best = None
-            for stop in range(min(len(word), pos + longest), pos, -1):
-                cand = word[pos:stop]
-                if pos > 0:
-                    cand = "##" + cand
-                if cand in ids:
-                    best = (cand, stop)
-                    break
-            if best is None:
-                ok = False
-                break
-            piece, stop = best
-            pieces.append(Token(piece, start + pos, start + stop, ids[piece]))
-            pos = stop
-        if ok:
-            out.extend(pieces)
-        else:
-            out.append(Token(UNK, start, end, vocab.unk_id))
+    end = 0
+    for space, word in _PRETOKEN.findall(text):
+        # matches are contiguous: each starts where the last one ended
+        start = end + len(space)
+        end = start + len(word)
+        vid = lookup(word)
+        if vid is not None:
+            out.append(Token(word, start, end, vid))
+            continue
+        pieces = split.get(word)
+        if pieces is None:
+            pieces = split[word] = _greedy_pieces(word, vocab)
+        for piece, a, b, pid in pieces:
+            out.append(Token(piece, start + a, start + b, pid))
     return out
 
 
 def split_sentences(doc: Document) -> list[int]:
-    """Sentence starts: a boundary falls after any token whose surface ends
-    with '.', '!' or '?', or that is followed by at least one newline."""
-    tokens = doc.tokens
-    starts = [0] if tokens else []
-    for i, tok in enumerate(tokens[:-1]):
-        boundary = tok.surface.endswith((".", "!", "?"))
-        if not boundary and "\n" in doc.text[tok.end:tokens[i + 1].start]:
-            boundary = True
-        if boundary:
+    """Sentence starts: a boundary falls after any token whose last
+    character is '.', '!' or '?', or that is followed by a newline before
+    the next token.
+
+    The text is searched for those characters instead of testing every
+    token. In the tokens `wordpiece_tokenize` makes of the text, each of
+    '.', '!' and '?' is a pre-token of its own, so it is the last character
+    of exactly one token, in or out of the vocabulary; a newline lies
+    between two tokens or outside all of them.
+    """
+    tokens, text = doc.tokens, doc.text
+    if not tokens:
+        return []
+    ends = [tok.end for tok in tokens]
+    last = len(tokens) - 1
+    starts = [0]
+    for m in _BOUNDARY.finditer(text):
+        pos = m.start()
+        if text[pos] == "\n":
+            i = bisect_right(ends, pos) - 1  # the last token before it
+        else:
+            i = bisect_left(ends, pos + 1)  # the token it ends
+        # boundaries come in text order; a run of newlines repeats one
+        if 0 <= i < last and starts[-1] <= i:
             starts.append(i + 1)
     return starts
 
@@ -133,26 +169,34 @@ def token_range(tokens: list[Token], start: int, end: int) -> tuple[int, int]:
 def align_bio(doc: Document) -> list[int]:
     """Project gold character spans onto tokens: overlap means inside, the
     first overlapped token is B-, the rest I-. Also records the token range
-    of every gold entity on the document."""
-    labels = [0] * len(doc.tokens)
-    owner = [None] * len(doc.tokens)
-    doc.entity_token_spans = []
+    of every gold entity on the document.
+
+    Each range is found as `token_range` finds it, bisecting plain lists of
+    the token starts and ends built once for the document."""
+    tokens = doc.tokens
+    starts = [tok.start for tok in tokens]
+    ends = [tok.end for tok in tokens]
+    labels = [0] * len(tokens)
+    owner = [None] * len(tokens)
+    doc.entity_token_spans = spans = []
     for ent in doc.gold_entities:
-        first, stop = token_range(doc.tokens, ent.start, ent.end)
+        first, stop = bisect_right(ends, ent.start), bisect_left(starts, ent.end)
         if first >= stop:
             raise AlignmentError(
                 f"{doc.doc_id}: entity {ent.id} ({ent.etype} {ent.start}..{ent.end}) covers no token"
             )
+        inside = bio_label(ent.etype, first=False)
         for i in range(first, stop):
             if owner[i] is not None:
                 other = owner[i]
                 raise AlignmentError(
-                    f"{doc.doc_id}: token {i} ({doc.tokens[i].surface!r}) overlaps both "
+                    f"{doc.doc_id}: token {i} ({tokens[i].surface!r}) overlaps both "
                     f"{other.id} ({other.etype}) and {ent.id} ({ent.etype})"
                 )
             owner[i] = ent
-            labels[i] = bio_label(ent.etype, first=i == first)
-        doc.entity_token_spans.append((first, stop))
+            labels[i] = inside
+        labels[first] = bio_label(ent.etype, first=True)
+        spans.append((first, stop))
     return labels
 
 

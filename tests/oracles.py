@@ -11,7 +11,8 @@ import statistics
 import numpy as np
 
 from jnrf import tensor as T
-from jnrf.corpus import bio_label
+from jnrf.corpus import Token, bio_label
+from jnrf.tokenizer import UNK
 
 
 def naive_dft_matrix(n: int) -> np.ndarray:
@@ -211,6 +212,71 @@ def all_heads_relation_scores(params, q: np.ndarray, k: np.ndarray, dist: np.nda
         a, b = alpha[j]
         planes.append(qj @ kj.T + (a * dist**2 + b * dist))
     return np.stack(planes)
+
+
+def scan_pretokens(text: str):
+    """Yield (surface, start, end) split on whitespace and punctuation, one
+    character at a time: a maximal `str.isalnum` run, or any other character
+    that is not `str.isspace`, on its own."""
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+        elif ch.isalnum():
+            j = i + 1
+            while j < n and text[j].isalnum():
+                j += 1
+            yield text[i:j], i, j
+            i = j
+        else:
+            yield ch, i, i + 1
+            i += 1
+
+
+def scan_wordpiece_tokenize(text: str, vocab) -> list:
+    """Greedy longest-match wordpiece split of every pre-token, trying every
+    candidate length at every position; a pre-token with a position no
+    candidate matches becomes one [UNK] token over its span."""
+    ids = vocab.id_of
+    out = []
+    for word, start, end in scan_pretokens(text):
+        pieces = []
+        pos = 0
+        ok = True
+        while pos < len(word):
+            best = None
+            for stop in range(len(word), pos, -1):
+                cand = word[pos:stop]
+                if pos > 0:
+                    cand = "##" + cand
+                if cand in ids:
+                    best = (cand, stop)
+                    break
+            if best is None:
+                ok = False
+                break
+            piece, stop = best
+            pieces.append(Token(piece, start + pos, start + stop, ids[piece]))
+            pos = stop
+        if ok:
+            out.extend(pieces)
+        else:
+            out.append(Token(UNK, start, end, vocab.unk_id))
+    return out
+
+
+def scan_split_sentences(doc) -> list[int]:
+    """Sentence starts by testing every pair of neighbouring tokens: a
+    boundary falls after a token whose last character in the text is '.',
+    '!' or '?', or when a newline lies between it and the next token."""
+    tokens, text = doc.tokens, doc.text
+    starts = [0] if tokens else []
+    for i in range(1, len(tokens)):
+        before, after = tokens[i - 1], tokens[i]
+        if text[before.end - 1] in (".", "!", "?") or "\n" in text[before.end:after.start]:
+            starts.append(i)
+    return starts
 
 
 def scan_token_range(tokens, start: int, end: int) -> list[int]:

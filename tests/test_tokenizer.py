@@ -1,14 +1,19 @@
 import random
+import re
 import string
+from itertools import zip_longest
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import synth
+from jnrf import tokenizer
 from jnrf.corpus import Document, EntitySpan, Token, bio_label, parse_brat
 from jnrf.tokenizer import (
     UNK,
     AlignmentError,
     Vocab,
+    VocabError,
     align_bio,
     prepare,
     sentence_index_of_char,
@@ -20,9 +25,12 @@ from jnrf.tokenizer import (
 
 from oracles import (
     scan_align_bio,
+    scan_pretokens,
     scan_sentence_index_of_char,
     scan_sentence_index_of_token,
+    scan_split_sentences,
     scan_token_range,
+    scan_wordpiece_tokenize,
 )
 
 
@@ -67,6 +75,31 @@ def test_offsets_cover_non_whitespace():
     # offset-based detokenization reproduces the non-whitespace text
     joined = "".join(text[t.start:t.end] for t in toks)
     assert joined == "".join(ch for ch in text if not ch.isspace())
+
+
+def test_whitespace_in_a_vocab_token_is_rejected():
+    with pytest.raises(VocabError, match="'a b' contains whitespace"):
+        vocab_of("a", "a b")
+    with pytest.raises(VocabError, match="contains whitespace"):
+        vocab_of("##\xa0")  # no-break space
+
+
+def test_vocab_load_errors_name_the_line(tmp_path):
+    path = tmp_path / "vocab.txt"
+    path.write_text(f"{UNK}\nmg\n\nper day\n", encoding="utf-8")
+    with pytest.raises(VocabError, match=f"^{re.escape(str(path))}:4: vocab token 'per day' contains whitespace$"):
+        Vocab.load(str(path))
+    path.write_text(f"{UNK}\nmg\n\nmg\n", encoding="utf-8")
+    with pytest.raises(VocabError, match=f"^{re.escape(str(path))}:4: duplicate vocab token 'mg'$"):
+        Vocab.load(str(path))
+    path.write_text("mg\n", encoding="utf-8")
+    with pytest.raises(VocabError, match=f"^{re.escape(str(path))}: vocabulary must contain"):
+        Vocab.load(str(path))
+    path.write_text(f"{UNK}\nmg\n##g\n", encoding="utf-8")
+    assert Vocab.load(str(path)).tokens == [UNK, "mg", "##g"]
+    # an editor's byte order mark is not part of the first token
+    path.write_text(f"mg\n{UNK}\n", encoding="utf-8-sig")
+    assert Vocab.load(str(path)).tokens == ["mg", UNK]
 
 
 class CountingIds(dict):
@@ -151,6 +184,14 @@ class TestSentenceSplit:
     def test_blank_line_is_a_boundary(self):
         doc = self.tokenized("one fragment\n\nanother one", "one", "fragment", "another")
         assert split_sentences(doc) == [0, 2]
+
+    def test_out_of_vocabulary_terminator_is_a_boundary(self):
+        # the '?' becomes [UNK], but its character still ends the sentence
+        doc = self.tokenized("take it? now it. take", "take", "it", "now", ".")
+        assert doc.tokens[2].surface == UNK
+        assert split_sentences(doc) == [0, 3, 6]
+        with_mark = self.tokenized("take it? now it. take", "take", "it", "now", ".", "?")
+        assert split_sentences(with_mark) == [0, 3, 6]
 
     def test_sentence_lookup(self):
         doc = self.tokenized("a. b. c", "a", "b", "c", ".")
@@ -267,6 +308,8 @@ def texts_and_vocabs(draw):
         st.lists(st.tuples(st.integers(0, 60), st.integers(1, 5), st.booleans()), max_size=12)
     )
     pieces = {("##" if cont else "") + text[i:i + n] for i, n, cont in cuts if text[i:i + n]}
+    # a vocabulary rejects whitespace, which no pre-token holds
+    pieces = {p for p in pieces if not any(ch.isspace() for ch in p)}
     visible = "".join(ch for ch in FUZZ_ALPHABET if not ch.isspace())
     pieces |= draw(st.sets(st.text(visible, min_size=1, max_size=3), max_size=6))
     return text, Vocab([UNK, *sorted(pieces - {UNK})])
@@ -291,3 +334,41 @@ class TestTokenizerFuzz:
             # '##' marks exactly the pieces that continue an alphanumeric run
             continues = t.start > 0 and text[t.start - 1].isalnum() and text[t.start].isalnum()
             assert t.surface.startswith("##") == continues
+
+
+def _fields(tokens):
+    return [(t.surface, t.start, t.end, t.vocab_id) for t in tokens]
+
+
+class TestTokenizerAgainstScan:
+    """The regex pass, whole-word lookup and bounded greedy split give what
+    a character-by-character scan with an unbounded greedy search gives."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(case=texts_and_vocabs())
+    def test_fuzzed_texts(self, case):
+        text, vocab = case
+        tokens = wordpiece_tokenize(text, vocab)
+        assert _fields(tokens) == _fields(scan_wordpiece_tokenize(text, vocab))
+        doc = Document("d", text, tokens=tokens)
+        assert split_sentences(doc) == scan_split_sentences(doc)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_benchmark_corpora(self, seed):
+        # the benchmark's long documents: 3 of 4097 to 8191 tokens
+        c = synth.generate_corpus(synth.CorpusSpec(n_docs=3, len_min=4097, len_max=8191), seed)
+        vocab = Vocab(c.vocab)
+        for g in c.docs:
+            doc = Document(g.doc_id, g.text, tokens=wordpiece_tokenize(g.text, vocab))
+            assert _fields(doc.tokens) == _fields(scan_wordpiece_tokenize(g.text, vocab))
+            assert split_sentences(doc) == scan_split_sentences(doc) == g.sentence_starts
+
+    def test_pretoken_classes_are_isalnum_and_isspace_on_every_code_point(self):
+        # every code point between two letters: an alphanumeric one joins
+        # the letters' run, whitespace separates them, and any other
+        # character is a pre-token of its own, so a code point the pattern
+        # classes differently from str.isalnum or str.isspace changes the split
+        text = "a" + "a".join(map(chr, range(0x110000))) + "a"
+        regex = ((m[2], m.start(2), m.end(2)) for m in tokenizer._PRETOKEN.finditer(text))
+        for got, want in zip_longest(regex, scan_pretokens(text)):
+            assert got == want
