@@ -86,12 +86,6 @@ class Document:
 
 
 def _parse_offsets(chunk: str, lineno: int):
-    if ";" not in chunk:
-        # the common single-fragment "s e"; anything amiss takes the general
-        # path below, which raises the error
-        fields = chunk.split()
-        if len(fields) == 2 and fields[0].isdecimal() and fields[1].isdecimal():
-            return int(fields[0]), int(fields[1])
     spans = []
     for part in chunk.split(";"):
         fields = part.split()

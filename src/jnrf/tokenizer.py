@@ -107,7 +107,6 @@ def _greedy_pieces(word: str, vocab: Vocab) -> list[tuple[str, int, int, int]]:
 
 def wordpiece_tokenize(text: str, vocab: Vocab) -> list[Token]:
     lookup = vocab.id_of.get
-    split = {}  # pieces of each pre-token not in the vocabulary, found once
     out = []
     end = 0
     for space, word in _PRETOKEN.findall(text):
@@ -118,10 +117,7 @@ def wordpiece_tokenize(text: str, vocab: Vocab) -> list[Token]:
         if vid is not None:
             out.append(Token(word, start, end, vid))
             continue
-        pieces = split.get(word)
-        if pieces is None:
-            pieces = split[word] = _greedy_pieces(word, vocab)
-        for piece, a, b, pid in pieces:
+        for piece, a, b, pid in _greedy_pieces(word, vocab):
             out.append(Token(piece, start + a, start + b, pid))
     return out
 
@@ -171,8 +167,11 @@ def align_bio(doc: Document) -> list[int]:
     first overlapped token is B-, the rest I-. Also records the token range
     of every gold entity on the document.
 
-    Each range is found as `token_range` finds it, bisecting plain lists of
-    the token starts and ends built once for the document."""
+    Each range is found by `token_range`'s rule, bisecting plain lists of the
+    token starts and ends built once for the document, not the tokens with a
+    key per probe. The rule is written twice until a document keeps its token
+    starts and ends as lists that `token_range` and `split_sentences` can
+    share."""
     tokens = doc.tokens
     starts = [tok.start for tok in tokens]
     ends = [tok.end for tok in tokens]
