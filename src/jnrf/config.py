@@ -1,10 +1,12 @@
 """Line-oriented "key = value" run configuration.
 
 The model's shape is declared once, in `ModelConfig`; `RunConfig` adds the
-fields training reads. Both are frozen and validate themselves on
-construction. Unknown keys are rejected; every key has a default, so an
-empty file is a valid configuration. Values keep the type of their default.
-'#' starts a comment. Every error in parsed text names its line.
+fields training reads. Training takes one whole document per Adam step, so
+no key sets a batch size or splits documents. Both are frozen and validate
+themselves on construction. Unknown keys are rejected; every key has a
+default, so an empty file is a valid configuration. Values keep the type of
+their default. '#' starts a comment. Every error in parsed text names its
+line.
 """
 
 from __future__ import annotations
@@ -35,13 +37,11 @@ class ModelConfig:
     n_blocks: int = 2
     window: int = 512             # windowed_attention only
     n_attn_heads: int = 1         # windowed_attention only
-    pool: str = "first"           # span vector: first token row or span mean
     train_pooling: str = "gold"   # gold | predicted spans during training
 
     def __post_init__(self):
         _require(self.mixer in ("fnet", "mlp", "windowed_attention"), "mixer",
                  "fnet|mlp|windowed_attention", self.mixer)
-        _require(self.pool in ("first", "mean"), "pool", "first|mean", self.pool)
         _require(self.train_pooling in ("gold", "predicted"), "train_pooling",
                  "gold|predicted", self.train_pooling)
         _require(self.emb_dim >= 1 and self.emb_dim % 2 == 0, "emb_dim",
@@ -60,24 +60,19 @@ class ModelConfig:
 @dataclass(frozen=True)
 class RunConfig(ModelConfig):
     seed: int = 0
-    granularity: str = "document"  # document | sentence | mixed
-    accumulate_over: int = 0       # 0 = auto: 1 per document, 64 per sentence batch
+    # Single-valued and read by nothing: it stays a key only so that config
+    # text written with `granularity = document`, as the benchmark's is,
+    # still parses.
+    granularity: str = "document"
     epochs: int = 10
     lr: float = 1e-3
 
     def __post_init__(self):
         super().__post_init__()
         _require(self.seed >= 0, "seed", ">= 0", self.seed)
-        _require(self.granularity in ("document", "sentence", "mixed"), "granularity",
-                 "document|sentence|mixed", self.granularity)
-        _require(self.accumulate_over >= 0, "accumulate_over", ">= 0", self.accumulate_over)
+        _require(self.granularity == "document", "granularity", "document", self.granularity)
         _require(self.epochs >= 1, "epochs", ">= 1", self.epochs)
         _require(math.isfinite(self.lr) and self.lr > 0, "lr", "finite and > 0", self.lr)
-
-    def effective_accumulate(self, granularity: str) -> int:
-        if self.accumulate_over > 0:
-            return self.accumulate_over
-        return 64 if granularity == "sentence" else 1
 
 
 _DEFAULTS = {f.name: f.default for f in fields(RunConfig)}

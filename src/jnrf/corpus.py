@@ -42,7 +42,8 @@ def relation_head(rtype: str) -> int:
 
 
 class BratParseError(ValueError):
-    """Malformed standoff annotation; message carries the 1-based line number."""
+    """Malformed standoff annotation; the message carries the 1-based line
+    number, after the .ann path when the text came from a file."""
 
 
 @dataclass(slots=True)
@@ -170,15 +171,19 @@ def render_ann(entities, relations) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def load_brat_file(txt_path: str, doc_id: str | None = None) -> Document:
-    ann_path = os.path.splitext(txt_path)[0] + ".ann"
+def load_brat_file(txt_path: str) -> Document:
+    """The .txt/.ann pair at one stem, with the stem as doc id; a parse
+    error names the .ann file."""
+    stem = os.path.splitext(txt_path)[0]
+    ann_path = stem + ".ann"
     with open(txt_path, encoding="utf-8") as f:
         text = f.read()
     with open(ann_path, encoding="utf-8") as f:
         ann = f.read()
-    if doc_id is None:
-        doc_id = os.path.splitext(os.path.basename(txt_path))[0]
-    return parse_brat(text, ann, doc_id)
+    try:
+        return parse_brat(text, ann, os.path.basename(stem))
+    except BratParseError as exc:
+        raise BratParseError(f"{ann_path}: {exc}") from None
 
 
 def load_brat_dir(dirpath: str) -> list[Document]:

@@ -45,14 +45,14 @@ _HEAD_OF = {t: relation_head(f"{t}-Drug") for t in ATTRIBUTE_TYPES}
 
 @dataclass
 class EncodedInstance:
-    """A document or single sentence, ready for the forward pass."""
+    """A whole document, ready for the forward pass: training and
+    prediction both take one document at its native length."""
 
     ids: np.ndarray                     # vocab ids, length n
     labels: np.ndarray                  # BIO label ids, length n
     spans: list[tuple[int, int, str]]   # gold (tok_start, tok_end, etype)
     relations: list[tuple[int, int]]    # (attr span idx, drug span idx)
     doc_id: str = ""
-    sentence: int | None = None         # sentence index; None for a whole document
 
 
 def encode_document(doc: Document) -> EncodedInstance:
@@ -64,27 +64,6 @@ def encode_document(doc: Document) -> EncodedInstance:
     index_of = {id(ent): i for i, ent in enumerate(doc.gold_entities)}
     relations = [(index_of[id(r.arg1)], index_of[id(r.arg2)]) for r in doc.gold_relations]
     return EncodedInstance(ids, labels, spans, relations, doc.doc_id)
-
-
-def encode_sentences(doc: Document) -> list[EncodedInstance]:
-    """One instance per sentence; entities clipped to those fully inside,
-    relations to those with both arguments inside the same sentence."""
-    out = []
-    starts = doc.sentence_starts or [0]
-    bounds = list(starts) + [len(doc.tokens)]
-    full = encode_document(doc)
-    for s in range(len(starts)):
-        lo, hi = bounds[s], bounds[s + 1]
-        if hi <= lo:
-            continue
-        keep = [i for i, (ts, te, _) in enumerate(full.spans) if ts >= lo and te <= hi]
-        remap = {old: new for new, old in enumerate(keep)}
-        spans = [(ts - lo, te - lo, et) for ts, te, et in (full.spans[i] for i in keep)]
-        rels = [(remap[a], remap[d]) for a, d in full.relations if a in remap and d in remap]
-        out.append(
-            EncodedInstance(full.ids[lo:hi], full.labels[lo:hi], spans, rels, doc.doc_id, s)
-        )
-    return out
 
 
 def decode_bio(logits: np.ndarray):
@@ -130,14 +109,14 @@ class Pooled:
         return len(self.h_spans) == 0 or len(self.l_spans) == 0
 
 
-def selective_pool(e2: Tensor, spans, pool: str = "first", embed=None) -> Pooled:
+def selective_pool(e2: Tensor, spans, embed=None) -> Pooled:
     """Drugs in the order given; attributes grouped by relation head, in the
     order given within a head (a stable sort), so each head's rows of the
     relation scores are one block.
 
-    Only the rows pooling reads are gathered: the span starts for `first`,
-    every row inside a span for `mean`. `embed`, a row-wise map, runs on
-    those rows alone, which equals pooling `embed(e2)`."""
+    A span's vector is its first token's row. Only the distinct span starts
+    are gathered, and `embed`, a row-wise map, runs on those rows alone,
+    which equals pooling `embed(e2)`."""
     h_spans = [s for s in spans if s[2] == "Drug"]
     l_spans = sorted((s for s in spans if s[2] != "Drug"), key=lambda s: _HEAD_OF[s[2]])
     heads = np.array([_HEAD_OF[s[2]] for s in l_spans], dtype=np.intp)
@@ -146,24 +125,13 @@ def selective_pool(e2: Tensor, spans, pool: str = "first", embed=None) -> Pooled
     if not h_spans or not l_spans:
         return Pooled(None, None, pos_h, pos_l, heads, h_spans, l_spans)
     starts = np.concatenate([pos_h, pos_l])
-    if pool == "first":
-        ends = starts + 1
-    else:  # mean over the span's rows
-        ends = np.array([s[1] for s in h_spans + l_spans], dtype=np.intp)
-    lens = ends - starts
-    # every span's rows end to end, each run counting up from its start
-    read = np.unique(np.repeat(ends - np.cumsum(lens), lens) + np.arange(lens.sum()))
+    read = np.unique(starts)
     rows = T.pick_rows(e2, read)
     if embed is not None:
         rows = embed(rows)
-    # a span's rows are contiguous in `read`, from where its start is
-    lo = np.searchsorted(read, starts)
+    at = np.searchsorted(read, starts)
     nh = len(h_spans)
-    if pool == "first":
-        q, k = T.pick_rows(rows, lo[:nh]), T.pick_rows(rows, lo[nh:])
-    else:
-        hi = lo + lens
-        q, k = T.span_mean(rows, lo[:nh], hi[:nh]), T.span_mean(rows, lo[nh:], hi[nh:])
+    q, k = T.pick_rows(rows, at[:nh]), T.pick_rows(rows, at[nh:])
     return Pooled(q, k, pos_h, pos_l, heads, h_spans, l_spans)
 
 
@@ -282,7 +250,7 @@ class JNRF:
         return blocks[0] if len(blocks) == 1 else T.concat_rows(blocks)
 
     def instance_losses(self, inst: EncodedInstance, table: EmbeddingTable):
-        """(joint, ner, re) loss tensors for one document or sentence."""
+        """(joint, ner, re) loss tensors for one document."""
         e2 = self.encode(embed(inst.ids, table))
         logits = self.ner_head(e2)
         lner = ner_loss(logits, inst.labels)
@@ -291,7 +259,7 @@ class JNRF:
             _, spans = decode_bio(logits.data)
         else:
             spans = inst.spans
-        pooled = selective_pool(e2, spans, self.config.pool, self.re_embed)
+        pooled = selective_pool(e2, spans, self.re_embed)
         if pooled.empty:
             return lner, lner, None
         psi = self.relation_scores(
@@ -307,7 +275,7 @@ class JNRF:
         e2 = self.encode(embed(inst.ids, table))
         logits = self.ner_head(e2)
         _, spans = decode_bio(logits.data)
-        pooled = selective_pool(e2, spans, self.config.pool, self.re_embed)
+        pooled = selective_pool(e2, spans, self.re_embed)
         if pooled.empty:
             return spans, []
         psi = self.relation_scores(

@@ -588,27 +588,6 @@ def pick_rows(x: Tensor, indices) -> Tensor:
     return _record(out, (x,), backward)
 
 
-def span_mean(x: Tensor, starts, ends) -> Tensor:
-    """Row i is the mean of x's rows starts[i]..ends[i]-1. Spans may overlap;
-    only the rows inside some span are read, and only they get gradient."""
-    s = np.asarray(starts, dtype=np.intp)
-    e = np.asarray(ends, dtype=np.intp)
-    if s.ndim != 1 or s.shape != e.shape or not np.all((0 <= s) & (s < e) & (e <= x.rows)):
-        raise ShapeError(f"span_mean: spans must satisfy 0 <= start < end <= {x.rows}")
-    lens = e - s
-    offsets = np.cumsum(lens) - lens  # where each span starts among the gathered rows
-    rows = np.arange(lens.sum()) + np.repeat(s - offsets, lens)
-    out = Tensor(np.add.reduceat(x.data[rows], offsets, axis=0) / lens[:, None])
-    shape = x.shape
-
-    def backward(g):
-        gx = np.zeros(shape)
-        np.add.at(gx, rows, np.repeat(g / lens[:, None], lens, axis=0))
-        return (gx,)
-
-    return _record(out, (x,), backward)
-
-
 def slice_rows(x: Tensor, i0: int, i1: int) -> Tensor:
     out = Tensor(x.data[i0:i1])
     shape = x.shape

@@ -1,11 +1,9 @@
-"""Adam training loop over unit-batch instances, with gradient accumulation,
-dev-set model selection and binary checkpoints.
+"""Adam training loop with unit batches, dev-set model selection and
+binary checkpoints.
 
-Documents are processed one at a time at their native length; there is no
-padding anywhere. Sentence-granularity batches are realized as gradient
-accumulation over single-sentence forwards (64 by default, trailing partial
-batch flushed), which is exactly the padding-free batch semantics. Mixed
-granularity runs a full document pass then a full sentence pass per epoch.
+Each step is one whole document at its native length: one forward, one
+backward and one Adam step, with no padding anywhere. An epoch visits the
+training documents once, in a seeded random order.
 """
 
 from __future__ import annotations
@@ -22,13 +20,7 @@ from .config import RunConfig
 from .corpus import Document
 from .embedding import EmbeddingTable
 from .evaluation import MatchCounts, match_relations
-from .model import (
-    JNRF,
-    EncodedInstance,
-    encode_document,
-    encode_sentences,
-    predictions_to_brat,
-)
+from .model import JNRF, EncodedInstance, encode_document, predictions_to_brat
 from .params import Params
 from .tensor import Tape
 
@@ -123,34 +115,25 @@ class TrainResult:
     history: list[EpochStats]
 
 
-def _accumulate_pass(model, table, instances, order, state, batch) -> tuple[float, int]:
-    """Run backward over instances in the given order, stepping every
-    `batch` instances and flushing the remainder. Returns (loss sum, count).
+def _document_pass(model, table, instances: list[EncodedInstance], order, state) -> float:
+    """One tape, backward and Adam step per document, in the given order.
+    Returns the loss sum.
 
-    Raises TrainingError, before backward runs on it, when an instance's
+    Raises TrainingError, before backward runs on it, when a document's
     loss is not finite."""
-    total, pending = 0.0, 0
+    total = 0.0
     for idx in order:
         inst = instances[idx]
         with Tape() as tape:
             loss, _, _ = model.instance_losses(inst, table)
             value = loss.item()
             if not math.isfinite(value):
-                where = f"document {inst.doc_id!r}"
-                if inst.sentence is not None:
-                    where += f", sentence {inst.sentence}"
-                raise TrainingError(f"non-finite loss {value} in {where}")
+                raise TrainingError(f"non-finite loss {value} in document {inst.doc_id!r}")
             tape.backward(loss)
         total += value
-        pending += 1
-        if pending == batch:
-            adam_step(model.params, state)
-            model.params.zero_grad()
-            pending = 0
-    if pending:
         adam_step(model.params, state)
         model.params.zero_grad()
-    return total, len(order)
+    return total
 
 
 def train(
@@ -166,11 +149,7 @@ def train(
     rng = np.random.default_rng(cfg.seed)
     state = AdamState.for_params(model.params, lr=cfg.lr)
 
-    doc_instances = [encode_document(d) for d in train_docs]
-    sent_instances: list[EncodedInstance] = []
-    if cfg.granularity in ("sentence", "mixed"):
-        for d in train_docs:
-            sent_instances.extend(encode_sentences(d))
+    instances = [encode_document(d) for d in train_docs]
 
     history: list[EpochStats] = []
     best_f1, best_snapshot, best_epoch = -1.0, None, 0
@@ -178,26 +157,11 @@ def train(
     try:
         for epoch in range(1, cfg.epochs + 1):
             t0 = time.perf_counter()
-            loss_sum, n_inst = 0.0, 0
-            if cfg.granularity in ("document", "mixed"):
-                order = rng.permutation(len(doc_instances))
-                s, n = _accumulate_pass(
-                    model, table, doc_instances, order, state,
-                    cfg.effective_accumulate("document"),
-                )
-                loss_sum += s
-                n_inst += n
-            if cfg.granularity in ("sentence", "mixed"):
-                order = rng.permutation(len(sent_instances))
-                s, n = _accumulate_pass(
-                    model, table, sent_instances, order, state,
-                    cfg.effective_accumulate("sentence"),
-                )
-                loss_sum += s
-                n_inst += n
+            order = rng.permutation(len(instances))
+            loss_sum = _document_pass(model, table, instances, order, state)
             dev_f1 = dev_e2e_f1(model, table, dev_docs) if dev_docs else 0.0
             seconds = time.perf_counter() - t0
-            stats = EpochStats(epoch, loss_sum / max(n_inst, 1), dev_f1, seconds)
+            stats = EpochStats(epoch, loss_sum / len(instances), dev_f1, seconds)
             history.append(stats)
             if log:
                 log.write(f"{epoch}\t{stats.train_loss:.6f}\t{dev_f1:.4f}\t{seconds:.3f}\n")
@@ -347,8 +311,9 @@ def _read_moments(r: _Reader, params: dict, which: str) -> dict:
 
 
 def apply_checkpoint(model: JNRF, ckpt: Checkpoint):
-    """Copy checkpoint weights into the model, validating names and shapes;
-    each error starts with the checkpoint's path."""
+    """Copy checkpoint weights into the model after validating every name
+    and shape, so a rejected checkpoint leaves the model as it was; each
+    error starts with the checkpoint's path."""
     for name, p in model.params.items():
         if name not in ckpt.params:
             raise CheckpointError(f"{ckpt.path}: checkpoint is missing parameter {name!r}")
@@ -357,7 +322,8 @@ def apply_checkpoint(model: JNRF, ckpt: Checkpoint):
             raise CheckpointError(
                 f"{ckpt.path}: parameter {name!r}: checkpoint shape {arr.shape} != model {p.shape}"
             )
-        p.data[...] = arr
     extra = set(ckpt.params) - set(n for n, _ in model.params.items())
     if extra:
         raise CheckpointError(f"{ckpt.path}: checkpoint has unknown parameters {sorted(extra)[:3]}")
+    for name, p in model.params.items():
+        p.data[...] = ckpt.params[name]

@@ -88,15 +88,6 @@ def layer_norm_input_grad(x: np.ndarray, gain: np.ndarray, g: np.ndarray, eps: f
     return out
 
 
-def dense_span_mean(x: np.ndarray, spans) -> np.ndarray:
-    """Span means as one dense (spans x n) averaging matrix times x: row i
-    holds 1/len over the span's columns and zeros elsewhere."""
-    w = np.zeros((len(spans), x.shape[0]))
-    for i, (s, e) in enumerate(spans):
-        w[i, s:e] = 1.0 / (e - s)
-    return w @ x
-
-
 def composed_windowed_attention(x, wq, wk, wv, wo, window: int, n_heads: int):
     """Windowed attention built from the tape's elementary ops, one window
     and head at a time: each window's rows are sliced out and projected, a

@@ -105,28 +105,34 @@ def test_trailing_bytes_rejected(tmp_path, with_optimizer):
         load_checkpoint(str(path))
 
 
+def rejected_and_untouched(model, ckpt, message):
+    """apply_checkpoint raises CheckpointError matching `message`, and every
+    weight keeps its value from before the call."""
+    before = {n: p.data.copy() for n, p in model.params.items()}
+    assert any(n in ckpt.params and not np.array_equal(ckpt.params[n], a) for n, a in before.items())
+    with pytest.raises(CheckpointError, match=message):
+        apply_checkpoint(model, ckpt)
+    for name, p in model.params.items():
+        np.testing.assert_array_equal(p.data, before[name], err_msg=name)
+
+
 def test_apply_errors_name_the_file(tmp_path):
     path, _ = saved_bytes(tmp_path, *trained_state())
     ckpt = load_checkpoint(str(path))
     assert ckpt.path == str(path)
+    where = re.escape(str(path))
     wider = JNRF(ModelConfig(emb_dim=2, d_model=4, ffn_hidden=2, mixer="fnet", n_blocks=1))
-    with pytest.raises(
-        CheckpointError,
-        match=rf"^{re.escape(str(path))}: parameter 'in\.2\.w': "
-        rf"checkpoint shape \(2, 2\) != model \(2, 4\)$",
-    ):
-        apply_checkpoint(wider, ckpt)
+    rejected_and_untouched(
+        wider, ckpt,
+        rf"^{where}: parameter 'in\.2\.w': checkpoint shape \(2, 2\) != model \(2, 4\)$",
+    )
     del ckpt.params["alpha"]
-    with pytest.raises(
-        CheckpointError, match=rf"^{re.escape(str(path))}: checkpoint is missing parameter 'alpha'$"
-    ):
-        apply_checkpoint(JNRF(SMALL), ckpt)
+    rejected_and_untouched(JNRF(SMALL), ckpt, rf"^{where}: checkpoint is missing parameter 'alpha'$")
     ckpt.params["alpha"] = np.zeros((8, 2))
     ckpt.params["extra"] = np.zeros((1, 1))
-    with pytest.raises(
-        CheckpointError, match=rf"^{re.escape(str(path))}: checkpoint has unknown parameters \['extra'\]$"
-    ):
-        apply_checkpoint(JNRF(SMALL), ckpt)
+    rejected_and_untouched(
+        JNRF(SMALL), ckpt, rf"^{where}: checkpoint has unknown parameters \['extra'\]$"
+    )
 
 
 @pytest.mark.parametrize("which", ["m", "v"])

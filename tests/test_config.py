@@ -1,7 +1,10 @@
+import ast
 import dataclasses
+import pathlib
 
 import pytest
 
+import jnrf
 from jnrf.config import (
     ConfigError,
     ModelConfig,
@@ -11,7 +14,8 @@ from jnrf.config import (
     serialize_config,
 )
 
-# one non-default value per settable key
+# one non-default value per settable key; `granularity` has a single legal
+# value, its default, so it has none
 NON_DEFAULT = {
     "emb_dim": 32,
     "d_model": 48,
@@ -20,11 +24,8 @@ NON_DEFAULT = {
     "n_blocks": 3,
     "window": 128,
     "n_attn_heads": 4,
-    "pool": "mean",
     "train_pooling": "predicted",
     "seed": 7,
-    "granularity": "mixed",
-    "accumulate_over": 5,
     "epochs": 2,
     "lr": 0.0025,
 }
@@ -32,10 +33,10 @@ NON_DEFAULT = {
 MODEL_KEYS = [f.name for f in dataclasses.fields(ModelConfig)]
 
 
-def test_the_keys_are_the_model_fields_plus_five_run_fields():
+def test_the_keys_are_the_model_fields_plus_four_run_fields():
     keys = [f.name for f in dataclasses.fields(RunConfig)]
-    assert keys == list(NON_DEFAULT)
-    assert MODEL_KEYS == keys[:9]
+    assert keys == [*MODEL_KEYS, "seed", "granularity", "epochs", "lr"]
+    assert [k for k in keys if k != "granularity"] == list(NON_DEFAULT)
 
 
 def test_empty_text_gives_the_defaults():
@@ -71,7 +72,7 @@ def test_unknown_key_names_its_line():
 @pytest.mark.parametrize(
     "key",
     ["synth_train", "bench_trials", "corpus_dir", "vocab_path", "embeddings_path",
-     "checkpoint_path", "out_dir"],
+     "checkpoint_path", "out_dir", "pool", "accumulate_over"],
 )
 def test_deleted_key_is_unknown(key):
     with pytest.raises(ConfigError, match=rf"^line 3: unknown key '{key}'$"):
@@ -120,6 +121,11 @@ def test_from_run_config_projects_the_model_fields():
     assert dataclasses.asdict(model_cfg) == {k: NON_DEFAULT[k] for k in MODEL_KEYS}
 
 
+def test_granularity_document_still_parses():
+    # the one legal value, as benchmark configs spell it out
+    assert parse_config_text("granularity = document\n") == RunConfig()
+
+
 @pytest.mark.parametrize(
     "values, key",
     [
@@ -133,11 +139,11 @@ def test_from_run_config_projects_the_model_fields():
         ({"mixer": "windowed_attention", "n_attn_heads": 0}, "n_attn_heads"),
         ({"mixer": "windowed_attention", "d_model": 6, "n_attn_heads": 4}, "n_attn_heads"),
         ({"mixer": "conv"}, "mixer"),
-        ({"pool": "max"}, "pool"),
+        ({"granularity": "sentence"}, "granularity"),
         ({"train_pooling": "none"}, "train_pooling"),
         ({"seed": -1}, "seed"),
         ({"granularity": "word"}, "granularity"),
-        ({"accumulate_over": -1}, "accumulate_over"),
+        ({"granularity": "mixed"}, "granularity"),
         ({"epochs": 0}, "epochs"),
         ({"lr": 0.0}, "lr"),
         ({"lr": -1e-3}, "lr"),
@@ -160,3 +166,18 @@ def test_model_config_validates_on_its_own():
 def test_heads_need_not_divide_width_for_other_mixers():
     # n_attn_heads is read by windowed attention only
     assert ModelConfig(mixer="fnet", d_model=6, n_attn_heads=4).n_attn_heads == 4
+
+
+def test_every_key_but_granularity_is_read_outside_config():
+    """No configuration key that nothing uses: each RunConfig field is read
+    as an attribute in some module of the package other than config.py.
+    `granularity` is exempt: it has one legal value and nothing reads it, but
+    the benchmark's config text sets `granularity = document`, which must
+    keep parsing."""
+    read = set()
+    for path in pathlib.Path(jnrf.__file__).parent.glob("*.py"):
+        if path.name != "config.py":
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            read.update(n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute))
+    keys = [f.name for f in dataclasses.fields(RunConfig)]
+    assert [k for k in keys if k not in read] == ["granularity"]

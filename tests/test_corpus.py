@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,6 +12,8 @@ from jnrf.corpus import (
     Relation,
     bio_label,
     label_parts,
+    load_brat_dir,
+    load_brat_file,
     parse_brat,
     render_ann,
 )
@@ -108,6 +112,40 @@ def test_render_ann_round_trip():
 def test_blank_and_comment_like_lines_ignored():
     doc = parse_brat("aspirin", "\nT1\tDrug 0 7\taspirin\n#1\tAnnotatorNotes T1\tnote\n")
     assert len(doc.gold_entities) == 1
+
+
+def write_pair(dirpath, stem, text, ann):
+    (dirpath / f"{stem}.txt").write_text(text, encoding="utf-8")
+    (dirpath / f"{stem}.ann").write_text(ann, encoding="utf-8")
+
+
+class TestLoadBrat:
+    def test_dir_loads_txt_files_in_sorted_order_with_stem_ids(self, tmp_path):
+        write_pair(tmp_path, "b", "aspirin daily", "T1\tDrug 0 7\taspirin\n")
+        write_pair(tmp_path, "a10", "warfarin", "T1\tDrug 0 8\twarfarin\n")
+        write_pair(tmp_path, "a2", "rest", "")
+        (tmp_path / "notes.ann").write_text("T1\tDrug 0 1\tx\n", encoding="utf-8")
+        (tmp_path / "README.md").write_text("not a document\n", encoding="utf-8")
+        docs = load_brat_dir(str(tmp_path))
+        assert [d.doc_id for d in docs] == ["a10", "a2", "b"]
+        assert [d.text for d in docs] == ["warfarin", "rest", "aspirin daily"]
+        surfaces = [[e.surface for e in d.gold_entities] for d in docs]
+        assert surfaces == [["warfarin"], [], ["aspirin"]]
+
+    def test_empty_dir_is_named(self, tmp_path):
+        (tmp_path / "a.ann").write_text("", encoding="utf-8")
+        with pytest.raises(BratParseError, match=rf"^no \.txt documents under {re.escape(str(tmp_path))}$"):
+            load_brat_dir(str(tmp_path))
+
+    def test_parse_error_names_the_ann_file(self, tmp_path):
+        write_pair(tmp_path, "good", "aspirin", "T1\tDrug 0 7\taspirin\n")
+        write_pair(tmp_path, "bad", "aspirin daily", "T1\tDrug 0 7\taspirin\nT2\tBogus 8 13\tdaily\n")
+        ann = re.escape(str(tmp_path / "bad.ann"))
+        message = rf"^{ann}: line 2: unknown entity type 'Bogus'$"
+        with pytest.raises(BratParseError, match=message):
+            load_brat_file(str(tmp_path / "bad.txt"))
+        with pytest.raises(BratParseError, match=message):
+            load_brat_dir(str(tmp_path))
 
 
 @st.composite

@@ -11,6 +11,7 @@ from jnrf.evaluation import (
     fd_length_bins,
     match_entities,
     match_relations,
+    render_report_text,
     sentence_distance,
 )
 from jnrf.tokenizer import Vocab, prepare
@@ -277,3 +278,58 @@ class TestDocumentIds:
         preds, golds = ([p_full, p_empty], [gold]) if side == "pred" else ([p_full], [gold, gold])
         with pytest.raises(EvaluationError, match="duplicate.*'d1'"):
             build_report(preds, golds)
+
+
+class TestRenderReportText:
+    def report(self):
+        vocab = Vocab(["[UNK]", "aspirin", "daily", "take", "5", "mg", "oral", "."])
+        golds = []
+        for doc_id, text, ann in [
+            ("a", "take aspirin 5 mg daily. oral aspirin.",
+             "T1\tDrug 5 12\taspirin\nT2\tStrength 13 17\t5 mg\nT3\tFrequency 18 23\tdaily\n"
+             "T4\tRoute 25 29\toral\nT5\tDrug 30 37\taspirin\n"
+             "R1\tStrength-Drug Arg1:T2 Arg2:T1\nR2\tFrequency-Drug Arg1:T3 Arg2:T1\n"
+             "R3\tRoute-Drug Arg1:T4 Arg2:T5\n"),
+            ("b", "5 mg. take aspirin daily.",
+             "T1\tDrug 11 18\taspirin\nT2\tStrength 0 4\t5 mg\n"
+             "R1\tStrength-Drug Arg1:T2 Arg2:T1\n"),
+        ]:
+            doc = parse_brat(text, ann, doc_id)
+            prepare(doc, vocab)
+            golds.append(doc)
+        a, b = golds
+        drug, strength, freq, _, drug2 = a.gold_entities
+        route_as_form = EntitySpan("P4", "Form", 25, 29)
+        pred_a = PredictedDoc("a", [drug, strength, freq, route_as_form, drug2], [
+            a.gold_relations[0],
+            Relation("Frequency-Drug", freq, drug2),
+            Relation("Form-Drug", route_as_form, drug2),
+        ])
+        pred_b = PredictedDoc("b", list(b.gold_entities), list(b.gold_relations))
+        return build_report([pred_a, pred_b], golds)
+
+    def test_sections_rows_and_percentages(self):
+        report = self.report()
+        text = render_report_text(report)
+        sections = [block.splitlines() for block in text.split("\n\n")]
+        assert [lines[0] for lines in sections] == [
+            "NER (lenient micro)", "E2E NER+RE (lenient micro)",
+            "By document length", "By sentence distance",
+        ]
+        want_rows = [
+            [*report.ner_by_type.items(), ("Overall", report.ner)],
+            [*report.e2e_by_type.items(), ("Overall", report.e2e)],
+            [(f"[{lo}, {hi}]", c) for lo, hi, _, c in report.by_length_bin],
+            [(str(d), c) for d, c in report.by_sentence_distance.items()],
+        ]
+        assert [k for k, _ in want_rows[0]] == [*ENTITY_TYPES, "Overall"]
+        assert [k for k, _ in want_rows[1]] == [*RELATION_TYPES, "Overall"]
+        assert [k for k, _ in want_rows[3]] == ["0", "1"]
+        for lines, rows in zip(sections, want_rows):
+            assert lines[1].split() == ["P(%)", "R(%)", "F1(%)"]
+            assert [line[:18].strip() for line in lines[2:]] == [k for k, _ in rows]
+            for line, (_, counts) in zip(lines[2:], rows):
+                shown = [float(line[i:i + 9]) for i in (18, 27, 36)]
+                assert shown == [round(100 * x, 2) for x in counts.prf()], line
+        # the rows above are not all trivially 0 or 100
+        assert 0 < report.ner.f1 < 1 and 0 < report.e2e.f1 < 1

@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import math
 import re
@@ -31,7 +30,6 @@ from jnrf.tokenizer import Vocab, prepare
 
 from oracles import (
     all_heads_relation_scores,
-    dense_span_mean,
     fd_grad,
     rel_err,
     scalar_ner_loss,
@@ -133,15 +131,7 @@ class TestSelectivePooling:
         pooled = selective_pool(Tensor(np.zeros((20, 6))), spans)
         assert len(pooled.h_spans) * len(pooled.l_spans) == 12
 
-    def test_mean_pooling(self):
-        e3 = np.arange(24, dtype=float).reshape(4, 6)
-        pooled = selective_pool(
-            Tensor(e3), [(0, 2, "Drug"), (2, 3, "Form")], pool="mean"
-        )
-        np.testing.assert_allclose(pooled.q.data[0], e3[:2].mean(axis=0))
-
-    @pytest.mark.parametrize("pool", ["first", "mean"])
-    def test_attributes_grouped_by_head(self, pool):
+    def test_attributes_grouped_by_head(self):
         """Interleaved attribute types come out grouped by relation head,
         ascending, in the given order within a head; drugs keep their order."""
         e3 = np.random.default_rng(26).standard_normal((30, 6))
@@ -150,7 +140,7 @@ class TestSelectivePooling:
             (10, 13, "ADE"), (14, 15, "Strength"), (16, 18, "Drug"), (20, 21, "Form"),
             (22, 25, "Route"),
         ]
-        pooled = selective_pool(Tensor(e3), spans, pool)
+        pooled = selective_pool(Tensor(e3), spans)
         want = [
             (5, 7, "Strength"), (14, 15, "Strength"), (20, 21, "Form"),
             (0, 2, "Route"), (8, 9, "Route"), (22, 25, "Route"), (10, 13, "ADE"),
@@ -159,15 +149,10 @@ class TestSelectivePooling:
         assert pooled.h_spans == [(3, 4, "Drug"), (16, 18, "Drug")]
         np.testing.assert_array_equal(pooled.pos_l, [s for s, _, _ in want])
         np.testing.assert_array_equal(pooled.heads, [0, 0, 1, 4, 4, 4, 7])
-        if pool == "first":
-            np.testing.assert_array_equal(pooled.k.data, e3[[s for s, _, _ in want]])
-        else:
-            want_k = dense_span_mean(e3, [(s, e) for s, e, _ in want])
-            assert rel_err(pooled.k.data, want_k) < 1e-12
+        np.testing.assert_array_equal(pooled.k.data, e3[[s for s, _, _ in want]])
 
 
-    @pytest.mark.parametrize("pool", ["first", "mean"])
-    def test_embed_on_gathered_rows_equals_embed_then_pool(self, pool):
+    def test_embed_on_gathered_rows_equals_embed_then_pool(self):
         """The relation FFN runs on the rows pooling reads alone: the same
         q and k as embedding every row first, and the same gradients up to
         the order BLAS sums the weight gradients' rows in."""
@@ -189,8 +174,8 @@ class TestSelectivePooling:
 
         results = []
         for build in (
-            lambda x: selective_pool(x, spans, pool, gathered),
-            lambda x: selective_pool(model.re_embed(x), spans, pool),
+            lambda x: selective_pool(x, spans, gathered),
+            lambda x: selective_pool(model.re_embed(x), spans),
         ):
             model.params.zero_grad()
             x = Tensor(e2, requires_grad=True)
@@ -205,10 +190,7 @@ class TestSelectivePooling:
         assert rel_err(gx, wx) < 1e-14
         for name in gw:
             assert rel_err(gw[name], ww[name]) < 1e-14, name
-        if pool == "first":
-            read = {s for s, _, _ in spans}
-        else:
-            read = {i for s, e, _ in spans for i in range(s, e)}
+        read = {s for s, _, _ in spans}
         assert seen == [len(read)]
         assert np.count_nonzero(np.abs(gx).sum(axis=1)) == len(read)
 
@@ -526,11 +508,10 @@ class TestEndToEnd:
             got = np.where(np.isin(np.arange(base.size).reshape(base.shape), coords), p.grad, 0)
             assert rel_err(got.ravel()[coords], want.ravel()[coords]) < 1e-4, name
 
-    @pytest.mark.parametrize("pool", ["first", "mean"])
-    def test_relation_ffn_runs_on_pooled_rows_only(self, pool):
+    def test_relation_ffn_runs_on_pooled_rows_only(self):
         doc, vocab = build_toy_doc()
         inst = encode_document(doc)
-        model = JNRF(dataclasses.replace(TINY, pool=pool), seed=20)
+        model = JNRF(TINY, seed=20)
         seen, re_embed = [], model.re_embed
 
         def counted(x):
@@ -540,10 +521,7 @@ class TestEndToEnd:
         model.re_embed = counted
         with Tape():
             model.instance_losses(inst, tiny_table(len(vocab)))
-        if pool == "first":
-            read = {s for s, _, _ in inst.spans}
-        else:
-            read = {i for s, e, _ in inst.spans for i in range(s, e)}
+        read = {s for s, _, _ in inst.spans}
         assert seen == [len(read)] and len(read) < len(inst.ids)
 
     def test_no_drug_instance_uses_ner_only(self):

@@ -9,7 +9,6 @@ from jnrf.instrument import COUNTER
 from jnrf.tensor import ShapeError, Tape, TapeError, Tensor
 
 from oracles import (
-    dense_span_mean,
     fd_grad,
     layer_norm_input_grad,
     linear_map_matrix,
@@ -462,38 +461,6 @@ class TestLayerNormResidual:
                 Tensor(np.zeros((3, 4))), Tensor(np.ones((1, 4))), Tensor(np.zeros((1, 4))),
                 residual=Tensor(np.zeros((2, 4))),
             )
-
-
-# length 1 (first and last row), overlapping, repeated, and ending at the last row
-SPANS = [(0, 1), (2, 6), (3, 5), (9, 10), (4, 10), (2, 6), (0, 10)]
-
-
-class TestSpanMean:
-    def test_forward_matches_dense_oracle(self):
-        x = np.random.default_rng(19).standard_normal((10, 4))
-        out = T.span_mean(Tensor(x), [s for s, _ in SPANS], [e for _, e in SPANS])
-        assert out.shape == (len(SPANS), 4)
-        assert rel_err(out.data, dense_span_mean(x, SPANS)) < 1e-12
-
-    def test_gradients_vs_finite_differences(self):
-        rng = np.random.default_rng(20)
-        starts, ends = [s for s, _ in SPANS], [e for _, e in SPANS]
-        for _ in range(20):
-            x = rng.standard_normal((10, 4))
-            w = rng.standard_normal((len(SPANS), 4))
-            grad_check(lambda a, c: T.sum_all(T.mul(T.span_mean(a, starts, ends), c)), [x, w])
-
-    def test_rows_outside_every_span_get_zero_gradient(self):
-        x = Tensor(np.ones((8, 3)), requires_grad=True)
-        with Tape() as tape:
-            loss = T.sum_all(T.span_mean(x, [1, 5], [3, 6]))
-        tape.backward(loss)
-        np.testing.assert_array_equal(x.grad[:, 0], [0, 0.5, 0.5, 0, 0, 1, 0, 0])
-
-    @pytest.mark.parametrize("start, end", [(3, 3), (4, 3), (-1, 2), (5, 11)])
-    def test_empty_or_out_of_range_span_rejected(self, start, end):
-        with pytest.raises(ShapeError, match=r"span_mean: .*<= 10"):
-            T.span_mean(Tensor(np.zeros((10, 2))), [0, start], [1, end])
 
 
 class TestStructuralOps:

@@ -9,11 +9,11 @@ import pytest
 
 from jnrf.config import ModelConfig, RunConfig
 from jnrf.corpus import parse_brat
-from jnrf.model import JNRF, encode_document, encode_sentences
+from jnrf.model import JNRF, encode_document
 from jnrf.params import Params
 from jnrf.tensor import Tape
 from jnrf.tokenizer import Vocab, prepare
-from jnrf.training import AdamState, TrainingError, _accumulate_pass, adam_step, train
+from jnrf.training import AdamState, TrainingError, _document_pass, adam_step, train
 
 from test_model import TINY, build_toy_doc, tiny_table
 
@@ -73,20 +73,18 @@ class TestNonFiniteLoss:
         model.params["alpha"].data[0, 1] = np.nan
         return model
 
-    def test_sentence_loss_rejected_before_backward(self):
+    def test_document_loss_rejected_before_backward(self):
         doc, vocab = build_toy_doc()
         table = tiny_table(len(vocab))
         model = self._nan_model()
         before = {n: p.data.copy() for n, p in model.params.items()}
         state = AdamState.for_params(model.params, lr=0.05)
-        # sentence 1 holds no drug: its loss is finite and its backward runs;
-        # sentence 0 pools a drug and its attributes
-        instances = encode_sentences(doc)
-        with pytest.raises(
-            TrainingError, match=r"^non-finite loss nan in document 'toy', sentence 0$"
-        ):
-            _accumulate_pass(model, table, instances, [1, 0], state, batch=64)
-        assert model.params["alpha"].grad is None  # sentence 0 never ran backward
+        # the toy document pools a drug and its attributes; the pass stops
+        # there, before its backward and before the second document
+        instances = [encode_document(doc), encode_document(doc)]
+        with pytest.raises(TrainingError, match=r"^non-finite loss nan in document 'toy'$"):
+            _document_pass(model, table, instances, [0, 1], state)
+        assert model.params["alpha"].grad is None  # backward never ran
         assert state.step_count == 0
         for name, p in model.params.items():
             np.testing.assert_array_equal(p.data, before[name], err_msg=name)
@@ -114,7 +112,7 @@ def synthetic_docs(n_docs: int, seed: int):
     """Small BRAT documents of 3-5 sentences. Each sentence is either
     "<drug> <n> mg <freq> for <reason>." (three attributes of that drug) or
     "the patient developed <ade>." (an ADE of the previous sentence's drug,
-    so sentence granularity drops that relation)."""
+    a relation across a sentence boundary)."""
     rng = random.Random(seed)
     numbers = ("10", "25", "50")
     vocab = Vocab(["[UNK]", *_DRUGS, *_FREQS, *_REASONS, *_ADES, *_FILLER, *numbers])
@@ -155,12 +153,11 @@ def synthetic_docs(n_docs: int, seed: int):
     return docs, vocab
 
 
-def training_run(granularity: str):
+def training_run():
     """Weights, history (without wall-clock seconds) and predictions of a
     2-epoch run with a dev document."""
     docs, vocab = synthetic_docs(3, seed=5)
-    cfg = RunConfig(emb_dim=6, d_model=6, ffn_hidden=8, n_blocks=1, epochs=2, lr=0.05,
-                    granularity=granularity)
+    cfg = RunConfig(emb_dim=6, d_model=6, ffn_hidden=8, n_blocks=1, epochs=2, lr=0.05)
     table = tiny_table(len(vocab))
     model = JNRF(ModelConfig.from_run_config(cfg), seed=23)
     result = train(model, table, docs[:2], docs[2:], cfg)
@@ -170,8 +167,8 @@ def training_run(granularity: str):
     return weights, (result.best_epoch, result.best_dev_f1, history), predictions
 
 
-def run_digest(granularity: str) -> str:
-    weights, outcome, predictions = training_run(granularity)
+def run_digest() -> str:
+    weights, outcome, predictions = training_run()
     h = hashlib.sha256()
     for name, arr in weights.items():
         h.update(name.encode())
@@ -181,22 +178,20 @@ def run_digest(granularity: str) -> str:
 
 
 class TestDeterminism:
-    @pytest.mark.parametrize("granularity", ["document", "sentence", "mixed"])
-    def test_train_is_bit_identical_within_a_process(self, granularity):
-        (w1, out1, pred1), (w2, out2, pred2) = training_run(granularity), training_run(granularity)
+    def test_train_is_bit_identical_within_a_process(self):
+        (w1, out1, pred1), (w2, out2, pred2) = training_run(), training_run()
         assert list(w1) == list(w2)
         for name in w1:
             assert np.array_equal(w1[name], w2[name]), name
         assert out1 == out2
         assert pred1 == pred2
 
-    @pytest.mark.parametrize("granularity", ["document", "sentence", "mixed"])
-    def test_train_is_bit_identical_across_hash_seeds(self, granularity):
+    def test_train_is_bit_identical_across_hash_seeds(self):
         here = os.path.dirname(os.path.abspath(__file__))
         src = os.path.join(os.path.dirname(here), "src")
         code = (
             f"import sys; sys.path[:0] = [{src!r}, {here!r}]; "
-            f"from test_training import run_digest; print(run_digest({granularity!r}))"
+            "from test_training import run_digest; print(run_digest())"
         )
         digests = {
             subprocess.run(
@@ -205,4 +200,4 @@ class TestDeterminism:
             ).stdout.strip()
             for hash_seed in ("1", "2")
         }
-        assert digests == {run_digest(granularity)}
+        assert digests == {run_digest()}
