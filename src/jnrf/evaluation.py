@@ -247,7 +247,7 @@ def render_report_text(report: EvalReport) -> str:
     table(
         "By document length",
         [
-            (f"[{lo}, {hi}]", c, f"docs={n}")
+            (f"[{lo}, {hi})", c, f"docs={n}")
             for lo, hi, n, c in report.by_length_bin
         ],
     )

@@ -33,21 +33,24 @@ class CheckpointError(ValueError):
     pass
 
 
+# Adam's defaults (Kingma & Ba 2015)
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
+
 @dataclass
 class AdamState:
     """First/second moment estimates per parameter plus the step count."""
 
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step_count: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
 
     @classmethod
-    def for_params(cls, params: Params, lr: float = 1e-3, **kw) -> "AdamState":
-        state = cls(lr=lr, **kw)
+    def for_params(cls, params: Params, lr: float = 1e-3) -> "AdamState":
+        state = cls(lr=lr)
         for name, p in params.items():
             state.m[name] = np.zeros(p.shape)
             state.v[name] = np.zeros(p.shape)
@@ -69,17 +72,17 @@ def adam_step(params: Params, state: AdamState):
         grads[name] = g
     state.step_count += 1
     t = state.step_count
-    bc1 = 1.0 - state.beta1**t
-    bc2 = 1.0 - state.beta2**t
+    bc1 = 1.0 - BETA1**t
+    bc2 = 1.0 - BETA2**t
     for name, p in params.items():
         g = grads[name]
         m = state.m[name]
         v = state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        p.data -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * g * g
+        p.data -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
 
 
 def dev_e2e_f1(model: JNRF, table: EmbeddingTable, docs: list[Document]) -> float:
@@ -184,7 +187,7 @@ def train(
 # --- checkpoint container -------------------------------------------------
 
 _MAGIC = b"JNRFCKPT"
-_VERSION = 2  # bump with any change to the file format or the parameter layout
+_VERSION = 3  # bump with any change to the file format or the parameter layout
 
 
 def _write_record(f, name: str, arr: np.ndarray):
@@ -220,26 +223,25 @@ class _Reader:
         except UnicodeDecodeError as exc:
             raise self.error(f"{what} is not UTF-8 ({exc.reason} at byte {exc.start})") from None
 
-    def records(self, count: int, section: str) -> dict:
-        """`count` named (rows, cols) float64 records; names must differ and
-        every value must be finite."""
+    def records(self, count: int) -> dict:
+        """`count` named (rows, cols) float64 parameter records; names must
+        differ and every value must be finite."""
         out = {}
         for i in range(count):
-            (n,) = self.unpack("<I", f"{section} {i} name length")
-            name = self.text(n, f"{section} {i} name")
-            rows, cols = self.unpack("<II", f"{section} {name!r} shape")
-            data = self.take(8 * rows * cols, f"{section} {name!r} ({rows}, {cols})")
+            (n,) = self.unpack("<I", f"parameter {i} name length")
+            name = self.text(n, f"parameter {i} name")
+            rows, cols = self.unpack("<II", f"parameter {name!r} shape")
+            data = self.take(8 * rows * cols, f"parameter {name!r} ({rows}, {cols})")
             if name in out:
-                raise self.error(f"duplicate {section} record {name!r}")
+                raise self.error(f"duplicate parameter record {name!r}")
             arr = np.frombuffer(data, dtype="<f8").reshape(rows, cols).astype(np.float64)
             if not np.isfinite(arr).all():
-                raise self.error(f"{section} record {name!r} holds NaN or inf")
+                raise self.error(f"parameter record {name!r} holds NaN or inf")
             out[name] = arr
         return out
 
 
-def save_checkpoint(path: str, model: JNRF, state: AdamState | None = None,
-                    config_text: str = ""):
+def save_checkpoint(path: str, model: JNRF, config_text: str = ""):
     tmp = path + ".tmp"
     with open(tmp, "wb") as f:
         f.write(_MAGIC)
@@ -250,15 +252,6 @@ def save_checkpoint(path: str, model: JNRF, state: AdamState | None = None,
         f.write(struct.pack("<I", len(model.params)))
         for name, p in model.params.items():
             _write_record(f, name, p.data)
-        if state is None:
-            f.write(struct.pack("<B", 0))
-        else:
-            f.write(struct.pack("<B", 1))
-            f.write(struct.pack("<Q", state.step_count))
-            f.write(struct.pack("<dddd", state.lr, state.beta1, state.beta2, state.eps))
-            for moments in (state.m, state.v):
-                for name in model.params:
-                    _write_record(f, name, moments[name])
     os.replace(tmp, path)
 
 
@@ -267,7 +260,6 @@ class Checkpoint:
     path: str  # the file it was loaded from; apply_checkpoint's errors name it
     config_text: str
     params: dict
-    optimizer: AdamState | None
 
 
 def load_checkpoint(path: str) -> Checkpoint:
@@ -281,33 +273,10 @@ def load_checkpoint(path: str) -> Checkpoint:
     if version != _VERSION:
         raise r.error(f"checkpoint version {version} != supported {_VERSION}")
     config_text = r.text(r.unpack("<I", "config text length")[0], "config text")
-    params = r.records(r.unpack("<I", "parameter count")[0], "parameter")
-    (has_optim,) = r.unpack("<B", "optimizer flag")
-    optimizer = None
-    if has_optim:
-        (step_count,) = r.unpack("<Q", "optimizer step count")
-        lr, b1, b2, eps = r.unpack("<dddd", "optimizer hyperparameters")
-        optimizer = AdamState(lr=lr, beta1=b1, beta2=b2, eps=eps, step_count=step_count)
-        optimizer.m = _read_moments(r, params, "m")
-        optimizer.v = _read_moments(r, params, "v")
+    params = r.records(r.unpack("<I", "parameter count")[0])
     if r.at != len(r.data):
         raise r.error("unexpected bytes after the last record")
-    return Checkpoint(path, config_text, params, optimizer)
-
-
-def _read_moments(r: _Reader, params: dict, which: str) -> dict:
-    """One Adam moment record per parameter, each named and shaped like it."""
-    moments = r.records(len(params), f"optimizer {which}")
-    for name, arr in params.items():
-        got = moments.get(name)
-        if got is None:
-            raise r.error(f"optimizer {which} has no record for parameter {name!r}")
-        if got.shape != arr.shape:
-            raise r.error(
-                f"optimizer {which} for parameter {name!r}: "
-                f"shape {got.shape} != parameter {arr.shape}"
-            )
-    return moments
+    return Checkpoint(path, config_text, params)
 
 
 def apply_checkpoint(model: JNRF, ckpt: Checkpoint):

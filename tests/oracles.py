@@ -191,6 +191,20 @@ def scalar_re_loss(psi: np.ndarray, targets: np.ndarray) -> float:
     return -total / (nh * nl)
 
 
+def scalar_adam(p: float, grads, lr: float, beta1=0.9, beta2=0.999, eps=1e-8) -> float:
+    """Bias-corrected Adam (Kingma & Ba 2015, Algorithm 1) on one scalar,
+    from m = v = 0, one step per gradient: m = b1 m + (1 - b1) g,
+    v = b2 v + (1 - b2) g^2, p -= lr (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps)."""
+    m = v = 0.0
+    for t, g in enumerate(grads, start=1):
+        m = beta1 * m + (1.0 - beta1) * g
+        v = beta2 * v + (1.0 - beta2) * g * g
+        m_hat = m / (1.0 - beta1**t)
+        v_hat = v / (1.0 - beta2**t)
+        p -= lr * m_hat / (math.sqrt(v_hat) + eps)
+    return p
+
+
 def all_heads_relation_scores(params, q: np.ndarray, k: np.ndarray, dist: np.ndarray) -> np.ndarray:
     """Every (head, drug, attribute) score, as (t, |H|, |L|) planes: the
     bilinear form (q W_q^j) (k W_k^j + b)^T plus a_j D^2 + b_j D for every

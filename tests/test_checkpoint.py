@@ -28,27 +28,27 @@ SMALL = ModelConfig(emb_dim=2, d_model=2, ffn_hidden=2, mixer="fnet", n_blocks=1
 CONFIG_TEXT = serialize_config(RunConfig(emb_dim=2, d_model=2, ffn_hidden=2, n_blocks=1, lr=0.05))
 
 
-def trained_state(seed=3):
-    """A model and Adam state after one step on the toy document."""
+def trained_model(seed=3):
+    """A model after one Adam step on the toy document."""
     doc, vocab = build_toy_doc()
     model = JNRF(SMALL, seed=seed)
-    state = AdamState.for_params(model.params, lr=0.05, beta1=0.8, beta2=0.99, eps=1e-7)
+    state = AdamState.for_params(model.params, lr=0.05)
     with Tape() as tape:
         loss, _, _ = model.instance_losses(encode_document(doc), tiny_table(len(vocab), d=2))
     tape.backward(loss)
     adam_step(model.params, state)
-    return model, state
+    return model
 
 
-def saved_bytes(tmp_path, model, state, name="ckpt.bin"):
+def saved_bytes(tmp_path, model, name="ckpt.bin"):
     path = tmp_path / name
-    save_checkpoint(str(path), model, state, CONFIG_TEXT)
+    save_checkpoint(str(path), model, CONFIG_TEXT)
     return path, path.read_bytes()
 
 
 def test_round_trip(tmp_path):
-    model, state = trained_state()
-    path, _ = saved_bytes(tmp_path, model, state)
+    model = trained_model()
+    path, _ = saved_bytes(tmp_path, model)
     ckpt = load_checkpoint(str(path))
 
     fresh = JNRF(SMALL, seed=99)
@@ -61,33 +61,17 @@ def test_round_trip(tmp_path):
         assert ckpt.params[f"rel.{j}.k.b"].shape == (1, 2)
         assert f"rel.{j}.q.b" not in ckpt.params
     assert ckpt.params["alpha"].shape == (8, 2)
-
-    opt = ckpt.optimizer
-    assert (opt.step_count, opt.lr, opt.beta1, opt.beta2, opt.eps) == (1, 0.05, 0.8, 0.99, 1e-7)
-    for name in model.params:
-        np.testing.assert_array_equal(opt.m[name], state.m[name], err_msg=name)
-        np.testing.assert_array_equal(opt.v[name], state.v[name], err_msg=name)
-    assert any(opt.m[name].any() for name in model.params)
     assert ckpt.config_text == CONFIG_TEXT
 
 
-def test_without_optimizer_round_trip(tmp_path):
-    model, _ = trained_state()
-    path, _ = saved_bytes(tmp_path, model, None)
-    ckpt = load_checkpoint(str(path))
-    assert ckpt.optimizer is None
-    for name, p in model.params.items():
-        np.testing.assert_array_equal(ckpt.params[name], p.data, err_msg=name)
-
-
 def test_same_state_saves_byte_identical(tmp_path):
-    _, first = saved_bytes(tmp_path, *trained_state(), name="a.bin")
-    _, second = saved_bytes(tmp_path, *trained_state(), name="b.bin")
+    _, first = saved_bytes(tmp_path, trained_model(), name="a.bin")
+    _, second = saved_bytes(tmp_path, trained_model(), name="b.bin")
     assert first == second
 
 
 def test_truncation_at_every_byte_rejected(tmp_path, monkeypatch):
-    _, data = saved_bytes(tmp_path, *trained_state())
+    _, data = saved_bytes(tmp_path, trained_model())
     # read each prefix from memory: a file written per byte would double the time
     for n in range(len(data)):
         head = io.BytesIO(data[:n])
@@ -96,10 +80,8 @@ def test_truncation_at_every_byte_rejected(tmp_path, monkeypatch):
             load_checkpoint("ckpt.bin")
 
 
-@pytest.mark.parametrize("with_optimizer", [True, False])
-def test_trailing_bytes_rejected(tmp_path, with_optimizer):
-    model, state = trained_state()
-    path, data = saved_bytes(tmp_path, model, state if with_optimizer else None)
+def test_trailing_bytes_rejected(tmp_path):
+    path, data = saved_bytes(tmp_path, trained_model())
     path.write_bytes(data + b"\x00")
     with pytest.raises(CheckpointError, match="unexpected bytes after the last record"):
         load_checkpoint(str(path))
@@ -117,7 +99,7 @@ def rejected_and_untouched(model, ckpt, message):
 
 
 def test_apply_errors_name_the_file(tmp_path):
-    path, _ = saved_bytes(tmp_path, *trained_state())
+    path, _ = saved_bytes(tmp_path, trained_model())
     ckpt = load_checkpoint(str(path))
     assert ckpt.path == str(path)
     where = re.escape(str(path))
@@ -135,61 +117,25 @@ def test_apply_errors_name_the_file(tmp_path):
     )
 
 
-@pytest.mark.parametrize("which", ["m", "v"])
-def test_moment_shape_must_match_parameter(tmp_path, which):
-    model, state = trained_state()
-    getattr(state, which)["rel.3.k.b"] = np.zeros((1, 3))
-    path, _ = saved_bytes(tmp_path, model, state)
-    with pytest.raises(
-        CheckpointError,
-        match=rf"^{re.escape(str(path))}: optimizer {which} for parameter 'rel\.3\.k\.b': "
-        rf"shape \(1, 3\) != parameter \(1, 2\)$",
-    ):
-        load_checkpoint(str(path))
-
-
 @pytest.mark.parametrize(
-    "section, record, value",
-    [
-        ("parameter", "in.1.w", np.nan),
-        ("optimizer m", "alpha", np.inf),
-        ("optimizer v", "rel.3.k.b", -np.inf),
-    ],
+    "record, value", [("in.1.w", np.nan), ("alpha", np.inf), ("rel.3.k.b", -np.inf)]
 )
-def test_non_finite_record_rejected(tmp_path, section, record, value):
-    model, state = trained_state()
-    if section == "parameter":
-        model.params[record].data[0, 1] = value
-    else:
-        getattr(state, section[-1])[record][0, 1] = value
-    path, _ = saved_bytes(tmp_path, model, state)
+def test_non_finite_record_rejected(tmp_path, record, value):
+    model = trained_model()
+    model.params[record].data[0, 1] = value
+    path, _ = saved_bytes(tmp_path, model)
     with pytest.raises(
         CheckpointError,
-        match=rf"^{re.escape(str(path))}: {section} record {re.escape(repr(record))} holds NaN or inf$",
+        match=rf"^{re.escape(str(path))}: parameter record {re.escape(repr(record))} holds NaN or inf$",
     ):
         load_checkpoint(str(path))
 
 
-@pytest.mark.parametrize("which, occurrence", [("m", 1), ("v", 2)])
-def test_moment_names_must_match_parameters(tmp_path, which, occurrence):
-    path, data = saved_bytes(tmp_path, *trained_state())
-    # records are named params, then m, then v: rename one moment record
-    at = -1
-    for _ in range(occurrence + 1):
-        at = data.index(b"alpha", at + 1)
-    path.write_bytes(data[:at] + b"alphX" + data[at + 5:])
+def test_version_2_file_rejected(tmp_path):
+    path, data = saved_bytes(tmp_path, trained_model())
+    path.write_bytes(data[:8] + struct.pack("<I", 2) + data[12:])
     with pytest.raises(
-        CheckpointError,
-        match=rf"^{re.escape(str(path))}: optimizer {which} has no record for parameter 'alpha'$",
-    ):
-        load_checkpoint(str(path))
-
-
-def test_version_1_file_rejected(tmp_path):
-    path, data = saved_bytes(tmp_path, *trained_state())
-    path.write_bytes(data[:8] + struct.pack("<I", 1) + data[12:])
-    with pytest.raises(
-        CheckpointError, match=rf"^{re.escape(str(path))}: checkpoint version 1 != supported 2$"
+        CheckpointError, match=rf"^{re.escape(str(path))}: checkpoint version 2 != supported 3$"
     ):
         load_checkpoint(str(path))
 
@@ -220,23 +166,18 @@ def header_fields(data: bytes) -> tuple[list[int], list[int]]:
             at += 8 * rows * cols
 
     skip_text()  # config text
-    n_params = u32()
-    records(n_params)
-    has_optim = data[at]
-    at += 1 + (8 + 32 if has_optim else 0)
-    if has_optim:
-        records(2 * n_params)
+    records(u32())
     assert at == len(data)
     return fields, text
 
 
 @functools.lru_cache(maxsize=None)
 def tiny_checkpoint(tmp_dir) -> bytes:
-    return saved_bytes(tmp_dir, *trained_state())[1]
+    return saved_bytes(tmp_dir, trained_model())[1]
 
 
 def test_huge_record_dimensions_rejected(tmp_path):
-    path, data = saved_bytes(tmp_path, *trained_state())
+    path, data = saved_bytes(tmp_path, trained_model())
     buf = bytearray(data)
     struct.pack_into("<II", buf, header_fields(data)[0][3], 2**31, 2**31)  # in.1.w
     path.write_bytes(bytes(buf))
@@ -257,7 +198,7 @@ def test_huge_record_dimensions_rejected(tmp_path):
     ids=["parameter name", "config text"],
 )
 def test_non_utf8_text_rejected(tmp_path, target, message):
-    path, data = saved_bytes(tmp_path, *trained_state())
+    path, data = saved_bytes(tmp_path, trained_model())
     at = data.index(target)
     path.write_bytes(data[:at] + b"\xff" + data[at + 1:])
     with pytest.raises(CheckpointError, match=rf"^{re.escape(str(path))}: {message}$"):
@@ -265,7 +206,7 @@ def test_non_utf8_text_rejected(tmp_path, target, message):
 
 
 def test_duplicate_record_name_rejected(tmp_path):
-    path, data = saved_bytes(tmp_path, *trained_state())
+    path, data = saved_bytes(tmp_path, trained_model())
     at = data.index(b"in.2.w")  # the third parameter record becomes a second in.1.w
     path.write_bytes(data[:at] + b"in.1.w" + data[at + 6:])
     with pytest.raises(
@@ -333,7 +274,7 @@ LAYOUT = [
 def test_parameter_layout_is_pinned_to_the_checkpoint_version():
     model = JNRF(ModelConfig())
     got = [(name, p.shape) for name, p in model.params.items()]
-    assert got == LAYOUT and training._VERSION == 2, (
+    assert got == LAYOUT and training._VERSION == 3, (
         "the parameter layout changed: bump training._VERSION, so that files of the "
         "old layout are rejected, and update LAYOUT and the version in this test"
     )

@@ -319,7 +319,7 @@ class TestRenderReportText:
         want_rows = [
             [*report.ner_by_type.items(), ("Overall", report.ner)],
             [*report.e2e_by_type.items(), ("Overall", report.e2e)],
-            [(f"[{lo}, {hi}]", c) for lo, hi, _, c in report.by_length_bin],
+            [(f"[{lo}, {hi})", c) for lo, hi, _, c in report.by_length_bin],
             [(str(d), c) for d, c in report.by_sentence_distance.items()],
         ]
         assert [k for k, _ in want_rows[0]] == [*ENTITY_TYPES, "Overall"]

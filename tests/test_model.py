@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import math
 import re
@@ -560,6 +561,46 @@ class TestEndToEnd:
             ("Strength-Drug", "Strength"),
             ("Reason-Drug", "Reason"),
         ]
+
+
+class TestPredictedTrainPooling:
+    """`train_pooling = predicted` pools the spans `decode_bio` reads off the
+    NER logits. The NER head is patched to add 100 to the logit of a chosen
+    label per token, so the decoded spans are known."""
+
+    def losses(self, pooling, labels):
+        doc, vocab = build_toy_doc()
+        inst = encode_document(doc)
+        model = JNRF(dataclasses.replace(TINY, train_pooling=pooling), seed=24)
+        bump = np.zeros((len(labels), NUM_LABELS))
+        bump[np.arange(len(labels)), labels] = 100.0
+        head = model.ner_head
+        model.ner_head = lambda e2: T.add(head(e2), Tensor(bump))
+        with Tape() as tape:
+            joint, lner, lre = model.instance_losses(inst, tiny_table(len(vocab)))
+            tape.backward(joint)
+        grads = {n: p.grad for n, p in model.params.items()}
+        return joint, lner, lre, grads
+
+    def test_gold_decode_gives_the_gold_pooling_losses(self):
+        labels = encode_document(build_toy_doc()[0]).labels
+        gold = self.losses("gold", labels)
+        predicted = self.losses("predicted", labels)
+        assert gold[2] is not None
+        assert [x.item() for x in predicted[:3]] == [x.item() for x in gold[:3]]
+        for name, g in gold[3].items():
+            np.testing.assert_array_equal(predicted[3][name], g, err_msg=name)
+
+    def test_no_decoded_drug_gives_no_re_loss(self):
+        inst = encode_document(build_toy_doc()[0])
+        labels = inst.labels.copy()
+        for start, end, etype in inst.spans:
+            if etype == "Drug":
+                labels[start:end] = 0  # O
+        joint, lner, lre, _ = self.losses("predicted", labels)
+        assert lre is None and joint is lner
+        # the gold drug is still in the instance: gold pooling pairs it
+        assert self.losses("gold", labels)[2] is not None
 
 
 def test_relation_targets_hold_one_hot_invariant():

@@ -3,18 +3,28 @@ import os
 import random
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from jnrf.config import ModelConfig, RunConfig
-from jnrf.corpus import parse_brat
-from jnrf.model import JNRF, encode_document
+from jnrf.corpus import parse_brat, relation_head
+from jnrf.evaluation import PredictedDoc, build_report
+from jnrf.model import JNRF, encode_document, predictions_to_brat
 from jnrf.params import Params
 from jnrf.tensor import Tape
 from jnrf.tokenizer import Vocab, prepare
-from jnrf.training import AdamState, TrainingError, _document_pass, adam_step, train
+from jnrf.training import (
+    AdamState,
+    TrainingError,
+    _document_pass,
+    adam_step,
+    dev_e2e_f1,
+    train,
+)
 
+from oracles import scalar_adam
 from test_model import TINY, build_toy_doc, tiny_table
 
 
@@ -36,6 +46,28 @@ class TestAdamStep:
             np.testing.assert_array_equal(params[name].data, 1.0)
             np.testing.assert_array_equal(state.m[name], 0.0)
             np.testing.assert_array_equal(state.v[name], 0.0)
+
+    def test_three_steps_match_the_scalar_oracle(self):
+        rng = np.random.default_rng(4)
+        params = Params()
+        params.add("a", rng.standard_normal((1, 2)))
+        params.add("b", rng.standard_normal((2, 3)))
+        start = {name: p.data.copy() for name, p in params.items()}
+        state = AdamState.for_params(params, lr=0.01)
+        grads = {name: [] for name in start}
+        for _ in range(3):
+            for name, p in params.items():
+                # spans 1e-9 to 10, so eps changes the smallest updates
+                p.grad = rng.standard_normal(p.shape) * 10.0 ** rng.integers(-9, 2, p.shape)
+                grads[name].append(p.grad)
+            adam_step(params, state)
+        assert state.step_count == 3
+        for name, p in params.items():
+            for idx in np.ndindex(p.shape):
+                want = scalar_adam(
+                    float(start[name][idx]), [float(g[idx]) for g in grads[name]], lr=0.01
+                )
+                assert abs(p.data[idx] - want) <= 1e-12, (name, idx)
 
 
 def test_train_without_dev_docs_keeps_final_weights():
@@ -175,6 +207,35 @@ def run_digest() -> str:
         h.update(arr.tobytes())
     h.update(repr((outcome, predictions)).encode())
     return h.hexdigest()
+
+
+def test_dev_e2e_f1_equals_the_report():
+    docs, vocab = synthetic_docs(3, seed=5)
+    by_doc = {}
+    for i, doc in enumerate(docs):
+        inst = encode_document(doc)
+        spans = inst.spans
+        drugs = [s for s in spans if s[2] == "Drug"]
+        relations = []
+        for r, (attr, drug) in enumerate(inst.relations):
+            if r % 3 == i:
+                continue  # a missed relation
+            head = relation_head(f"{spans[attr][2]}-Drug")
+            if r % 3 == (i + 1) % 3 and len(drugs) > 1:
+                # a relation to the wrong drug
+                wrong = next(d for d in drugs if d != spans[drug])
+                relations.append((wrong, spans[attr], head))
+            else:
+                relations.append((spans[drug], spans[attr], head))
+        by_doc[doc.doc_id] = (spans, relations)
+    # stands in for a model that predicts these spans and relations
+    model = SimpleNamespace(predict_instance=lambda inst, table: by_doc[inst.doc_id])
+
+    got = dev_e2e_f1(model, tiny_table(len(vocab)), docs)
+    preds = [PredictedDoc(d.doc_id, *predictions_to_brat(d, *by_doc[d.doc_id])) for d in docs]
+    want = build_report(preds, docs).e2e.f1
+    assert 0 < want < 1
+    assert got == want
 
 
 class TestDeterminism:
