@@ -9,10 +9,17 @@ is reported as 0.
 Three stratified views mirror the analysis tables: per entity/relation
 type, per document-length bin (Freedman-Diaconis widths anchored at 0),
 and per signed sentence distance (negative when the drug comes first).
+
+A report costs a sort and then work linear in its input. The matcher sweeps
+each type's gold items once in document order instead of rescanning them for
+every prediction; only gold relations whose first argument overlaps a
+prediction's but that fail the full test are looked at again. A position's
+sentence is one bisect on a list of sentence ends built once per document.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from operator import attrgetter
 
@@ -25,7 +32,6 @@ from .corpus import (
     Relation,
     RELATION_TYPES,
 )
-from .tokenizer import sentence_index_of_char
 
 
 class EvaluationError(ValueError):
@@ -86,24 +92,52 @@ def _greedy_match(pred, gold, order, type_of, same) -> dict[str, MatchCounts]:
     by `order`, each prediction in turn takes the earliest gold item of its
     type that no earlier prediction took and that `same` accepts. A match
     needs equal types, so each type's counts are exactly those of matching
-    that type's items alone."""
+    that type's items alone.
+
+    `order` begins with the start and end of a span that `same` requires to
+    overlap the prediction's. So each prediction walks its type's open gold
+    items from the front and
+      - stops at the first item that starts at or after its end: that item
+        and every later one start at least as late, and none overlaps it;
+      - drops, as a miss, an item that ends at or before its start: no later
+        prediction starts earlier, so none can overlap that item either;
+      - takes the first remaining item that `same` accepts.
+    Stopping and dropping pass over only items `same` rejects, so the taken
+    item is the earliest open match. The open items form a linked list, so
+    an item leaves it from the middle in O(1). After the sort, the work is
+    linear in P + G: each item is dropped or taken once, and a walk ends at
+    one item. Relations add a rescan of the gold items whose first argument
+    overlaps but whose other fields `same` rejects."""
     open_gold: dict[str, list] = {}
     for g in sorted(gold, key=order):
         open_gold.setdefault(type_of(g), []).append(g)
-    counts: dict[str, MatchCounts] = {}
+    sweeps, counts = {}, {}
+    for t, items in open_gold.items():
+        keys = [order(g) for g in items]
+        # link[i] is the next open item after i; link[n] is the first one,
+        # and n also marks the end of the list
+        link = [*range(1, len(items) + 1), 0]
+        sweeps[t] = items, [k[0] for k in keys], [k[1] for k in keys], link
+        counts[t] = MatchCounts(fn=len(items))
     for p in sorted(pred, key=order):
         t = type_of(p)
         c = counts.setdefault(t, MatchCounts())
-        candidates = open_gold.get(t, [])
-        for i, g in enumerate(candidates):
-            if same(p, g):
-                del candidates[i]
+        items, starts, ends, link = sweeps.setdefault(t, ([], [], [], [0]))
+        lo, hi = order(p)[:2]
+        n = len(items)
+        prev, i = n, link[n]
+        while i < n and starts[i] < hi:
+            if ends[i] <= lo:
+                i = link[prev] = link[i]
+            elif same(p, items[i]):
+                link[prev] = link[i]
                 c.tp += 1
+                c.fn -= 1
                 break
+            else:
+                prev, i = i, link[i]
         else:
             c.fp += 1
-    for t, rest in open_gold.items():
-        counts.setdefault(t, MatchCounts()).fn += len(rest)
     return counts
 
 
@@ -140,12 +174,24 @@ def fd_length_bins(lengths) -> list[tuple[int, int]]:
     return [(k * width, (k + 1) * width) for k in range(top)]
 
 
-def sentence_distance(rel: Relation, doc: Document) -> int:
+def sentence_ends(doc: Document) -> list[int]:
+    """Character end of the last token of every sentence but the last."""
+    return [doc.tokens[s - 1].end for s in doc.sentence_starts[1:]]
+
+
+def sentence_distance(rel: Relation, doc: Document, ends: list[int] | None = None) -> int:
     """Signed sentence count from attribute to drug: negative when the drug
-    is mentioned before the related attribute."""
-    drug = sentence_index_of_char(doc, rel.arg2.start)
-    attr = sentence_index_of_char(doc, rel.arg1.start)
-    return drug - attr
+    is mentioned before the related attribute.
+
+    The sentence of a character position is the number of sentence ends at
+    or before it, capped at the last sentence; leaving the last sentence's
+    end out of `sentence_ends` is the cap. That is the sentence of the first
+    token ending after the position, or of the last token when none does.
+    A caller measuring many relations of one document passes
+    `sentence_ends(doc)` as `ends` so that it is built once."""
+    if ends is None:
+        ends = sentence_ends(doc)
+    return bisect_right(ends, rel.arg2.start) - bisect_right(ends, rel.arg1.start)
 
 
 @dataclass
@@ -197,12 +243,13 @@ def build_report(pred_docs: list[PredictedDoc], gold_docs: list[Document]) -> Ev
         # distance strata: gold relations keyed by gold distance, predictions
         # by their own distance, matched within the stratum
         strata: dict[int, tuple[list, list]] = {}  # distance -> (pred, gold)
+        ends = sentence_ends(gold)
         for r in gold.gold_relations:
-            d = sentence_distance(r, gold)
+            d = sentence_distance(r, gold, ends)
             strata.setdefault(d, ([], []))[1].append(r)
             report.distance_gold_counts[d] = report.distance_gold_counts.get(d, 0) + 1
         for r in pred.relations:
-            strata.setdefault(sentence_distance(r, gold), ([], []))[0].append(r)
+            strata.setdefault(sentence_distance(r, gold, ends), ([], []))[0].append(r)
         for d, (p, g) in strata.items():
             by_distance.setdefault(d, MatchCounts()).add(_tally(match_relations(p, g)))
     report.by_sentence_distance = dict(sorted(by_distance.items()))

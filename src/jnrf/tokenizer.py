@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left, bisect_right
-from operator import attrgetter
 
 from .corpus import Document, Token, bio_label
 
@@ -151,27 +150,17 @@ def split_sentences(doc: Document) -> list[int]:
     return starts
 
 
-def token_range(tokens: list[Token], start: int, end: int) -> tuple[int, int]:
-    """Index range [first, stop) of the tokens that overlap characters
-    [start, end); first >= stop when none does.
-
-    Relies on the order wordpiece_tokenize guarantees: tokens are in text
-    order and do not overlap, so their starts and their ends both ascend.
-    """
-    first = bisect_right(tokens, start, key=attrgetter("end"))
-    return first, bisect_left(tokens, end, key=attrgetter("start"))
-
-
 def align_bio(doc: Document) -> list[int]:
     """Project gold character spans onto tokens: overlap means inside, the
     first overlapped token is B-, the rest I-. Also records the token range
     of every gold entity on the document.
 
-    Each range is found by `token_range`'s rule, bisecting plain lists of the
-    token starts and ends built once for the document, not the tokens with a
-    key per probe. The rule is written twice until a document keeps its token
-    starts and ends as lists that `token_range` and `split_sentences` can
-    share."""
+    The tokens overlapping characters [start, end) are found by two bisects
+    on lists of the token starts and ends built once for the document: they
+    begin after the last token ending at or before `start` and stop before
+    the first token starting at or after `end`. This relies on the order
+    wordpiece_tokenize guarantees: tokens are in text order and do not
+    overlap, so their starts and their ends both ascend."""
     tokens = doc.tokens
     starts = [tok.start for tok in tokens]
     ends = [tok.end for tok in tokens]
@@ -206,13 +195,3 @@ def prepare(doc: Document, vocab: Vocab) -> Document:
     doc.bio_labels = align_bio(doc)
     return doc
 
-
-def sentence_index_of_token(doc: Document, tok: int) -> int:
-    """Index of the sentence containing a token."""
-    return max(bisect_right(doc.sentence_starts, tok) - 1, 0)
-
-
-def sentence_index_of_char(doc: Document, pos: int) -> int:
-    """Sentence of the first token ending after a character position, or of
-    the last token when none does (no sentence starts past the last token)."""
-    return sentence_index_of_token(doc, token_range(doc.tokens, pos, pos + 1)[0])

@@ -3,6 +3,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from jnrf import evaluation
 from jnrf.corpus import ENTITY_TYPES, RELATION_TYPES, Document, EntitySpan, Relation, Token, parse_brat
 from jnrf.evaluation import (
     EvaluationError,
@@ -13,6 +14,7 @@ from jnrf.evaluation import (
     match_relations,
     render_report_text,
     sentence_distance,
+    sentence_ends,
 )
 from jnrf.tokenizer import Vocab, prepare
 
@@ -55,7 +57,12 @@ def summed(triples):
     return tuple(map(sum, zip((0, 0, 0), *triples)))
 
 
-spans = st.tuples(st.integers(0, 30), st.integers(1, 4)).map(lambda sw: (sw[0], sw[0] + sw[1]))
+# Zero-width spans, and widths up to 12 so that spans nest and a gold item
+# that no later prediction can reach sits behind one that is still open.
+# Starts crowd into 0..3 half of the time, so many spans share one start.
+spans = st.tuples(
+    st.one_of(st.integers(0, 3), st.integers(0, 30)), st.integers(0, 12)
+).map(lambda sw: (sw[0], sw[0] + sw[1]))
 
 
 @st.composite
@@ -68,24 +75,36 @@ def entities(draw, types=TYPES):
 
 @st.composite
 def relations(draw):
+    """Relations whose first arguments often overlap while their second
+    arguments, drawn over a wider stretch, often do not."""
     out = []
-    for (s1, e1), (s2, e2) in draw(st.lists(st.tuples(spans, spans), max_size=8)):
+    wide = st.tuples(st.integers(0, 60), st.integers(0, 4)).map(lambda sw: (sw[0], sw[0] + sw[1]))
+    for (s1, e1), (s2, e2) in draw(st.lists(st.tuples(spans, st.one_of(spans, wide)), max_size=8)):
         attr = draw(st.sampled_from(("Strength", "Route")))
         out.append(Relation(f"{attr}-Drug", EntitySpan("A", attr, s1, e1), EntitySpan("D", "Drug", s2, e2)))
     return out
 
 
 @st.composite
-def documents(draw, doc_id="d"):
-    """A gold document with tokens laid out in text order over about 40
-    characters, sentence starts at some tokens, and a prediction for it."""
+def layouts(draw, doc_id="d"):
+    """A document with tokens laid out in text order over about 40
+    characters and sentence starts at some tokens, not always at the first;
+    it may have no tokens."""
     tokens, pos = [], 0
     for gap, width in draw(st.lists(st.tuples(st.integers(0, 3), st.integers(1, 3)), max_size=15)):
         pos += gap
         tokens.append(Token(f"t{len(tokens)}", pos, pos + width))
         pos += width
-    starts = sorted({0} | draw(st.sets(st.integers(0, len(tokens) - 1)))) if tokens else []
-    gold = Document(doc_id, "", draw(entities()), draw(relations()), tokens, starts)
+    starts = sorted(draw(st.sets(st.integers(0, len(tokens) - 1)))) if tokens else []
+    return Document(doc_id, "", tokens=tokens, sentence_starts=starts)
+
+
+@st.composite
+def documents(draw, doc_id="d"):
+    """A gold document laid out by `layouts`, with annotations, and a
+    prediction for it."""
+    gold = draw(layouts(doc_id))
+    gold.gold_entities, gold.gold_relations = draw(entities()), draw(relations())
     return PredictedDoc(doc_id, draw(entities()), draw(relations())), gold
 
 
@@ -121,6 +140,67 @@ class TestGreedyMatching:
         gold = [EntitySpan("T1", "Drug", 0, 4)]
         pred = [EntitySpan("P1", "Route", 0, 4)]
         assert as_tuple(report_of(pred, gold).ner) == (0, 1, 1)
+
+    def test_an_unreachable_gold_item_behind_an_open_one(self):
+        # G1's first argument overlaps every prediction's, but only P3 names
+        # its drug. G2, behind G1, is dropped when P2 starts past its end, and
+        # G3, behind both, is taken by P2. G1 must still be open for P3.
+        def rel(a, d):
+            return Relation("Strength-Drug", EntitySpan("A", "Strength", *a), EntitySpan("D", "Drug", *d))
+
+        gold = [rel((0, 10), (50, 52)), rel((1, 2), (60, 62)), rel((3, 9), (70, 72))]
+        pred = [rel((1, 3), (80, 81)), rel((5, 6), (70, 71)), rel((6, 7), (50, 51))]
+        assert as_tuple(match_relations(pred, gold)["Strength-Drug"]) == (2, 1, 1)
+        assert naive_relations(pred, gold) == (2, 1, 1)
+
+
+def counted(monkeypatch, name):
+    """Replace the pair predicate `evaluation.<name>` by one that counts its
+    calls in the returned list's only element."""
+    calls = [0]
+    inner = getattr(evaluation, name)
+
+    def counting(p, g):
+        calls[0] += 1
+        return inner(p, g)
+
+    monkeypatch.setattr(evaluation, name, counting)
+    return calls
+
+
+class TestMatchingWork:
+    """With P = G = 2,000 items of one type, the matcher calls its pair
+    predicate at most P + G times when the spans that decide overlap never
+    overlap, or overlap one to one; testing every open gold item for each
+    prediction would call it P * G = 4,000,000 times."""
+
+    N = 2000
+
+    @pytest.mark.parametrize("every", [0, 2], ids=["never", "every-other"])
+    def test_entities(self, monkeypatch, every):
+        # prediction i covers [4i, 4i + 2); gold i lies at [4i + 2, 4i + 3),
+        # past it, except that with every = 2 each even one moves inside it
+        def gold_at(i):
+            s = 4 * i + (1 if every and i % every == 0 else 2)
+            return EntitySpan(f"T{i}", "Drug", s, s + 1)
+
+        pred = [EntitySpan(f"P{i}", "Drug", 4 * i, 4 * i + 2) for i in range(self.N)]
+        gold = [gold_at(i) for i in range(self.N)]
+        calls = counted(monkeypatch, "_overlap")
+        got = as_tuple(match_entities(pred, gold)["Drug"])
+        tp = self.N // every if every else 0
+        assert got == (tp, self.N - tp, self.N - tp)
+        assert calls[0] <= 2 * self.N
+
+    def test_relations_whose_first_arguments_never_overlap(self, monkeypatch):
+        def rel(a, d):
+            return Relation("Route-Drug", EntitySpan("A", "Route", a, a + 1), EntitySpan("D", "Drug", d, d + 1))
+
+        pred = [rel(4 * i, 4 * i + 2) for i in range(self.N)]
+        gold = [rel(4 * i + 2, 4 * i + 2) for i in range(self.N)]
+        calls = counted(monkeypatch, "_arguments_match")
+        assert as_tuple(match_relations(pred, gold)["Route-Drug"]) == (0, self.N, self.N)
+        assert calls[0] <= 2 * self.N
 
 
 class TestCountsByType:
@@ -238,6 +318,32 @@ class TestLengthBins:
 
 
 class TestSentenceDistance:
+    @settings(max_examples=300, deadline=None)
+    @given(doc=layouts(), attr=st.integers(-2, 45), drug=st.integers(-2, 45))
+    def test_sentences_of_positions_follow_the_scan(self, doc, attr, drug):
+        rel = Relation("Route-Drug", EntitySpan("A", "Route", attr, attr + 1), EntitySpan("D", "Drug", drug, drug + 1))
+        want = (scan_sentence_index_of_char(doc.tokens, doc.sentence_starts, drug)
+                - scan_sentence_index_of_char(doc.tokens, doc.sentence_starts, attr))
+        assert sentence_distance(rel, doc) == want
+        assert sentence_distance(rel, doc, sentence_ends(doc)) == want
+
+    def test_gaps_and_ends(self):
+        # tokens "ab" at 1..3 and "c" at 5..6: characters in the gap belong to
+        # the next token's sentence, those after the last token to the last
+        doc = Document("d", "", tokens=[Token("ab", 1, 3), Token("c", 5, 6)], sentence_starts=[0, 1])
+        assert sentence_ends(doc) == [3]
+        from_start = [
+            sentence_distance(Relation("Route-Drug", EntitySpan("A", "Route", 0, 1), EntitySpan("D", "Drug", p, p + 1)), doc)
+            for p in range(8)
+        ]
+        assert from_start == [0, 0, 0, 1, 1, 1, 1, 1]
+
+    def test_no_tokens(self):
+        doc = Document("d", "")
+        assert sentence_ends(doc) == []
+        rel = Relation("Route-Drug", EntitySpan("A", "Route", 9, 10), EntitySpan("D", "Drug", 0, 4))
+        assert sentence_distance(rel, doc) == 0
+
     def make(self, text, ann):
         doc = parse_brat(text, ann)
         prepare(doc, Vocab(["[UNK]", "aspirin", "daily", "take", "5", "mg", "oral", "."]))

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 import synth
 from jnrf import tokenizer
 from jnrf.corpus import Document, EntitySpan, Token, bio_label, parse_brat
+from jnrf.evaluation import sentence_ends
 from jnrf.tokenizer import (
     UNK,
     AlignmentError,
@@ -16,20 +17,14 @@ from jnrf.tokenizer import (
     VocabError,
     align_bio,
     prepare,
-    sentence_index_of_char,
-    sentence_index_of_token,
     split_sentences,
-    token_range,
     wordpiece_tokenize,
 )
 
 from oracles import (
     scan_align_bio,
     scan_pretokens,
-    scan_sentence_index_of_char,
-    scan_sentence_index_of_token,
     scan_split_sentences,
-    scan_token_range,
     scan_wordpiece_tokenize,
 )
 
@@ -197,7 +192,8 @@ class TestSentenceSplit:
         doc = self.tokenized("a. b. c", "a", "b", "c", ".")
         doc.sentence_starts = split_sentences(doc)
         assert doc.sentence_starts == [0, 2, 4]
-        assert [sentence_index_of_token(doc, i) for i in range(5)] == [0, 0, 1, 1, 2]
+        # "a." ends at 2 and "b." at 5; the last sentence's end is left out
+        assert sentence_ends(doc) == [2, 5]
 
 
 def test_prepare_round_trip_through_brat():
@@ -220,15 +216,13 @@ def test_prepare_round_trip_through_brat():
 @st.composite
 def token_layouts(draw):
     """Tokens in text order that do not overlap, with gaps of 0 to 3
-    characters (also before the first), and sorted sentence starts; the
-    document may have no tokens."""
+    characters (also before the first); the document may have no tokens."""
     tokens, pos = [], 0
     for gap, width in draw(st.lists(st.tuples(st.integers(0, 3), st.integers(1, 3)), max_size=12)):
         pos += gap
         tokens.append(Token(f"t{len(tokens)}", pos, pos + width))
         pos += width
-    starts = sorted(draw(st.sets(st.integers(0, max(len(tokens) - 1, 0)))))
-    return tokens, starts
+    return tokens
 
 
 char_positions = st.integers(-2, 45)
@@ -236,33 +230,11 @@ char_positions = st.integers(-2, 45)
 
 class TestLookupsAgainstScans:
     @settings(max_examples=300, deadline=None)
-    @given(layout=token_layouts(), start=char_positions, width=st.integers(1, 6))
-    def test_token_range(self, layout, start, width):
-        tokens, _ = layout
-        first, stop = token_range(tokens, start, start + width)
-        assert list(range(first, stop)) == scan_token_range(tokens, start, start + width)
-
-    @settings(max_examples=300, deadline=None)
-    @given(layout=token_layouts(), pos=char_positions)
-    def test_sentence_index_of_char(self, layout, pos):
-        tokens, starts = layout
-        doc = Document("d", "", tokens=tokens, sentence_starts=starts)
-        assert sentence_index_of_char(doc, pos) == scan_sentence_index_of_char(tokens, starts, pos)
-
-    @settings(max_examples=300, deadline=None)
-    @given(layout=token_layouts(), tok=st.integers(-1, 13))
-    def test_sentence_index_of_token(self, layout, tok):
-        tokens, starts = layout
-        doc = Document("d", "", tokens=tokens, sentence_starts=starts)
-        assert sentence_index_of_token(doc, tok) == scan_sentence_index_of_token(starts, tok)
-
-    @settings(max_examples=300, deadline=None)
     @given(
-        layout=token_layouts(),
+        tokens=token_layouts(),
         spans=st.lists(st.tuples(char_positions, st.integers(1, 6), st.sampled_from(("Drug", "Route"))), max_size=5),
     )
-    def test_align_bio(self, layout, spans):
-        tokens, _ = layout
+    def test_align_bio(self, tokens, spans):
         doc = Document("d", "", tokens=tokens)
         doc.gold_entities = [EntitySpan(f"T{i}", t, s, s + w) for i, (s, w, t) in enumerate(spans)]
 
@@ -277,19 +249,15 @@ class TestLookupsAgainstScans:
         assert got == want
 
     def test_gaps_and_ends(self):
-        # tokens "ab" at 1..3 and "c" at 5..6: characters in the gap map to
-        # the next token, those after the last token to the last one
-        doc = Document("d", "", tokens=[Token("ab", 1, 3), Token("c", 5, 6)], sentence_starts=[0, 1])
-        assert [sentence_index_of_char(doc, p) for p in range(8)] == [0, 0, 0, 1, 1, 1, 1, 1]
-        assert token_range(doc.tokens, 3, 5) == (1, 1)
+        # tokens "ab" at 1..3 and "c" at 5..6: an entity inside the gap
+        # overlaps neither
+        doc = Document("d", "", tokens=[Token("ab", 1, 3), Token("c", 5, 6)])
         doc.gold_entities = [EntitySpan("T1", "Drug", 3, 5)]
         with pytest.raises(AlignmentError, match="T1 .*covers no token"):
             align_bio(doc)
 
     def test_no_tokens(self):
         doc = Document("d", "")
-        assert sentence_index_of_char(doc, 4) == 0
-        assert sentence_index_of_token(doc, 0) == 0
         assert align_bio(doc) == []
 
 
