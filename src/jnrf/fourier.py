@@ -48,6 +48,6 @@ def mix_real2d(x: np.ndarray) -> np.ndarray:
     out[:, :h] = re[:n]
     # columns l >= h by Hermitian symmetry: Re X[k, l] = Re X[-k mod np_, dp - l]
     cols = slice(dp - h, dp - d, -1)
-    out[0, h:] = re[0, cols]
+    out[:1, h:] = re[0, cols]  # row 0, none when n = 0
     out[1:, h:] = re[np_ - 1:np_ - n:-1, cols]
     return out

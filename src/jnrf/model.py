@@ -8,16 +8,25 @@ matrix, attributes by drugs. An attribute of type X can only be in an X-Drug
 relation (`parse_brat` rejects any other pairing), so scoring row l under
 that one head is exact. Pooling groups the attributes by head, so each
 head's rows are one block: its projected attributes against its projected
-drugs, plus a_j*D^2 + b_j*D. The cost is |H| * |L| scores plus, per head
+drugs, plus (a_j*D + b_j)*D. The cost is |H| * |L| scores plus, per head
 present, projections of the drugs and of that head's attributes; it never
-grows with the square of the document length. The relation loss's
-log-softmax runs over each row, the drug axis, so the model has no term that
-is constant along a row (a drug bias, a constant c_j): it would cancel.
+grows with the square of the document length. One tape node
+(`T.relation_scores`) writes every block straight into the score matrix and
+adds the polynomial from the integer token positions, recomputing D per
+block of rows, so the scores are the only (|L|, |H|) array it makes, in
+training and in prediction alike. The relation loss's log-softmax runs over
+each row, the drug axis, so the model has no term that is constant along a
+row (a drug bias, a constant c_j): it would cancel.
+
+Prediction stays in arrays up to its output: `decode_bio` finds span
+boundaries with whole-array comparisons, and a predicted relation is
+(drug span index, attribute span index, head) into the decoded spans, which
+`predictions_to_brat` turns into standoff entities and relations.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,6 +35,7 @@ from .config import ModelConfig
 from .corpus import (
     ATTRIBUTE_TYPES,
     Document,
+    ENTITY_TYPES,
     EntitySpan,
     NUM_LABELS,
     Relation,
@@ -39,8 +49,14 @@ from .params import Params, add_linear, linear_init
 from .tensor import ShapeError, Tensor
 
 N_REL_HEADS = len(RELATION_TYPES)
-# type X can only be Arg1 of an X-Drug relation
-_HEAD_OF = {t: relation_head(f"{t}-Drug") for t in ATTRIBUTE_TYPES}
+# type X can only be Arg1 of an X-Drug relation; -1 marks a drug
+_HEAD_OF = {"Drug": -1, **{t: relation_head(f"{t}-Drug") for t in ATTRIBUTE_TYPES}}
+# per BIO label id: the index of its entity type in _TYPE_NAMES (0 for O),
+# and whether it is a B- tag
+_TYPE_NAMES = np.array(["", *ENTITY_TYPES], dtype=object)
+_PARTS = [label_parts(lab) or ("", False) for lab in range(NUM_LABELS)]
+_LABEL_TYPE = np.array([list(_TYPE_NAMES).index(etype) for etype, _ in _PARTS])
+_LABEL_BEGIN = np.array([begin for _, begin in _PARTS])
 
 
 @dataclass
@@ -70,43 +86,49 @@ def decode_bio(logits: np.ndarray):
     """Row argmax (ties to the lowest class id) assembled into typed spans.
 
     B-X opens a span; I-X extends an open X span; I-X after O or another
-    type opens a new X span; O closes."""
+    type opens a new X span; O closes. In array form: a span boundary falls
+    before token i where the entity type changes or a B- tag stands, and
+    before n; a span opens at each boundary on a typed token and ends at
+    the next boundary."""
     labels = np.argmax(logits, axis=1)
-    spans = []
-    open_start, open_type = None, None
-    for i, lab in enumerate(labels):
-        parts = label_parts(int(lab))
-        if parts is None:
-            if open_type is not None:
-                spans.append((open_start, i, open_type))
-                open_start = open_type = None
-            continue
-        etype, is_begin = parts
-        if is_begin or open_type != etype:
-            if open_type is not None:
-                spans.append((open_start, i, open_type))
-            open_start, open_type = i, etype
-    if open_type is not None:
-        spans.append((open_start, len(labels), open_type))
+    n = len(labels)
+    types = _LABEL_TYPE[labels]
+    cut = np.ones(n + 1, dtype=bool)
+    np.not_equal(types[1:], types[:-1], out=cut[1:n])
+    cut[:n] |= _LABEL_BEGIN[labels]
+    bounds = np.flatnonzero(cut)
+    opens = np.flatnonzero(types[bounds[:-1]])
+    starts = bounds[opens]
+    spans = list(zip(starts.tolist(), bounds[opens + 1].tolist(), _TYPE_NAMES[types[starts]].tolist()))
     return labels, spans
 
 
 @dataclass
 class Pooled:
     """Selective pooling output: drugs (queries) and attributes (keys).
-    `heads[l]` is the relation head of attribute l; it ascends."""
+    `h_index` and `l_index` are the pooled spans' indices in `spans`;
+    `heads[l]` is the relation head of attribute l, and it ascends."""
 
     q: Tensor | None
     k: Tensor | None
     pos_h: np.ndarray
     pos_l: np.ndarray
     heads: np.ndarray
-    h_spans: list[tuple[int, int, str]] = field(default_factory=list)
-    l_spans: list[tuple[int, int, str]] = field(default_factory=list)
+    h_index: np.ndarray
+    l_index: np.ndarray
+    spans: list[tuple[int, int, str]]
+
+    @property
+    def h_spans(self) -> list[tuple[int, int, str]]:
+        return [self.spans[i] for i in self.h_index.tolist()]
+
+    @property
+    def l_spans(self) -> list[tuple[int, int, str]]:
+        return [self.spans[i] for i in self.l_index.tolist()]
 
     @property
     def empty(self) -> bool:
-        return len(self.h_spans) == 0 or len(self.l_spans) == 0
+        return len(self.h_index) == 0 or len(self.l_index) == 0
 
 
 def selective_pool(e2: Tensor, spans, embed=None) -> Pooled:
@@ -117,30 +139,24 @@ def selective_pool(e2: Tensor, spans, embed=None) -> Pooled:
     A span's vector is its first token's row. Only the distinct span starts
     are gathered, and `embed`, a row-wise map, runs on those rows alone,
     which equals pooling `embed(e2)`."""
-    h_spans = [s for s in spans if s[2] == "Drug"]
-    l_spans = sorted((s for s in spans if s[2] != "Drug"), key=lambda s: _HEAD_OF[s[2]])
-    heads = np.array([_HEAD_OF[s[2]] for s in l_spans], dtype=np.intp)
-    pos_h = np.array([s[0] for s in h_spans], dtype=np.intp)
-    pos_l = np.array([s[0] for s in l_spans], dtype=np.intp)
-    if not h_spans or not l_spans:
-        return Pooled(None, None, pos_h, pos_l, heads, h_spans, l_spans)
+    head = np.array([_HEAD_OF[s[2]] for s in spans], dtype=np.intp)  # -1 for a drug
+    first = np.array([s[0] for s in spans], dtype=np.intp)
+    h_index = np.flatnonzero(head < 0)
+    l_index = np.flatnonzero(head >= 0)
+    l_index = l_index[np.argsort(head[l_index], kind="stable")]
+    pos_h, pos_l = first[h_index], first[l_index]
+    pooled = Pooled(None, None, pos_h, pos_l, head[l_index], h_index, l_index, spans)
+    if pooled.empty:
+        return pooled
     starts = np.concatenate([pos_h, pos_l])
     read = np.unique(starts)
     rows = T.pick_rows(e2, read)
     if embed is not None:
         rows = embed(rows)
     at = np.searchsorted(read, starts)
-    nh = len(h_spans)
-    q, k = T.pick_rows(rows, at[:nh]), T.pick_rows(rows, at[nh:])
-    return Pooled(q, k, pos_h, pos_l, heads, h_spans, l_spans)
-
-
-def distance_matrix(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Absolute token distance |rows[i] - cols[j]| between pooled entities;
-    a constant in the graph (no gradient flows into positions). Positions
-    are integers, so their float64 differences are exact."""
-    d = np.subtract.outer(np.asarray(rows, dtype=np.float64), np.asarray(cols, dtype=np.float64))
-    return np.abs(d, out=d)
+    nh = len(h_index)
+    pooled.q, pooled.k = T.pick_rows(rows, at[:nh]), T.pick_rows(rows, at[nh:])
+    return pooled
 
 
 def build_relation_targets(pooled: Pooled, spans, relations) -> np.ndarray:
@@ -219,35 +235,34 @@ class JNRF:
     def re_embed(self, e2: Tensor) -> Tensor:
         return ffn(e2, self.params, "re")
 
-    def relation_scores(self, q: Tensor, k: Tensor, dist: np.ndarray, heads) -> Tensor:
+    def relation_scores(self, q: Tensor, k: Tensor, pos_l, pos_h, heads) -> Tensor:
         """(|L|, |H|) scores: attribute l against every drug under its own
         head j = heads[l], the bilinear form (k_l W_k^j + bias) (q W_q^j)^T
-        plus alpha[j] . (D^2, D). dist is (|L|, |H|). heads must ascend, as
-        `selective_pool` orders them, so each head's rows are one block."""
+        plus (a_j D + b_j) D, where D = |pos_l[l] - pos_h| is the token
+        distance from the integer start positions. heads must ascend, as
+        `selective_pool` orders them, so each head's rows are one block:
+        each head present projects the drugs and its attributes, and one
+        `T.relation_scores` node writes every block into one array."""
         heads = np.asarray(heads, dtype=np.intp)
         if len(heads) != k.rows:
             raise ShapeError(f"relation_scores: {len(heads)} heads for {k.rows} attribute rows")
-        if dist.shape != (k.rows, q.rows):
+        if (len(pos_l), len(pos_h)) != (k.rows, q.rows):
             raise ShapeError(
-                f"relation_scores: dist must be (|L|, |H|) = {(k.rows, q.rows)}, got {dist.shape}"
+                f"relation_scores: positions must be (|L|, |H|) = {(k.rows, q.rows)}, "
+                f"got {(len(pos_l), len(pos_h))}"
             )
         if np.any(heads[1:] < heads[:-1]):
             raise ShapeError(
                 f"relation_scores: heads must ascend (grouped by head), got {heads.tolist()}"
             )
-        alpha = self.params["alpha"]
         present, starts = np.unique(heads, return_index=True)
-        blocks = []
+        ks, qs = [], []
         for j, lo, hi in zip(present, starts, [*starts[1:], len(heads)]):
-            qj = T.matmul(q, self.params[f"rel.{j}.q.w"])
-            kj = T.linear(
+            qs.append(T.matmul(q, self.params[f"rel.{j}.q.w"]))
+            ks.append(T.linear(
                 T.slice_rows(k, lo, hi), self.params[f"rel.{j}.k.w"], self.params[f"rel.{j}.k.b"]
-            )
-            d = dist[lo:hi].ravel()
-            poly = T.matmul(T.slice_rows(alpha, j, j + 1), Tensor(np.stack([d**2, d])))
-            bilinear = T.matmul(kj, T.transpose(qj))
-            blocks.append(T.add(bilinear, T.reshape(poly, hi - lo, q.rows)))
-        return blocks[0] if len(blocks) == 1 else T.concat_rows(blocks)
+            ))
+        return T.relation_scores(ks, qs, self.params["alpha"], present, pos_l, pos_h)
 
     def instance_losses(self, inst: EncodedInstance, table: EmbeddingTable):
         """(joint, ner, re) loss tensors for one document."""
@@ -262,43 +277,36 @@ class JNRF:
         pooled = selective_pool(e2, spans, self.re_embed)
         if pooled.empty:
             return lner, lner, None
-        psi = self.relation_scores(
-            pooled.q, pooled.k, distance_matrix(pooled.pos_l, pooled.pos_h), pooled.heads
-        )
+        psi = self.relation_scores(pooled.q, pooled.k, pooled.pos_l, pooled.pos_h, pooled.heads)
         targets = build_relation_targets(pooled, inst.spans, inst.relations)
         lre = re_loss(psi, targets)
         return joint_loss(lner, lre), lner, lre
 
     def predict_instance(self, inst: EncodedInstance, table: EmbeddingTable):
         """Decode spans and relations with no tape; relations use predicted
-        spans and forced argmax drug selection."""
+        spans and forced argmax drug selection. Returns the spans and the
+        relations as (drug span index, attribute span index, head), both
+        indices into the spans."""
         e2 = self.encode(embed(inst.ids, table))
         logits = self.ner_head(e2)
         _, spans = decode_bio(logits.data)
         pooled = selective_pool(e2, spans, self.re_embed)
         if pooled.empty:
             return spans, []
-        psi = self.relation_scores(
-            pooled.q, pooled.k, distance_matrix(pooled.pos_l, pooled.pos_h), pooled.heads
-        )
+        psi = self.relation_scores(pooled.q, pooled.k, pooled.pos_l, pooled.pos_h, pooled.heads)
         triples = predict_relations(psi.data, pooled.heads)
-        relations = [(pooled.h_spans[h], pooled.l_spans[p], j) for h, p, j in triples]
-        return spans, relations
+        drug, attr = pooled.h_index.tolist(), pooled.l_index.tolist()
+        return spans, [(drug[h], attr[l], j) for h, l, j in triples]
 
 
 def predictions_to_brat(doc: Document, spans, relations):
     """Map token-level predictions back to character offsets as standoff
-    entities/relations ready for rendering."""
+    entities/relations ready for rendering. Relations are (drug span index,
+    attribute span index, head), as `predict_instance` returns them."""
+    tokens, text = doc.tokens, doc.text
     entities = []
-    span_to_entity = {}
-    for i, (ts, te, etype) in enumerate(spans):
-        start = doc.tokens[ts].start
-        end = doc.tokens[te - 1].end
-        ent = EntitySpan(f"T{i + 1}", etype, start, end, doc.text[start:end])
-        entities.append(ent)
-        span_to_entity[(ts, te, etype)] = ent
-    rels = [
-        Relation(RELATION_TYPES[j], span_to_entity[l_span], span_to_entity[h_span])
-        for h_span, l_span, j in relations
-    ]
+    for i, (ts, te, etype) in enumerate(spans, 1):
+        start, end = tokens[ts].start, tokens[te - 1].end
+        entities.append(EntitySpan(f"T{i}", etype, start, end, text[start:end]))
+    rels = [Relation(RELATION_TYPES[j], entities[l], entities[h]) for h, l, j in relations]
     return entities, rels

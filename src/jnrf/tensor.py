@@ -33,6 +33,13 @@ and multiplies it by the output projection. It saves x, q, k, v and the
 merged array, and backward recomputes each window's probabilities, so no
 window x window matrix is kept. It and `softmax_rows` share one softmax.
 
+`relation_scores` is the relation head's scoring as one node: each relation
+head's block of attribute rows is its projected attributes times its
+projected drugs, written straight into one (|L|, |H|) output, plus the
+distance polynomial (a D + b) D, added over blocks of _SCORE_ROWS rows with
+the token distances D recomputed from integer positions each time, in
+forward and again in backward. It saves the projections alone.
+
 `ffn` and `layer_norm_rows` run forward and backward over blocks of
 _BLOCK = 256 rows: a block of the ffn hidden layer (256 x 128 float64s at the
 default width, 256 KB) stays in L2 cache, and their temporaries are
@@ -62,6 +69,9 @@ _TAPES: list["Tape"] = []
 _TAPE_IDS = itertools.count()
 _ELSEWHERE = object()  # the link to a tensor that another tape recorded
 _BLOCK = 256  # rows per block in ffn and layer_norm_rows
+# rows per block of the relation scores' distance polynomial: its two
+# buffers of 128 x |H| float64s (580 KB at |H| = 283) stay in L2 cache
+_SCORE_ROWS = 128
 
 
 def _as2d(data) -> np.ndarray:
@@ -205,10 +215,11 @@ def _mm(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarr
     return np.matmul(a, b, out=out)
 
 
-def _row_blocks(n: int):
-    """(rows, buffer rows) per block of _BLOCK rows: the block's slice of an
-    n-row array and the matching leading slice of a block-sized buffer."""
-    return [(slice(i, min(i + _BLOCK, n)), slice(0, min(_BLOCK, n - i))) for i in range(0, n, _BLOCK)]
+def _row_blocks(n: int, size: int = _BLOCK, lo: int = 0):
+    """(rows, buffer rows) per block of `size` rows from row lo to row n: the
+    block's slice of an array and the matching leading slice of a
+    block-sized buffer."""
+    return [(slice(i, min(i + size, n)), slice(0, min(size, n - i))) for i in range(lo, n, size)]
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -600,39 +611,82 @@ def slice_rows(x: Tensor, i0: int, i1: int) -> Tensor:
     return _record(out, (x,), backward)
 
 
-def concat_rows(parts) -> Tensor:
-    parts = tuple(parts)
-    out = Tensor(np.concatenate([p.data for p in parts], axis=0))
-    offsets = np.cumsum([0] + [p.rows for p in parts])
-    needs = [p.requires_grad for p in parts]
+def relation_scores(ks, qs, alpha: Tensor, heads, pos_l, pos_h) -> Tensor:
+    """Relation scores of attributes against drugs, (|L|, |H|), as one node.
+
+    Block i is the next ks[i].rows rows: ks[i] @ qs[i]^T, with qs[i] of
+    shape (|H|, d), plus (a D + b) D, where (a, b) = alpha[heads[i]] and D is
+    the token distance |pos_l - pos_h| of the block's attributes to every
+    drug. Each block's product is written straight into the one output
+    array; the polynomial is added over row blocks of _SCORE_ROWS rows, with
+    D recomputed into a block-sized buffer. Neither forward nor the tape
+    holds D or any (|L|, |H|) array but the output.
+
+    Backward returns g[block] @ qs[i] and g[block]^T @ ks[i] per block and,
+    into row heads[i] of alpha's gradient, the sums of g D^2 and g D over
+    the block, recomputing D row block by row block."""
+    ks, qs, heads = tuple(ks), tuple(qs), np.asarray(heads, dtype=np.intp)
+    if not len(ks) == len(qs) == len(heads):
+        raise ShapeError(f"relation_scores: {len(ks)} key and {len(qs)} query blocks for {len(heads)} heads")
+    sizes = [k.rows for k in ks]
+    nl, nh = sum(sizes), len(pos_h)
+    if len(pos_l) != nl:
+        raise ShapeError(f"relation_scores: {len(pos_l)} attribute positions for {nl} rows")
+    if alpha.cols != 2:
+        raise ShapeError(f"relation_scores: alpha must hold (a, b) rows, got {alpha.shape}")
+    for k, q in zip(ks, qs):
+        if q.shape != (nh, k.cols):
+            raise ShapeError(f"relation_scores: a query block must be ({nh}, {k.cols}), got {q.shape}")
+    stops = list(itertools.accumulate(sizes))
+    spans = list(zip([0, *stops[:-1]], stops))
+    # D's signed form pos_l[i] - pos_h[j] is the product [pos_l, 1] @ [1, -pos_h]:
+    # one BLAS call per row block, exact since the positions are integers
+    # (below 2**53) and every product and sum is one of integers
+    left = np.stack([np.asarray(pos_l, dtype=np.float64), np.ones(nl)], axis=1)
+    right = np.stack([np.ones(nh), -np.asarray(pos_h, dtype=np.float64)])
+    blocks = [
+        (j, rows, part)
+        for j, (lo, hi) in zip(heads.tolist(), spans)
+        for rows, part in _row_blocks(hi, _SCORE_ROWS, lo)
+    ]
+
+    def distances(rows, part, buffers):
+        d = np.matmul(left[rows], right, out=buffers[0, part])
+        return np.abs(d, out=d), buffers[1, part]
+
+    out = np.empty((nl, nh))
+    for k, q, (lo, hi) in zip(ks, qs, spans):
+        _mm(k.data, q.data.T, out=out[lo:hi])
+    buffers = np.empty((2, min(nl, _SCORE_ROWS), nh))
+    for j, rows, part in blocks:
+        a, b = alpha.data[j]
+        d, t = distances(rows, part, buffers)
+        np.multiply(d, a, out=t)
+        t += b
+        t *= d
+        out[rows] += t
+
+    rks, rqs = [k.requires_grad for k in ks], [q.requires_grad for q in qs]
+    kd = [k.data if r else None for k, r in zip(ks, rqs)]
+    qd = [q.data if r else None for q, r in zip(qs, rks)]
+    ralpha, alpha_shape = alpha.requires_grad, alpha.shape
 
     def backward(g):
-        return tuple(
-            g[offsets[i]:offsets[i + 1]].copy() if need else None for i, need in enumerate(needs)
-        )
+        gks = [_mm(g[lo:hi], q) if q is not None else None for q, (lo, hi) in zip(qd, spans)]
+        gqs = [_mm(g[lo:hi].T, k) if k is not None else None for k, (lo, hi) in zip(kd, spans)]
+        galpha = None
+        if ralpha:
+            galpha = np.zeros(alpha_shape)
+            buffers = np.empty((2, min(nl, _SCORE_ROWS), nh))
+            for j, rows, part in blocks:
+                d, t = distances(rows, part, buffers)
+                np.multiply(g[rows], d, out=t)
+                galpha[j, 1] += t.sum()
+                t *= d
+                galpha[j, 0] += t.sum()
+        return (*gks, *gqs, galpha)
 
-    return _record(out, parts, backward)
-
-
-def reshape(x: Tensor, rows: int, cols: int) -> Tensor:
-    if rows * cols != x.rows * x.cols:
-        raise ShapeError(f"cannot reshape {x.shape} to ({rows}, {cols})")
-    out = Tensor(x.data.reshape(rows, cols))
-    shape = x.shape
-
-    def backward(g):
-        return (g.reshape(shape),)
-
-    return _record(out, (x,), backward)
-
-
-def transpose(x: Tensor) -> Tensor:
-    out = Tensor(np.ascontiguousarray(x.data.T))
-
-    def backward(g):
-        return (np.ascontiguousarray(g.T),)
-
-    return _record(out, (x,), backward)
+    return _record(Tensor(out), (*ks, *qs, alpha), backward)
 
 
 def fourier_mix(x: Tensor) -> Tensor:

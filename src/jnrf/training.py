@@ -153,6 +153,9 @@ def train(
     state = AdamState.for_params(model.params, lr=cfg.lr)
 
     instances = [encode_document(d) for d in train_docs]
+    for inst in instances:
+        if len(inst.ids) == 0:
+            raise TrainingError(f"document {inst.doc_id!r} has no tokens")
 
     history: list[EpochStats] = []
     best_f1, best_snapshot, best_epoch = -1.0, None, 0

@@ -11,7 +11,7 @@ import statistics
 import numpy as np
 
 from jnrf import tensor as T
-from jnrf.corpus import Token, bio_label
+from jnrf.corpus import Token, bio_label, label_parts
 from jnrf.tokenizer import UNK
 
 
@@ -88,14 +88,32 @@ def layer_norm_input_grad(x: np.ndarray, gain: np.ndarray, g: np.ndarray, eps: f
     return out
 
 
+def transpose(x):
+    """x^T as a tape op; its gradient is the transposed adjoint."""
+    out = T.Tensor(np.ascontiguousarray(x.data.T))
+    return T._record(out, (x,), lambda g: (np.ascontiguousarray(g.T),))
+
+
+def concat_rows(parts):
+    """The parts stacked by rows as a tape op; each gets its rows of the
+    adjoint."""
+    parts = tuple(parts)
+    out = T.Tensor(np.concatenate([p.data for p in parts], axis=0))
+    offsets = np.cumsum([0] + [p.rows for p in parts])
+    return T._record(out, parts, lambda g: tuple(
+        g[offsets[i]:offsets[i + 1]].copy() for i in range(len(parts))
+    ))
+
+
 def composed_windowed_attention(x, wq, wk, wv, wo, window: int, n_heads: int):
     """Windowed attention built from the tape's elementary ops, one window
     and head at a time: each window's rows are sliced out and projected, a
     head's columns are picked by a matmul with 0/1 selection columns, the
     head computes softmax(q_h k_h^T / sqrt(dk)) v_h, the heads go back side
     by side through the transposed selections, the window is multiplied by
-    wo, and the windows are concatenated. Takes and returns Tensors, so a
-    tape records every step and gives the reference gradients."""
+    wo, and the windows are concatenated (`transpose` and `concat_rows`
+    above). Takes and returns Tensors, so a tape records every step and
+    gives the reference gradients."""
     n, m = x.rows, wq.cols
     dk = m // n_heads
     eye = np.eye(m)
@@ -107,11 +125,11 @@ def composed_windowed_attention(x, wq, wk, wv, wo, window: int, n_heads: int):
         for h in range(n_heads):
             pick = T.Tensor(eye[:, h * dk:(h + 1) * dk])
             qh = T.scale(T.matmul(q, pick), dk ** -0.5)
-            att = T.softmax_rows(T.matmul(qh, T.transpose(T.matmul(k, pick))))
-            head = T.matmul(T.matmul(att, T.matmul(v, pick)), T.transpose(pick))
+            att = T.softmax_rows(T.matmul(qh, transpose(T.matmul(k, pick))))
+            head = T.matmul(T.matmul(att, T.matmul(v, pick)), transpose(pick))
             merged = head if merged is None else T.add(merged, head)
         parts.append(T.matmul(merged, wo))
-    return parts[0] if len(parts) == 1 else T.concat_rows(parts)
+    return parts[0] if len(parts) == 1 else concat_rows(parts)
 
 
 def scalar_positional_encoding(pos: int, d: int) -> list[float]:
@@ -205,10 +223,12 @@ def scalar_adam(p: float, grads, lr: float, beta1=0.9, beta2=0.999, eps=1e-8) ->
     return p
 
 
-def all_heads_relation_scores(params, q: np.ndarray, k: np.ndarray, dist: np.ndarray) -> np.ndarray:
+def all_heads_relation_scores(params, q: np.ndarray, k: np.ndarray, pos_h, pos_l) -> np.ndarray:
     """Every (head, drug, attribute) score, as (t, |H|, |L|) planes: the
     bilinear form (q W_q^j) (k W_k^j + b)^T plus a_j D^2 + b_j D for every
-    head j, whatever the attribute's type. dist is (|H|, |L|)."""
+    head j, whatever the attribute's type, with D[h, l] = |pos_h[h] - pos_l[l]|
+    taken on Python integers."""
+    dist = np.array([[float(abs(int(h) - int(l))) for l in pos_l] for h in pos_h])
     alpha = params["alpha"].data
     planes = []
     for j in range(alpha.shape[0]):
@@ -217,6 +237,29 @@ def all_heads_relation_scores(params, q: np.ndarray, k: np.ndarray, dist: np.nda
         a, b = alpha[j]
         planes.append(qj @ kj.T + (a * dist**2 + b * dist))
     return np.stack(planes)
+
+
+def scalar_decode_bio(labels) -> list[tuple[int, int, str]]:
+    """Typed spans from BIO label ids, one token at a time: B-X opens a
+    span; I-X extends an open X span; I-X after O or another type opens a
+    new X span; O closes."""
+    spans = []
+    open_start, open_type = None, None
+    for i, lab in enumerate(labels):
+        parts = label_parts(int(lab))
+        if parts is None:
+            if open_type is not None:
+                spans.append((open_start, i, open_type))
+                open_start = open_type = None
+            continue
+        etype, is_begin = parts
+        if is_begin or open_type != etype:
+            if open_type is not None:
+                spans.append((open_start, i, open_type))
+            open_start, open_type = i, etype
+    if open_type is not None:
+        spans.append((open_start, len(labels), open_type))
+    return spans
 
 
 def scan_pretokens(text: str):

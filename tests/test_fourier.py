@@ -35,6 +35,10 @@ class TestMixReal2d:
         rhs = a * mix_real2d(x) + b * mix_real2d(y)
         assert np.max(np.abs(lhs - rhs)) < 1e-9
 
+    def test_no_rows(self):
+        got = mix_real2d(np.zeros((0, 6)))
+        assert got.shape == (0, 6)
+
     def test_deterministic(self):
         rng = np.random.default_rng(5)
         x = rng.standard_normal((12, 4))

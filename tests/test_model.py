@@ -7,6 +7,7 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jnrf import tensor as T
 from jnrf.corpus import ATTRIBUTE_TYPES, NUM_LABELS, bio_label, parse_brat
@@ -17,7 +18,6 @@ from jnrf.model import (
     ModelConfig,
     build_relation_targets,
     decode_bio,
-    distance_matrix,
     encode_document,
     joint_loss,
     ner_loss,
@@ -33,6 +33,7 @@ from oracles import (
     all_heads_relation_scores,
     fd_grad,
     rel_err,
+    scalar_decode_bio,
     scalar_ner_loss,
     scalar_re_loss,
 )
@@ -109,6 +110,18 @@ class TestDecodeBio:
     def test_ties_take_lowest_class(self):
         labels, spans = decode_bio(np.zeros((3, NUM_LABELS)))
         assert list(labels) == [0, 0, 0] and spans == []
+
+    def test_no_tokens(self):
+        labels, spans = decode_bio(np.zeros((0, NUM_LABELS)))
+        assert labels.shape == (0,) and spans == []
+
+    @settings(max_examples=300, deadline=None)
+    @given(labs=st.lists(st.integers(0, NUM_LABELS - 1), max_size=60))
+    def test_matches_scalar_oracle(self, labs):
+        labels, spans = decode_bio(self.logits_for(labs))
+        assert labels.tolist() == labs
+        assert spans == scalar_decode_bio(labs)
+        assert all(type(x) is int for s, e, _ in spans for x in (s, e))
 
 
 class TestSelectivePooling:
@@ -196,23 +209,30 @@ class TestSelectivePooling:
         assert np.count_nonzero(np.abs(gx).sum(axis=1)) == len(read)
 
 
+def node_distances(pos_l, pos_h) -> np.ndarray:
+    """The token distances D that the relation-score node adds as
+    (0 D + 1) D, read off its output with every bilinear term zero."""
+    pos_l, pos_h = np.asarray(pos_l), np.asarray(pos_h)
+    k, q = Tensor(np.zeros((len(pos_l), 1))), Tensor(np.zeros((len(pos_h), 1)))
+    return T.relation_scores([k], [q], Tensor([[0.0, 1.0]]), [0], pos_l, pos_h).data
+
+
 class TestDistanceMatrix:
     def test_values(self):
-        d = distance_matrix(np.array([2, 10]), np.array([5, 7]))
+        d = node_distances([2, 10], [5, 7])
         np.testing.assert_array_equal(d, [[3, 5], [5, 3]])
 
     def test_coincident(self):
-        assert distance_matrix(np.array([4]), np.array([4]))[0, 0] == 0
+        assert node_distances([4], [4])[0, 0] == 0
 
     def test_table_scale_extreme(self):
-        assert distance_matrix(np.array([0]), np.array([13989]))[0, 0] == 13989
-
+        assert node_distances([0], [13989])[0, 0] == 13989
 
     def test_bit_identical_to_the_integer_formula(self):
         rng = np.random.default_rng(29)
         rows, cols = rng.integers(0, 20000, 300), rng.integers(0, 20000, 40)
         old = np.abs(rows.reshape(-1, 1) - cols.reshape(1, -1)).astype(np.float64)
-        got = distance_matrix(rows, cols)
+        got = node_distances(rows, cols)
         assert got.dtype == np.float64 and got.shape == (300, 40)
         assert np.array_equal(got, old)
 
@@ -229,7 +249,7 @@ class TestRelationScores:
         model = self.zeroed_model()
         model.params["alpha"].data[0] = [1.0, 0.0]
         psi = model.relation_scores(
-            Tensor(np.zeros((1, 6))), Tensor(np.zeros((1, 6))), np.array([[2.0]]), [0]
+            Tensor(np.zeros((1, 6))), Tensor(np.zeros((1, 6))), np.array([3]), np.array([5]), [0]
         )
         assert psi.item() == 4.0
 
@@ -237,9 +257,8 @@ class TestRelationScores:
         model = JNRF(TINY, seed=6)
         rng = np.random.default_rng(7)
         q, k = rng.standard_normal((2, 6)), rng.standard_normal((3, 6))
-        d = distance_matrix(np.array([1, 2, 9]), np.array([0, 5]))
         for j in range(8):
-            psi = model.relation_scores(Tensor(q), Tensor(k), d, [j] * 3)
+            psi = model.relation_scores(Tensor(q), Tensor(k), [1, 2, 9], [0, 5], [j] * 3)
             qj = q @ model.params[f"rel.{j}.q.w"].data
             kj = k @ model.params[f"rel.{j}.k.w"].data + model.params[f"rel.{j}.k.b"].data
             np.testing.assert_array_equal(psi.data, kj @ qj.T)
@@ -248,14 +267,14 @@ class TestRelationScores:
         model = JNRF(TINY, seed=8)
         rng = np.random.default_rng(9)
         q, k = rng.standard_normal((2, 6)), rng.standard_normal((4, 6))
-        d = distance_matrix(np.array([2, 8, 3, 11]), np.array([1, 4]))
+        pos_l, pos_h = np.array([2, 8, 3, 11]), np.array([1, 4])
         heads = [0, 3, 3, 7]
         w = rng.standard_normal((4, 2))
         alpha = model.params["alpha"]
         base = alpha.data.copy()
 
         def run():
-            psi = model.relation_scores(Tensor(q), Tensor(k), d, heads)
+            psi = model.relation_scores(Tensor(q), Tensor(k), pos_l, pos_h, heads)
             return T.sum_all(T.mul(psi, Tensor(w)))
 
         with Tape() as tape:
@@ -269,24 +288,65 @@ class TestRelationScores:
 
         assert rel_err(alpha.grad, fd_grad(value, base)) < 1e-6
 
+    def test_every_parent_gradient_vs_finite_differences(self):
+        """Heads 2, 5 and 6 present, head 2 with one row; the inputs, each
+        present head's projections and alpha against central differences,
+        and no gradient reaching an absent head's projections."""
+        model = JNRF(TINY, seed=30)
+        rng = np.random.default_rng(31)
+        model.params["alpha"].data[...] = rng.standard_normal((8, 2)) * [1e-3, 0.1]
+        q0, k0 = rng.standard_normal((3, 6)), rng.standard_normal((6, 6))
+        pos_l, pos_h = np.array([7, 0, 25, 33, 11, 45]), np.array([2, 19, 40])
+        heads = [2, 5, 5, 6, 6, 6]
+        w = rng.standard_normal((6, 3))
+        q, k = Tensor(q0.copy(), requires_grad=True), Tensor(k0.copy(), requires_grad=True)
+
+        def run():
+            psi = model.relation_scores(q, k, pos_l, pos_h, heads)
+            return T.sum_all(T.mul(psi, Tensor(w)))
+
+        model.params.zero_grad()
+        with Tape() as tape:
+            loss = run()
+        tape.backward(loss)
+        checked = {"q": q, "k": k, "alpha": model.params["alpha"]}
+        for j in (2, 5, 6):
+            for name in ("q.w", "k.w", "k.b"):
+                checked[f"rel.{j}.{name}"] = model.params[f"rel.{j}.{name}"]
+        for name, t in checked.items():
+            base = t.data.copy()
+
+            def value():
+                t.data[...] = base
+                with Tape():
+                    return run().item()
+
+            want = fd_grad(value, base)
+            t.data[...] = base  # the last difference left one entry moved
+            assert rel_err(t.grad, want) < 1e-6, name
+        for j in (0, 1, 3, 4, 7):
+            for name in ("q.w", "k.w", "k.b"):
+                assert model.params[f"rel.{j}.{name}"].grad is None, (j, name)
+
     def test_heads_must_ascend(self):
         model = JNRF(TINY, seed=5)
         q, k = Tensor(np.zeros((2, 6))), Tensor(np.zeros((3, 6)))
         with pytest.raises(ShapeError, match=r"heads must ascend .*\[4, 0, 4\]"):
-            model.relation_scores(q, k, np.zeros((3, 2)), [4, 0, 4])
+            model.relation_scores(q, k, [0, 1, 2], [0, 1], [4, 0, 4])
 
     def test_heads_must_match_attribute_rows(self):
         model = JNRF(TINY, seed=5)
         q, k = Tensor(np.zeros((2, 6))), Tensor(np.zeros((3, 6)))
         with pytest.raises(ShapeError, match=r"relation_scores: 2 heads for 3 attribute rows"):
-            model.relation_scores(q, k, np.zeros((3, 2)), [0, 0])
+            model.relation_scores(q, k, [0, 1, 2], [0, 1], [0, 0])
 
     @pytest.mark.parametrize("shape", [(2, 2), (5, 2), (3, 1), (2, 3)], ids=lambda s: "%dx%d" % s)
     def test_dist_must_be_attributes_by_drugs(self, shape):
+        """The positions give distances of shape (len(pos_l), len(pos_h))."""
         model = JNRF(TINY, seed=5)
         q, k = Tensor(np.zeros((2, 6))), Tensor(np.zeros((3, 6)))
         with pytest.raises(ShapeError, match=re.escape(f"= (3, 2), got {shape}")):
-            model.relation_scores(q, k, np.zeros(shape), [0, 0, 0])
+            model.relation_scores(q, k, np.arange(shape[0]), np.arange(shape[1]), [0, 0, 0])
 
     def test_rows_match_all_heads_oracle(self):
         """Row l is the oracle's plane heads[l], column l: heads grouped,
@@ -297,8 +357,8 @@ class TestRelationScores:
         q, k = rng.standard_normal((3, 6)), rng.standard_normal((7, 6))
         pos_h, pos_l = np.array([4, 30, 17]), np.array([0, 9, 21, 40, 5, 33, 12])
         heads = [0, 0, 2, 4, 4, 6, 7]
-        psi = model.relation_scores(Tensor(q), Tensor(k), distance_matrix(pos_l, pos_h), heads)
-        planes = all_heads_relation_scores(model.params, q, k, distance_matrix(pos_h, pos_l))
+        psi = model.relation_scores(Tensor(q), Tensor(k), pos_l, pos_h, heads)
+        planes = all_heads_relation_scores(model.params, q, k, pos_h, pos_l)
         assert psi.shape == (7, 3)
         for l, j in enumerate(heads):
             assert rel_err(psi.data[l], planes[j, :, l]) < 1e-12, l
@@ -359,8 +419,8 @@ class TestLosses:
         pos_h, pos_l = np.array([2, 19, 40]), np.array([7, 0, 25, 33, 11, 45])
         heads = [0, 1, 1, 5, 5, 7]
         gold_drug = {0: 2, 1: 0, 3: 1, 4: 1, 5: 2}  # attribute 2 has no relation
-        psi = model.relation_scores(Tensor(q), Tensor(k), distance_matrix(pos_l, pos_h), heads)
-        planes = all_heads_relation_scores(model.params, q, k, distance_matrix(pos_h, pos_l))
+        psi = model.relation_scores(Tensor(q), Tensor(k), pos_l, pos_h, heads)
+        planes = all_heads_relation_scores(model.params, q, k, pos_h, pos_l)
         rows, full = np.zeros((6, 3)), np.zeros((8, 3, 6))
         for l, h in gold_drug.items():
             rows[l, h] = full[heads[l], h, l] = 1.0
@@ -373,6 +433,38 @@ class TestLosses:
     def test_joint_degenerate_is_ner(self):
         lner = Tensor([[1.25]])
         assert joint_loss(lner, None) is lner
+
+
+class TestRelationScoresMemory:
+    def test_prediction_peak_is_about_the_output(self):
+        """With no tape, scoring |L| = 2000 attributes against |H| = 200
+        drugs allocates the output, two buffers of _SCORE_ROWS rows and the
+        projections (small at width 6): at most 1.25 times the output's
+        bytes. Building D, D^2, their stack and the polynomial as whole
+        (|L|, |H|) arrays, then adding and concatenating the blocks, peaked
+        at 3.3 times."""
+        model = JNRF(TINY, seed=32)
+        rng = np.random.default_rng(33)
+        nl, nh = 2000, 200
+        model.params["alpha"].data[...] = rng.standard_normal((8, 2))
+        q, k = Tensor(rng.standard_normal((nh, 6))), Tensor(rng.standard_normal((nl, 6)))
+        heads = np.sort(rng.integers(0, 8, nl))
+        pos_l, pos_h = rng.integers(0, 8000, nl), rng.integers(0, 8000, nh)
+        gc.collect()
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            psi = model.relation_scores(q, k, pos_l, pos_h, heads)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert psi.shape == (nl, nh)
+        ratio = peak / psi.data.nbytes
+        assert ratio <= 1.25, f"peak {ratio:.2f} times the output"
 
 
 class TestRowConstantCancels:
@@ -547,8 +639,8 @@ class TestEndToEnd:
         inst = encode_document(doc)
         spans = inst.spans
         relations = [
-            (spans[0], spans[1], 0),  # Strength-Drug
-            (spans[0], spans[3], 6),  # Reason-Drug
+            (0, 1, 0),  # Strength-Drug: drug span 0, attribute span 1
+            (0, 3, 6),  # Reason-Drug
         ]
         entities, rels = predictions_to_brat(doc, spans, relations)
         from jnrf.corpus import render_ann
@@ -561,6 +653,16 @@ class TestEndToEnd:
             ("Strength-Drug", "Strength"),
             ("Reason-Drug", "Reason"),
         ]
+
+
+@pytest.mark.parametrize("mixer", ["fnet", "mlp", "windowed_attention"])
+def test_predict_on_a_document_with_no_tokens(mixer):
+    vocab = Vocab(["[UNK]", "rash"])
+    doc = prepare(parse_brat("   \n ", "", "blank"), vocab)
+    model = JNRF(dataclasses.replace(TINY, mixer=mixer), seed=21)
+    spans, relations = model.predict_instance(encode_document(doc), tiny_table(len(vocab)))
+    assert (spans, relations) == ([], [])
+    assert predictions_to_brat(doc, spans, relations) == ([], [])
 
 
 class TestPredictedTrainPooling:

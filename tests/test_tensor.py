@@ -9,6 +9,7 @@ from jnrf.instrument import COUNTER
 from jnrf.tensor import ShapeError, Tape, TapeError, Tensor
 
 from oracles import (
+    concat_rows,
     fd_grad,
     layer_norm_input_grad,
     linear_map_matrix,
@@ -17,6 +18,7 @@ from oracles import (
     scalar_gelu,
     scalar_gelu_grad,
     scalar_layer_norm,
+    transpose,
 )
 
 
@@ -470,6 +472,8 @@ class TestStructuralOps:
         w = rng.standard_normal((3, 3))
         grad_check(lambda a, c: T.sum_all(T.mul(T.pick_rows(a, [4, 0, 4]), c)), [x, w])
 
+    # `concat_rows` and `transpose` are the windowed-attention oracle's own
+    # tape ops (oracles.py); their gradients are checked here
     def test_slices_and_concat(self):
         rng = np.random.default_rng(8)
         x = rng.standard_normal((4, 6))
@@ -478,17 +482,78 @@ class TestStructuralOps:
         def build(a, c):
             top = T.slice_rows(a, 0, 2)
             bot = T.slice_rows(a, 2, 4)
-            return T.sum_all(T.mul(T.concat_rows([bot, top]), c))
+            return T.sum_all(T.mul(concat_rows([bot, top]), c))
 
         grad_check(build, [x, w])
 
-    def test_reshape_transpose(self):
+    def test_transpose(self):
         rng = np.random.default_rng(9)
-        x = rng.standard_normal((2, 6))
-        w = rng.standard_normal((4, 3))
-        grad_check(
-            lambda a, c: T.sum_all(T.mul(T.transpose(T.reshape(a, 3, 4)), c)), [x, w]
-        )
+        x = rng.standard_normal((4, 3))
+        w = rng.standard_normal((3, 4))
+        grad_check(lambda a, c: T.sum_all(T.mul(transpose(a), c)), [x, w])
+
+
+class TestRelationScoresOp:
+    def test_gradients_of_every_parent(self):
+        """Three blocks of 2, 1 and 3 rows under heads 0, 2 and 3 of four;
+        head 1 is absent and gets a zero row of alpha's gradient."""
+        rng = np.random.default_rng(40)
+        sizes, nh, d = (2, 1, 3), 4, 5
+        ks = [rng.standard_normal((m, d)) for m in sizes]
+        qs = [rng.standard_normal((nh, d)) for _ in sizes]
+        alpha = rng.standard_normal((4, 2)) * [1e-3, 0.1]
+        pos_l, pos_h = [3, 17, 0, 40, 9, 22], [5, 30, 11, 0]
+        c = rng.standard_normal((6, nh))
+
+        def build(k0, k1, k2, q0, q1, q2, a, w):
+            psi = T.relation_scores([k0, k1, k2], [q0, q1, q2], a, [0, 2, 3], pos_l, pos_h)
+            return T.sum_all(T.mul(psi, w))
+
+        grad_check(build, [*ks, *qs, alpha, c])
+        a = Tensor(alpha, requires_grad=True)
+        with Tape() as tape:
+            loss = build(*map(Tensor, ks + qs), a, Tensor(c))
+        tape.backward(loss)
+        assert not a.grad[1].any()
+
+    def test_blocks_and_polynomial(self):
+        rng = np.random.default_rng(41)
+        ks = [rng.standard_normal((m, 3)) for m in (3, 2)]
+        qs = [rng.standard_normal((2, 3)) for _ in ks]
+        alpha = rng.standard_normal((8, 2))
+        pos_l, pos_h = np.array([4, 0, 9, 12, 1]), np.array([7, 2])
+        got = T.relation_scores(list(map(Tensor, ks)), list(map(Tensor, qs)), Tensor(alpha), [1, 6],
+                                pos_l, pos_h).data
+        for l, (j, block, row) in enumerate([(1, 0, 0), (1, 0, 1), (1, 0, 2), (6, 1, 0), (6, 1, 1)]):
+            for h in range(2):
+                dist = abs(int(pos_l[l]) - int(pos_h[h]))
+                want = ks[block][row] @ qs[block][h] + alpha[j, 0] * dist**2 + alpha[j, 1] * dist
+                assert abs(got[l, h] - want) < 1e-12
+
+    def test_rows_past_one_block(self):
+        """More rows than _BLOCK: every row block gets its own distances."""
+        n, rng = T._BLOCK + 7, np.random.default_rng(42)
+        pos_l, pos_h = rng.integers(0, 9000, n), rng.integers(0, 9000, 3)
+        zeros = [Tensor(np.zeros((n, 2)))], [Tensor(np.zeros((3, 2)))]
+        alpha = Tensor(np.array([[0.5, -2.0]]), requires_grad=True)
+        g = rng.standard_normal((n, 3))
+        with Tape() as tape:
+            psi = T.relation_scores(*zeros, alpha, [0], pos_l, pos_h)
+            loss = T.sum_all(T.mul(psi, Tensor(g)))
+        tape.backward(loss)
+        dist = np.abs(pos_l[:, None] - pos_h[None, :]).astype(np.float64)
+        np.testing.assert_array_equal(psi.data, (0.5 * dist - 2.0) * dist)
+        assert rel_err(alpha.grad, [[(g * dist**2).sum(), (g * dist).sum()]]) < 1e-12
+
+    @pytest.mark.parametrize("pos_l, pos_h, q_shape", [
+        ([0, 1], [0, 1], (2, 2)),       # 2 positions for 3 rows
+        ([0, 1, 2], [0], (2, 2)),       # a query block of 2 rows for 1 drug
+        ([0, 1, 2], [0, 1], (2, 3)),    # width 3 against the keys' 2
+    ])
+    def test_shapes_must_agree(self, pos_l, pos_h, q_shape):
+        k, q = Tensor(np.zeros((3, 2))), Tensor(np.zeros(q_shape))
+        with pytest.raises(ShapeError, match="relation_scores"):
+            T.relation_scores([k], [q], Tensor(np.zeros((8, 2))), [0], pos_l, pos_h)
 
 
 class TestFourierMixOp:

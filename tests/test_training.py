@@ -133,6 +133,24 @@ class TestNonFiniteLoss:
             np.testing.assert_array_equal(p.data, before[name], err_msg=name)
 
 
+@pytest.mark.parametrize("mixer", ["fnet", "mlp", "windowed_attention"])
+def test_train_rejects_a_document_with_no_tokens_before_any_forward(mixer, monkeypatch):
+    doc, vocab = build_toy_doc()
+    blank = prepare(parse_brat("   \n ", "", "blank"), vocab)
+    assert blank.tokens == []
+    cfg = RunConfig(emb_dim=6, d_model=6, ffn_hidden=8, n_blocks=1, mixer=mixer, epochs=1)
+    model = JNRF(ModelConfig.from_run_config(cfg), seed=24)
+    before = {n: p.data.copy() for n, p in model.params.items()}
+    forwards = []
+    losses = model.instance_losses
+    monkeypatch.setattr(model, "instance_losses", lambda *a: forwards.append(1) or losses(*a))
+    with pytest.raises(TrainingError, match=r"^document 'blank' has no tokens$"):
+        train(model, tiny_table(len(vocab)), [doc, blank], [], cfg)
+    assert forwards == []
+    for name, p in model.params.items():
+        np.testing.assert_array_equal(p.data, before[name], err_msg=name)
+
+
 _DRUGS = ("metoprin", "lisinol", "warfex")
 _FREQS = ("daily", "weekly")
 _REASONS = ("nausea", "pain", "cough")
@@ -215,18 +233,18 @@ def test_dev_e2e_f1_equals_the_report():
     for i, doc in enumerate(docs):
         inst = encode_document(doc)
         spans = inst.spans
-        drugs = [s for s in spans if s[2] == "Drug"]
-        relations = []
+        drugs = [j for j, s in enumerate(spans) if s[2] == "Drug"]
+        relations = []  # (drug span index, attribute span index, head)
         for r, (attr, drug) in enumerate(inst.relations):
             if r % 3 == i:
                 continue  # a missed relation
             head = relation_head(f"{spans[attr][2]}-Drug")
             if r % 3 == (i + 1) % 3 and len(drugs) > 1:
                 # a relation to the wrong drug
-                wrong = next(d for d in drugs if d != spans[drug])
-                relations.append((wrong, spans[attr], head))
+                wrong = next(d for d in drugs if d != drug)
+                relations.append((wrong, attr, head))
             else:
-                relations.append((spans[drug], spans[attr], head))
+                relations.append((drug, attr, head))
         by_doc[doc.doc_id] = (spans, relations)
     # stands in for a model that predicts these spans and relations
     model = SimpleNamespace(predict_instance=lambda inst, table: by_doc[inst.doc_id])
