@@ -4,6 +4,10 @@ Entity lines look like "T1\tDrug 0 7\taspirin", relation lines like
 "R1\tStrength-Drug Arg1:T2 Arg2:T1". Discontinuous spans ("s e;s e") are
 collapsed to their envelope. Relations always point from an attribute
 entity (arg1) to a drug (arg2).
+
+A document keeps its tokens as parallel columns (`Tokens`): surfaces,
+character starts, character ends and vocabulary ids, in text order. A
+`Token` row is built only when a caller indexes or iterates the columns.
 """
 
 from __future__ import annotations
@@ -64,10 +68,34 @@ class Relation:
 
 @dataclass(slots=True)
 class Token:
+    """One row of `Tokens`, built on demand by indexing or iteration."""
+
     surface: str
     start: int
     end: int
     vocab_id: int = -1
+
+
+@dataclass(slots=True)
+class Tokens:
+    """A document's tokens as four parallel lists in text order; entry i of
+    each describes token i, which covers characters [start[i], end[i])."""
+
+    surface: list[str] = field(default_factory=list)
+    start: list[int] = field(default_factory=list)
+    end: list[int] = field(default_factory=list)
+    vocab_id: list[int] = field(default_factory=list)
+
+    def __len__(self):
+        return len(self.start)
+
+    def __getitem__(self, i):
+        """Token i as a `Token` row; a slice gives the columns' slices."""
+        kind = Tokens if isinstance(i, slice) else Token
+        return kind(self.surface[i], self.start[i], self.end[i], self.vocab_id[i])
+
+    def __iter__(self):
+        return map(Token, self.surface, self.start, self.end, self.vocab_id)
 
 
 @dataclass
@@ -76,7 +104,7 @@ class Document:
     text: str
     gold_entities: list[EntitySpan] = field(default_factory=list)
     gold_relations: list[Relation] = field(default_factory=list)
-    tokens: list[Token] = field(default_factory=list)
+    tokens: Tokens = field(default_factory=Tokens)
     sentence_starts: list[int] = field(default_factory=list)
     bio_labels: list[int] = field(default_factory=list)
     # token index range per gold entity, aligned with gold_entities
@@ -87,16 +115,21 @@ class Document:
 
 
 def _parse_offsets(chunk: str, lineno: int):
-    spans = []
+    """The envelope (smallest start, largest end) of one or more "s e" spans."""
+    lo = hi = None
     for part in chunk.split(";"):
         fields = part.split()
         if len(fields) != 2:
             raise BratParseError(f"line {lineno}: bad offset field {chunk!r}")
         try:
-            spans.append((int(fields[0]), int(fields[1])))
+            start, end = int(fields[0]), int(fields[1])
         except ValueError:
             raise BratParseError(f"line {lineno}: non-integer offsets in {chunk!r}") from None
-    return min(s for s, _ in spans), max(e for _, e in spans)
+        if lo is None:
+            lo, hi = start, end
+        else:
+            lo, hi = min(lo, start), max(hi, end)
+    return lo, hi
 
 
 def parse_brat(text: str, ann: str, doc_id: str = "doc") -> Document:

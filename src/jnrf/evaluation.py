@@ -175,8 +175,10 @@ def fd_length_bins(lengths) -> list[tuple[int, int]]:
 
 
 def sentence_ends(doc: Document) -> list[int]:
-    """Character end of the last token of every sentence but the last."""
-    return [doc.tokens[s - 1].end for s in doc.sentence_starts[1:]]
+    """Character end of the last token of every sentence but the last, read
+    off the document's `end` column."""
+    ends = doc.tokens.end
+    return [ends[s - 1] for s in doc.sentence_starts[1:]]
 
 
 def sentence_distance(rel: Relation, doc: Document, ends: list[int] | None = None) -> int:
@@ -254,7 +256,7 @@ def build_report(pred_docs: list[PredictedDoc], gold_docs: list[Document]) -> Ev
             by_distance.setdefault(d, MatchCounts()).add(_tally(match_relations(p, g)))
     report.by_sentence_distance = dict(sorted(by_distance.items()))
 
-    lengths = {doc_id: len(golds[doc_id].tokens) for doc_id in golds}
+    lengths = {doc_id: len(golds[doc_id]) for doc_id in golds}
     if len(golds) >= 2:
         for lo, hi in fd_length_bins(list(lengths.values())):
             in_bin = [doc_id for doc_id, n in lengths.items() if lo <= n < hi]

@@ -72,7 +72,7 @@ class EncodedInstance:
 
 
 def encode_document(doc: Document) -> EncodedInstance:
-    ids = np.array([t.vocab_id for t in doc.tokens], dtype=np.intp)
+    ids = np.array(doc.tokens.vocab_id, dtype=np.intp)
     labels = np.array(doc.bio_labels, dtype=np.intp)
     spans = [
         (s, e, ent.etype) for (s, e), ent in zip(doc.entity_token_spans, doc.gold_entities)
@@ -303,10 +303,10 @@ def predictions_to_brat(doc: Document, spans, relations):
     """Map token-level predictions back to character offsets as standoff
     entities/relations ready for rendering. Relations are (drug span index,
     attribute span index, head), as `predict_instance` returns them."""
-    tokens, text = doc.tokens, doc.text
+    starts, ends, text = doc.tokens.start, doc.tokens.end, doc.text
     entities = []
     for i, (ts, te, etype) in enumerate(spans, 1):
-        start, end = tokens[ts].start, tokens[te - 1].end
+        start, end = starts[ts], ends[te - 1]
         entities.append(EntitySpan(f"T{i}", etype, start, end, text[start:end]))
     rels = [Relation(RELATION_TYPES[j], entities[l], entities[h]) for h, l, j in relations]
     return entities, rels

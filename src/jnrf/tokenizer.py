@@ -13,6 +13,9 @@ against the vocabulary, prefixing continuations with "##"; the whole-word
 lookup gives what that search would, since it tries the whole word first. A
 pre-token with no full decomposition becomes a single [UNK] token covering
 its whole span, so character offsets always cover the non-whitespace text.
+
+The tokens go straight into the four columns of a `corpus.Tokens`; the
+sentence splitter and the BIO aligner bisect its `end` and `start` columns.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_left, bisect_right
 
-from .corpus import Document, Token, bio_label
+from .corpus import Document, Tokens, bio_label
 
 UNK = "[UNK]"
 
@@ -104,9 +107,10 @@ def _greedy_pieces(word: str, vocab: Vocab) -> list[tuple[str, int, int, int]]:
     return pieces
 
 
-def wordpiece_tokenize(text: str, vocab: Vocab) -> list[Token]:
+def wordpiece_tokenize(text: str, vocab: Vocab) -> Tokens:
     lookup = vocab.id_of.get
-    out = []
+    out = Tokens()
+    surface, starts, ends, ids = out.surface, out.start, out.end, out.vocab_id
     end = 0
     for space, word in _PRETOKEN.findall(text):
         # matches are contiguous: each starts where the last one ended
@@ -114,10 +118,16 @@ def wordpiece_tokenize(text: str, vocab: Vocab) -> list[Token]:
         end = start + len(word)
         vid = lookup(word)
         if vid is not None:
-            out.append(Token(word, start, end, vid))
+            surface.append(word)
+            starts.append(start)
+            ends.append(end)
+            ids.append(vid)
             continue
         for piece, a, b, pid in _greedy_pieces(word, vocab):
-            out.append(Token(piece, start + a, start + b, pid))
+            surface.append(piece)
+            starts.append(start + a)
+            ends.append(start + b)
+            ids.append(pid)
     return out
 
 
@@ -130,13 +140,13 @@ def split_sentences(doc: Document) -> list[int]:
     token. In the tokens `wordpiece_tokenize` makes of the text, each of
     '.', '!' and '?' is a pre-token of its own, so it is the last character
     of exactly one token, in or out of the vocabulary; a newline lies
-    between two tokens or outside all of them.
+    between two tokens or outside all of them. Both are placed by a bisect
+    of the document's `end` column.
     """
-    tokens, text = doc.tokens, doc.text
-    if not tokens:
+    ends, text = doc.tokens.end, doc.text
+    if not ends:
         return []
-    ends = [tok.end for tok in tokens]
-    last = len(tokens) - 1
+    last = len(ends) - 1
     starts = [0]
     for m in _BOUNDARY.finditer(text):
         pos = m.start()
@@ -156,16 +166,15 @@ def align_bio(doc: Document) -> list[int]:
     of every gold entity on the document.
 
     The tokens overlapping characters [start, end) are found by two bisects
-    on lists of the token starts and ends built once for the document: they
-    begin after the last token ending at or before `start` and stop before
-    the first token starting at or after `end`. This relies on the order
-    wordpiece_tokenize guarantees: tokens are in text order and do not
-    overlap, so their starts and their ends both ascend."""
+    on the document's `end` and `start` columns: they begin after the last
+    token ending at or before `start` and stop before the first token
+    starting at or after `end`. This relies on the order wordpiece_tokenize
+    guarantees: tokens are in text order and do not overlap, so their starts
+    and their ends both ascend."""
     tokens = doc.tokens
-    starts = [tok.start for tok in tokens]
-    ends = [tok.end for tok in tokens]
-    labels = [0] * len(tokens)
-    owner = [None] * len(tokens)
+    starts, ends = tokens.start, tokens.end
+    labels = [0] * len(starts)
+    owner = [None] * len(starts)
     doc.entity_token_spans = spans = []
     for ent in doc.gold_entities:
         first, stop = bisect_right(ends, ent.start), bisect_left(starts, ent.end)
@@ -178,7 +187,7 @@ def align_bio(doc: Document) -> list[int]:
             if owner[i] is not None:
                 other = owner[i]
                 raise AlignmentError(
-                    f"{doc.doc_id}: token {i} ({tokens[i].surface!r}) overlaps both "
+                    f"{doc.doc_id}: token {i} ({tokens.surface[i]!r}) overlaps both "
                     f"{other.id} ({other.etype}) and {ent.id} ({ent.etype})"
                 )
             owner[i] = ent

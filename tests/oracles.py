@@ -11,7 +11,7 @@ import statistics
 import numpy as np
 
 from jnrf import tensor as T
-from jnrf.corpus import Token, bio_label, label_parts
+from jnrf.corpus import Token, Tokens, bio_label, label_parts
 from jnrf.tokenizer import UNK
 
 
@@ -314,15 +314,23 @@ def scan_wordpiece_tokenize(text: str, vocab) -> list:
     return out
 
 
+def token_columns(rows) -> Tokens:
+    """The column form of `Token` rows, as a `Document` holds its tokens."""
+    return Tokens(
+        [t.surface for t in rows], [t.start for t in rows], [t.end for t in rows],
+        [t.vocab_id for t in rows],
+    )
+
+
 def scan_split_sentences(doc) -> list[int]:
     """Sentence starts by testing every pair of neighbouring tokens: a
     boundary falls after a token whose last character in the text is '.',
     '!' or '?', or when a newline lies between it and the next token."""
-    tokens, text = doc.tokens, doc.text
-    starts = [0] if tokens else []
-    for i in range(1, len(tokens)):
-        before, after = tokens[i - 1], tokens[i]
-        if text[before.end - 1] in (".", "!", "?") or "\n" in text[before.end:after.start]:
+    tok_starts, tok_ends, text = doc.tokens.start, doc.tokens.end, doc.text
+    starts = [0] if tok_starts else []
+    for i in range(1, len(tok_starts)):
+        before_end, after_start = tok_ends[i - 1], tok_starts[i]
+        if text[before_end - 1] in (".", "!", "?") or "\n" in text[before_end:after_start]:
             starts.append(i)
     return starts
 
@@ -330,7 +338,7 @@ def scan_split_sentences(doc) -> list[int]:
 def scan_token_range(tokens, start: int, end: int) -> list[int]:
     """Indices of the tokens overlapping characters [start, end), by testing
     every token; needs no ordering of the tokens."""
-    return [i for i, t in enumerate(tokens) if t.start < end and start < t.end]
+    return [i for i, (s, e) in enumerate(zip(tokens.start, tokens.end)) if s < end and start < e]
 
 
 def scan_align_bio(doc, error):
@@ -350,7 +358,7 @@ def scan_align_bio(doc, error):
             if owner[i] is not None:
                 other = owner[i]
                 raise error(
-                    f"{doc.doc_id}: token {i} ({doc.tokens[i].surface!r}) overlaps both "
+                    f"{doc.doc_id}: token {i} ({doc.tokens.surface[i]!r}) overlaps both "
                     f"{other.id} ({other.etype}) and {ent.id} ({ent.etype})"
                 )
             owner[i] = ent
@@ -372,10 +380,10 @@ def scan_sentence_index_of_token(starts, tok: int) -> int:
 def scan_sentence_index_of_char(tokens, starts, pos: int) -> int:
     """Sentence of the first token ending after the character position, or
     of the last token when none does; 0 for a document without tokens."""
-    for i, t in enumerate(tokens):
-        if t.end > pos:
+    for i, end in enumerate(tokens.end):
+        if end > pos:
             return scan_sentence_index_of_token(starts, i)
-    return scan_sentence_index_of_token(starts, len(tokens) - 1) if tokens else 0
+    return scan_sentence_index_of_token(starts, len(tokens) - 1) if len(tokens) else 0
 
 
 def naive_greedy_counts(pred, gold, order, same) -> tuple[int, int, int]:

@@ -18,7 +18,7 @@ from jnrf.evaluation import (
 )
 from jnrf.tokenizer import Vocab, prepare
 
-from oracles import fd_bins, naive_greedy_counts, scan_sentence_index_of_char
+from oracles import fd_bins, naive_greedy_counts, scan_sentence_index_of_char, token_columns
 
 # A few types on a short stretch of text, so that spans collide often.
 TYPES = ("Drug", "Strength", "Route")
@@ -96,7 +96,7 @@ def layouts(draw, doc_id="d"):
         tokens.append(Token(f"t{len(tokens)}", pos, pos + width))
         pos += width
     starts = sorted(draw(st.sets(st.integers(0, len(tokens) - 1)))) if tokens else []
-    return Document(doc_id, "", tokens=tokens, sentence_starts=starts)
+    return Document(doc_id, "", tokens=token_columns(tokens), sentence_starts=starts)
 
 
 @st.composite
@@ -330,7 +330,7 @@ class TestSentenceDistance:
     def test_gaps_and_ends(self):
         # tokens "ab" at 1..3 and "c" at 5..6: characters in the gap belong to
         # the next token's sentence, those after the last token to the last
-        doc = Document("d", "", tokens=[Token("ab", 1, 3), Token("c", 5, 6)], sentence_starts=[0, 1])
+        doc = Document("d", "", tokens=token_columns([Token("ab", 1, 3), Token("c", 5, 6)]), sentence_starts=[0, 1])
         assert sentence_ends(doc) == [3]
         from_start = [
             sentence_distance(Relation("Route-Drug", EntitySpan("A", "Route", 0, 1), EntitySpan("D", "Drug", p, p + 1)), doc)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import synth
-from jnrf import tokenizer
+from jnrf import corpus, tokenizer
 from jnrf.corpus import Document, EntitySpan, Token, bio_label, parse_brat
 from jnrf.evaluation import sentence_ends
 from jnrf.tokenizer import (
@@ -26,6 +26,7 @@ from oracles import (
     scan_pretokens,
     scan_split_sentences,
     scan_wordpiece_tokenize,
+    token_columns,
 )
 
 
@@ -213,6 +214,25 @@ def test_prepare_round_trip_through_brat():
     assert doc.entity_token_spans == [(0, 1), (1, 3)]
 
 
+def test_prepare_builds_no_token_row(monkeypatch):
+    c = synth.generate_corpus(synth.CorpusSpec(n_docs=1, len_min=300, len_max=300), 1)
+    g = c.docs[0]
+    built = []
+    init = corpus.Token.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(corpus.Token, "__init__", counted)
+    doc = prepare(parse_brat(g.text, g.ann, g.doc_id), Vocab(c.vocab))
+    assert len(doc.tokens) == g.n_tokens and doc.sentence_starts == g.sentence_starts
+    assert built == []
+    # a row is built on demand, and the counter sees it
+    assert doc.tokens[3].end == doc.tokens.end[3]
+    assert len(built) == 1
+
+
 @st.composite
 def token_layouts(draw):
     """Tokens in text order that do not overlap, with gaps of 0 to 3
@@ -222,7 +242,7 @@ def token_layouts(draw):
         pos += gap
         tokens.append(Token(f"t{len(tokens)}", pos, pos + width))
         pos += width
-    return tokens
+    return token_columns(tokens)
 
 
 char_positions = st.integers(-2, 45)
@@ -251,7 +271,7 @@ class TestLookupsAgainstScans:
     def test_gaps_and_ends(self):
         # tokens "ab" at 1..3 and "c" at 5..6: an entity inside the gap
         # overlaps neither
-        doc = Document("d", "", tokens=[Token("ab", 1, 3), Token("c", 5, 6)])
+        doc = Document("d", "", tokens=token_columns([Token("ab", 1, 3), Token("c", 5, 6)]))
         doc.gold_entities = [EntitySpan("T1", "Drug", 3, 5)]
         with pytest.raises(AlignmentError, match="T1 .*covers no token"):
             align_bio(doc)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from jnrf.config import ModelConfig, RunConfig
-from jnrf.corpus import parse_brat, relation_head
+from jnrf.corpus import Tokens, parse_brat, relation_head
 from jnrf.evaluation import PredictedDoc, build_report
 from jnrf.model import JNRF, encode_document, predictions_to_brat
 from jnrf.params import Params
@@ -137,7 +137,7 @@ class TestNonFiniteLoss:
 def test_train_rejects_a_document_with_no_tokens_before_any_forward(mixer, monkeypatch):
     doc, vocab = build_toy_doc()
     blank = prepare(parse_brat("   \n ", "", "blank"), vocab)
-    assert blank.tokens == []
+    assert len(blank.tokens) == 0
     cfg = RunConfig(emb_dim=6, d_model=6, ffn_hidden=8, n_blocks=1, mixer=mixer, epochs=1)
     model = JNRF(ModelConfig.from_run_config(cfg), seed=24)
     before = {n: p.data.copy() for n, p in model.params.items()}
@@ -201,6 +201,30 @@ def synthetic_docs(n_docs: int, seed: int):
         prepare(doc, vocab)
         docs.append(doc)
     return docs, vocab
+
+
+def test_the_pipeline_reads_token_columns_only(monkeypatch):
+    """From prepare to the report nothing indexes or iterates doc.tokens."""
+
+    def no_rows(*_):
+        raise AssertionError("row access on doc.tokens")
+
+    monkeypatch.setattr(Tokens, "__getitem__", no_rows)
+    monkeypatch.setattr(Tokens, "__iter__", no_rows)
+    docs, vocab = synthetic_docs(3, seed=5)
+    cfg = RunConfig(emb_dim=6, d_model=6, ffn_hidden=8, n_blocks=1, epochs=1, lr=0.05)
+    table = tiny_table(len(vocab))
+    model = JNRF(ModelConfig.from_run_config(cfg), seed=23)
+    train(model, table, docs[:2], docs[2:], cfg)
+    preds, gold_spans = [], []
+    for doc in docs:
+        inst = encode_document(doc)
+        preds.append(PredictedDoc(doc.doc_id, *predictions_to_brat(doc, *model.predict_instance(inst, table))))
+        relations = [(drug, attr, relation_head(f"{inst.spans[attr][2]}-Drug")) for attr, drug in inst.relations]
+        gold_spans.append(PredictedDoc(doc.doc_id, *predictions_to_brat(doc, inst.spans, relations)))
+    build_report(preds, docs)
+    # the gold token spans map back onto the gold characters
+    assert build_report(gold_spans, docs).e2e.f1 == 1.0
 
 
 def training_run():
