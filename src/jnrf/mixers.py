@@ -6,8 +6,8 @@ windowed_attention_block: fourier_mix replaced by scaled dot-product
 self-attention applied independently per non-overlapping window; no token
 attends across a window boundary, and window = n is exactly full attention.
 The attention is one tape node per block (`T.windowed_attention`): it saves
-x, q, k, v and the merged heads, and backward recomputes each window's
-probabilities instead of keeping them.
+x and the merged heads, and backward recomputes each window's q, k and v
+projections and its probabilities instead of keeping them.
 
 The Fourier sublayer contributes no trainable parameters; each block trains
 only its two LayerNorms and the FFN (plus q/k/v/o projections for the

@@ -27,11 +27,12 @@ keeps x and the pre-activation, and computes gelu and its derivative again
 in backward. `layer_norm_rows(x, gain, bias, residual=r)` normalizes x + r as
 one node, keeping the normalized rows and each row's inverse deviation.
 
-`windowed_attention` is one node per attention sublayer: it projects q, k
-and v once, runs softmax(q k^T) v per window and head into one merged array
-and multiplies it by the output projection. It saves x, q, k, v and the
-merged array, and backward recomputes each window's probabilities, so no
-window x window matrix is kept. It and `softmax_rows` share one softmax.
+`windowed_attention` is one node per attention sublayer, run one window at
+a time: each window projects its own q, k and v, runs softmax(q k^T) v per
+head into one merged array, and the merged array is multiplied by the output
+projection. It saves x and the merged array alone; backward recomputes each
+window's q, k, v and probabilities, so no n-row q, k or v and no window x
+window matrix is kept. It and `softmax_rows` share one softmax.
 
 `relation_scores` is the relation head's scoring as one node: each relation
 head's block of attribute rows is its projected attributes times its
@@ -439,15 +440,17 @@ def windowed_attention(
     x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor, window: int, n_heads: int
 ) -> Tensor:
     """Multi-head self-attention inside non-overlapping windows of `window`
-    rows, as one node: q = x @ wq scaled by dk^-0.5, k = x @ wk and
-    v = x @ wv are projected once over all n rows; each window and head
-    writes softmax(q k^T) v into its cells of one merged array, and the
-    result is merged @ wo. No row attends across a window boundary.
+    rows, as one node, run one window at a time: each window projects its
+    own rows, q = x @ wq scaled by dk^-0.5, k = x @ wk and v = x @ wv, and
+    each of its heads writes softmax(q k^T) v into its cells of one merged
+    array; the result is merged @ wo. No row attends across a window
+    boundary.
 
-    On a tape the node saves x, q, k, v and the merged array. Backward
-    recomputes each window's probabilities from q and k with the forward's
-    own calls, so they are bit-identical to it, and no window x window
-    matrix outlives its window and head."""
+    On a tape the node saves x and the merged array alone. Backward walks
+    the windows again and recomputes each one's q, k, v and probabilities
+    with the forward's own calls, so they are bit-identical to it. Neither
+    pass builds an n-row q, k or v, and backward builds no n-row array but
+    x's gradient; no window x window matrix outlives its window and head."""
     parents = (x, wq, wk, wv, wo)
     d, m = x.cols, wq.cols
     for name, w in (("wq", wq), ("wk", wk), ("wv", wv)):
@@ -459,46 +462,50 @@ def windowed_attention(
         raise ShapeError(f"windowed_attention: window {window} and {n_heads} heads over width {m}")
     n, dk = x.rows, m // n_heads
     s = dk ** -0.5
-    cells = [
-        (slice(i, min(i + window, n)), slice(h * dk, (h + 1) * dk))
-        for i in range(0, n, window)
-        for h in range(n_heads)
-    ]
+    windows = [slice(i, min(i + window, n)) for i in range(0, n, window)]
+    heads = [slice(h * dk, (h + 1) * dk) for h in range(n_heads)]
     xd, wqd, wkd, wvd, wod = (t.data for t in parents)
-    q = _mm(xd, wqd)
-    q *= s
-    k, v = _mm(xd, wkd), _mm(xd, wvd)
+
+    def project(rows):
+        xr = xd[rows]
+        q = _mm(xr, wqd)
+        q *= s
+        return q, _mm(xr, wkd), _mm(xr, wvd)
+
     merged = np.empty((n, m))
-    for rows, cols in cells:
-        p = _softmax(_mm(q[rows, cols], k[rows, cols].T))
-        _mm(p, v[rows, cols], out=merged[rows, cols])
+    for rows in windows:
+        q, k, v = project(rows)
+        for cols in heads:
+            p = _softmax(_mm(q[:, cols], k[:, cols].T))
+            _mm(p, v[:, cols], out=merged[rows, cols])
     rx, rwq, rwk, rwv, rwo = (t.requires_grad for t in parents)
 
     def backward(g):
-        gm = _mm(g, wod.T)
-        gq, gk, gv = np.empty((n, m)), np.empty((n, m)), np.empty((n, m))
-        for rows, cols in cells:
-            qc, kc, gc = q[rows, cols], k[rows, cols], gm[rows, cols]
-            p = _softmax(_mm(qc, kc.T))
-            _mm(p.T, gc, out=gv[rows, cols])
-            gs = _mm(gc, v[rows, cols].T)  # d loss / d p
-            gs -= (gs * p).sum(axis=1, keepdims=True)
-            gs *= p  # d loss / d (q k^T)
-            _mm(gs, kc, out=gq[rows, cols])
-            _mm(gs.T, qc, out=gk[rows, cols])
-        gq *= s
-        gx = None
-        if rx:
-            gx = _mm(gq, wqd.T)
-            gx += _mm(gk, wkd.T)
-            gx += _mm(gv, wvd.T)
-        return (
-            gx,
-            _mm(xd.T, gq) if rwq else None,
-            _mm(xd.T, gk) if rwk else None,
-            _mm(xd.T, gv) if rwv else None,
-            _mm(merged.T, g) if rwo else None,
-        )
+        gx = np.empty((n, d)) if rx else None
+        gwq, gwk, gwv = (np.zeros((d, m)) if r else None for r in (rwq, rwk, rwv))
+        for rows in windows:
+            q, k, v = project(rows)
+            gm = _mm(g[rows], wod.T)
+            gq, gk, gv = np.empty_like(q), np.empty_like(k), np.empty_like(v)
+            for cols in heads:
+                qc, kc, gc = q[:, cols], k[:, cols], gm[:, cols]
+                p = _softmax(_mm(qc, kc.T))
+                _mm(p.T, gc, out=gv[:, cols])
+                gs = _mm(gc, v[:, cols].T)  # d loss / d p
+                # sum_j p_ij gs_ij = gm_i . (p v)_i, and p v is the merged row
+                gs -= (gc * merged[rows, cols]).sum(axis=1, keepdims=True)
+                gs *= p  # d loss / d (q k^T)
+                _mm(gs, kc, out=gq[:, cols])
+                _mm(gs.T, qc, out=gk[:, cols])
+            gq *= s
+            if rx:
+                gxr = _mm(gq, wqd.T, out=gx[rows])
+                gxr += _mm(gk, wkd.T)
+                gxr += _mm(gv, wvd.T)
+            for gw, gr in ((gwq, gq), (gwk, gk), (gwv, gv)):
+                if gw is not None:
+                    gw += _mm(xd[rows].T, gr)
+        return gx, gwq, gwk, gwv, _mm(merged.T, g) if rwo else None
 
     return _record(Tensor(_mm(merged, wod)), parents, backward)
 

@@ -123,7 +123,8 @@ def _document_pass(model, table, instances: list[EncodedInstance], order, state)
     Returns the loss sum.
 
     Raises TrainingError, before backward runs on it, when a document's
-    loss is not finite."""
+    loss is not finite, and `adam_step`'s error, naming the document too,
+    when a gradient is not."""
     total = 0.0
     for idx in order:
         inst = instances[idx]
@@ -134,7 +135,10 @@ def _document_pass(model, table, instances: list[EncodedInstance], order, state)
                 raise TrainingError(f"non-finite loss {value} in document {inst.doc_id!r}")
             tape.backward(loss)
         total += value
-        adam_step(model.params, state)
+        try:
+            adam_step(model.params, state)
+        except TrainingError as exc:
+            raise TrainingError(f"{exc} in document {inst.doc_id!r}") from exc
         model.params.zero_grad()
     return total
 

@@ -1,8 +1,12 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from jnrf import tensor as T
 from jnrf.config import ModelConfig
+from jnrf.instrument import COUNTER
 from jnrf.mixers import (
     fnet_block,
     init_mixer_params,
@@ -236,6 +240,53 @@ class TestWindowedAttentionOp:
         assert len(seen) == 2 * cells
         for forward, recomputed in zip(seen[:cells], seen[cells:]):
             np.testing.assert_array_equal(recomputed, forward)
+
+    def test_multiplies_are_the_closed_form_with_recomputed_projections(self):
+        n, heads = 2 * WINDOW + 3, 2
+        x, weights, c = _attention_inputs(n, seed=35)
+        d = m = x.shape[1]  # wo is (m, d)
+        sizes = [WINDOW, WINDOW, 3]
+        forward = (
+            3 * n * d * m                             # q, k and v, window by window
+            + sum(2 * r * r * m for r in sizes)       # q k^T and p v, every head
+            + n * m * d                               # merged @ wo
+        )
+        backward = (
+            n * m * d                                 # wo's gradient, merged^T g
+            + 3 * n * d * m                           # q, k and v again
+            + n * d * m                               # gm = g wo^T
+            + sum(5 * r * r * m for r in sizes)       # q k^T, p^T gm, gm v^T, gs k, gs^T q
+            + 3 * n * m * d                           # x's gradient
+            + 3 * d * n * m                           # wq's, wk's and wv's gradients
+        )
+        COUNTER.reset()
+        _attention_run(T.windowed_attention, x, weights, c, WINDOW, heads)
+        assert COUNTER.total == forward + backward
+
+    def test_prediction_peak_is_about_two_outputs(self):
+        """With no tape, attention over n = 8 * 512 + 100 rows at width 64
+        allocates the merged heads, the output and one window's q, k, v and
+        probabilities: at most 4 units of n * d float64s. Projecting q, k and
+        v over all n rows first peaked at 6.0."""
+        n, d = 8 * 512 + 100, 64
+        rng = np.random.default_rng(36)
+        x = Tensor(rng.standard_normal((n, d)))
+        weights = [Tensor(rng.standard_normal((d, d)) * d ** -0.5) for _ in range(4)]
+        gc.collect()
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            out = T.windowed_attention(x, *weights, 512, 1)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert out.shape == (n, d)
+        units = peak / (n * d * 8)
+        assert units <= 4.0, f"peak {units:.2f} units"
 
     def test_block_node_count_does_not_grow_with_n(self):
         _, params = make_params(kind="windowed_attention", heads=2)

@@ -548,10 +548,40 @@ def build_toy_doc():
     return doc, vocab
 
 
+def build_two_drug_doc():
+    """17 tokens in three sentences: two drugs, each with its own strength
+    and frequency, a reason of the first and an ADE of the second."""
+    text = "metoprin 50 mg daily for nausea. lisinol 10 mg weekly. the patient developed rash."
+    ann = (
+        "T1\tDrug 0 8\tmetoprin\n"
+        "T2\tStrength 9 14\t50 mg\n"
+        "T3\tFrequency 15 20\tdaily\n"
+        "T4\tReason 25 31\tnausea\n"
+        "T5\tDrug 33 40\tlisinol\n"
+        "T6\tStrength 41 46\t10 mg\n"
+        "T7\tFrequency 47 53\tweekly\n"
+        "T8\tADE 77 81\trash\n"
+        "R1\tStrength-Drug Arg1:T2 Arg2:T1\n"
+        "R2\tFrequency-Drug Arg1:T3 Arg2:T1\n"
+        "R3\tReason-Drug Arg1:T4 Arg2:T1\n"
+        "R4\tStrength-Drug Arg1:T6 Arg2:T5\n"
+        "R5\tFrequency-Drug Arg1:T7 Arg2:T5\n"
+        "R6\tADE-Drug Arg1:T8 Arg2:T5\n"
+    )
+    vocab = Vocab(
+        ["[UNK]", "metoprin", "50", "mg", "daily", "for", "nausea", ".",
+         "lisinol", "10", "weekly", "the", "patient", "developed", "rash"]
+    )
+    doc = parse_brat(text, ann, "two-drug")
+    prepare(doc, vocab)
+    return doc, vocab
+
+
 class TestEndToEnd:
     def test_teacher_forced_loss_finite(self):
         doc, vocab = build_toy_doc()
         inst = encode_document(doc)
+        assert len(inst.ids) == 12  # covers the 12-token toy contract
         model = JNRF(TINY, seed=15)
         table = tiny_table(len(vocab))
         with Tape() as tape:
@@ -577,17 +607,19 @@ class TestEndToEnd:
             grads[which] = model.params[name].grad.copy()
         np.testing.assert_allclose(grads["joint"], grads["ner"] + grads["re"], atol=1e-12)
 
-    def test_full_model_gradient_check(self):
-        doc, vocab = build_toy_doc()
+    def _gradient_check(self, cfg, names):
+        """The tape's gradient of the joint loss against central differences
+        at 6 coordinates per parameter, on a document with two drugs, so every
+        relation softmax has two candidates and the RE loss moves."""
+        doc, vocab = build_two_drug_doc()
         inst = encode_document(doc)
-        assert len(inst.ids) == 12  # covers the 12-token toy contract
-        model = JNRF(TINY, seed=17)
+        model = JNRF(cfg, seed=17)
         table = tiny_table(len(vocab))
         with Tape() as tape:
             loss, _, _ = model.instance_losses(inst, table)
         tape.backward(loss)
         rng = np.random.default_rng(18)
-        for name in ("in.1.w", "lm.0.ffn.2.w", "ner.2.w", "re.1.w", "rel.3.q.w", "alpha"):
+        for name in names:
             p = model.params[name]
             base = p.data.copy()
             coords = rng.choice(base.size, size=min(6, base.size), replace=False)
@@ -597,10 +629,23 @@ class TestEndToEnd:
                 with Tape():
                     return model.instance_losses(inst, table)[0].item()
 
-            want = fd_grad(value, base, coords=coords)
+            # alpha's terms scale with D^2 (up to 15^2 here): a step of 1e-5
+            # leaves a truncation error of 1.6e-8 there, 1e-6 one of 2e-10
+            want = fd_grad(value, base, h=1e-6, coords=coords)
             p.data[...] = base  # fd_grad restores base, not the parameter
-            got = np.where(np.isin(np.arange(base.size).reshape(base.shape), coords), p.grad, 0)
-            assert rel_err(got.ravel()[coords], want.ravel()[coords]) < 1e-8, name
+            got = p.grad.ravel()[coords]
+            assert np.abs(want.ravel()[coords]).max() > 1e-4, f"{name}: the check compares zeros"
+            assert rel_err(got, want.ravel()[coords]) < 1e-8, name
+
+    _CHECKED = ("in.1.w", "lm.0.ffn.2.w", "ner.2.w", "re.1.w", "rel.3.q.w", "alpha")
+
+    def test_full_model_gradient_check(self):
+        self._gradient_check(TINY, self._CHECKED)
+
+    def test_attention_model_gradient_check(self):
+        cfg = dataclasses.replace(TINY, mixer="windowed_attention", n_attn_heads=2, window=5)
+        assert len(encode_document(build_two_drug_doc()[0]).ids) > 3 * cfg.window  # 4 windows
+        self._gradient_check(cfg, (*self._CHECKED, "lm.0.wq", "lm.0.wk", "lm.0.wv", "lm.0.wo"))
 
     def test_relation_ffn_runs_on_pooled_rows_only(self):
         doc, vocab = build_toy_doc()
@@ -767,8 +812,14 @@ class TestTrainStepMemory:
     # windowed_attention (window 512, so four windows): 43.9 while the tape
     # held every window's slices, projections and probabilities; 27.8 with
     # one node per block that keeps x, q, k, v and the merged heads (five
-    # n x d arrays per block, two blocks) and recomputes the probabilities.
-    BUDGET = {"fnet": 19.5, "windowed_attention": 29.5}
+    # n x d arrays per block, two blocks) and recomputes the probabilities;
+    # 21.6 once the node keeps only x and the merged heads and backward
+    # recomputes each window's q, k and v as well.
+    # The peak during backward, from the same start: fnet 20.4;
+    # windowed_attention 31.0 while backward built n-row gm, gq, gk and gv,
+    # 24.4 once it works one window at a time.
+    BUDGET = {"fnet": 19.5, "windowed_attention": 23.0}
+    BACKWARD_BUDGET = {"fnet": 21.5, "windowed_attention": 26.0}
 
     def test_forward_holds_only_what_backward_reads(self):
         self._check("fnet")
@@ -792,13 +843,16 @@ class TestTrainStepMemory:
             with Tape() as tape:
                 loss, _, _ = model.instance_losses(inst, table)
             live = tracemalloc.get_traced_memory()[0] - before
+            tracemalloc.reset_peak()
+            tape.backward(loss)
+            peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             if started:
                 tracemalloc.stop()
-        tape.backward(loss)
         assert tape.nodes == []
-        units = live / (n * cfg.d_model * 8)
-        assert units < self.BUDGET[mixer], f"{units:.1f} units live after the forward"
+        unit = n * cfg.d_model * 8
+        assert live / unit < self.BUDGET[mixer], f"{live / unit:.1f} units live after the forward"
+        assert peak / unit < self.BACKWARD_BUDGET[mixer], f"{peak / unit:.1f} units at the backward peak"
 
 
 def _produced(obj) -> bool:

@@ -8,12 +8,13 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from jnrf import tensor as T
 from jnrf.config import ModelConfig, RunConfig
 from jnrf.corpus import Tokens, parse_brat, relation_head
 from jnrf.evaluation import PredictedDoc, build_report
 from jnrf.model import JNRF, encode_document, predictions_to_brat
 from jnrf.params import Params
-from jnrf.tensor import Tape
+from jnrf.tensor import Tape, Tensor
 from jnrf.tokenizer import Vocab, prepare
 from jnrf.training import (
     AdamState,
@@ -129,6 +130,28 @@ class TestNonFiniteLoss:
         before = {n: p.data.copy() for n, p in model.params.items()}
         with pytest.raises(TrainingError, match=r"^non-finite loss nan in document 'toy'$"):
             train(model, tiny_table(len(vocab)), [doc], [], RunConfig(epochs=1))
+        for name, p in model.params.items():
+            np.testing.assert_array_equal(p.data, before[name], err_msg=name)
+
+    def test_gradient_error_names_the_document(self, monkeypatch):
+        doc, vocab = build_toy_doc()
+        model = JNRF(TINY, seed=22)
+        before = {n: p.data.copy() for n, p in model.params.items()}
+        state = AdamState.for_params(model.params, lr=0.05)
+        alpha = model.params["alpha"]
+
+        def losses(inst, table):
+            # a finite loss whose one node sends an inf into alpha's gradient
+            loss = Tensor([[0.5]])
+            T._record(loss, (alpha,), lambda g: (np.full(alpha.shape, np.inf),))
+            return loss, loss, None
+
+        monkeypatch.setattr(model, "instance_losses", losses)
+        with pytest.raises(
+            TrainingError, match=r"^inf gradient in parameter 'alpha' in document 'toy'$"
+        ):
+            _document_pass(model, tiny_table(len(vocab)), [encode_document(doc)], [0], state)
+        assert state.step_count == 0
         for name, p in model.params.items():
             np.testing.assert_array_equal(p.data, before[name], err_msg=name)
 
