@@ -135,6 +135,7 @@ def _parse_offsets(chunk: str, lineno: int):
 def parse_brat(text: str, ann: str, doc_id: str = "doc") -> Document:
     """Ingest a .txt/.ann pair; entity and relation lines only."""
     entities: dict[str, EntitySpan] = {}
+    relation_ids = set()
     pending_relations = []
     for lineno, line in enumerate(ann.splitlines(), start=1):
         if not line.strip():
@@ -167,6 +168,9 @@ def parse_brat(text: str, ann: str, doc_id: str = "doc") -> Document:
             rtype = body[0]
             if rtype not in _HEAD_INDEX:
                 raise BratParseError(f"line {lineno}: unknown relation type {rtype!r}")
+            if tag in relation_ids:
+                raise BratParseError(f"line {lineno}: duplicate relation id {tag}")
+            relation_ids.add(tag)
             pending_relations.append((lineno, rtype, body[1][5:], body[2][5:]))
         else:
             # events, attributes, notes etc. are out of scope; ignore

@@ -1,7 +1,8 @@
 """Joint NER + RE model: shared language model, token-wise heads, argmax
 BIO decoding, selective pooling into drug/attribute sets, per-relation-type
 bilinear scoring with a trainable polynomial distance bias, and the two
-cross-entropy losses summed into the training objective.
+cross-entropy losses summed into the training objective, each one
+`T.cross_entropy_rows` node over its target cells.
 
 Relation scoring runs over pooled entities only: one (|L|, |H|) score
 matrix, attributes by drugs. An attribute of type X can only be in an X-Drug
@@ -159,36 +160,34 @@ def selective_pool(e2: Tensor, spans, embed=None) -> Pooled:
     return pooled
 
 
-def build_relation_targets(pooled: Pooled, spans, relations) -> np.ndarray:
-    """(|L|, |H|) target array, at most one 1 per attribute row. Pooled
-    spans are matched to gold spans by exact token range and type; relations
-    whose arguments are not pooled contribute nothing."""
-    r = np.zeros((len(pooled.l_spans), len(pooled.h_spans)))
+def build_relation_targets(pooled: Pooled, spans, relations) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, cols): the distinct target cells of the (|L|, |H|) scores in
+    row-major order. An attribute row holds a cell per drug it is related
+    to, which may be several or none. Pooled spans are matched to gold spans
+    by exact token range and type; relations whose arguments are not pooled
+    contribute nothing."""
     h_index = {s: i for i, s in enumerate(pooled.h_spans)}
     l_index = {s: i for i, s in enumerate(pooled.l_spans)}
-    for attr_idx, drug_idx in relations:
-        h = h_index.get(spans[drug_idx])
-        l = l_index.get(spans[attr_idx])
-        if h is not None and l is not None:
-            r[l, h] = 1.0
-    return r
+    cells = sorted({
+        (l_index[spans[a]], h_index[spans[d]])
+        for a, d in relations
+        if spans[a] in l_index and spans[d] in h_index
+    })
+    return tuple(np.array(cells, dtype=np.intp).reshape(-1, 2).T)
 
 
 def ner_loss(logits: Tensor, labels: np.ndarray) -> Tensor:
+    """Mean negative log-softmax of each token's row at its BIO label."""
     n = logits.rows
-    onehot = np.zeros(logits.shape)
-    onehot[np.arange(n), labels] = 1.0
-    picked = T.mul(T.log_softmax_rows(logits), Tensor(onehot))
-    return T.scale(T.sum_all(picked), -1.0 / n)
+    return T.cross_entropy_rows(logits, np.arange(n), labels, n)
 
 
-def re_loss(psi: Tensor, targets: np.ndarray) -> Tensor:
-    """Mean negative log-softmax (over the drug axis, one row per attribute)
-    at the target cells, normalized by |H| * |L| exactly as the objective is
-    written."""
+def re_loss(psi: Tensor, targets: tuple[np.ndarray, np.ndarray]) -> Tensor:
+    """Negative log-softmax (over the drug axis, one row per attribute)
+    summed over the target cells `build_relation_targets` returns, and
+    normalized by |H| * |L| exactly as the objective is written."""
     nl, nh = psi.shape
-    picked = T.sum_all(T.mul(T.log_softmax_rows(psi), Tensor(targets)))
-    return T.scale(picked, -1.0 / (nh * nl))
+    return T.cross_entropy_rows(psi, *targets, nh * nl)
 
 
 def joint_loss(lner: Tensor, lre: Tensor | None) -> Tensor:

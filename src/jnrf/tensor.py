@@ -20,12 +20,13 @@ array a node saved for its gradient is freed during the sweep, and a second
 reaching a tensor that another tape recorded raises TapeError. Leaf `.grad`s
 are written only once the sweep has finished, so a raising sweep writes none.
 
-Elementwise ops (add, mul) take operands of equal shape; nothing broadcasts.
-A bias row goes through `linear`, which computes x @ w + b as one node, and
-a two-layer MLP through `ffn`, gelu(x @ w1 + b1) @ w2 + b2 as one node that
-keeps x and the pre-activation, and computes gelu and its derivative again
-in backward. `layer_norm_rows(x, gain, bias, residual=r)` normalizes x + r as
-one node, keeping the normalized rows and each row's inverse deviation.
+`add`, the one elementwise op, takes operands of equal shape; nothing
+broadcasts. A bias row goes through `linear`, which computes x @ w + b as
+one node, and a two-layer MLP through `ffn`, gelu(x @ w1 + b1) @ w2 + b2 as
+one node that keeps x and the pre-activation, and computes gelu and its
+derivative again in backward. `layer_norm_rows(x, gain, bias, residual=r)`
+normalizes x + r as one node, keeping the normalized rows and each row's
+inverse deviation.
 
 `windowed_attention` is one node per attention sublayer, run one window at
 a time: each window projects its own q, k and v, runs softmax(q k^T) v per
@@ -40,6 +41,10 @@ projected drugs, written straight into one (|L|, |H|) output, plus the
 distance polynomial (a D + b) D, added over blocks of _SCORE_ROWS rows with
 the token distances D recomputed from integer positions each time, in
 forward and again in backward. It saves the projections alone.
+
+`cross_entropy_rows` is each of the model's losses as one node: minus the
+log-softmax at a list of target cells, any number per row, summed and
+divided by a norm. It builds no dense one-hot target.
 
 `ffn` and `layer_norm_rows` run forward and backward over blocks of
 _BLOCK = 256 rows: a block of the ffn hidden layer (256 x 128 float64s at the
@@ -277,28 +282,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _record(out, (a, b), backward)
 
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    _same_shape("mul", a, b)
-    out = Tensor(a.data * b.data)
-    ra, rb = a.requires_grad, b.requires_grad
-    ad, bd = a.data if rb else None, b.data if ra else None
-
-    def backward(g):
-        return g * bd if ra else None, g * ad if rb else None
-
-    return _record(out, (a, b), backward)
-
-
-def scale(x: Tensor, s: float) -> Tensor:
-    s = float(s)
-    out = Tensor(x.data * s)
-
-    def backward(g):
-        return (g * s,)
-
-    return _record(out, (x,), backward)
-
-
 _GELU_C = np.sqrt(2.0 / np.pi)
 
 
@@ -407,17 +390,6 @@ def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     return _record(Tensor(y), parents, backward)
 
 
-def log_softmax_rows(x: Tensor) -> Tensor:
-    z = x.data - x.data.max(axis=1, keepdims=True)
-    y = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
-    out = Tensor(y)
-
-    def backward(g):
-        return (g - np.exp(y) * g.sum(axis=1, keepdims=True),)
-
-    return _record(out, (x,), backward)
-
-
 def _softmax(z: np.ndarray) -> np.ndarray:
     """Row-wise softmax of z, written into z, which it returns."""
     z -= z.max(axis=1, keepdims=True)
@@ -434,6 +406,39 @@ def softmax_rows(x: Tensor) -> Tensor:
         return (y * (g - (g * y).sum(axis=1, keepdims=True)),)
 
     return _record(out, (x,), backward)
+
+
+def cross_entropy_rows(logits: Tensor, rows, cols, norm: float) -> Tensor:
+    """-sum_k log softmax(logits)[rows[k], cols[k]] / norm, as one 1 x 1 node.
+
+    Only the rows that hold a target cell are normalized, and the node saves
+    their softmax alone. Backward gives each such row (count * softmax - its
+    one-hot target cells) * g / norm, with count its number of cells, and
+    every other row 0; no dense one-hot is built."""
+    rows, cols = np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
+    if rows.ndim != 1 or rows.shape != cols.shape:
+        raise ShapeError(f"cross_entropy_rows: rows {rows.shape} and cols {cols.shape} must be equal flat lists")
+    (n, c), norm = logits.shape, float(norm)
+    if rows.size and not (0 <= rows.min() and rows.max() < n and 0 <= cols.min() and cols.max() < c):
+        raise ShapeError(f"cross_entropy_rows: a target cell lies outside {(n, c)}")
+    if not norm > 0:
+        raise ValueError(f"cross_entropy_rows: norm must be > 0, got {norm}")
+    hit, at, count = np.unique(rows, return_inverse=True, return_counts=True)
+    z = logits.data[hit]
+    z -= z.max(axis=1, keepdims=True)
+    p = np.exp(z)
+    total = p.sum(axis=1, keepdims=True)
+    picked = z[at, cols] - np.log(total[at, 0])
+    p /= total
+
+    def backward(g):
+        s = g[0, 0] / norm
+        gx = np.zeros((n, c))
+        gx[hit] = p * (count[:, None] * s)
+        np.subtract.at(gx, (rows, cols), s)
+        return (gx,)
+
+    return _record(Tensor(-picked.sum() / norm), (logits,), backward)
 
 
 def windowed_attention(
@@ -579,16 +584,6 @@ def layer_norm_rows(
         return gx, ggain, gbias, gr
 
     return _record(Tensor(y), parents, backward)
-
-
-def sum_all(x: Tensor) -> Tensor:
-    out = Tensor(x.data.sum().reshape(1, 1))
-    shape = x.shape
-
-    def backward(g):
-        return (np.full(shape, g[0, 0]),)
-
-    return _record(out, (x,), backward)
 
 
 def pick_rows(x: Tensor, indices) -> Tensor:

@@ -88,6 +88,40 @@ def layer_norm_input_grad(x: np.ndarray, gain: np.ndarray, g: np.ndarray, eps: f
     return out
 
 
+def mul(a, b):
+    """a * b elementwise as a tape op; operands take equal shapes."""
+    T._same_shape("mul", a, b)
+    ad, bd = a.data, b.data
+    return T._record(T.Tensor(ad * bd), (a, b), lambda g: (g * bd, g * ad))
+
+
+def scale(x, s: float):
+    """x * s as a tape op."""
+    s = float(s)
+    return T._record(T.Tensor(x.data * s), (x,), lambda g: (g * s,))
+
+
+def sum_all(x):
+    """The sum of every entry, 1 x 1, as a tape op."""
+    shape = x.shape
+    return T._record(T.Tensor(x.data.sum()), (x,), lambda g: (np.full(shape, g[0, 0]),))
+
+
+def log_softmax_rows(x):
+    """Row-wise log-softmax as a tape op, from the max-shifted log-sum-exp."""
+    z = x.data - x.data.max(axis=1, keepdims=True)
+    y = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+    return T._record(T.Tensor(y), (x,), lambda g: (g - np.exp(y) * g.sum(axis=1, keepdims=True),))
+
+
+def composed_cross_entropy_rows(logits, rows, cols, norm: float):
+    """The cross-entropy node's composed form: log_softmax_rows times a dense
+    count of target cells, summed and scaled by -1 / norm (the ops above)."""
+    counts = np.zeros(logits.shape)
+    np.add.at(counts, (np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)), 1.0)
+    return scale(sum_all(mul(log_softmax_rows(logits), T.Tensor(counts))), -1.0 / norm)
+
+
 def transpose(x):
     """x^T as a tape op; its gradient is the transposed adjoint."""
     out = T.Tensor(np.ascontiguousarray(x.data.T))
@@ -111,9 +145,9 @@ def composed_windowed_attention(x, wq, wk, wv, wo, window: int, n_heads: int):
     head's columns are picked by a matmul with 0/1 selection columns, the
     head computes softmax(q_h k_h^T / sqrt(dk)) v_h, the heads go back side
     by side through the transposed selections, the window is multiplied by
-    wo, and the windows are concatenated (`transpose` and `concat_rows`
-    above). Takes and returns Tensors, so a tape records every step and
-    gives the reference gradients."""
+    wo, and the windows are concatenated (`scale`, `transpose` and
+    `concat_rows` above). Takes and returns Tensors, so a tape records every
+    step and gives the reference gradients."""
     n, m = x.rows, wq.cols
     dk = m // n_heads
     eye = np.eye(m)
@@ -124,7 +158,7 @@ def composed_windowed_attention(x, wq, wk, wv, wo, window: int, n_heads: int):
         merged = None
         for h in range(n_heads):
             pick = T.Tensor(eye[:, h * dk:(h + 1) * dk])
-            qh = T.scale(T.matmul(q, pick), dk ** -0.5)
+            qh = scale(T.matmul(q, pick), dk ** -0.5)
             att = T.softmax_rows(T.matmul(qh, transpose(T.matmul(k, pick))))
             head = T.matmul(T.matmul(att, T.matmul(v, pick)), transpose(pick))
             merged = head if merged is None else T.add(merged, head)

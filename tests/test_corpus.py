@@ -69,6 +69,22 @@ def test_unknown_types_rejected():
         parse_brat("x", ann)
 
 
+def test_duplicate_entity_id_rejected():
+    ann = "T1\tDrug 0 7\taspirin\nT1\tDrug 8 10\t50\n"
+    with pytest.raises(BratParseError, match="^line 2: duplicate entity id T1$"):
+        parse_brat("aspirin 50 mg", ann)
+
+
+def test_duplicate_relation_id_rejected():
+    entities = "T1\tDrug 0 7\taspirin\nT2\tStrength 8 13\t50 mg\n"
+    relation = "Strength-Drug Arg1:T2 Arg2:T1\n"
+    with pytest.raises(BratParseError, match="^line 4: duplicate relation id R1$"):
+        parse_brat("aspirin 50 mg", f"{entities}R1\t{relation}R1\t{relation}")
+    # the same relation under a second id stays legal
+    doc = parse_brat("aspirin 50 mg", f"{entities}R1\t{relation}R2\t{relation}")
+    assert len(doc.gold_relations) == 2
+
+
 def test_offsets_outside_text_rejected():
     with pytest.raises(BratParseError, match="line 1"):
         parse_brat("ab", "T1\tDrug 0 7\tlonger\n")

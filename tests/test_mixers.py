@@ -17,7 +17,7 @@ from jnrf.mixers import (
 from jnrf.params import Params
 from jnrf.tensor import Tape, Tensor
 
-from oracles import composed_windowed_attention, fd_grad, rel_err
+from oracles import composed_windowed_attention, fd_grad, mul, rel_err, sum_all
 
 
 def make_params(kind="fnet", n_blocks=1, d=8, ffn=12, heads=1, seed=0):
@@ -49,7 +49,7 @@ def _block_grad_check(block_fn, kind, tol=1e-5, n=9, d=8, seed=2, **kw):
     xt = Tensor(x, requires_grad=True)
 
     def run():
-        return T.sum_all(T.mul(block_fn(xt, params, "lm.0", **kw), Tensor(w)))
+        return sum_all(mul(block_fn(xt, params, "lm.0", **kw), Tensor(w)))
 
     with Tape() as tape:
         loss = run()
@@ -190,7 +190,7 @@ def _attention_run(op, x, weights, c, window, heads):
     wt = [Tensor(w, requires_grad=True) for w in weights]
     with Tape() as tape:
         out = op(xt, *wt, window, heads)
-        loss = T.sum_all(T.mul(out, Tensor(c)))
+        loss = sum_all(mul(out, Tensor(c)))
     tape.backward(loss)
     return [out.data, xt.grad] + [w.grad for w in wt]
 
@@ -233,7 +233,7 @@ class TestWindowedAttentionOp:
         xt = Tensor(x, requires_grad=True)
         with Tape() as tape:
             out = T.windowed_attention(xt, *map(Tensor, weights), WINDOW, heads)
-            loss = T.sum_all(T.mul(out, Tensor(c)))
+            loss = sum_all(mul(out, Tensor(c)))
         cells = 3 * heads  # windows of 4, 4 and 3 rows
         assert len(seen) == cells
         tape.backward(loss)
@@ -333,7 +333,7 @@ class TestSharedLm:
 
         def run_loss(weights):
             out = shared_lm(Tensor(x), cfg, params)
-            return T.sum_all(T.mul(out, Tensor(weights)))
+            return sum_all(mul(out, Tensor(weights)))
 
         grads = []
         for w in ([wa], [wb], [wa, wb]):

@@ -31,11 +31,14 @@ from jnrf.tokenizer import Vocab, prepare
 
 from oracles import (
     all_heads_relation_scores,
+    composed_cross_entropy_rows,
     fd_grad,
+    mul,
     rel_err,
     scalar_decode_bio,
     scalar_ner_loss,
     scalar_re_loss,
+    sum_all,
 )
 
 TINY = ModelConfig(emb_dim=6, d_model=6, ffn_hidden=8, mixer="fnet", n_blocks=1)
@@ -69,13 +72,13 @@ class TestNerHead:
         w = rng.standard_normal((4, NUM_LABELS))
         x = Tensor(e2, requires_grad=True)
         with Tape() as tape:
-            loss = T.sum_all(T.mul(model.ner_head(x), Tensor(w)))
+            loss = sum_all(mul(model.ner_head(x), Tensor(w)))
         tape.backward(loss)
 
         def value():
             x.data[...] = e2
             with Tape():
-                return T.sum_all(T.mul(model.ner_head(x), Tensor(w))).item()
+                return sum_all(mul(model.ner_head(x), Tensor(w))).item()
 
         assert rel_err(x.grad, fd_grad(value, e2)) < 1e-6
 
@@ -195,7 +198,7 @@ class TestSelectivePooling:
             x = Tensor(e2, requires_grad=True)
             with Tape() as tape:
                 pooled = build(x)
-                loss = T.add(T.sum_all(T.mul(pooled.q, Tensor(cq))), T.sum_all(T.mul(pooled.k, Tensor(ck))))
+                loss = T.add(sum_all(mul(pooled.q, Tensor(cq))), sum_all(mul(pooled.k, Tensor(ck))))
             tape.backward(loss)
             results.append((pooled, x.grad, {n: model.params[n].grad for n in ("re.1.w", "re.2.w")}))
         (got, gx, gw), (want, wx, ww) = results
@@ -275,7 +278,7 @@ class TestRelationScores:
 
         def run():
             psi = model.relation_scores(Tensor(q), Tensor(k), pos_l, pos_h, heads)
-            return T.sum_all(T.mul(psi, Tensor(w)))
+            return sum_all(mul(psi, Tensor(w)))
 
         with Tape() as tape:
             loss = run()
@@ -303,7 +306,7 @@ class TestRelationScores:
 
         def run():
             psi = model.relation_scores(q, k, pos_l, pos_h, heads)
-            return T.sum_all(T.mul(psi, Tensor(w)))
+            return sum_all(mul(psi, Tensor(w)))
 
         model.params.zero_grad()
         with Tape() as tape:
@@ -390,22 +393,20 @@ class TestLosses:
 
     def test_re_uniform_column(self):
         nl, nh = 3, 2  # one row per attribute, uniform over its drugs
-        targets = np.zeros((nl, nh))
-        targets[0, 1] = 1.0
-        got = re_loss(Tensor(np.zeros((nl, nh))), targets).item()
+        got = re_loss(Tensor(np.zeros((nl, nh))), ([0], [1])).item()
         assert abs(got - math.log(2) / (nh * nl)) < 1e-12
 
     def test_re_all_zero_targets(self):
         psi = Tensor(np.random.default_rng(11).standard_normal((2, 2)))
-        assert re_loss(psi, np.zeros((2, 2))).item() == 0.0
+        assert re_loss(psi, ([], [])).item() == 0.0
 
     def test_re_matches_scalar_oracle(self):
         rng = np.random.default_rng(12)
         psi = rng.standard_normal((4, 3))
+        cells = (np.arange(4), np.array([1, 2, 0, 1]))
         targets = np.zeros((4, 3))
-        for p, h in enumerate([1, 2, 0, 1]):
-            targets[p, h] = 1.0
-        got = re_loss(Tensor(psi), targets).item()
+        targets[cells] = 1.0
+        got = re_loss(Tensor(psi), cells).item()
         # the oracle takes (t, H, L) planes: one plane, drugs by attributes
         assert abs(got - scalar_re_loss(psi.T[None], targets.T[None])) < 1e-12
 
@@ -421,10 +422,10 @@ class TestLosses:
         gold_drug = {0: 2, 1: 0, 3: 1, 4: 1, 5: 2}  # attribute 2 has no relation
         psi = model.relation_scores(Tensor(q), Tensor(k), pos_l, pos_h, heads)
         planes = all_heads_relation_scores(model.params, q, k, pos_h, pos_l)
-        rows, full = np.zeros((6, 3)), np.zeros((8, 3, 6))
+        full = np.zeros((8, 3, 6))
         for l, h in gold_drug.items():
-            rows[l, h] = full[heads[l], h, l] = 1.0
-        got = re_loss(psi, rows).item()
+            full[heads[l], h, l] = 1.0
+        got = re_loss(psi, (list(gold_drug), list(gold_drug.values()))).item()
         assert rel_err(got, scalar_re_loss(planes, full)) < 1e-12
 
     def test_joint_sum(self):
@@ -477,10 +478,8 @@ class TestRowConstantCancels:
         rng = np.random.default_rng(31)
         for nl, nh in [(1, 1), (2, 1), (4, 3), (9, 7), (30, 12)]:
             psi = rng.standard_normal((nl, nh)) * 3
-            targets = np.zeros((nl, nh))
             rows = np.flatnonzero(np.arange(nl) % 2 == 0)  # odd rows have none
-            targets[rows, rng.integers(0, nh, rows.size)] = 1.0
-            yield rng, psi, targets
+            yield rng, psi, (rows, rng.integers(0, nh, rows.size))
 
     def test_re_loss_gradient_rows_sum_to_zero(self):
         for _, psi, targets in self.cases():
@@ -751,15 +750,33 @@ class TestPredictedTrainPooling:
         assert self.losses("gold", labels)[2] is not None
 
 
-def test_relation_targets_hold_one_hot_invariant():
-    doc, _ = build_toy_doc()
-    inst = encode_document(doc)
+def build_two_target_doc():
+    """One attribute, Arg1 of relations to both drugs, and one of those
+    relations repeated under a second id."""
+    text = "aspirin or ibuprofen for pain."
+    ann = (
+        "T1\tDrug 0 7\taspirin\n"
+        "T2\tDrug 11 20\tibuprofen\n"
+        "T3\tReason 25 29\tpain\n"
+        "R1\tReason-Drug Arg1:T3 Arg2:T1\n"
+        "R2\tReason-Drug Arg1:T3 Arg2:T2\n"
+        "R3\tReason-Drug Arg1:T3 Arg2:T1\n"
+    )
+    vocab = Vocab(["[UNK]", "aspirin", "or", "ibuprofen", "for", "pain", "."])
+    return encode_document(prepare(parse_brat(text, ann, "two-target"), vocab))
+
+
+def gold_targets(inst):
     pooled = selective_pool(Tensor(np.zeros((len(inst.ids), 6))), inst.spans)
-    r = build_relation_targets(pooled, inst.spans, inst.relations)
-    assert r.shape == (4, 1)
-    sums = r.sum(axis=1)  # over drugs, per attribute
-    assert set(np.unique(sums)) <= {0.0, 1.0}
-    assert r.sum() == 4.0
+    return pooled, build_relation_targets(pooled, inst.spans, inst.relations)
+
+
+def test_relation_target_cells_are_distinct_and_in_range():
+    for inst, count in [(encode_document(build_toy_doc()[0]), 4), (build_two_target_doc(), 2)]:
+        pooled, (rows, cols) = gold_targets(inst)
+        cells = list(zip(rows.tolist(), cols.tolist()))
+        assert len(cells) == count and cells == sorted(set(cells))
+        assert all(0 <= l < len(pooled.l_index) and 0 <= h < len(pooled.h_index) for l, h in cells)
 
 
 def test_relation_targets_mark_each_attribute_row_at_its_drug():
@@ -776,12 +793,32 @@ def test_relation_targets_mark_each_attribute_row_at_its_drug():
     inst = encode_document(prepare(parse_brat(text, ann), vocab))
     e3 = Tensor(np.zeros((len(inst.ids), 6)))
     pooled = selective_pool(e3, inst.spans)
-    r = build_relation_targets(pooled, inst.spans, inst.relations)
-    np.testing.assert_array_equal(r, [[1.0, 0.0], [0.0, 1.0]])
+    rows, cols = build_relation_targets(pooled, inst.spans, inst.relations)
+    assert (rows.tolist(), cols.tolist()) == ([0, 1], [0, 1])
     # a relation whose drug is not pooled leaves its attribute's row empty
     pooled = selective_pool(e3, [s for s in inst.spans if s[0] != inst.spans[2][0]])
-    r = build_relation_targets(pooled, inst.spans, inst.relations)
-    np.testing.assert_array_equal(r, [[1.0], [0.0]])
+    rows, cols = build_relation_targets(pooled, inst.spans, inst.relations)
+    assert (rows.tolist(), cols.tolist()) == ([0], [0])
+
+
+def test_an_attribute_related_to_two_drugs_targets_both():
+    """The Reason row holds both drugs' cells, and the repeated relation
+    counts once: the loss is the oracle's over the 0/1 target plane, and its
+    gradient the composed form's. One target column per row would keep only
+    one of the two cells."""
+    pooled, cells = gold_targets(build_two_target_doc())
+    assert (cells[0].tolist(), cells[1].tolist()) == ([0, 0], [0, 1])
+    psi = np.array([[0.7, -1.9]])
+    results = []
+    for op in (lambda x: re_loss(x, cells), lambda x: composed_cross_entropy_rows(x, *cells, 2)):
+        x = Tensor(psi, requires_grad=True)
+        with Tape() as tape:
+            loss = op(x)
+        tape.backward(loss)
+        results.append((loss.item(), x.grad))
+    (got, got_grad), (want, want_grad) = results
+    assert rel_err(got, scalar_re_loss(psi.T[None], np.ones((1, 2, 1)))) < 1e-12
+    assert rel_err(got, want) < 1e-12 and rel_err(got_grad, want_grad) < 1e-12
 
 
 def synthetic_instance(n: int, rng) -> EncodedInstance:
@@ -800,6 +837,17 @@ def synthetic_instance(n: int, rng) -> EncodedInstance:
     drugs = [i for i, s in enumerate(spans) if s[2] == "Drug"]
     relations = [(i, drugs[rng.integers(len(drugs))]) for i, s in enumerate(spans) if s[2] != "Drug"]
     return EncodedInstance(rng.integers(0, 50, n), labels, spans, relations)
+
+
+@pytest.mark.parametrize("mixer", ["fnet", "windowed_attention"])
+def test_a_training_step_records_42_tape_nodes(mixer):
+    """Each loss is one node, so the losses and their sum take 3 of them."""
+    cfg = ModelConfig(mixer=mixer)
+    rng = np.random.default_rng(51)
+    table = EmbeddingTable(rng.standard_normal((50, cfg.emb_dim)))
+    with Tape() as tape:
+        JNRF(cfg, seed=0).instance_losses(synthetic_instance(2048, rng), table)
+    assert len(tape.nodes) == 42
 
 
 class TestTrainStepMemory:

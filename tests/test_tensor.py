@@ -9,15 +9,19 @@ from jnrf.instrument import COUNTER
 from jnrf.tensor import ShapeError, Tape, TapeError, Tensor
 
 from oracles import (
+    composed_cross_entropy_rows,
     concat_rows,
     fd_grad,
     layer_norm_input_grad,
     linear_map_matrix,
+    mul,
     naive_mix,
     rel_err,
     scalar_gelu,
     scalar_gelu_grad,
     scalar_layer_norm,
+    scale,
+    sum_all,
     transpose,
 )
 
@@ -66,7 +70,7 @@ class TestMatmul:
         for _ in range(100):
             a = rng.standard_normal((3, 4))
             b = rng.standard_normal((4, 2))
-            grad_check(lambda x, y: T.sum_all(T.matmul(x, y)), [a, b])
+            grad_check(lambda x, y: sum_all(T.matmul(x, y)), [a, b])
 
 
 class TestLinear:
@@ -83,7 +87,7 @@ class TestLinear:
             w = rng.standard_normal((4, 2))
             row = rng.standard_normal((1, 2))
             c = rng.standard_normal((3, 2))
-            grad_check(lambda a, m, r, cc: T.sum_all(T.mul(T.linear(a, m, r), cc)), [x, w, row, c])
+            grad_check(lambda a, m, r, cc: sum_all(mul(T.linear(a, m, r), cc)), [x, w, row, c])
 
     def test_gradients_are_matmul_then_row_sum(self):
         rng = np.random.default_rng(15)
@@ -91,7 +95,7 @@ class TestLinear:
         g = rng.standard_normal((6, 3))
         xt, wt, bt = (Tensor(a, requires_grad=True) for a in (x, w, b))
         with Tape() as tape:
-            loss = T.sum_all(T.mul(T.linear(xt, wt, bt), Tensor(g)))
+            loss = sum_all(mul(T.linear(xt, wt, bt), Tensor(g)))
         tape.backward(loss)
         assert np.array_equal(xt.grad, g @ w.T)
         assert np.array_equal(wt.grad, x.T @ g)
@@ -110,7 +114,7 @@ class TestLinear:
         x, w, b = (Tensor(np.ones(s), requires_grad=True) for s in [(5, 4), (4, 3), (1, 3)])
         COUNTER.reset()
         with Tape() as tape:
-            loss = T.sum_all(T.linear(x, w, b))
+            loss = sum_all(T.linear(x, w, b))
         assert COUNTER.total == 5 * 4 * 3
         tape.backward(loss)
         assert COUNTER.total == 3 * 5 * 4 * 3
@@ -146,7 +150,7 @@ class TestFfn:
         for op in (T.ffn, composed_ffn):
             ts = [Tensor(a, requires_grad=True) for a in arrs]
             with Tape() as tape:
-                loss = T.sum_all(T.mul(op(*ts), Tensor(g)))
+                loss = sum_all(mul(op(*ts), Tensor(g)))
             tape.backward(loss)
             grads.append([t.grad for t in ts])
         for got, want in zip(*grads):
@@ -157,13 +161,13 @@ class TestFfn:
         for _ in range(20):
             arrs = [rng.standard_normal(s) for s in self.SHAPES]
             c = rng.standard_normal((7, 4))
-            grad_check(lambda *ts: T.sum_all(T.mul(T.ffn(*ts[:5]), ts[5])), arrs + [c])
+            grad_check(lambda *ts: sum_all(mul(T.ffn(*ts[:5]), ts[5])), arrs + [c])
 
     def test_counts_multiplies_like_two_linears(self):
         ts = [Tensor(np.ones(s), requires_grad=True) for s in self.SHAPES]
         COUNTER.reset()
         with Tape() as tape:
-            loss = T.sum_all(T.ffn(*ts))
+            loss = sum_all(T.ffn(*ts))
         assert COUNTER.total == 7 * 5 * 9 + 7 * 9 * 4
         tape.backward(loss)
         assert COUNTER.total == 3 * (7 * 5 * 9 + 7 * 9 * 4)
@@ -209,7 +213,7 @@ class TestRowBlocks:
             ts = [Tensor(a, requires_grad=True) for a in arrs]
             with Tape() as tape:
                 y = op(*ts)
-                loss = T.sum_all(T.mul(y, Tensor(g)))
+                loss = sum_all(mul(y, Tensor(g)))
             tape.backward(loss)
             results.append([y.data] + [t.grad for t in ts])
         for got, want in zip(*results):
@@ -224,11 +228,11 @@ class TestRowBlocks:
         ws = [rng.standard_normal(s) for s in self.FFN_SHAPES]
         c = Tensor(rng.standard_normal((n, 4)))
         grad_check(
-            lambda xx: T.sum_all(T.mul(T.ffn(xx, *(Tensor(w, requires_grad=True) for w in ws)), c)),
+            lambda xx: sum_all(mul(T.ffn(xx, *(Tensor(w, requires_grad=True) for w in ws)), c)),
             [x], coords=boundary_coords(n, 5),
         )
         xt = Tensor(x)
-        grad_check(lambda *wts: T.sum_all(T.mul(T.ffn(xt, *wts), c)), ws)
+        grad_check(lambda *wts: sum_all(mul(T.ffn(xt, *wts), c)), ws)
 
     @pytest.mark.parametrize("fused", [False, True])
     @pytest.mark.parametrize("n", BLOCK_NS)
@@ -239,7 +243,7 @@ class TestRowBlocks:
         xt, rt, gt, bt = (Tensor(a, requires_grad=True) for a in (x, r, gain, bias))
         with Tape() as tape:
             y = T.layer_norm_rows(xt, gt, bt, residual=rt if fused else None)
-            loss = T.sum_all(T.mul(y, Tensor(g)))
+            loss = sum_all(mul(y, Tensor(g)))
         tape.backward(loss)
         s = x + r if fused else x
         assert rel_err(y.data, scalar_layer_norm(s, gain, bias)) < 1e-12
@@ -264,7 +268,7 @@ class TestRowBlocks:
         gbt = [Tensor(gain, requires_grad=True), Tensor(bias, requires_grad=True)]
 
         def norm(xx, rr, gg, bb):
-            return T.sum_all(T.mul(T.layer_norm_rows(xx, gg, bb, residual=rr), c))
+            return sum_all(mul(T.layer_norm_rows(xx, gg, bb, residual=rr), c))
 
         rows = [x, r] if fused else [x]
         grad_check(lambda xx, rr=None: norm(xx, rr, *gbt), rows, coords=boundary_coords(n, 6), tol=1e-5)
@@ -284,7 +288,7 @@ class TestElementwise:
 
     def test_gelu_gradient_at_half(self):
         x = np.concatenate([[0.5], GELU_POINTS]).reshape(1, -1)
-        grad_check(lambda a: T.sum_all(T.gelu(a)), [x])
+        grad_check(lambda a: sum_all(T.gelu(a)), [x])
 
     def test_gelu_matches_scalar_oracle(self):
         got = T.gelu(Tensor(GELU_GRID.reshape(1, -1))).data.ravel()
@@ -303,14 +307,14 @@ class TestElementwise:
     def test_gelu_tape_gradient_matches_scalar_oracle(self):
         x = Tensor(GELU_GRID.reshape(1, -1), requires_grad=True)
         with Tape() as tape:
-            loss = T.sum_all(T.gelu(x))
+            loss = sum_all(T.gelu(x))
         tape.backward(loss)
         want = [scalar_gelu_grad(float(v)) for v in GELU_GRID]
         assert rel_err(x.grad.ravel(), want) < 1e-13
 
     def test_column_broadcast_rejected(self):
         # nothing broadcasts: every operand shape other than (3, 2) is refused
-        for op in (T.add, T.mul):
+        for op in (T.add, mul):
             for shape in [(3, 1), (1, 2), (1, 1)]:
                 for a, b in [((3, 2), shape), (shape, (3, 2))]:
                     with pytest.raises(ShapeError, match="equal shapes"):
@@ -321,39 +325,110 @@ class TestElementwise:
         rng = np.random.default_rng(zlib.crc32(op.encode()))
         for _ in range(100):
             x = rng.standard_normal((2, 3)) + 0.05
+            binary = {"add": T.add, "mul": mul}
             if op == "gelu":
-                grad_check(lambda a: T.sum_all(T.gelu(a)), [x])
+                grad_check(lambda a: sum_all(T.gelu(a)), [x])
             elif op == "scale":
-                grad_check(lambda a: T.sum_all(T.scale(a, -1.7)), [x])
+                grad_check(lambda a: sum_all(scale(a, -1.7)), [x])
             else:
                 y = rng.standard_normal((2, 3))
                 w = rng.standard_normal((2, 3))
-                grad_check(
-                    lambda a, b, c: T.sum_all(T.mul(getattr(T, op)(a, b), c)), [x, y, w]
-                )
+                grad_check(lambda a, b, c: sum_all(mul(binary[op](a, b), c)), [x, y, w])
+
+
+def random_cells(rng, n: int, c: int):
+    """Target cells with 0 to 3 per row, a repeated cell now and then."""
+    per_row = rng.integers(0, 4, n)
+    rows = np.repeat(np.arange(n), per_row)
+    return rows, rng.integers(0, c, rows.size)
 
 
 class TestLogSoftmax:
+    """`T.cross_entropy_rows`, the loss node: minus the log-softmax at its
+    target cells, summed and divided by norm."""
+
     def test_uniform_logits(self):
-        out = T.log_softmax_rows(Tensor([[0.0, 0.0]]))
-        np.testing.assert_allclose(out.data, [[-math.log(2)] * 2], atol=1e-12)
+        # one cell per row and norm n: log C
+        loss = T.cross_entropy_rows(Tensor(np.zeros((3, 7))), [0, 1, 2], [6, 0, 3], 3)
+        assert abs(loss.item() - math.log(7)) < 1e-12
 
     def test_stabilized_against_overflow(self):
-        out = T.log_softmax_rows(Tensor([[1000.0, 0.0]]))
-        assert np.all(np.isfinite(out.data))
-        assert abs(out.data[0, 0]) < 1e-12
+        loss = T.cross_entropy_rows(Tensor([[1000.0, 0.0]]), [0], [0], 1)
+        assert np.isfinite(loss.item()) and abs(loss.item()) < 1e-12
+        rng = np.random.default_rng(1)
+        x = rng.standard_normal((4, 5))
+        rows, cols = [0, 1, 1, 3], [2, 0, 4, 4]
+        want = T.cross_entropy_rows(Tensor(x), rows, cols, 4).item()
+        shifted = Tensor(x + np.array([[1000.0], [-1000.0], [1000.0], [-1000.0]]), requires_grad=True)
+        with Tape() as tape:
+            loss = T.cross_entropy_rows(shifted, rows, cols, 4)
+        tape.backward(loss)
+        assert np.all(np.isfinite(shifted.grad))
+        assert abs(loss.item() - want) < 1e-12
 
     def test_rows_exponentiate_to_one(self):
         rng = np.random.default_rng(2)
-        out = T.log_softmax_rows(Tensor(rng.standard_normal((5, 7)) * 10))
-        np.testing.assert_allclose(np.exp(out.data).sum(axis=1), 1.0, atol=1e-9)
+        x = Tensor(rng.standard_normal((5, 7)) * 10)
+        for i in range(5):
+            probs = [math.exp(-T.cross_entropy_rows(x, [i], [c], 1).item()) for c in range(7)]
+            assert abs(math.fsum(probs) - 1.0) < 1e-9
 
     def test_gradient_vs_finite_differences(self):
         rng = np.random.default_rng(3)
         for _ in range(100):
             x = rng.standard_normal((4, 5))
-            w = rng.standard_normal((4, 5))
-            grad_check(lambda a, c: T.sum_all(T.mul(T.log_softmax_rows(a), c)), [x, w])
+            rows, cols = random_cells(rng, 4, 5)
+            grad_check(lambda a: T.cross_entropy_rows(a, rows, cols, 2.5), [x])
+
+    def test_matches_the_composed_form(self):
+        """Loss and gradient against log_softmax_rows times a dense count of
+        cells, summed and scaled, over rows with no, one and several cells
+        and logits scaled up to 300 times."""
+        rng = np.random.default_rng(4)
+        for k in range(300):
+            n, c = rng.integers(1, 9), rng.integers(1, 8)
+            x = rng.standard_normal((n, c)) * [1.0, 30.0, 300.0][k % 3]
+            rows, cols = random_cells(rng, n, c)
+            results = []
+            for op in (T.cross_entropy_rows, composed_cross_entropy_rows):
+                xt = Tensor(x, requires_grad=True)
+                with Tape() as tape:
+                    loss = op(xt, rows, cols, n * c)
+                tape.backward(loss)
+                results.append((loss.item(), xt.grad))
+            (got, got_grad), (want, want_grad) = results
+            assert rel_err(got, want) < 1e-12
+            assert rel_err(got_grad, want_grad) < 1e-12
+
+    def test_rows_without_a_target_get_zero_gradient(self):
+        x = Tensor(np.random.default_rng(5).standard_normal((5, 4)), requires_grad=True)
+        with Tape() as tape:
+            loss = T.cross_entropy_rows(x, [1, 3, 3], [0, 2, 0], 3)
+        tape.backward(loss)
+        assert not x.grad[[0, 2, 4]].any()
+        assert x.grad[[1, 3]].all()
+
+    def test_no_cells_give_zero_loss_and_gradient(self):
+        x = Tensor(np.random.default_rng(6).standard_normal((3, 4)), requires_grad=True)
+        with Tape() as tape:
+            loss = T.cross_entropy_rows(x, [], [], 12)
+        tape.backward(loss)
+        assert loss.item() == 0.0
+        assert x.grad.shape == (3, 4) and not x.grad.any()
+
+    @pytest.mark.parametrize(
+        "rows, cols",
+        [([3], [0]), ([-1], [0]), ([0], [4]), ([0], [-1]), ([0, 1], [0]), ([[0]], [[0]])],
+        ids=["row-past-end", "negative-row", "col-past-end", "negative-col", "lengths-differ", "not-flat"],
+    )
+    def test_bad_cells_raise_shape_error(self, rows, cols):
+        with pytest.raises(ShapeError, match="cross_entropy_rows"):
+            T.cross_entropy_rows(Tensor(np.zeros((3, 4))), rows, cols, 1)
+
+    @pytest.mark.parametrize("norm", [0, -2.0, math.nan])
+    def test_norm_must_be_positive(self, norm):
+        with pytest.raises(ValueError, match="norm must be > 0"):
+            T.cross_entropy_rows(Tensor(np.zeros((3, 4))), [0], [1], norm)
 
 
 class TestSoftmaxAndNorm:
@@ -367,7 +442,7 @@ class TestSoftmaxAndNorm:
         for _ in range(50):
             x = rng.standard_normal((3, 4))
             w = rng.standard_normal((3, 4))
-            grad_check(lambda a, c: T.sum_all(T.mul(T.softmax_rows(a), c)), [x, w])
+            grad_check(lambda a, c: sum_all(mul(T.softmax_rows(a), c)), [x, w])
 
     def test_layer_norm_gradient(self):
         rng = np.random.default_rng(6)
@@ -377,7 +452,7 @@ class TestSoftmaxAndNorm:
             b = rng.standard_normal((1, 6))
             w = rng.standard_normal((3, 6))
             grad_check(
-                lambda a, gg, bb, c: T.sum_all(T.mul(T.layer_norm_rows(a, gg, bb), c)),
+                lambda a, gg, bb, c: sum_all(mul(T.layer_norm_rows(a, gg, bb), c)),
                 [x, g, b, w],
                 tol=1e-5,
             )
@@ -402,7 +477,7 @@ class TestSoftmaxAndNorm:
         xt = Tensor(x, requires_grad=True)
         with Tape() as tape:
             y = T.layer_norm_rows(xt, Tensor(gain), Tensor(np.zeros((1, 6))))
-            loss = T.sum_all(T.mul(y, Tensor(g)))
+            loss = sum_all(mul(y, Tensor(g)))
         tape.backward(loss)
         assert rel_err(xt.grad, layer_norm_input_grad(x, gain, g)) < 1e-10
 
@@ -423,7 +498,7 @@ class TestLayerNormResidual:
                     y = T.layer_norm_rows(xt, gt, bt, residual=rt)
                 else:
                     y = T.layer_norm_rows(T.add(xt, rt), gt, bt)
-                loss = T.sum_all(T.mul(y, Tensor(g)))
+                loss = sum_all(mul(y, Tensor(g)))
             tape.backward(loss)
             results.append([y.data, xt.grad, rt.grad, gt.grad, bt.grad])
             if fused:
@@ -438,10 +513,10 @@ class TestLayerNormResidual:
         rng = np.random.default_rng(42)
 
         def build(a, w, gain, bias):
-            x, r = T.gelu(a), T.scale(a, 0.5)
-            c = T.mul(x, w)
+            x, r = T.gelu(a), scale(a, 0.5)
+            c = mul(x, w)
             y = T.layer_norm_rows(x, gain, bias, residual=r)
-            return T.sum_all(T.add(T.mul(y, w), c))
+            return sum_all(T.add(mul(y, w), c))
 
         arrs = [rng.standard_normal(s) for s in [(3, 4), (3, 4), (1, 4), (1, 4)]]
         grad_check(build, arrs, tol=1e-5)
@@ -450,8 +525,8 @@ class TestLayerNormResidual:
         rng = np.random.default_rng(43)
         for _ in range(20):
             grad_check(
-                lambda a, rr, gg, bb, c: T.sum_all(
-                    T.mul(T.layer_norm_rows(a, gg, bb, residual=rr), c)
+                lambda a, rr, gg, bb, c: sum_all(
+                    mul(T.layer_norm_rows(a, gg, bb, residual=rr), c)
                 ),
                 self.arrays(rng),
                 tol=1e-5,
@@ -470,7 +545,7 @@ class TestStructuralOps:
         rng = np.random.default_rng(7)
         x = rng.standard_normal((5, 3))
         w = rng.standard_normal((3, 3))
-        grad_check(lambda a, c: T.sum_all(T.mul(T.pick_rows(a, [4, 0, 4]), c)), [x, w])
+        grad_check(lambda a, c: sum_all(mul(T.pick_rows(a, [4, 0, 4]), c)), [x, w])
 
     # `concat_rows` and `transpose` are the windowed-attention oracle's own
     # tape ops (oracles.py); their gradients are checked here
@@ -482,7 +557,7 @@ class TestStructuralOps:
         def build(a, c):
             top = T.slice_rows(a, 0, 2)
             bot = T.slice_rows(a, 2, 4)
-            return T.sum_all(T.mul(concat_rows([bot, top]), c))
+            return sum_all(mul(concat_rows([bot, top]), c))
 
         grad_check(build, [x, w])
 
@@ -490,7 +565,7 @@ class TestStructuralOps:
         rng = np.random.default_rng(9)
         x = rng.standard_normal((4, 3))
         w = rng.standard_normal((3, 4))
-        grad_check(lambda a, c: T.sum_all(T.mul(transpose(a), c)), [x, w])
+        grad_check(lambda a, c: sum_all(mul(transpose(a), c)), [x, w])
 
 
 class TestRelationScoresOp:
@@ -507,7 +582,7 @@ class TestRelationScoresOp:
 
         def build(k0, k1, k2, q0, q1, q2, a, w):
             psi = T.relation_scores([k0, k1, k2], [q0, q1, q2], a, [0, 2, 3], pos_l, pos_h)
-            return T.sum_all(T.mul(psi, w))
+            return sum_all(mul(psi, w))
 
         grad_check(build, [*ks, *qs, alpha, c])
         a = Tensor(alpha, requires_grad=True)
@@ -539,7 +614,7 @@ class TestRelationScoresOp:
         g = rng.standard_normal((n, 3))
         with Tape() as tape:
             psi = T.relation_scores(*zeros, alpha, [0], pos_l, pos_h)
-            loss = T.sum_all(T.mul(psi, Tensor(g)))
+            loss = sum_all(mul(psi, Tensor(g)))
         tape.backward(loss)
         dist = np.abs(pos_l[:, None] - pos_h[None, :]).astype(np.float64)
         np.testing.assert_array_equal(psi.data, (0.5 * dist - 2.0) * dist)
@@ -590,7 +665,7 @@ class TestFourierMixOp:
         xt = Tensor(x, requires_grad=True)
         with Tape() as tape:
             out = T.fourier_mix(xt)
-            loss = T.sum_all(T.mul(out, Tensor(g_out)))
+            loss = sum_all(mul(out, Tensor(g_out)))
         tape.backward(loss)
         m = linear_map_matrix(naive_mix, n, d)
         want = (m.T @ g_out.ravel()).reshape(n, d)
@@ -607,7 +682,7 @@ class TestFourierMixOp:
         rng = np.random.default_rng(12)
         x = rng.standard_normal((3, 3))
         w = rng.standard_normal((3, 3))
-        grad_check(lambda a, c: T.sum_all(T.mul(T.fourier_mix(a), c)), [x, w])
+        grad_check(lambda a, c: sum_all(mul(T.fourier_mix(a), c)), [x, w])
 
 
 class TestTapeSemantics:
@@ -616,18 +691,18 @@ class TestTapeSemantics:
         w = Tensor(np.ones((2, 3)))
         # a tape runs backward once, so the same graph is recorded twice
         with Tape() as tape:
-            loss = T.sum_all(T.mul(x, w))
+            loss = sum_all(mul(x, w))
         tape.backward(loss)
         once = x.grad.copy()
         with Tape() as tape:
-            loss = T.sum_all(T.mul(x, w))
+            loss = sum_all(mul(x, w))
         tape.backward(loss)
         np.testing.assert_array_equal(x.grad, 2.0 * once)
 
     def test_backward_empties_the_tape(self):
         x = Tensor(np.ones((2, 3)), requires_grad=True)
         with Tape() as tape:
-            loss = T.sum_all(T.gelu(T.scale(x, 2.0)))
+            loss = sum_all(T.gelu(scale(x, 2.0)))
         assert len(tape.nodes) == 3
         tape.backward(loss)
         assert tape.nodes == []
@@ -635,7 +710,7 @@ class TestTapeSemantics:
     def test_second_backward_raises(self):
         x = Tensor(np.ones((2, 3)), requires_grad=True)
         with Tape() as tape:
-            loss = T.sum_all(T.mul(x, x))
+            loss = sum_all(mul(x, x))
         tape.backward(loss)
         once = x.grad.copy()
         with pytest.raises(TapeError, match="backward already ran on this tape"):
@@ -645,9 +720,9 @@ class TestTapeSemantics:
     def test_loss_recorded_on_another_tape_raises(self):
         x = Tensor(np.ones((2, 3)), requires_grad=True)
         with Tape() as t1:
-            loss = T.sum_all(T.mul(x, x))
+            loss = sum_all(mul(x, x))
         with Tape() as t2:
-            T.sum_all(T.scale(x, 3.0))
+            sum_all(scale(x, 3.0))
         with pytest.raises(TapeError, match="loss was not recorded on this tape"):
             t2.backward(loss)
         assert x.grad is None
@@ -658,10 +733,10 @@ class TestTapeSemantics:
         w = Tensor(np.ones((2, 3)), requires_grad=True)
         v = Tensor(np.ones((2, 3)), requires_grad=True)
         with Tape():
-            h = T.scale(w, 3.0)
+            h = scale(w, 3.0)
         with Tape() as tape:
             # v's node runs before h's in the reverse sweep
-            loss = T.sum_all(T.add(T.scale(h, 1.0), T.scale(v, 2.0)))
+            loss = sum_all(T.add(scale(h, 1.0), scale(v, 2.0)))
         with pytest.raises(TapeError, match="gradient reached a tensor that another tape recorded"):
             tape.backward(loss)
         assert w.grad is None and v.grad is None
@@ -670,13 +745,13 @@ class TestTapeSemantics:
         reused = []
 
         def build(x, w):
-            a = T.mul(x, w)
+            a = mul(x, w)
             freed = id(a)
-            b = T.gelu(T.scale(a, 0.5))  # neither node keeps the Tensor a
+            b = T.gelu(scale(a, 0.5))  # neither node keeps the Tensor a
             del a
-            c = T.scale(x, 3.0)
+            c = scale(x, 3.0)
             reused.append(id(c) == freed)
-            return T.sum_all(T.add(T.mul(b, w), T.mul(c, c)))
+            return sum_all(T.add(mul(b, w), mul(c, c)))
 
         rng = np.random.default_rng(17)
         grad_check(build, [rng.standard_normal((2, 3)), rng.standard_normal((2, 3))])
@@ -686,7 +761,7 @@ class TestTapeSemantics:
         x = Tensor(np.ones((2, 2)), requires_grad=False)
         y = Tensor(np.ones((2, 2)), requires_grad=True)
         with Tape() as tape:
-            loss = T.sum_all(T.mul(x, y))
+            loss = sum_all(mul(x, y))
         tape.backward(loss)
         assert x.grad is None
         assert y.grad is not None
@@ -699,7 +774,7 @@ class TestTapeSemantics:
     def test_shared_input_accumulates(self):
         x = Tensor(np.full((2, 2), 3.0), requires_grad=True)
         with Tape() as tape:
-            loss = T.sum_all(T.add(T.mul(x, x), x))  # d/dx(x^2 + x) = 2x + 1
+            loss = sum_all(T.add(mul(x, x), x))  # d/dx(x^2 + x) = 2x + 1
         tape.backward(loss)
         np.testing.assert_allclose(x.grad, 2.0 * x.data + 1.0)
 
@@ -709,9 +784,9 @@ class TestTapeSemantics:
         rng = np.random.default_rng(16)
 
         def build(xx, ww):
-            a, b = T.gelu(xx), T.scale(xx, 2.0)
-            c = T.mul(a, ww)
-            return T.sum_all(T.add(T.add(a, b), c))
+            a, b = T.gelu(xx), scale(xx, 2.0)
+            c = mul(a, ww)
+            return sum_all(T.add(T.add(a, b), c))
 
         grad_check(build, [rng.standard_normal((2, 3)), rng.standard_normal((2, 3))])
 
@@ -729,7 +804,7 @@ class TestTapeSemantics:
         for _ in range(2):
             xt = Tensor(x, requires_grad=True)
             with Tape() as tape:
-                loss = T.sum_all(T.gelu(T.fourier_mix(xt)))
+                loss = sum_all(T.gelu(T.fourier_mix(xt)))
             tape.backward(loss)
             runs.append((loss.item(), xt.grad.copy()))
         assert runs[0][0] == runs[1][0]

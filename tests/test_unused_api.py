@@ -33,3 +33,27 @@ def test_unreferenced_public_names_are_the_known_ones():
             elif isinstance(node, ast.Constant) and isinstance(node.value, str):
                 used.add(node.value)
     assert [name for name in public if name not in used] == UNREFERENCED
+
+
+# Only the benchmark's tracer names these two.
+TENSOR_OPS_UNCALLED = ["gelu", "softmax_rows"]
+
+
+def test_every_tensor_op_is_called_in_the_package():
+    """A public function of `tensor.py` is referenced by name or attribute
+    from `src/jnrf/`, outside its own definition; the tests build anything
+    else they need in `tests/oracles.py`."""
+    tensor = ROOT / "src" / "jnrf" / "tensor.py"
+    ops = [
+        node.name
+        for node in ast.parse(tensor.read_text(encoding="utf-8")).body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+    ]
+    used = set()
+    for path in (ROOT / "src" / "jnrf").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    assert [op for op in ops if op not in used] == TENSOR_OPS_UNCALLED
