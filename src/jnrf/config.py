@@ -98,6 +98,10 @@ def parse_config_text(text: str) -> RunConfig:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
         if key not in _DEFAULTS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        if key in line_of:
+            raise ConfigError(
+                f"line {lineno}: duplicate key {key!r} (first set on line {line_of[key]})", key
+            )
         values[key] = _convert(key, value, lineno)
         line_of[key] = lineno
     try:

@@ -42,10 +42,16 @@ def load_table(path: str | None, vocab: Vocab, d: int, seed: int = 0) -> Embeddi
             if not line:
                 continue
             tok, _, rest = line.partition("\t")
+            fields = rest.split()
             try:
-                vec = np.array([float(v) for v in rest.split()])
+                vec = np.array([float(v) for v in fields])
             except ValueError as exc:
                 raise ConfigError(f"{path}:{lineno}: {exc}") from None
+            bad = np.flatnonzero(~np.isfinite(vec))
+            if bad.size:
+                raise ConfigError(
+                    f"{path}:{lineno}: non-finite value {fields[bad[0]]!r} in the embedding of {tok!r}"
+                )
             if len(vec) != d:
                 raise ConfigError(f"{path}:{lineno}: embedding width {len(vec)} != {d}")
             if tok not in vocab:

@@ -23,10 +23,10 @@ are written only once the sweep has finished, so a raising sweep writes none.
 `add`, the one elementwise op, takes operands of equal shape; nothing
 broadcasts. A bias row goes through `linear`, which computes x @ w + b as
 one node, and a two-layer MLP through `ffn`, gelu(x @ w1 + b1) @ w2 + b2 as
-one node that keeps x and the pre-activation, and computes gelu and its
-derivative again in backward. `layer_norm_rows(x, gain, bias, residual=r)`
-normalizes x + r as one node, keeping the normalized rows and each row's
-inverse deviation.
+one node that keeps x alone: backward computes x @ w1 + b1, gelu and its
+derivative again, one row block at a time.
+`layer_norm_rows(x, gain, bias, residual=r)` normalizes x + r as one node,
+keeping the normalized rows and each row's inverse deviation.
 
 `windowed_attention` is one node per attention sublayer, run one window at
 a time: each window projects its own q, k and v, runs softmax(q k^T) v per
@@ -50,7 +50,7 @@ divided by a norm. It builds no dense one-hot target.
 _BLOCK = 256 rows: a block of the ffn hidden layer (256 x 128 float64s at the
 default width, 256 KB) stays in L2 cache, and their temporaries are
 block-sized, so neither training nor prediction builds an n x ffn_hidden
-gelu output.
+array.
 
 gelu uses the tanh approximation as the defined contract:
     0.5 * x * (1 + tanh(sqrt(2/pi) * (x + 0.044715 * x**3)))
@@ -336,32 +336,34 @@ def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     """gelu(x @ w1 + b1) @ w2 + b2 as one node, run over blocks of _BLOCK
     rows with one block-sized hidden buffer.
 
-    On a tape the node saves x and the pre-activation x @ w1 + b1 (n x
-    ffn_hidden); backward computes gelu and its derivative again from the
-    pre-activation, block by block, and sums the weight and bias gradients
-    over the blocks. Without a tape nothing n x ffn_hidden is built."""
+    On a tape the node saves x alone; backward recomputes each block's
+    pre-activation x @ w1 + b1 with the forward's own call, so it is bit for
+    bit the same, then gelu and its derivative from it, and sums the weight
+    and bias gradients over the blocks. Nothing n x ffn_hidden is built,
+    taped or not."""
     parents = (x, w1, b1, w2, b2)
     _check_affine("ffn", x.shape, w1, b1)
     _check_affine("ffn", (x.rows, w1.cols), w2, b2)
-    keep = _recording(parents)
     n, hidden = x.rows, w1.cols
     blocks = _row_blocks(n)
-    pre = np.empty((n, hidden)) if keep else None
+    xd, w1d, b1d = x.data, w1.data, b1.data
+
+    def pre(rows, h):
+        """x @ w1 + b1 on one block of rows, written into h."""
+        _mm(xd[rows], w1d, out=h)
+        h += b1d
+        return h
+
     h = np.empty((min(n, _BLOCK), hidden))
     y = np.empty((n, w2.cols))
     for rows, part in blocks:
-        hb = h[part]
-        a = pre[rows] if keep else hb
-        _mm(x.data[rows], w1.data, out=a)
-        a += b1.data
-        _gelu(a, hb)
+        hb = pre(rows, h[part])
+        _gelu(hb, hb)
         yb = _mm(hb, w2.data, out=y[rows])
         yb += b2.data
 
     rx, rw1, rb1, rw2, rb2 = (p.requires_grad for p in parents)
     inner = rx or rw1 or rb1  # whether gradient goes below the gelu
-    xd = x.data if rw1 else None
-    w1d = w1.data if rx else None
     w2d = w2.data if inner else None
     x_shape, w1_shape, w2_shape = x.shape, w1.shape, w2.shape
 
@@ -373,7 +375,7 @@ def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
         h = np.empty((min(n, _BLOCK), hidden))
         for rows, part in blocks:
             hb, gr = h[part], g[rows]
-            dh = _gelu(pre[rows], hb, derivative=inner)
+            dh = _gelu(pre(rows, hb), hb, derivative=inner)
             if rw2:
                 gw2 += _mm(hb.T, gr)
             if inner:

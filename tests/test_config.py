@@ -98,10 +98,17 @@ def test_parsed_values_are_validated():
         parse_config_text("lr = 0.01\nepochs = 0\n")
 
 
+def test_duplicate_key_names_both_lines():
+    with pytest.raises(ConfigError, match=r"^line 2: duplicate key 'epochs' \(first set on line 1\)$") as e:
+        parse_config_text("epochs = 3\nepochs = 5\n")
+    assert e.value.key == "epochs"
+    with pytest.raises(ConfigError, match=r"^line 4: duplicate key 'mixer' \(first set on line 1\)$"):
+        parse_config_text("mixer = mlp\n# a comment\nepochs = 2\nmixer = mlp\n")
+
+
 def test_validation_error_names_the_line_that_set_the_key():
-    # the last assignment of a key is the one validated
     with pytest.raises(ConfigError, match=r"^line 3: mixer must be "):
-        parse_config_text("mixer = mlp\n# a comment\nmixer = conv\nepochs = 2\n")
+        parse_config_text("epochs = 2\n# a comment\nmixer = conv\nlr = 0.01\n")
     with pytest.raises(ConfigError, match=r"^line 2: n_attn_heads must be a divisor of d_model=64,"):
         parse_config_text("mixer = windowed_attention\nn_attn_heads = 5\n")
 

@@ -56,6 +56,15 @@ class TestLoadTable:
         with pytest.raises(ConfigError, match=rf"^{path}:4: duplicate embedding for token 'aa'$"):
             load_table(str(path), vocab3(), d=2)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN", "1e400"])
+    def test_non_finite_value_rejected(self, tmp_path, value):
+        path = tmp_path / "emb.tsv"
+        path.write_text(f"[UNK]\t0 0\naa\t1 {value}\nbb\t4 5\n")
+        with pytest.raises(
+            ConfigError, match=rf"^{path}:2: non-finite value '{value}' in the embedding of 'aa'$"
+        ):
+            load_table(str(path), vocab3(), d=2)
+
     @pytest.mark.parametrize("path", [None, ""])
     def test_fallback_only_without_a_path(self, path):
         table = load_table(path, vocab3(), d=4, seed=3)

@@ -1,4 +1,6 @@
+import gc
 import math
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -168,9 +170,35 @@ class TestFfn:
         COUNTER.reset()
         with Tape() as tape:
             loss = sum_all(T.ffn(*ts))
-        assert COUNTER.total == 7 * 5 * 9 + 7 * 9 * 4
+        forward = 7 * 5 * 9 + 7 * 9 * 4
+        assert COUNTER.total == forward
         tape.backward(loss)
-        assert COUNTER.total == 3 * (7 * 5 * 9 + 7 * 9 * 4)
+        recomputed = 7 * 5 * 9  # backward rebuilds x @ w1 + b1
+        gradients = 2 * (7 * 5 * 9 + 7 * 9 * 4)  # each product's gradient by either operand
+        assert COUNTER.total == forward + recomputed + gradients == 2016
+
+    def test_tape_keeps_no_hidden_array(self):
+        """A taped ffn over five row blocks keeps x alone for backward, which
+        recomputes the pre-activation: what it leaves live besides its output
+        (5.5 KB) is under a sixteenth of one n x hidden array (1.06 MB)."""
+        n, d, hidden = 4 * T._BLOCK + 7, 16, 128
+        rng = np.random.default_rng(34)
+        shapes = [(n, d), (d, hidden), (1, hidden), (hidden, d), (1, d)]
+        ts = [Tensor(rng.standard_normal(s), requires_grad=True) for s in shapes]
+        gc.collect()
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            with Tape() as tape:
+                y = T.ffn(*ts)
+            kept = tracemalloc.get_traced_memory()[0] - before - y.data.nbytes
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert len(tape.nodes) == 1
+        assert kept < n * hidden * 8 / 16, f"{kept} bytes kept besides the output"
 
     @pytest.mark.parametrize("which, shape, match", [
         (1, (4, 9), r"ffn: inner dimensions disagree: \(7, 5\) x \(4, 9\)"),
