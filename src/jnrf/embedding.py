@@ -85,9 +85,20 @@ def pe_matrix(n: int, d: int) -> np.ndarray:
 
 
 def embed(vocab_ids, table: EmbeddingTable) -> Tensor:
-    """Rows weights[id] + PE(position); constant with respect to training."""
+    """Rows weights[id] + PE(position); constant with respect to training.
+    The output's `source` rebuilds any block of rows as
+    weights[ids[rows]] + PE[rows] from the table and the cached encodings, so
+    an op that saves its input keeps no n-row copy of it."""
     ids = np.asarray(vocab_ids, dtype=np.intp)
     if ids.size and (ids.min() < 0 or ids.max() >= table.vocab_size):
         bad = ids[(ids < 0) | (ids >= table.vocab_size)][0]
         raise ConfigError(f"vocab id {bad} out of range [0, {table.vocab_size})")
-    return Tensor(table.weights[ids] + pe_matrix(len(ids), table.d))
+    weights, pe = table.weights, pe_matrix(len(ids), table.d)
+
+    def source(rows, out):
+        # the ids are checked above; "clip" lets take write straight into out
+        np.take(weights, ids[rows], axis=0, out=out, mode="clip")
+        out += pe[rows]
+        return out
+
+    return Tensor(weights[ids] + pe, source=source)

@@ -11,11 +11,13 @@ that one head is exact. Pooling groups the attributes by head, so each
 head's rows are one block: its projected attributes against its projected
 drugs, plus (a_j*D + b_j)*D. The cost is |H| * |L| scores plus, per head
 present, projections of the drugs and of that head's attributes; it never
-grows with the square of the document length. One tape node
+grows with the square of the document length. In training one tape node
 (`T.relation_scores`) writes every block straight into the score matrix and
 adds the polynomial from the integer token positions, recomputing D per
-block of rows, so the scores are the only (|L|, |H|) array it makes, in
-training and in prediction alike. The relation loss's log-softmax runs over
+block of rows, so the scores are the only (|L|, |H|) array it makes.
+Prediction (`predict_relations`) runs the same block loop into one
+block-sized buffer and keeps each row's argmax alone, so it makes no
+(|L|, |H|) array at all. The relation loss's log-softmax runs over
 each row, the drug axis, so the model has no term that is constant along a
 row (a drug bias, a constant c_j): it would cancel.
 
@@ -196,11 +198,16 @@ def joint_loss(lner: Tensor, lre: Tensor | None) -> Tensor:
     return T.add(lner, lre)
 
 
-def predict_relations(psi: np.ndarray, heads) -> list[tuple[int, int, int]]:
-    """Forced-argmax inference: each pooled attribute (row) picks the
-    highest-scoring drug under its own head (ties to the lowest index); needs
-    at least one drug. Returns (drug idx in H, attr idx in L, head) triples."""
-    return list(zip(np.argmax(psi, axis=1).tolist(), range(len(heads)), np.asarray(heads).tolist()))
+def predict_relations(ks, qs, alpha: Tensor, heads, pos_l, pos_h) -> list[tuple[int, int, int]]:
+    """Forced-argmax inference on the operands of `T.relation_scores`: each
+    pooled attribute (row) picks the highest-scoring drug under its own head
+    (ties to the lowest index); needs at least one drug. `T.relation_argmax`
+    takes each row's argmax block by block, so no (|L|, |H|) array is made.
+    Returns (drug idx in H, attr idx in L, head) triples, the head being
+    heads[i] for every row of key block i."""
+    best = T.relation_argmax(ks, qs, alpha, heads, pos_l, pos_h)
+    row_heads = np.repeat(np.asarray(heads, dtype=np.intp), [k.rows for k in ks])
+    return list(zip(best.tolist(), range(len(best)), row_heads.tolist()))
 
 
 class JNRF:
@@ -234,14 +241,12 @@ class JNRF:
     def re_embed(self, e2: Tensor) -> Tensor:
         return ffn(e2, self.params, "re")
 
-    def relation_scores(self, q: Tensor, k: Tensor, pos_l, pos_h, heads) -> Tensor:
-        """(|L|, |H|) scores: attribute l against every drug under its own
-        head j = heads[l], the bilinear form (k_l W_k^j + bias) (q W_q^j)^T
-        plus (a_j D + b_j) D, where D = |pos_l[l] - pos_h| is the token
-        distance from the integer start positions. heads must ascend, as
-        `selective_pool` orders them, so each head's rows are one block:
-        each head present projects the drugs and its attributes, and one
-        `T.relation_scores` node writes every block into one array."""
+    def relation_blocks(self, q: Tensor, k: Tensor, pos_l, pos_h, heads):
+        """The operands of `T.relation_scores` for attributes k and drugs q:
+        (ks, qs, present), one block per head present. heads must ascend, as
+        `selective_pool` orders them, so each head's rows are one block: block
+        i is that head's attributes projected, k_l W_k^j + bias, and qs[i]
+        the drugs projected, q W_q^j."""
         heads = np.asarray(heads, dtype=np.intp)
         if len(heads) != k.rows:
             raise ShapeError(f"relation_scores: {len(heads)} heads for {k.rows} attribute rows")
@@ -261,6 +266,15 @@ class JNRF:
             ks.append(T.linear(
                 T.slice_rows(k, lo, hi), self.params[f"rel.{j}.k.w"], self.params[f"rel.{j}.k.b"]
             ))
+        return ks, qs, present
+
+    def relation_scores(self, q: Tensor, k: Tensor, pos_l, pos_h, heads) -> Tensor:
+        """(|L|, |H|) scores: attribute l against every drug under its own
+        head j = heads[l], the bilinear form (k_l W_k^j + bias) (q W_q^j)^T
+        plus (a_j D + b_j) D, where D = |pos_l[l] - pos_h| is the token
+        distance from the integer start positions; one `T.relation_scores`
+        node writes every block of `relation_blocks` into one array."""
+        ks, qs, present = self.relation_blocks(q, k, pos_l, pos_h, heads)
         return T.relation_scores(ks, qs, self.params["alpha"], present, pos_l, pos_h)
 
     def instance_losses(self, inst: EncodedInstance, table: EmbeddingTable):
@@ -292,8 +306,8 @@ class JNRF:
         pooled = selective_pool(e2, spans, self.re_embed)
         if pooled.empty:
             return spans, []
-        psi = self.relation_scores(pooled.q, pooled.k, pooled.pos_l, pooled.pos_h, pooled.heads)
-        triples = predict_relations(psi.data, pooled.heads)
+        ks, qs, present = self.relation_blocks(pooled.q, pooled.k, pooled.pos_l, pooled.pos_h, pooled.heads)
+        triples = predict_relations(ks, qs, self.params["alpha"], present, pooled.pos_l, pooled.pos_h)
         drug, attr = pooled.h_index.tolist(), pooled.l_index.tolist()
         return spans, [(drug[h], attr[l], j) for h, l, j in triples]
 

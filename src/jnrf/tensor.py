@@ -14,6 +14,16 @@ gradient, or None. Neither nodes nor backward closures hold a produced
 Tensor: each closure captures only the arrays and flags its gradient reads,
 so an output that no backward reads is freed as soon as its caller drops it.
 
+A tensor may carry a row source: a function that rebuilds any block of its
+rows, bit for bit, from arrays that are kept anyway. A taped
+`layer_norm_rows` output has one (its node's normalized rows times the gain,
+plus the bias, the forward's own two ops), and so has an `embed` output (the
+table's rows plus the positional encodings). `ffn` and `windowed_attention`,
+the ops that read their input again in backward, keep that source in place
+of the input's array, so neither holds an n-row copy of a layer norm's or an
+embedding's output. Backward rebuilds each block into one block-sized
+buffer; a tensor without a source is read from its own data.
+
 A tape is single-use: `backward` pops each node as it runs it, so every
 array a node saved for its gradient is freed during the sweep, and a second
 `backward` on the same tape, a loss the tape did not record, or a gradient
@@ -23,24 +33,28 @@ are written only once the sweep has finished, so a raising sweep writes none.
 `add`, the one elementwise op, takes operands of equal shape; nothing
 broadcasts. A bias row goes through `linear`, which computes x @ w + b as
 one node, and a two-layer MLP through `ffn`, gelu(x @ w1 + b1) @ w2 + b2 as
-one node that keeps x alone: backward computes x @ w1 + b1, gelu and its
-derivative again, one row block at a time.
+one node that keeps x's row source alone: backward computes x @ w1 + b1,
+gelu and its derivative again, one row block at a time.
 `layer_norm_rows(x, gain, bias, residual=r)` normalizes x + r as one node,
 keeping the normalized rows and each row's inverse deviation.
 
 `windowed_attention` is one node per attention sublayer, run one window at
 a time: each window projects its own q, k and v, runs softmax(q k^T) v per
 head into one merged array, and the merged array is multiplied by the output
-projection. It saves x and the merged array alone; backward recomputes each
-window's q, k, v and probabilities, so no n-row q, k or v and no window x
-window matrix is kept. It and `softmax_rows` share one softmax.
+projection. It saves x's row source and the merged array alone; backward
+recomputes each window's q, k, v and probabilities, so no n-row q, k or v
+and no window x window matrix is kept. It and `softmax_rows` share one
+softmax.
 
-`relation_scores` is the relation head's scoring as one node: each relation
-head's block of attribute rows is its projected attributes times its
-projected drugs, written straight into one (|L|, |H|) output, plus the
-distance polynomial (a D + b) D, added over blocks of _SCORE_ROWS rows with
-the token distances D recomputed from integer positions each time, in
-forward and again in backward. It saves the projections alone.
+`relation_scores` is the relation head's scoring as one node, and
+`relation_argmax` prediction's row argmax of the same scores with no node.
+Both run one block loop over _SCORE_ROWS rows at a time: each relation
+head's attribute rows in the block, projected, times its projected drugs,
+plus the distance polynomial (a D + b) D, with the token distances D
+recomputed from integer positions each time. `relation_scores` writes the
+blocks into one (|L|, |H|) output and saves the projections alone; backward
+recomputes D block by block again. `relation_argmax` keeps each row's
+argmax and nothing (|L|, |H|).
 
 `cross_entropy_rows` is each of the model's losses as one node: minus the
 log-softmax at a list of target cells, any number per row, summed and
@@ -54,9 +68,9 @@ array.
 
 gelu uses the tanh approximation as the defined contract:
     0.5 * x * (1 + tanh(sqrt(2/pi) * (x + 0.044715 * x**3)))
-`gelu` and `ffn` share one implementation of it. Both save their input, not
-the derivative: the forward computes gelu alone, and the derivative is
-computed in backward.
+`gelu` and `ffn` share one implementation of it. `gelu` saves its input and
+`ffn` its input's row source, not the derivative: the forward computes gelu
+alone, and the derivative is computed in backward.
 """
 
 import itertools
@@ -75,8 +89,8 @@ _TAPES: list["Tape"] = []
 _TAPE_IDS = itertools.count()
 _ELSEWHERE = object()  # the link to a tensor that another tape recorded
 _BLOCK = 256  # rows per block in ffn and layer_norm_rows
-# rows per block of the relation scores' distance polynomial: its two
-# buffers of 128 x |H| float64s (580 KB at |H| = 283) stay in L2 cache
+# rows per block of the relation scores: a block's distances and polynomial,
+# two buffers of 128 x |H| float64s (580 KB at |H| = 283), stay in L2 cache
 _SCORE_ROWS = 128
 
 
@@ -92,10 +106,15 @@ def _as2d(data) -> np.ndarray:
 
 
 class Tensor:
-    def __init__(self, data, requires_grad: bool = False):
+    """`source`, when given, rebuilds any block of rows of `data` bit for bit
+    from arrays that are kept anyway: `source(rows, out)` writes data[rows]
+    into `out`, a buffer of that block's shape, and returns it."""
+
+    def __init__(self, data, requires_grad: bool = False, source=None):
         self.data = _as2d(data)
         self.requires_grad = bool(requires_grad)
         self.grad = None
+        self.source = source
         self._node = None  # (tape id, serial) once an op records it
 
     @property
@@ -228,6 +247,17 @@ def _row_blocks(n: int, size: int = _BLOCK, lo: int = 0):
     return [(slice(i, min(i + size, n)), slice(0, min(size, n - i))) for i in range(lo, n, size)]
 
 
+def _row_source(x: Tensor):
+    """The function (rows, out) -> x.data[rows] an op's backward reads
+    blocks of x's rows through: x's `source` if it has one, so the node
+    keeps no array of x's own, else a view of x.data that leaves the block
+    buffer `out` unused."""
+    if x.source is not None:
+        return x.source
+    data = x.data
+    return lambda rows, out: data[rows]
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.cols != b.rows:
         raise ShapeError(f"matmul: inner dimensions disagree: {a.shape} x {b.shape}")
@@ -336,28 +366,30 @@ def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     """gelu(x @ w1 + b1) @ w2 + b2 as one node, run over blocks of _BLOCK
     rows with one block-sized hidden buffer.
 
-    On a tape the node saves x alone; backward recomputes each block's
-    pre-activation x @ w1 + b1 with the forward's own call, so it is bit for
-    bit the same, then gelu and its derivative from it, and sums the weight
-    and bias gradients over the blocks. Nothing n x ffn_hidden is built,
-    taped or not."""
+    On a tape the node keeps x's row source (`_row_source`) alone: a layer
+    norm's or an embedding's output is rebuilt block by block from what its
+    own producer keeps, and only a plain x is held. Backward recomputes each
+    block's pre-activation x @ w1 + b1 with the forward's own call, so it is
+    bit for bit the same, then gelu and its derivative from it, and sums the
+    weight and bias gradients over the blocks. Nothing n x ffn_hidden is
+    built, taped or not."""
     parents = (x, w1, b1, w2, b2)
     _check_affine("ffn", x.shape, w1, b1)
     _check_affine("ffn", (x.rows, w1.cols), w2, b2)
     n, hidden = x.rows, w1.cols
     blocks = _row_blocks(n)
-    xd, w1d, b1d = x.data, w1.data, b1.data
+    w1d, b1d = w1.data, b1.data
 
-    def pre(rows, h):
-        """x @ w1 + b1 on one block of rows, written into h."""
-        _mm(xd[rows], w1d, out=h)
+    def pre(xb, h):
+        """xb @ w1 + b1 on one block of rows, written into h."""
+        _mm(xb, w1d, out=h)
         h += b1d
         return h
 
     h = np.empty((min(n, _BLOCK), hidden))
     y = np.empty((n, w2.cols))
     for rows, part in blocks:
-        hb = pre(rows, h[part])
+        hb = pre(x.data[rows], h[part])
         _gelu(hb, hb)
         yb = _mm(hb, w2.data, out=y[rows])
         yb += b2.data
@@ -365,6 +397,7 @@ def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     rx, rw1, rb1, rw2, rb2 = (p.requires_grad for p in parents)
     inner = rx or rw1 or rb1  # whether gradient goes below the gelu
     w2d = w2.data if inner else None
+    x_rows = _row_source(x)
     x_shape, w1_shape, w2_shape = x.shape, w1.shape, w2.shape
 
     def backward(g):
@@ -373,9 +406,10 @@ def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
         gb1 = np.zeros((1, hidden)) if rb1 else None
         gw2 = np.zeros(w2_shape) if rw2 else None
         h = np.empty((min(n, _BLOCK), hidden))
+        xbuf = np.empty((min(n, _BLOCK), x_shape[1]))  # a rebuilt block of x
         for rows, part in blocks:
-            hb, gr = h[part], g[rows]
-            dh = _gelu(pre(rows, hb), hb, derivative=inner)
+            xb, hb, gr = x_rows(rows, xbuf[part]), h[part], g[rows]
+            dh = _gelu(pre(xb, hb), hb, derivative=inner)
             if rw2:
                 gw2 += _mm(hb.T, gr)
             if inner:
@@ -383,7 +417,7 @@ def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
                 if rx:
                     _mm(dh, w1d.T, out=gx[rows])
                 if rw1:
-                    gw1 += _mm(xd[rows].T, dh)
+                    gw1 += _mm(xb.T, dh)
                 if rb1:
                     gb1 += dh.sum(axis=0, keepdims=True)
         gb2 = g.sum(axis=0, keepdims=True) if rb2 else None
@@ -453,11 +487,13 @@ def windowed_attention(
     array; the result is merged @ wo. No row attends across a window
     boundary.
 
-    On a tape the node saves x and the merged array alone. Backward walks
-    the windows again and recomputes each one's q, k, v and probabilities
-    with the forward's own calls, so they are bit-identical to it. Neither
-    pass builds an n-row q, k or v, and backward builds no n-row array but
-    x's gradient; no window x window matrix outlives its window and head."""
+    On a tape the node saves x's row source (`_row_source`) and the merged
+    array alone. Backward walks the windows again, reads each window's rows
+    of x once through that source, and recomputes the window's q, k, v and
+    probabilities with the forward's own calls, so they are bit-identical to
+    it. Neither pass builds an n-row q, k or v, and backward builds no n-row
+    array but x's gradient; no window x window matrix outlives its window
+    and head."""
     parents = (x, wq, wk, wv, wo)
     d, m = x.cols, wq.cols
     for name, w in (("wq", wq), ("wk", wk), ("wv", wv)):
@@ -471,27 +507,29 @@ def windowed_attention(
     s = dk ** -0.5
     windows = [slice(i, min(i + window, n)) for i in range(0, n, window)]
     heads = [slice(h * dk, (h + 1) * dk) for h in range(n_heads)]
-    xd, wqd, wkd, wvd, wod = (t.data for t in parents)
+    wqd, wkd, wvd, wod = (t.data for t in parents[1:])
 
-    def project(rows):
-        xr = xd[rows]
+    def project(xr):
         q = _mm(xr, wqd)
         q *= s
         return q, _mm(xr, wkd), _mm(xr, wvd)
 
     merged = np.empty((n, m))
     for rows in windows:
-        q, k, v = project(rows)
+        q, k, v = project(x.data[rows])
         for cols in heads:
             p = _softmax(_mm(q[:, cols], k[:, cols].T))
             _mm(p, v[:, cols], out=merged[rows, cols])
     rx, rwq, rwk, rwv, rwo = (t.requires_grad for t in parents)
+    x_rows = _row_source(x)
 
     def backward(g):
         gx = np.empty((n, d)) if rx else None
         gwq, gwk, gwv = (np.zeros((d, m)) if r else None for r in (rwq, rwk, rwv))
+        xbuf = np.empty((min(n, window), d))
         for rows in windows:
-            q, k, v = project(rows)
+            xr = x_rows(rows, xbuf[:rows.stop - rows.start])
+            q, k, v = project(xr)
             gm = _mm(g[rows], wod.T)
             gq, gk, gv = np.empty_like(q), np.empty_like(k), np.empty_like(v)
             for cols in heads:
@@ -511,7 +549,7 @@ def windowed_attention(
                 gxr += _mm(gv, wvd.T)
             for gw, gr in ((gwq, gq), (gwk, gk), (gwv, gv)):
                 if gw is not None:
-                    gw += _mm(xd[rows].T, gr)
+                    gw += _mm(xr.T, gr)
         return gx, gwq, gwk, gwv, _mm(merged.T, g) if rwo else None
 
     return _record(Tensor(_mm(merged, wod)), parents, backward)
@@ -525,8 +563,10 @@ def layer_norm_rows(
 
     Forward and backward run over blocks of _BLOCK rows, so their
     temporaries are block-sized. On a tape the node saves the normalized
-    rows (n x d) and each row's inverse deviation (n x 1), and no residual
-    sum; without a tape the normalized rows are one block-sized buffer."""
+    rows xh (n x d) and each row's inverse deviation (n x 1), and no residual
+    sum, and the output's `source` rebuilds its rows as xh[rows] * gain +
+    bias, the forward's own two ops; without a tape the normalized rows are
+    one block-sized buffer."""
     if gain.shape != (1, x.cols) or bias.shape != (1, x.cols):
         raise ShapeError(f"layer norm gain/bias must be (1, {x.cols})")
     if residual is None:
@@ -552,6 +592,15 @@ def layer_norm_rows(
         xb *= inv[rows]
         np.multiply(xb, gain.data, out=yb)
         yb += bias.data
+
+    source = None
+    if keep:
+        gd, bd = gain.data, bias.data
+
+        def source(rows, out):
+            np.multiply(xh[rows], gd, out=out)
+            out += bd
+            return out
 
     rx, rgain, rbias = x.requires_grad, gain.requires_grad, bias.requires_grad
     fused = residual is not None
@@ -585,7 +634,7 @@ def layer_norm_rows(
         gr = gx.copy() if rx and rres else gx
         return gx, ggain, gbias, gr
 
-    return _record(Tensor(y), parents, backward)
+    return _record(Tensor(y, source=source), parents, backward)
 
 
 def pick_rows(x: Tensor, indices) -> Tensor:
@@ -615,21 +664,15 @@ def slice_rows(x: Tensor, i0: int, i1: int) -> Tensor:
     return _record(out, (x,), backward)
 
 
-def relation_scores(ks, qs, alpha: Tensor, heads, pos_l, pos_h) -> Tensor:
-    """Relation scores of attributes against drugs, (|L|, |H|), as one node.
+def _score_plan(ks, qs, alpha: Tensor, heads, pos_l, pos_h):
+    """Check relation scoring's operands and lay out its row blocks.
 
-    Block i is the next ks[i].rows rows: ks[i] @ qs[i]^T, with qs[i] of
-    shape (|H|, d), plus (a D + b) D, where (a, b) = alpha[heads[i]] and D is
-    the token distance |pos_l - pos_h| of the block's attributes to every
-    drug. Each block's product is written straight into the one output
-    array; the polynomial is added over row blocks of _SCORE_ROWS rows, with
-    D recomputed into a block-sized buffer. Neither forward nor the tape
-    holds D or any (|L|, |H|) array but the output.
-
-    Backward returns g[block] @ qs[i] and g[block]^T @ ks[i] per block and,
-    into row heads[i] of alpha's gradient, the sums of g D^2 and g D over
-    the block, recomputing D row block by row block."""
-    ks, qs, heads = tuple(ks), tuple(qs), np.asarray(heads, dtype=np.intp)
+    Returns (spans, blocks, distances, (|L|, |H|)): each key block's
+    (lo, hi) rows; one (key block i, head, rows, buffer rows) per block of at
+    most _SCORE_ROWS rows inside a key block; and distances(rows, buffer),
+    which writes the token distances D of those rows to every drug into the
+    buffer."""
+    heads = np.asarray(heads, dtype=np.intp)
     if not len(ks) == len(qs) == len(heads):
         raise ShapeError(f"relation_scores: {len(ks)} key and {len(qs)} query blocks for {len(heads)} heads")
     sizes = [k.rows for k in ks]
@@ -649,26 +692,59 @@ def relation_scores(ks, qs, alpha: Tensor, heads, pos_l, pos_h) -> Tensor:
     left = np.stack([np.asarray(pos_l, dtype=np.float64), np.ones(nl)], axis=1)
     right = np.stack([np.ones(nh), -np.asarray(pos_h, dtype=np.float64)])
     blocks = [
-        (j, rows, part)
-        for j, (lo, hi) in zip(heads.tolist(), spans)
+        (i, j, rows, part)
+        for i, (j, (lo, hi)) in enumerate(zip(heads.tolist(), spans))
         for rows, part in _row_blocks(hi, _SCORE_ROWS, lo)
     ]
 
-    def distances(rows, part, buffers):
-        d = np.matmul(left[rows], right, out=buffers[0, part])
-        return np.abs(d, out=d), buffers[1, part]
+    def distances(rows, buffer):
+        d = np.matmul(left[rows], right, out=buffer)
+        return np.abs(d, out=d)
 
-    out = np.empty((nl, nh))
-    for k, q, (lo, hi) in zip(ks, qs, spans):
-        _mm(k.data, q.data.T, out=out[lo:hi])
+    return spans, blocks, distances, (nl, nh)
+
+
+def _score_blocks(ks, qs, alpha: Tensor, plan, out=None):
+    """Yield (rows, scores) for each row block of `plan`: the polynomial
+    (a D + b) D into one block-sized buffer, then the block's product
+    k[rows] @ q^T, and their sum while both are still in cache. The scores
+    are out[rows] when `out` is given, else they overwrite the block's
+    distances, and the next block overwrites them."""
+    spans, blocks, distances, (nl, nh) = plan
     buffers = np.empty((2, min(nl, _SCORE_ROWS), nh))
-    for j, rows, part in blocks:
+    for i, j, rows, part in blocks:
         a, b = alpha.data[j]
-        d, t = distances(rows, part, buffers)
+        d, t = distances(rows, buffers[0, part]), buffers[1, part]
         np.multiply(d, a, out=t)
         t += b
         t *= d
-        out[rows] += t
+        s = out[rows] if out is not None else d
+        lo = spans[i][0]
+        _mm(ks[i].data[rows.start - lo:rows.stop - lo], qs[i].data.T, out=s)
+        s += t
+        yield rows, s
+
+
+def relation_scores(ks, qs, alpha: Tensor, heads, pos_l, pos_h) -> Tensor:
+    """Relation scores of attributes against drugs, (|L|, |H|), as one node.
+
+    Block i is the next ks[i].rows rows: ks[i] @ qs[i]^T, with qs[i] of
+    shape (|H|, d), plus (a D + b) D, where (a, b) = alpha[heads[i]] and D is
+    the token distance |pos_l - pos_h| of the block's attributes to every
+    drug. `_score_blocks` computes the scores over row blocks of _SCORE_ROWS
+    rows, writing each straight into the one output array, with D and the
+    polynomial in two block-sized buffers. Neither forward nor the tape holds
+    D or any (|L|, |H|) array but the output.
+
+    Backward returns g[block] @ qs[i] and g[block]^T @ ks[i] per block and,
+    into row heads[i] of alpha's gradient, the sums of g D^2 and g D over
+    the block, recomputing D row block by row block."""
+    ks, qs = tuple(ks), tuple(qs)
+    plan = _score_plan(ks, qs, alpha, heads, pos_l, pos_h)
+    spans, blocks, distances, (nl, nh) = plan
+    out = np.empty((nl, nh))
+    for _ in _score_blocks(ks, qs, alpha, plan, out):
+        pass
 
     rks, rqs = [k.requires_grad for k in ks], [q.requires_grad for q in qs]
     kd = [k.data if r else None for k, r in zip(ks, rqs)]
@@ -682,8 +758,8 @@ def relation_scores(ks, qs, alpha: Tensor, heads, pos_l, pos_h) -> Tensor:
         if ralpha:
             galpha = np.zeros(alpha_shape)
             buffers = np.empty((2, min(nl, _SCORE_ROWS), nh))
-            for j, rows, part in blocks:
-                d, t = distances(rows, part, buffers)
+            for _, j, rows, part in blocks:
+                d, t = distances(rows, buffers[0, part]), buffers[1, part]
                 np.multiply(g[rows], d, out=t)
                 galpha[j, 1] += t.sum()
                 t *= d
@@ -691,6 +767,19 @@ def relation_scores(ks, qs, alpha: Tensor, heads, pos_l, pos_h) -> Tensor:
         return (*gks, *gqs, galpha)
 
     return _record(Tensor(out), (*ks, *qs, alpha), backward)
+
+
+def relation_argmax(ks, qs, alpha: Tensor, heads, pos_l, pos_h) -> np.ndarray:
+    """Each row's argmax of relation_scores(ks, qs, alpha, heads, pos_l,
+    pos_h).data, ties to the lowest column, from the same block loop and so
+    from the same scores bit for bit. No tape: each block's scores live in
+    one block-sized buffer, so no (|L|, |H|) array is made."""
+    ks, qs = tuple(ks), tuple(qs)
+    plan = _score_plan(ks, qs, alpha, heads, pos_l, pos_h)
+    best = np.empty(len(pos_l), dtype=np.intp)
+    for rows, s in _score_blocks(ks, qs, alpha, plan):
+        np.argmax(s, axis=1, out=best[rows])
+    return best
 
 
 def fourier_mix(x: Tensor) -> Tensor:

@@ -16,13 +16,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import RunConfig
+from .config import ConfigError, RunConfig
 from .corpus import Document
 from .embedding import EmbeddingTable
 from .evaluation import MatchCounts, match_relations
 from .model import JNRF, EncodedInstance, encode_document, predictions_to_brat
 from .params import Params
-from .tensor import Tape
+from .tensor import ShapeError, Tape
 
 
 class TrainingError(RuntimeError):
@@ -74,21 +74,45 @@ def adam_step(params: Params, state: AdamState):
     t = state.step_count
     bc1 = 1.0 - BETA1**t
     bc2 = 1.0 - BETA2**t
+    # two scratch arrays, as large as the largest parameter, serve every
+    # parameter in turn; each update keeps the operation order of
+    # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
+    scratch = np.empty((2, max((g.size for g in grads.values()), default=0)))
     for name, p in params.items():
         g = grads[name]
         m = state.m[name]
         v = state.v[name]
+        a, b = (s[:g.size].reshape(g.shape) for s in scratch)
+        np.multiply(g, 1.0 - BETA1, out=a)
         m *= BETA1
-        m += (1.0 - BETA1) * g
+        m += a
+        np.multiply(g, 1.0 - BETA2, out=a)
+        a *= g
         v *= BETA2
-        v += (1.0 - BETA2) * g * g
-        p.data -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
+        v += a
+        np.divide(m, bc1, out=a)
+        a *= state.lr
+        np.divide(v, bc2, out=b)
+        np.sqrt(b, out=b)
+        b += EPS
+        a /= b
+        p.data -= a
+
+
+def _in_document(exc: Exception, doc_id: str) -> Exception:
+    """`exc`'s kind, its message followed by the document it came from."""
+    return type(exc)(f"{exc} in document {doc_id!r}")
 
 
 def dev_e2e_f1(model: JNRF, table: EmbeddingTable, docs: list[Document]) -> float:
+    """Relation F1 of the model's predictions on `docs`; a ConfigError or
+    ShapeError from a document's prediction is raised again naming it."""
     counts = MatchCounts()
     for doc in docs:
-        spans, relations = model.predict_instance(encode_document(doc), table)
+        try:
+            spans, relations = model.predict_instance(encode_document(doc), table)
+        except (ConfigError, ShapeError) as exc:
+            raise _in_document(exc, doc.doc_id) from exc
         _, pred_rels = predictions_to_brat(doc, spans, relations)
         for c in match_relations(pred_rels, doc.gold_relations).values():
             counts.add(c)
@@ -124,12 +148,16 @@ def _document_pass(model, table, instances: list[EncodedInstance], order, state)
 
     Raises TrainingError, before backward runs on it, when a document's
     loss is not finite, and `adam_step`'s error, naming the document too,
-    when a gradient is not."""
+    when a gradient is not. A ConfigError or ShapeError from a document's
+    forward pass is raised again naming the document, before its step."""
     total = 0.0
     for idx in order:
         inst = instances[idx]
         with Tape() as tape:
-            loss, _, _ = model.instance_losses(inst, table)
+            try:
+                loss, _, _ = model.instance_losses(inst, table)
+            except (ConfigError, ShapeError) as exc:
+                raise _in_document(exc, inst.doc_id) from exc
             value = loss.item()
             if not math.isfinite(value):
                 raise TrainingError(f"non-finite loss {value} in document {inst.doc_id!r}")
@@ -138,7 +166,7 @@ def _document_pass(model, table, instances: list[EncodedInstance], order, state)
         try:
             adam_step(model.params, state)
         except TrainingError as exc:
-            raise TrainingError(f"{exc} in document {inst.doc_id!r}") from exc
+            raise _in_document(exc, inst.doc_id) from exc
         model.params.zero_grad()
     return total
 

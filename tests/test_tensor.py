@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from jnrf import fourier, tensor as T
+from jnrf.embedding import EmbeddingTable, embed
 from jnrf.instrument import COUNTER
 from jnrf.tensor import ShapeError, Tape, TapeError, Tensor
 
@@ -302,6 +303,68 @@ class TestRowBlocks:
         grad_check(lambda xx, rr=None: norm(xx, rr, *gbt), rows, coords=boundary_coords(n, 6), tol=1e-5)
         xt, rt = Tensor(x), Tensor(r) if fused else None
         grad_check(lambda gg, bb: norm(xt, rt, gg, bb), [gain, bias], tol=1e-5)
+
+
+class TestRowSources:
+    """A taped layer norm's output and an embedding's output rebuild any
+    block of their rows; ffn and windowed_attention fed such a tensor keep
+    its source, not its data, and give the same output and gradients, bit
+    for bit, as when fed a plain copy of it."""
+
+    N, D = 2 * B + 3, 6
+
+    def sourced(self, kind: str) -> Tensor:
+        rng = np.random.default_rng(120)
+        if kind == "layer_norm":
+            x, gain, bias = (rng.standard_normal(s) for s in [(self.N, self.D), (1, self.D), (1, self.D)])
+            with Tape():
+                t = T.layer_norm_rows(*(Tensor(a, requires_grad=True) for a in (x, gain, bias)))
+        else:
+            table = EmbeddingTable(rng.standard_normal((50, self.D)))
+            t = embed(rng.integers(0, 50, self.N), table)
+        assert t.source is not None
+        for rows in (slice(0, 1), slice(B - 1, B + 2), slice(self.N - 5, self.N)):
+            out = np.empty((rows.stop - rows.start, self.D))
+            assert t.source(rows, out) is out
+            assert np.array_equal(out, t.data[rows])
+        return t
+
+    @pytest.mark.parametrize("kind", ["layer_norm", "embed"])
+    @pytest.mark.parametrize("op", ["ffn", "windowed_attention"])
+    def test_op_fed_a_row_source_equals_it_fed_a_copy(self, op, kind):
+        rng = np.random.default_rng(121)
+        n, d = self.N, self.D
+        if op == "ffn":
+            shapes, g_cols = [(d, 9), (1, 9), (9, 4), (1, 4)], 4
+            run = T.ffn
+        else:
+            shapes, g_cols = [(d, 4)] * 3 + [(4, 5)], 5
+
+            def run(x, *ws):
+                return T.windowed_attention(x, *ws, window=100, n_heads=2)
+        ws = [rng.standard_normal(s) for s in shapes]
+        g = rng.standard_normal((n, g_cols))
+        t = self.sourced(kind)
+        results = []
+        for source in (t.source, None):
+            x = Tensor(t.data.copy(), requires_grad=True, source=source)
+            params = [Tensor(w, requires_grad=True) for w in ws]
+            with Tape() as tape:
+                y = run(x, *params)
+                loss = sum_all(mul(y, Tensor(g)))
+            if source is not None:
+                x.data[...] = np.nan  # backward reads the source, not x.data
+            tape.backward(loss)
+            results.append([y.data, x.grad] + [p.grad for p in params])
+        for got, want in zip(*results):
+            assert np.array_equal(got, want)
+        untaped = run(t, *(Tensor(w) for w in ws))
+        assert np.array_equal(untaped.data, results[1][0])
+
+    def test_untaped_layer_norm_output_has_no_source(self):
+        x = Tensor(np.random.default_rng(122).standard_normal((5, 4)))
+        y = T.layer_norm_rows(x, Tensor(np.ones((1, 4))), Tensor(np.zeros((1, 4))))
+        assert y.source is None
 
 
 # near zero, and |x| in [1.5, 4] where the cubic term of gelu dominates

@@ -9,12 +9,12 @@ import numpy as np
 import pytest
 
 from jnrf import tensor as T
-from jnrf.config import ModelConfig, RunConfig
+from jnrf.config import ConfigError, ModelConfig, RunConfig
 from jnrf.corpus import Tokens, parse_brat, relation_head
 from jnrf.evaluation import PredictedDoc, build_report
 from jnrf.model import JNRF, encode_document, predictions_to_brat
 from jnrf.params import Params
-from jnrf.tensor import Tape, Tensor
+from jnrf.tensor import ShapeError, Tape, Tensor
 from jnrf.tokenizer import Vocab, prepare
 from jnrf.training import (
     AdamState,
@@ -96,6 +96,26 @@ def test_train_without_dev_docs_keeps_final_weights():
     assert any(not np.array_equal(after[0][n], after[2][n]) for n in after[2])
     for name, p in model.params.items():
         np.testing.assert_array_equal(p.data, after[2][name], err_msg=name)
+
+
+class TestForwardErrorsNameTheDocument:
+    @pytest.mark.parametrize("rows, width, error, match", [
+        (5, 6, ConfigError, r"vocab id \d+ out of range \[0, 5\)"),
+        (12, 4, ShapeError, r"ffn: inner dimensions disagree: \(\d+, 4\) x \(6, 8\)"),
+    ], ids=["vocab-id", "table-width"])
+    def test_train_and_dev_f1_name_the_document(self, rows, width, error, match):
+        doc, vocab = build_toy_doc()
+        assert len(vocab) == 12
+        table = tiny_table(rows, d=width)
+        model = JNRF(TINY, seed=24)
+        before = {n: p.data.copy() for n, p in model.params.items()}
+        with pytest.raises(error, match=rf"^{match} in document 'toy'$"):
+            train(model, table, [doc], [], RunConfig(epochs=1))
+        for name, p in model.params.items():
+            np.testing.assert_array_equal(p.data, before[name], err_msg=name)
+            assert p.grad is None, name
+        with pytest.raises(error, match=rf"^{match} in document 'toy'$"):
+            dev_e2e_f1(model, table, [doc])
 
 
 class TestNonFiniteLoss:
