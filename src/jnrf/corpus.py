@@ -7,7 +7,7 @@ entity (arg1) to a drug (arg2).
 
 A document keeps its tokens as parallel columns (`Tokens`): surfaces,
 character starts, character ends and vocabulary ids, in text order. A
-`Token` row is built only when a caller indexes or iterates the columns.
+`Token` row is built only when a caller iterates the columns.
 """
 
 from __future__ import annotations
@@ -68,7 +68,7 @@ class Relation:
 
 @dataclass(slots=True)
 class Token:
-    """One row of `Tokens`, built on demand by indexing or iteration."""
+    """One row of `Tokens`, built on demand by iteration."""
 
     surface: str
     start: int
@@ -88,11 +88,6 @@ class Tokens:
 
     def __len__(self):
         return len(self.start)
-
-    def __getitem__(self, i):
-        """Token i as a `Token` row; a slice gives the columns' slices."""
-        kind = Tokens if isinstance(i, slice) else Token
-        return kind(self.surface[i], self.start[i], self.end[i], self.vocab_id[i])
 
     def __iter__(self):
         return map(Token, self.surface, self.start, self.end, self.vocab_id)

@@ -21,7 +21,4 @@ class MulCounter:
     def add(self, n: int):
         self.total += int(n)
 
-    def reset(self):
-        self.total = 0
-
 COUNTER = MulCounter()

@@ -25,10 +25,11 @@ from .params import Params, add_layer_norm, add_linear, linear_init
 from .tensor import Tensor
 
 
-def init_mixer_params(params: Params, cfg: ModelConfig, rng, prefix: str = "lm"):
+def init_mixer_params(params: Params, cfg: ModelConfig, rng):
+    """Block b's parameters are named `lm.{b}.*`."""
     d = cfg.d_model
     for b in range(cfg.n_blocks):
-        p = f"{prefix}.{b}"
+        p = f"lm.{b}"
         add_layer_norm(params, f"{p}.ln1", d)
         add_linear(params, rng, f"{p}.ffn.1", d, cfg.ffn_hidden)
         add_linear(params, rng, f"{p}.ffn.2", cfg.ffn_hidden, d)
@@ -65,7 +66,7 @@ def mlp_mixer_block(x: Tensor, params: Params, prefix: str) -> Tensor:
 
 
 def windowed_attention_block(
-    x: Tensor, params: Params, prefix: str, window: int, n_attn_heads: int = 1
+    x: Tensor, params: Params, prefix: str, window: int, n_attn_heads: int
 ) -> Tensor:
     mixed = T.windowed_attention(
         x, params[f"{prefix}.wq"], params[f"{prefix}.wk"], params[f"{prefix}.wv"],
@@ -75,11 +76,11 @@ def windowed_attention_block(
     return _ffn_sublayer(h, params, prefix)
 
 
-def shared_lm(x: Tensor, cfg: ModelConfig, params: Params, prefix: str = "lm") -> Tensor:
-    """One weight set producing the single contextualized matrix consumed by
-    both the entity and the relation heads."""
+def shared_lm(x: Tensor, cfg: ModelConfig, params: Params) -> Tensor:
+    """One weight set, `lm.*`, producing the single contextualized matrix
+    consumed by both the entity and the relation heads."""
     for b in range(cfg.n_blocks):
-        p = f"{prefix}.{b}"
+        p = f"lm.{b}"
         if cfg.mixer == "fnet":
             x = fnet_block(x, params, p)
         elif cfg.mixer == "mlp":

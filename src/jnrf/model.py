@@ -218,7 +218,7 @@ class JNRF:
         c = config
         add_linear(self.params, rng, "in.1", c.emb_dim, c.ffn_hidden)
         add_linear(self.params, rng, "in.2", c.ffn_hidden, c.d_model)
-        init_mixer_params(self.params, c, rng, prefix="lm")
+        init_mixer_params(self.params, c, rng)
         add_linear(self.params, rng, "ner.1", c.d_model, c.ffn_hidden)
         add_linear(self.params, rng, "ner.2", c.ffn_hidden, NUM_LABELS)
         add_linear(self.params, rng, "re.1", c.d_model, c.ffn_hidden)
@@ -233,7 +233,7 @@ class JNRF:
     def encode(self, emb: Tensor) -> Tensor:
         """Token-wise input MLP followed by the weight-shared language model;
         the single output feeds both heads."""
-        return shared_lm(ffn(emb, self.params, "in"), self.config, self.params, "lm")
+        return shared_lm(ffn(emb, self.params, "in"), self.config, self.params)
 
     def ner_head(self, e2: Tensor) -> Tensor:
         return ffn(e2, self.params, "ner")
@@ -241,20 +241,15 @@ class JNRF:
     def re_embed(self, e2: Tensor) -> Tensor:
         return ffn(e2, self.params, "re")
 
-    def relation_blocks(self, q: Tensor, k: Tensor, pos_l, pos_h, heads):
+    def relation_blocks(self, q: Tensor, k: Tensor, heads):
         """The operands of `T.relation_scores` for attributes k and drugs q:
         (ks, qs, present), one block per head present. heads must ascend, as
         `selective_pool` orders them, so each head's rows are one block: block
         i is that head's attributes projected, k_l W_k^j + bias, and qs[i]
-        the drugs projected, q W_q^j."""
+        the drugs projected, q W_q^j. `T.relation_scores` checks the rest."""
         heads = np.asarray(heads, dtype=np.intp)
         if len(heads) != k.rows:
             raise ShapeError(f"relation_scores: {len(heads)} heads for {k.rows} attribute rows")
-        if (len(pos_l), len(pos_h)) != (k.rows, q.rows):
-            raise ShapeError(
-                f"relation_scores: positions must be (|L|, |H|) = {(k.rows, q.rows)}, "
-                f"got {(len(pos_l), len(pos_h))}"
-            )
         if np.any(heads[1:] < heads[:-1]):
             raise ShapeError(
                 f"relation_scores: heads must ascend (grouped by head), got {heads.tolist()}"
@@ -264,7 +259,7 @@ class JNRF:
         for j, lo, hi in zip(present, starts, [*starts[1:], len(heads)]):
             qs.append(T.matmul(q, self.params[f"rel.{j}.q.w"]))
             ks.append(T.linear(
-                T.slice_rows(k, lo, hi), self.params[f"rel.{j}.k.w"], self.params[f"rel.{j}.k.b"]
+                T.pick_rows(k, np.arange(lo, hi)), self.params[f"rel.{j}.k.w"], self.params[f"rel.{j}.k.b"]
             ))
         return ks, qs, present
 
@@ -274,7 +269,7 @@ class JNRF:
         plus (a_j D + b_j) D, where D = |pos_l[l] - pos_h| is the token
         distance from the integer start positions; one `T.relation_scores`
         node writes every block of `relation_blocks` into one array."""
-        ks, qs, present = self.relation_blocks(q, k, pos_l, pos_h, heads)
+        ks, qs, present = self.relation_blocks(q, k, heads)
         return T.relation_scores(ks, qs, self.params["alpha"], present, pos_l, pos_h)
 
     def instance_losses(self, inst: EncodedInstance, table: EmbeddingTable):
@@ -306,7 +301,7 @@ class JNRF:
         pooled = selective_pool(e2, spans, self.re_embed)
         if pooled.empty:
             return spans, []
-        ks, qs, present = self.relation_blocks(pooled.q, pooled.k, pooled.pos_l, pooled.pos_h, pooled.heads)
+        ks, qs, present = self.relation_blocks(pooled.q, pooled.k, pooled.heads)
         triples = predict_relations(ks, qs, self.params["alpha"], present, pooled.pos_l, pooled.pos_h)
         drug, attr = pooled.h_index.tolist(), pooled.l_index.tolist()
         return spans, [(drug[h], attr[l], j) for h, l, j in triples]

@@ -48,13 +48,14 @@ softmax.
 
 `relation_scores` is the relation head's scoring as one node, and
 `relation_argmax` prediction's row argmax of the same scores with no node.
-Both run one block loop over _SCORE_ROWS rows at a time: each relation
-head's attribute rows in the block, projected, times its projected drugs,
-plus the distance polynomial (a D + b) D, with the token distances D
-recomputed from integer positions each time. `relation_scores` writes the
-blocks into one (|L|, |H|) output and saves the projections alone; backward
-recomputes D block by block again. `relation_argmax` keeps each row's
-argmax and nothing (|L|, |H|).
+Both run one generator, `_score_blocks`, which checks the operands once and
+then yields the scores _SCORE_ROWS rows at a time: each relation head's
+attribute rows in the block, projected, times its projected drugs, plus the
+distance polynomial (a D + b) D, with the token distances D recomputed from
+integer positions each time. `relation_scores` writes the blocks into one
+(|L|, |H|) output and saves the projections and each block's (head, rows)
+alone; backward recomputes D block by block again. `relation_argmax` keeps
+each row's argmax and nothing (|L|, |H|).
 
 `cross_entropy_rows` is each of the model's losses as one node: minus the
 log-softmax at a list of target cells, any number per row, summed and
@@ -89,6 +90,7 @@ _TAPES: list["Tape"] = []
 _TAPE_IDS = itertools.count()
 _ELSEWHERE = object()  # the link to a tensor that another tape recorded
 _BLOCK = 256  # rows per block in ffn and layer_norm_rows
+_LN_EPS = 1e-5  # added to each row's variance in layer_norm_rows
 # rows per block of the relation scores: a block's distances and polynomial,
 # two buffers of 128 x |H| float64s (580 KB at |H| = 283), stay in L2 cache
 _SCORE_ROWS = 128
@@ -555,9 +557,7 @@ def windowed_attention(
     return _record(Tensor(_mm(merged, wod)), parents, backward)
 
 
-def layer_norm_rows(
-    x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5, residual: Tensor | None = None
-) -> Tensor:
+def layer_norm_rows(x: Tensor, gain: Tensor, bias: Tensor, residual: Tensor | None = None) -> Tensor:
     """Row-wise layer norm of x, or of x + residual as one node; each of x
     and residual then gets its own gradient array.
 
@@ -588,7 +588,7 @@ def layer_norm_rows(
             np.add(xr, residual.data[rows], out=xb)
             xb -= xb.mean(axis=1, keepdims=True)
         np.square(xb, out=yb)
-        inv[rows] = 1.0 / np.sqrt(yb.mean(axis=1, keepdims=True) + eps)
+        inv[rows] = 1.0 / np.sqrt(yb.mean(axis=1, keepdims=True) + _LN_EPS)
         xb *= inv[rows]
         np.multiply(xb, gain.data, out=yb)
         yb += bias.data
@@ -652,77 +652,57 @@ def pick_rows(x: Tensor, indices) -> Tensor:
     return _record(out, (x,), backward)
 
 
-def slice_rows(x: Tensor, i0: int, i1: int) -> Tensor:
-    out = Tensor(x.data[i0:i1])
-    shape = x.shape
+def _distances(pos_l, pos_h):
+    """The function (rows, buffer) -> |pos_l[rows] - pos_h|, the token
+    distances D of those attributes to every drug, written into the buffer.
+    D's signed form pos_l[i] - pos_h[j] is the product [pos_l, 1] @ [1, -pos_h]:
+    one BLAS call per row block, exact since the positions are integers
+    (below 2**53) and every product and sum is one of integers."""
+    left = np.stack([np.asarray(pos_l, dtype=np.float64), np.ones(len(pos_l))], axis=1)
+    right = np.stack([np.ones(len(pos_h)), -np.asarray(pos_h, dtype=np.float64)])
 
-    def backward(g):
-        gx = np.zeros(shape)
-        gx[i0:i1] = g
-        return (gx,)
+    def distances(rows, buffer):
+        return np.abs(np.matmul(left[rows], right, out=buffer), out=buffer)
 
-    return _record(out, (x,), backward)
+    return distances
 
 
-def _score_plan(ks, qs, alpha: Tensor, heads, pos_l, pos_h):
-    """Check relation scoring's operands and lay out its row blocks.
-
-    Returns (spans, blocks, distances, (|L|, |H|)): each key block's
-    (lo, hi) rows; one (key block i, head, rows, buffer rows) per block of at
-    most _SCORE_ROWS rows inside a key block; and distances(rows, buffer),
-    which writes the token distances D of those rows to every drug into the
-    buffer."""
+def _score_blocks(ks, qs, alpha: Tensor, heads, pos_l, pos_h, out=None):
+    """Check relation scoring's operands, then yield (head, rows, scores)
+    for each block of at most _SCORE_ROWS rows inside a key block, `rows`
+    counting over all of them: the block's distances D and polynomial
+    (a D + b) D into two block-sized buffers, then its product k[rows] @ q^T,
+    and their sum while both are still in cache. The scores are out[rows]
+    when `out` is given, else they overwrite the block's distances, and the
+    next block overwrites them."""
     heads = np.asarray(heads, dtype=np.intp)
     if not len(ks) == len(qs) == len(heads):
         raise ShapeError(f"relation_scores: {len(ks)} key and {len(qs)} query blocks for {len(heads)} heads")
-    sizes = [k.rows for k in ks]
-    nl, nh = sum(sizes), len(pos_h)
-    if len(pos_l) != nl:
-        raise ShapeError(f"relation_scores: {len(pos_l)} attribute positions for {nl} rows")
     if alpha.cols != 2:
         raise ShapeError(f"relation_scores: alpha must hold (a, b) rows, got {alpha.shape}")
+    nl, nh = sum(k.rows for k in ks), qs[0].rows if qs else len(pos_h)
+    if (len(pos_l), len(pos_h)) != (nl, nh):
+        raise ShapeError(
+            f"relation_scores: positions must be (|L|, |H|) = {(nl, nh)}, got {(len(pos_l), len(pos_h))}"
+        )
     for k, q in zip(ks, qs):
         if q.shape != (nh, k.cols):
             raise ShapeError(f"relation_scores: a query block must be ({nh}, {k.cols}), got {q.shape}")
-    stops = list(itertools.accumulate(sizes))
-    spans = list(zip([0, *stops[:-1]], stops))
-    # D's signed form pos_l[i] - pos_h[j] is the product [pos_l, 1] @ [1, -pos_h]:
-    # one BLAS call per row block, exact since the positions are integers
-    # (below 2**53) and every product and sum is one of integers
-    left = np.stack([np.asarray(pos_l, dtype=np.float64), np.ones(nl)], axis=1)
-    right = np.stack([np.ones(nh), -np.asarray(pos_h, dtype=np.float64)])
-    blocks = [
-        (i, j, rows, part)
-        for i, (j, (lo, hi)) in enumerate(zip(heads.tolist(), spans))
-        for rows, part in _row_blocks(hi, _SCORE_ROWS, lo)
-    ]
-
-    def distances(rows, buffer):
-        d = np.matmul(left[rows], right, out=buffer)
-        return np.abs(d, out=d)
-
-    return spans, blocks, distances, (nl, nh)
-
-
-def _score_blocks(ks, qs, alpha: Tensor, plan, out=None):
-    """Yield (rows, scores) for each row block of `plan`: the polynomial
-    (a D + b) D into one block-sized buffer, then the block's product
-    k[rows] @ q^T, and their sum while both are still in cache. The scores
-    are out[rows] when `out` is given, else they overwrite the block's
-    distances, and the next block overwrites them."""
-    spans, blocks, distances, (nl, nh) = plan
+    distances = _distances(pos_l, pos_h)
     buffers = np.empty((2, min(nl, _SCORE_ROWS), nh))
-    for i, j, rows, part in blocks:
+    lo = 0
+    for k, q, j in zip(ks, qs, heads.tolist()):
         a, b = alpha.data[j]
-        d, t = distances(rows, buffers[0, part]), buffers[1, part]
-        np.multiply(d, a, out=t)
-        t += b
-        t *= d
-        s = out[rows] if out is not None else d
-        lo = spans[i][0]
-        _mm(ks[i].data[rows.start - lo:rows.stop - lo], qs[i].data.T, out=s)
-        s += t
-        yield rows, s
+        for rows, part in _row_blocks(lo + k.rows, _SCORE_ROWS, lo):
+            d, t = distances(rows, buffers[0, part]), buffers[1, part]
+            np.multiply(d, a, out=t)
+            t += b
+            t *= d
+            s = out[rows] if out is not None else d
+            _mm(k.data[rows.start - lo:rows.stop - lo], q.data.T, out=s)
+            s += t
+            yield j, rows, s
+        lo += k.rows
 
 
 def relation_scores(ks, qs, alpha: Tensor, heads, pos_l, pos_h) -> Tensor:
@@ -731,20 +711,20 @@ def relation_scores(ks, qs, alpha: Tensor, heads, pos_l, pos_h) -> Tensor:
     Block i is the next ks[i].rows rows: ks[i] @ qs[i]^T, with qs[i] of
     shape (|H|, d), plus (a D + b) D, where (a, b) = alpha[heads[i]] and D is
     the token distance |pos_l - pos_h| of the block's attributes to every
-    drug. `_score_blocks` computes the scores over row blocks of _SCORE_ROWS
-    rows, writing each straight into the one output array, with D and the
-    polynomial in two block-sized buffers. Neither forward nor the tape holds
-    D or any (|L|, |H|) array but the output.
+    drug. The one block loop, `_score_blocks`, checks the operands and
+    writes the scores straight into the output, _SCORE_ROWS rows at a time,
+    with D and the polynomial in two block-sized buffers. Neither forward
+    nor the tape holds D or any (|L|, |H|) array but the output.
 
-    Backward returns g[block] @ qs[i] and g[block]^T @ ks[i] per block and,
-    into row heads[i] of alpha's gradient, the sums of g D^2 and g D over
-    the block, recomputing D row block by row block."""
+    Backward returns g[block] @ qs[i] and g[block]^T @ ks[i] per key block
+    and, into row heads[i] of alpha's gradient, the sums of g D^2 and g D
+    over the block, recomputing D for each (head, rows) the loop visited."""
     ks, qs = tuple(ks), tuple(qs)
-    plan = _score_plan(ks, qs, alpha, heads, pos_l, pos_h)
-    spans, blocks, distances, (nl, nh) = plan
+    nl, nh = len(pos_l), len(pos_h)
     out = np.empty((nl, nh))
-    for _ in _score_blocks(ks, qs, alpha, plan, out):
-        pass
+    layout = [(j, rows) for j, rows, _ in _score_blocks(ks, qs, alpha, heads, pos_l, pos_h, out)]
+    spans = list(itertools.pairwise(itertools.accumulate((k.rows for k in ks), initial=0)))
+    distances = _distances(pos_l, pos_h)
 
     rks, rqs = [k.requires_grad for k in ks], [q.requires_grad for q in qs]
     kd = [k.data if r else None for k, r in zip(ks, rqs)]
@@ -758,9 +738,9 @@ def relation_scores(ks, qs, alpha: Tensor, heads, pos_l, pos_h) -> Tensor:
         if ralpha:
             galpha = np.zeros(alpha_shape)
             buffers = np.empty((2, min(nl, _SCORE_ROWS), nh))
-            for _, j, rows, part in blocks:
-                d, t = distances(rows, buffers[0, part]), buffers[1, part]
-                np.multiply(g[rows], d, out=t)
+            for j, rows in layout:
+                d, t = buffers[:, :rows.stop - rows.start]
+                np.multiply(g[rows], distances(rows, d), out=t)
                 galpha[j, 1] += t.sum()
                 t *= d
                 galpha[j, 0] += t.sum()
@@ -774,10 +754,8 @@ def relation_argmax(ks, qs, alpha: Tensor, heads, pos_l, pos_h) -> np.ndarray:
     pos_h).data, ties to the lowest column, from the same block loop and so
     from the same scores bit for bit. No tape: each block's scores live in
     one block-sized buffer, so no (|L|, |H|) array is made."""
-    ks, qs = tuple(ks), tuple(qs)
-    plan = _score_plan(ks, qs, alpha, heads, pos_l, pos_h)
     best = np.empty(len(pos_l), dtype=np.intp)
-    for rows, s in _score_blocks(ks, qs, alpha, plan):
+    for _, rows, s in _score_blocks(ks, qs, alpha, heads, pos_l, pos_h):
         np.argmax(s, axis=1, out=best[rows])
     return best
 

@@ -82,11 +82,6 @@ class Vocab:
             where = path if exc.index is None else f"{path}:{lines[exc.index][0]}"
             raise VocabError(f"{where}: {exc}", exc.index) from None
 
-    def save(self, path: str):
-        with open(path, "w", encoding="utf-8") as f:
-            for tok in self.tokens:
-                f.write(tok + "\n")
-
 
 def _greedy_pieces(word: str, vocab: Vocab) -> list[tuple[str, int, int, int]]:
     """(surface, start, end, vocab id) of each greedy longest-match piece of a

@@ -12,11 +12,11 @@ import math
 import os
 import struct
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .config import ConfigError, RunConfig
+from .config import ConfigError, ModelConfig, RunConfig, parse_config_text
 from .corpus import Document
 from .embedding import EmbeddingTable
 from .evaluation import MatchCounts, match_relations
@@ -276,7 +276,24 @@ class _Reader:
         return out
 
 
-def save_checkpoint(path: str, model: JNRF, config_text: str = ""):
+def _check_config(path: str, config_text: str, config: ModelConfig, where: str):
+    """Raise CheckpointError, naming the path and the key, unless
+    `config_text` parses and sets every `ModelConfig` key as `config` has
+    it; a key the text leaves out takes its default."""
+    try:
+        saved = ModelConfig.from_run_config(parse_config_text(config_text))
+    except ConfigError as exc:
+        raise CheckpointError(f"{path}: config text does not parse: {exc}") from None
+    for key in (f.name for f in fields(ModelConfig)):
+        theirs, ours = getattr(saved, key), getattr(config, key)
+        if theirs != ours:
+            raise CheckpointError(f"{path}: config key {key!r} is {theirs!r} in {where}, {ours!r} in the model")
+
+
+def save_checkpoint(path: str, model: JNRF, config_text: str):
+    """Write the model's weights and the run's config text, which must set
+    the model's own configuration; a rejected text writes nothing."""
+    _check_config(path, config_text, model.config, "the config text")
     tmp = path + ".tmp"
     with open(tmp, "wb") as f:
         f.write(_MAGIC)
@@ -316,8 +333,9 @@ def load_checkpoint(path: str) -> Checkpoint:
 
 def apply_checkpoint(model: JNRF, ckpt: Checkpoint):
     """Copy checkpoint weights into the model after validating every name
-    and shape, so a rejected checkpoint leaves the model as it was; each
-    error starts with the checkpoint's path."""
+    and shape, and then its config text against the model's configuration,
+    so a rejected checkpoint leaves the model as it was; each error starts
+    with the checkpoint's path."""
     for name, p in model.params.items():
         if name not in ckpt.params:
             raise CheckpointError(f"{ckpt.path}: checkpoint is missing parameter {name!r}")
@@ -329,5 +347,6 @@ def apply_checkpoint(model: JNRF, ckpt: Checkpoint):
     extra = set(ckpt.params) - set(n for n, _ in model.params.items())
     if extra:
         raise CheckpointError(f"{ckpt.path}: checkpoint has unknown parameters {sorted(extra)[:3]}")
+    _check_config(ckpt.path, ckpt.config_text, model.config, "the checkpoint")
     for name, p in model.params.items():
         p.data[...] = ckpt.params[name]

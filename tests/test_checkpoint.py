@@ -117,6 +117,35 @@ def test_apply_errors_name_the_file(tmp_path):
     )
 
 
+def test_apply_rejects_another_mixer(tmp_path):
+    """`fnet` and `mlp` have the same parameter names and shapes, so only
+    the config text tells their checkpoints apart."""
+    path, _ = saved_bytes(tmp_path, trained_model())
+    mlp = JNRF(ModelConfig(emb_dim=2, d_model=2, ffn_hidden=2, mixer="mlp", n_blocks=1))
+    rejected_and_untouched(
+        mlp, load_checkpoint(str(path)),
+        rf"^{re.escape(str(path))}: config key 'mixer' is 'fnet' in the checkpoint, 'mlp' in the model$",
+    )
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (CONFIG_TEXT.replace("n_blocks = 1", "n_blocks = 2"),
+         "config key 'n_blocks' is 2 in the config text, 1 in the model"),
+        ("", "config key 'emb_dim' is 64 in the config text, 2 in the model"),
+        (CONFIG_TEXT + "mixer = mlp\n",
+         "config text does not parse: line 13: duplicate key 'mixer' (first set on line 4)"),
+    ],
+    ids=["another-key", "defaults", "unparsed"],
+)
+def test_save_rejects_config_text_of_another_model(tmp_path, text, message):
+    path = tmp_path / "ckpt.bin"
+    with pytest.raises(CheckpointError, match=rf"^{re.escape(f'{path}: {message}')}$"):
+        save_checkpoint(str(path), trained_model(), text)
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "record, value", [("in.1.w", np.nan), ("alpha", np.inf), ("rel.3.k.b", -np.inf)]
 )

@@ -618,7 +618,7 @@ class TestPredictRelations:
         heads = np.sort(rng.integers(0, 8, 300))
         pos_l, pos_h = rng.integers(0, 8000, 300), rng.integers(0, 8000, 9)
         psi = model.relation_scores(q, k, pos_l, pos_h, heads).data
-        ks, qs, present = model.relation_blocks(q, k, pos_l, pos_h, heads)
+        ks, qs, present = model.relation_blocks(q, k, heads)
         triples = predict_relations(ks, qs, model.params["alpha"], present, pos_l, pos_h)
         assert triples == list(zip(np.argmax(psi, axis=1).tolist(), range(300), heads.tolist()))
 
