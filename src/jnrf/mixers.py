@@ -6,11 +6,12 @@ windowed_attention_block: fourier_mix replaced by scaled dot-product
 self-attention applied independently per non-overlapping window; no token
 attends across a window boundary, and window = n is exactly full attention.
 The attention is one tape node per block (`T.windowed_attention`): it saves
-x's row source and the merged heads, and backward recomputes each window's
-q, k and v projections and its probabilities instead of keeping them. The
-FFN's input, and the input of every block after the first, are layer-norm
-outputs, so the nodes that read them again in backward rebuild their rows
-from the layer norm's saved rows instead of keeping a copy.
+x's row source and each row's softmax max and sum per head, and backward
+recomputes each window's q, k and v projections, its exponentials and its
+merged heads instead of keeping them. The FFN's input, and the input of
+every block after the first, are layer-norm outputs, so the nodes that read
+them again in backward rebuild their rows from the layer norm's saved rows
+instead of keeping a copy.
 
 The Fourier sublayer contributes no trainable parameters; each block trains
 only its two LayerNorms and the FFN (plus q/k/v/o projections for the

@@ -39,12 +39,16 @@ gelu and its derivative again, one row block at a time.
 keeping the normalized rows and each row's inverse deviation.
 
 `windowed_attention` is one node per attention sublayer, run one window at
-a time: each window projects its own q, k and v, runs softmax(q k^T) v per
-head into one merged array, and the merged array is multiplied by the output
-projection. It saves x's row source and the merged array alone; backward
-recomputes each window's q, k, v and probabilities, so no n-row q, k or v
-and no window x window matrix is kept. It and `softmax_rows` share one
-softmax.
+a time: each window projects its own q, k and v, and each head takes its
+queries _BLOCK rows at a time against all of the window's keys, as
+memory-efficient exact attention does (Rabe & Staats 2021; FlashAttention,
+Dao et al. 2022). A block's exponentials exp(q k^T - max) go into one
+_BLOCK x window buffer, and its rows of softmax(q k^T) v, computed as
+(e v) / sum e, into one window-sized merged buffer, which is multiplied by
+the output projection. It saves x's row source and each row's max and sum
+per head alone; backward recomputes each window's q, k and v and each
+block's exponentials and merged rows, so no n-row q, k, v or merged array
+is kept, and no matrix against a window's keys has more than _BLOCK rows.
 
 `relation_scores` is the relation head's scoring as one node, and
 `relation_argmax` prediction's row argmax of the same scores with no node.
@@ -89,7 +93,7 @@ class ShapeError(ValueError):
 _TAPES: list["Tape"] = []
 _TAPE_IDS = itertools.count()
 _ELSEWHERE = object()  # the link to a tensor that another tape recorded
-_BLOCK = 256  # rows per block in ffn and layer_norm_rows
+_BLOCK = 256  # rows per block in ffn and layer_norm_rows, and query rows in attention
 _LN_EPS = 1e-5  # added to each row's variance in layer_norm_rows
 # rows per block of the relation scores: a block's distances and polynomial,
 # two buffers of 128 x |H| float64s (580 KB at |H| = 283), stay in L2 cache
@@ -428,16 +432,10 @@ def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     return _record(Tensor(y), parents, backward)
 
 
-def _softmax(z: np.ndarray) -> np.ndarray:
-    """Row-wise softmax of z, written into z, which it returns."""
-    z -= z.max(axis=1, keepdims=True)
-    np.exp(z, out=z)
-    z /= z.sum(axis=1, keepdims=True)
-    return z
-
-
 def softmax_rows(x: Tensor) -> Tensor:
-    y = _softmax(x.data.copy())
+    y = x.data - x.data.max(axis=1, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=1, keepdims=True)
     out = Tensor(y)
 
     def backward(g):
@@ -479,23 +477,41 @@ def cross_entropy_rows(logits: Tensor, rows, cols, norm: float) -> Tensor:
     return _record(Tensor(-picked.sum() / norm), (logits,), backward)
 
 
+def _exp_scores(qb: np.ndarray, kc: np.ndarray, out: np.ndarray, top: np.ndarray | None = None):
+    """(e, top): e = exp(qb kc^T - top), written into `out`, a buffer of
+    (rows of qb, rows of kc), and top each row's max of qb kc^T unless it is
+    given. Fed the forward's top, backward rebuilds the forward's e bit for
+    bit."""
+    z = _mm(qb, kc.T, out=out)
+    if top is None:
+        top = z.max(axis=1)
+    z -= top[:, None]
+    np.exp(z, out=z)
+    return z, top
+
+
 def windowed_attention(
     x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor, window: int, n_heads: int
 ) -> Tensor:
     """Multi-head self-attention inside non-overlapping windows of `window`
     rows, as one node, run one window at a time: each window projects its
     own rows, q = x @ wq scaled by dk^-0.5, k = x @ wk and v = x @ wv, and
-    each of its heads writes softmax(q k^T) v into its cells of one merged
-    array; the result is merged @ wo. No row attends across a window
+    each head takes its queries _BLOCK rows at a time against all of the
+    window's keys. A block's exponentials e = exp(q k^T - max) go into one
+    reused _BLOCK x window buffer, and its merged rows, softmax(q k^T) v =
+    (e v) / sum e, into one window-sized buffer, which is then multiplied by
+    wo into the window's output rows. No row attends across a window
     boundary.
 
-    On a tape the node saves x's row source (`_row_source`) and the merged
-    array alone. Backward walks the windows again, reads each window's rows
-    of x once through that source, and recomputes the window's q, k, v and
-    probabilities with the forward's own calls, so they are bit-identical to
-    it. Neither pass builds an n-row q, k or v, and backward builds no n-row
-    array but x's gradient; no window x window matrix outlives its window
-    and head."""
+    On a tape the node saves x's row source (`_row_source`) and each row's
+    max and sum per head, two (n_heads, n) arrays. Backward walks the
+    windows again, reads each window's rows of x once through that source,
+    recomputes its q, k and v and each block's exponentials (`_exp_scores`,
+    from the saved max) and merged rows with the forward's own calls, so
+    they are bit-identical to it, and sums wo's gradient window by window.
+    In neither pass does a q, k, v or merged array hold more than one
+    window's rows, or a matrix against a window's keys more than _BLOCK
+    query rows."""
     parents = (x, wq, wk, wv, wo)
     d, m = x.cols, wq.cols
     for name, w in (("wq", wq), ("wk", wk), ("wv", wv)):
@@ -507,54 +523,87 @@ def windowed_attention(
         raise ShapeError(f"windowed_attention: window {window} and {n_heads} heads over width {m}")
     n, dk = x.rows, m // n_heads
     s = dk ** -0.5
-    windows = [slice(i, min(i + window, n)) for i in range(0, n, window)]
+    windows = _row_blocks(n, window)
     heads = [slice(h * dk, (h + 1) * dk) for h in range(n_heads)]
     wqd, wkd, wvd, wod = (t.data for t in parents[1:])
+    top, total = np.empty((2, n_heads, n))  # each row's max and sum of e, per head
+
+    def buffers():
+        """One window's merged heads and one block's exponentials."""
+        return np.empty((min(n, window), m)), np.empty(min(n, _BLOCK) * min(n, window))
 
     def project(xr):
         q = _mm(xr, wqd)
         q *= s
         return q, _mm(xr, wkd), _mm(xr, wvd)
 
-    merged = np.empty((n, m))
-    for rows in windows:
+    def query_blocks(lo, q, k, v, merged, ebuf, saved):
+        """Each head's query blocks of the window from row lo: writes the
+        block's exponentials into ebuf and its merged rows into merged, then
+        yields (cols, rows in the window, e, merged rows, sum e). Without
+        `saved` it takes each row's max and sum of e and saves them; with it,
+        it reads them back."""
+        r = k.shape[0]
+        for h, cols in enumerate(heads):
+            kc, vc = k[:, cols], v[:, cols]
+            for rows, _ in _row_blocks(r):
+                at = slice(lo + rows.start, lo + rows.stop)
+                out = ebuf[:(rows.stop - rows.start) * r].reshape(-1, r)
+                e, t = _exp_scores(q[rows, cols], kc, out, top[h, at] if saved else None)
+                if not saved:
+                    top[h, at] = t
+                    e.sum(axis=1, out=total[h, at])
+                tot = total[h, at, None]
+                mb = _mm(e, vc, out=merged[rows, cols])
+                mb /= tot
+                yield cols, rows, e, mb, tot
+
+    y = np.empty((n, wo.cols))
+    merged, ebuf = buffers()
+    for rows, part in windows:
         q, k, v = project(x.data[rows])
-        for cols in heads:
-            p = _softmax(_mm(q[:, cols], k[:, cols].T))
-            _mm(p, v[:, cols], out=merged[rows, cols])
+        for _ in query_blocks(rows.start, q, k, v, merged, ebuf, saved=False):
+            pass  # the forward needs only the merged rows
+        _mm(merged[part], wod, out=y[rows])
     rx, rwq, rwk, rwv, rwo = (t.requires_grad for t in parents)
     x_rows = _row_source(x)
 
     def backward(g):
         gx = np.empty((n, d)) if rx else None
         gwq, gwk, gwv = (np.zeros((d, m)) if r else None for r in (rwq, rwk, rwv))
+        gwo = np.zeros(wod.shape) if rwo else None
         xbuf = np.empty((min(n, window), d))
-        for rows in windows:
-            xr = x_rows(rows, xbuf[:rows.stop - rows.start])
+        merged, ebuf = buffers()
+        dbuf = np.empty_like(ebuf)  # one block's d loss / d (q k^T)
+        for rows, part in windows:
+            xr = x_rows(rows, xbuf[part])
             q, k, v = project(xr)
-            gm = _mm(g[rows], wod.T)
-            gq, gk, gv = np.empty_like(q), np.empty_like(k), np.empty_like(v)
-            for cols in heads:
-                qc, kc, gc = q[:, cols], k[:, cols], gm[:, cols]
-                p = _softmax(_mm(qc, kc.T))
-                _mm(p.T, gc, out=gv[:, cols])
-                gs = _mm(gc, v[:, cols].T)  # d loss / d p
-                # sum_j p_ij gs_ij = gm_i . (p v)_i, and p v is the merged row
-                gs -= (gc * merged[rows, cols]).sum(axis=1, keepdims=True)
-                gs *= p  # d loss / d (q k^T)
-                _mm(gs, kc, out=gq[:, cols])
-                _mm(gs.T, qc, out=gk[:, cols])
+            gr = g[rows]
+            gm = _mm(gr, wod.T)
+            gq, gk, gv = np.empty_like(q), np.zeros_like(k), np.zeros_like(v)
+            for cols, b, e, mb, tot in query_blocks(rows.start, q, k, v, merged, ebuf, saved=True):
+                # d loss / d (q k^T) = e (gm v^T - gm . merged) / sum e, with
+                # gm scaled by 1 / sum e on the dk side
+                gl = gm[b, cols] / tot
+                gv[:, cols] += _mm(e.T, gl)
+                gs = _mm(gl, v[:, cols].T, out=dbuf[:e.size].reshape(e.shape))
+                gs -= (gl * mb).sum(axis=1, keepdims=True)
+                gs *= e
+                _mm(gs, k[:, cols], out=gq[b, cols])
+                gk[:, cols] += _mm(gs.T, q[b, cols])
             gq *= s
             if rx:
                 gxr = _mm(gq, wqd.T, out=gx[rows])
                 gxr += _mm(gk, wkd.T)
                 gxr += _mm(gv, wvd.T)
-            for gw, gr in ((gwq, gq), (gwk, gk), (gwv, gv)):
+            for gw, gp in ((gwq, gq), (gwk, gk), (gwv, gv)):
                 if gw is not None:
-                    gw += _mm(xr.T, gr)
-        return gx, gwq, gwk, gwv, _mm(merged.T, g) if rwo else None
+                    gw += _mm(xr.T, gp)
+            if rwo:
+                gwo += _mm(merged[part].T, gr)
+        return gx, gwq, gwk, gwv, gwo
 
-    return _record(Tensor(_mm(merged, wod)), parents, backward)
+    return _record(Tensor(y), parents, backward)
 
 
 def layer_norm_rows(x: Tensor, gain: Tensor, bias: Tensor, residual: Tensor | None = None) -> Tensor:

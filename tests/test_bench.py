@@ -1,0 +1,29 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def test_a_tiny_run_writes_every_key(tmp_path):
+    """`python -m jnrf.bench` on one short length: a cell at window 512 and
+    one at window = n, each from its own process, then the file."""
+    out = tmp_path / "bench.json"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    subprocess.run(
+        [sys.executable, "-m", "jnrf.bench", "--lengths", "40", "--repeats", "2", "--out", str(out)],
+        check=True, capture_output=True, env=env,
+    )
+    record = json.loads(out.read_text())
+    assert sorted(record) == ["blas", "cells", "command", "cpus", "machine", "numpy", "python", "threads"]
+    assert record["blas"]["name"] and record["threads"]["OPENBLAS_NUM_THREADS"]
+    assert [(c["n"], c["window"]) for c in record["cells"]] == [(40, 512), (40, 40)]
+    for cell in record["cells"]:
+        assert cell["mixer"] == "windowed_attention" and cell["repeats"] == 2
+        for phase in ("predict", "train"):
+            t = cell[phase]
+            assert 0 < t["q1_s"] <= t["median_s"] <= t["q3_s"]
+            assert t["maxrss_mb"] > 0
+        assert cell["train"]["maxrss_mb"] >= cell["predict"]["maxrss_mb"]

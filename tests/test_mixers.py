@@ -196,19 +196,24 @@ def _attention_run(op, x, weights, c, window, heads):
     return [out.data, xt.grad] + [w.grad for w in wt]
 
 
+BIG = T._BLOCK + 44  # a window of two query blocks, the second one partial
+COMPOSED = [(n, WINDOW) for n in (1, WINDOW - 1, WINDOW, WINDOW + 1, 2 * WINDOW + 3)] + [(2 * BIG + 5, BIG)]
+
+
 class TestWindowedAttentionOp:
     """T.windowed_attention against the per-window composition of
-    elementary ops, for lengths around the window edge."""
+    elementary ops, for lengths around the window edge and around the edge
+    of a query block."""
 
     @pytest.mark.parametrize("heads", [1, 2])
-    @pytest.mark.parametrize("n", [1, WINDOW - 1, WINDOW, WINDOW + 1, 2 * WINDOW + 3])
-    def test_matches_the_composition(self, n, heads):
+    @pytest.mark.parametrize("n, window", COMPOSED, ids=[str(n) for n, _ in COMPOSED])
+    def test_matches_the_composition(self, n, window, heads):
         x, weights, c = _attention_inputs(n, seed=n + 10 * heads)
-        got = _attention_run(T.windowed_attention, x, weights, c, WINDOW, heads)
-        want = _attention_run(composed_windowed_attention, x, weights, c, WINDOW, heads)
+        got = _attention_run(T.windowed_attention, x, weights, c, window, heads)
+        want = _attention_run(composed_windowed_attention, x, weights, c, window, heads)
         for name, a, b in zip(("out", "x", "wq", "wk", "wv", "wo"), got, want):
             assert rel_err(a, b) < 1e-12, name
-        untaped = T.windowed_attention(Tensor(x), *map(Tensor, weights), WINDOW, heads)
+        untaped = T.windowed_attention(Tensor(x), *map(Tensor, weights), window, heads)
         np.testing.assert_array_equal(untaped.data, got[0])
 
     @pytest.mark.parametrize("heads", [1, 2])
@@ -222,20 +227,20 @@ class TestWindowedAttentionOp:
 
     @pytest.mark.parametrize("heads", [1, 2])
     def test_backward_recomputes_the_forward_probabilities_bit_for_bit(self, heads, monkeypatch):
-        x, weights, c = _attention_inputs(2 * WINDOW + 3, seed=30)
+        x, weights, c = _attention_inputs(2 * BIG + 5, seed=30)
         seen = []
 
-        def softmax(z, _softmax=T._softmax):
-            p = _softmax(z)
-            seen.append(p.copy())
-            return p
+        def exp_scores(*args, _exp_scores=T._exp_scores):
+            e, top = _exp_scores(*args)
+            seen.append(e.copy())
+            return e, top
 
-        monkeypatch.setattr(T, "_softmax", softmax)
+        monkeypatch.setattr(T, "_exp_scores", exp_scores)
         xt = Tensor(x, requires_grad=True)
         with Tape() as tape:
-            out = T.windowed_attention(xt, *map(Tensor, weights), WINDOW, heads)
+            out = T.windowed_attention(xt, *map(Tensor, weights), BIG, heads)
             loss = sum_all(mul(out, Tensor(c)))
-        cells = 3 * heads  # windows of 4, 4 and 3 rows
+        cells = 5 * heads  # windows of 2, 2 and 1 query blocks
         assert len(seen) == cells
         tape.backward(loss)
         assert len(seen) == 2 * cells
@@ -249,14 +254,15 @@ class TestWindowedAttentionOp:
         sizes = [WINDOW, WINDOW, 3]
         forward = (
             3 * n * d * m                             # q, k and v, window by window
-            + sum(2 * r * r * m for r in sizes)       # q k^T and p v, every head
+            + sum(2 * r * r * m for r in sizes)       # q k^T and e v, every head
             + n * m * d                               # merged @ wo
         )
         backward = (
-            n * m * d                                 # wo's gradient, merged^T g
+            n * m * d                                 # wo's gradient, merged^T g per window
             + 3 * n * d * m                           # q, k and v again
             + n * d * m                               # gm = g wo^T
-            + sum(5 * r * r * m for r in sizes)       # q k^T, p^T gm, gm v^T, gs k, gs^T q
+            + sum(r * r * m for r in sizes)           # the merged rows again, e v
+            + sum(5 * r * r * m for r in sizes)       # q k^T, e^T gm, gm v^T, gs k, gs^T q
             + 3 * n * m * d                           # x's gradient
             + 3 * d * n * m                           # wq's, wk's and wv's gradients
         )
@@ -266,28 +272,34 @@ class TestWindowedAttentionOp:
 
     def test_prediction_peak_is_about_two_outputs(self):
         """With no tape, attention over n = 8 * 512 + 100 rows at width 64
-        allocates the merged heads, the output and one window's q, k, v and
-        probabilities: at most 4 units of n * d float64s. Projecting q, k and
-        v over all n rows first peaked at 6.0."""
+        allocates the output, one window's q, k, v and merged heads and one
+        _BLOCK x window buffer of exponentials. At window 512 that is at most
+        3 units of n * d float64s; keeping n-row merged heads and a window's
+        probabilities read 3.35, and projecting q, k and v over all n rows
+        first 6.0. At window = n, the window's four arrays are a unit each
+        and the buffer _BLOCK / d = 4 units, at most 10 in all; a window x
+        window matrix of probabilities read 70.6."""
         n, d = 8 * 512 + 100, 64
         rng = np.random.default_rng(36)
         x = Tensor(rng.standard_normal((n, d)))
         weights = [Tensor(rng.standard_normal((d, d)) * d ** -0.5) for _ in range(4)]
-        gc.collect()
-        started = not tracemalloc.is_tracing()
-        if started:
-            tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            before = tracemalloc.get_traced_memory()[0]
-            out = T.windowed_attention(x, *weights, 512, 1)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
+        for window, bound in ((512, 3.0), (n, 10.0)):
+            gc.collect()
+            started = not tracemalloc.is_tracing()
             if started:
-                tracemalloc.stop()
-        assert out.shape == (n, d)
-        units = peak / (n * d * 8)
-        assert units <= 4.0, f"peak {units:.2f} units"
+                tracemalloc.start()
+            try:
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                out = T.windowed_attention(x, *weights, window, 1)
+                peak = tracemalloc.get_traced_memory()[1] - before
+            finally:
+                if started:
+                    tracemalloc.stop()
+            assert out.shape == (n, d)
+            del out
+            units = peak / (n * d * 8)
+            assert units <= bound, f"window {window}: peak {units:.2f} units"
 
     def test_block_node_count_does_not_grow_with_n(self):
         _, params = make_params(kind="windowed_attention", heads=2)

@@ -1,7 +1,12 @@
 import dataclasses
 import gc
+import hashlib
+import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 import weakref
 
@@ -11,7 +16,8 @@ from hypothesis import given, settings, strategies as st
 
 from jnrf import model as M
 from jnrf import tensor as T
-from jnrf.corpus import ATTRIBUTE_TYPES, NUM_LABELS, bio_label, parse_brat
+from jnrf.bench import synthetic_instance
+from jnrf.corpus import NUM_LABELS, bio_label, parse_brat
 from jnrf.embedding import EmbeddingTable
 from jnrf.model import (
     JNRF,
@@ -919,24 +925,6 @@ def test_an_attribute_related_to_two_drugs_targets_both():
     assert rel_err(got, want) < 1e-12 and rel_err(got_grad, want_grad) < 1e-12
 
 
-def synthetic_instance(n: int, rng) -> EncodedInstance:
-    """n tokens with entities of 1-3 tokens about every 8 tokens, a third of
-    them drugs, each attribute related to a random drug."""
-    spans, labels = [], np.zeros(n, dtype=np.intp)
-    pos = 0
-    while pos + 12 < n:
-        pos += int(rng.integers(3, 12))
-        length = int(rng.integers(1, 4))
-        etype = "Drug" if rng.random() < 1 / 3 else ATTRIBUTE_TYPES[rng.integers(len(ATTRIBUTE_TYPES))]
-        spans.append((pos, pos + length, etype))
-        labels[pos] = bio_label(etype, True)
-        labels[pos + 1:pos + length] = bio_label(etype, False)
-        pos += length
-    drugs = [i for i, s in enumerate(spans) if s[2] == "Drug"]
-    relations = [(i, drugs[rng.integers(len(drugs))]) for i, s in enumerate(spans) if s[2] != "Drug"]
-    return EncodedInstance(rng.integers(0, 50, n), labels, spans, relations)
-
-
 @pytest.mark.parametrize("mixer", ["fnet", "windowed_attention"])
 def test_a_training_step_records_42_tape_nodes(mixer):
     """Each loss is one node, so the losses and their sum take 3 of them."""
@@ -972,8 +960,13 @@ class TestTrainStepMemory:
     # NER head's inputs, and the second attention block's, were one unit
     # each): fnet and mlp 5.1 live, 8.5 at the backward peak;
     # windowed_attention 8.1 and 17.3.
-    BUDGET = {"fnet": 6.0, "mlp": 6.0, "windowed_attention": 9.0}
-    BACKWARD_BUDGET = {"fnet": 9.5, "mlp": 9.5, "windowed_attention": 18.5}
+    # Once the attention keeps each row's softmax max and sum in place of
+    # the merged heads (one unit per block) and takes its queries _BLOCK rows
+    # at a time: windowed_attention 6.2 and 12.2; full attention (window =
+    # n = 2048) 6.2 and 25.2, where window x window scores and probabilities
+    # read 8.1 and 82.0.
+    BUDGET = {"fnet": 6.0, "mlp": 6.0, "windowed_attention": 7.0, "full_attention": 7.0}
+    BACKWARD_BUDGET = {"fnet": 9.5, "mlp": 9.5, "windowed_attention": 13.5, "full_attention": 30.0}
 
     def test_forward_holds_only_what_backward_reads(self):
         self._check("fnet")
@@ -984,8 +977,12 @@ class TestTrainStepMemory:
     def test_attention_forward_holds_only_what_backward_reads(self):
         self._check("windowed_attention")
 
-    def _check(self, mixer):
-        n, cfg = 2048, ModelConfig(mixer=mixer)
+    def test_full_attention_forward_holds_only_what_backward_reads(self):
+        self._check("windowed_attention", window=2048)
+
+    def _check(self, mixer, window=512):
+        n, cfg = 2048, ModelConfig(mixer=mixer, window=window)
+        case = "full_attention" if window == n else mixer
         model = JNRF(cfg, seed=0)
         rng = np.random.default_rng(50)
         table = EmbeddingTable(rng.standard_normal((50, cfg.emb_dim)))
@@ -1008,8 +1005,49 @@ class TestTrainStepMemory:
                 tracemalloc.stop()
         assert tape.nodes == []
         unit = n * cfg.d_model * 8
-        assert live / unit < self.BUDGET[mixer], f"{live / unit:.1f} units live after the forward"
-        assert peak / unit < self.BACKWARD_BUDGET[mixer], f"{peak / unit:.1f} units at the backward peak"
+        assert live / unit < self.BUDGET[case], f"{live / unit:.1f} units live after the forward"
+        assert peak / unit < self.BACKWARD_BUDGET[case], f"{peak / unit:.1f} units at the backward peak"
+
+
+def gradient_digests() -> dict[str, str]:
+    """sha256 of each gradient's bytes after the backward of the NER loss of
+    a default-config windowed-attention training step on a 6000-token
+    `synthetic_instance`."""
+    cfg = ModelConfig(mixer="windowed_attention")
+    rng = np.random.default_rng(53)
+    table = EmbeddingTable(rng.standard_normal((50, cfg.emb_dim)))
+    model = JNRF(cfg, seed=0)
+    with Tape() as tape:
+        _, lner, _ = model.instance_losses(synthetic_instance(6000, rng), table)
+    tape.backward(lner)
+    return {
+        name: hashlib.sha256(p.grad.tobytes()).hexdigest()
+        for name, p in model.params.items() if p.grad is not None
+    }
+
+
+def test_attention_gradients_have_the_same_bytes_under_1_and_2_blas_threads():
+    """wo's gradient is summed window by window, in window order. One
+    product merged^T g over all n rows gave lm.0.wo and lm.1.wo other bytes
+    under 2 BLAS threads than under 1. The relation loss is left out: with
+    OpenBLAS's AVX-512 kernels, the relation scores' product k @ q^T over an
+    odd number of drugs has other bytes under 2 threads, and its gradient
+    reaches every weight."""
+    here = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.join(os.path.dirname(here), "src")
+    code = (
+        f"import sys, json; sys.path[:0] = [{src!r}, {here!r}]; "
+        "from test_model import gradient_digests; print(json.dumps(gradient_digests()))"
+    )
+    one, two = (
+        json.loads(subprocess.run(
+            [sys.executable, "-c", code], check=True, capture_output=True, text=True,
+            env={**os.environ, "OPENBLAS_NUM_THREADS": threads},
+        ).stdout)
+        for threads in ("1", "2")
+    )
+    assert sorted(one) == sorted(two)
+    assert [name for name in one if one[name] != two[name]] == []
 
 
 def _produced(obj) -> bool:
