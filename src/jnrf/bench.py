@@ -8,13 +8,16 @@ model at window 512 and one at window = n, full attention, on
 ru_maxrss is its own: `predict_instance` first, then one training step
 (forward and backward, no Adam), each `--repeats` times, with the median
 and quartiles of each time and ru_maxrss after each phase. The training
-step's reading is the process's peak, which includes prediction's. The
-result goes to BENCH_attention.json at the repository root, with the BLAS
-build and the BLAS thread variables the cells ran under; a variable that is
-not set runs as "1", one thread.
+step's reading is the process's peak, which includes prediction's. Once
+that is read, one more, untimed training step is traced with tracemalloc
+(`step_memory`), in units of one n x d_model float64 array. The result goes
+to BENCH_attention.json at the repository root, with the BLAS build and the
+BLAS thread variables the cells ran under; a variable that is not set runs
+as "1", one thread.
 """
 
 import argparse
+import gc
 import json
 import os
 import platform
@@ -22,6 +25,7 @@ import resource
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -53,9 +57,41 @@ def synthetic_instance(n: int, rng) -> EncodedInstance:
     return EncodedInstance(rng.integers(0, 50, n), labels, spans, relations)
 
 
+def step_memory(model: JNRF, inst: EncodedInstance, table: EmbeddingTable) -> dict:
+    """One training step's memory from tracemalloc, in units of one
+    n x d_model float64 array, counted from just before the forward: what is
+    live once the forward has returned, the forward's peak, and the peak
+    during backward. Fill the program's caches first (one step, taped or
+    not), or the forward's figures include them."""
+    gc.collect()
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        with Tape() as tape:
+            loss, _, _ = model.instance_losses(inst, table)
+        live, forward_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        tape.backward(loss)
+        backward_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        if started:
+            tracemalloc.stop()
+        model.params.zero_grad()
+    unit = len(inst.ids) * model.config.d_model * 8
+    return {
+        "live_units": (live - before) / unit,
+        "forward_peak_units": (forward_peak - before) / unit,
+        "backward_peak_units": (backward_peak - before) / unit,
+    }
+
+
 def run_cell(mixer: str, n: int, window: int, repeats: int) -> dict:
     """One cell in this process: each phase's times in seconds and this
-    process's ru_maxrss in MB once the phase is done."""
+    process's ru_maxrss in MB once the phase is done, then the training
+    step's `step_memory`."""
     cfg = ModelConfig(mixer=mixer, window=window)
     rng = np.random.default_rng(1)
     inst = synthetic_instance(n, rng)
@@ -77,6 +113,7 @@ def run_cell(mixer: str, n: int, window: int, repeats: int) -> dict:
         q1, median, q3 = np.percentile(times, [25, 50, 75]).tolist()
         maxrss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
         cell[phase] = {"median_s": median, "q1_s": q1, "q3_s": q3, "maxrss_mb": maxrss}
+    cell["train"].update(step_memory(model, inst, table))
     return cell
 
 

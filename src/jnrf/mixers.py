@@ -8,10 +8,13 @@ attends across a window boundary, and window = n is exactly full attention.
 The attention is one tape node per block (`T.windowed_attention`): it saves
 x's row source and each row's softmax max and sum per head, and backward
 recomputes each window's q, k and v projections, its exponentials and its
-merged heads instead of keeping them. The FFN's input, and the input of
-every block after the first, are layer-norm outputs, so the nodes that read
-them again in backward rebuild their rows from the layer norm's saved rows
-instead of keeping a copy.
+merged heads instead of keeping them. The FFN's input and every block's
+input, the first block's too, carry a row source: the first block's input
+is the input MLP's output, an ffn's, and every other input a layer norm's.
+So the nodes that read them again in backward rebuild their rows, from the
+layer norm's saved rows or by running the input MLP again on the
+embedding, instead of keeping a copy. Each mixer's output goes straight
+into the layer norm as its residual, so it is freed when that returns.
 
 The Fourier sublayer contributes no trainable parameters; each block trains
 only its two LayerNorms and the FFN (plus q/k/v/o projections for the
@@ -69,11 +72,13 @@ def mlp_mixer_block(x: Tensor, params: Params, prefix: str) -> Tensor:
 def windowed_attention_block(
     x: Tensor, params: Params, prefix: str, window: int, n_attn_heads: int
 ) -> Tensor:
-    mixed = T.windowed_attention(
-        x, params[f"{prefix}.wq"], params[f"{prefix}.wk"], params[f"{prefix}.wv"],
-        params[f"{prefix}.wo"], window, n_attn_heads,
+    h = T.layer_norm_rows(
+        x, params[f"{prefix}.ln1.g"], params[f"{prefix}.ln1.b"],
+        residual=T.windowed_attention(
+            x, params[f"{prefix}.wq"], params[f"{prefix}.wk"], params[f"{prefix}.wv"],
+            params[f"{prefix}.wo"], window, n_attn_heads,
+        ),
     )
-    h = T.layer_norm_rows(x, params[f"{prefix}.ln1.g"], params[f"{prefix}.ln1.b"], residual=mixed)
     return _ffn_sublayer(h, params, prefix)
 
 

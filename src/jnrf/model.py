@@ -230,10 +230,11 @@ class JNRF:
         # zero-initialized so training starts distance-agnostic
         self.params.add("alpha", np.zeros((N_REL_HEADS, 2)))
 
-    def encode(self, emb: Tensor) -> Tensor:
-        """Token-wise input MLP followed by the weight-shared language model;
-        the single output feeds both heads."""
-        return shared_lm(ffn(emb, self.params, "in"), self.config, self.params)
+    def encode(self, ids, table: EmbeddingTable) -> Tensor:
+        """Embedding, token-wise input MLP, then the weight-shared language
+        model; the single output feeds both heads. The embedding is made
+        here, so nothing holds its output once the input MLP has returned."""
+        return shared_lm(ffn(embed(ids, table), self.params, "in"), self.config, self.params)
 
     def ner_head(self, e2: Tensor) -> Tensor:
         return ffn(e2, self.params, "ner")
@@ -274,7 +275,7 @@ class JNRF:
 
     def instance_losses(self, inst: EncodedInstance, table: EmbeddingTable):
         """(joint, ner, re) loss tensors for one document."""
-        e2 = self.encode(embed(inst.ids, table))
+        e2 = self.encode(inst.ids, table)
         logits = self.ner_head(e2)
         lner = ner_loss(logits, inst.labels)
 
@@ -295,7 +296,7 @@ class JNRF:
         spans and forced argmax drug selection. Returns the spans and the
         relations as (drug span index, attribute span index, head), both
         indices into the spans."""
-        e2 = self.encode(embed(inst.ids, table))
+        e2 = self.encode(inst.ids, table)
         logits = self.ner_head(e2)
         _, spans = decode_bio(logits.data)
         pooled = selective_pool(e2, spans, self.re_embed)

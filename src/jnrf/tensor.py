@@ -14,15 +14,23 @@ gradient, or None. Neither nodes nor backward closures hold a produced
 Tensor: each closure captures only the arrays and flags its gradient reads,
 so an output that no backward reads is freed as soon as its caller drops it.
 
+The sweep adds a parent's contributions out of place (adjoint + contribution
+into a new array) and never writes into an array a backward returned, so a
+backward may hand one array to two parents: `add` hands both its own g, and
+the fused `layer_norm_rows` one gradient to x and the residual. A leaf's
+`.grad` is a copy only when another leaf already holds that array.
+
 A tensor may carry a row source: a function that rebuilds any block of its
 rows, bit for bit, from arrays that are kept anyway. A taped
 `layer_norm_rows` output has one (its node's normalized rows times the gain,
-plus the bias, the forward's own two ops), and so has an `embed` output (the
+plus the bias, the forward's own two ops), a taped `ffn` output has one (the
+forward's row blocks, rebuilt whole with the forward's own calls from the
+input's row source and the weights), and so has an `embed` output (the
 table's rows plus the positional encodings). `ffn` and `windowed_attention`,
 the ops that read their input again in backward, keep that source in place
-of the input's array, so neither holds an n-row copy of a layer norm's or an
-embedding's output. Backward rebuilds each block into one block-sized
-buffer; a tensor without a source is read from its own data.
+of the input's array, so neither holds an n-row copy of a layer norm's, an
+ffn's or an embedding's output. Backward rebuilds each block into one
+block-sized buffer; a tensor without a source is read from its own data.
 
 A tape is single-use: `backward` pops each node as it runs it, so every
 array a node saved for its gradient is freed during the sweep, and a second
@@ -191,7 +199,10 @@ class Tape:
 
     def backward(self, loss: Tensor):
         """Accumulate d(loss)/d(leaf) into every reachable leaf's .grad,
-        emptying the tape."""
+        emptying the tape. Contributions are summed out of place, never
+        into an array a backward returned, so a backward may return one
+        array for two parents; nothing else names the old adjoint of a sum,
+        so it is freed at once."""
         if loss.shape != (1, 1):
             raise ShapeError(f"backward seed must be 1x1, got {loss.shape}")
         if self._spent:
@@ -219,15 +230,18 @@ class Tape:
                     raise TapeError("gradient reached a tensor that another tape recorded")
                 if isinstance(link, Tensor):  # a leaf
                     if link in leaf_grads:
-                        leaf_grads[link] += contrib
+                        leaf_grads[link] = leaf_grads[link] + contrib
                     else:
                         leaf_grads[link] = contrib if link.grad is None else link.grad + contrib
                 elif link in adjoint:
-                    adjoint[link] += contrib
+                    adjoint[link] = adjoint[link] + contrib
                 else:
                     adjoint[link] = contrib
+            contrib = None  # else the last one lives on through the next node
+        held = set()  # ids of the arrays already given to a leaf
         for leaf, grad in leaf_grads.items():
-            leaf.grad = grad
+            leaf.grad = grad.copy() if id(grad) in held else grad
+            held.add(id(leaf.grad))
 
 
 def _recording(parents) -> bool:
@@ -311,9 +325,8 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data + b.data)
     ra, rb = a.requires_grad, b.requires_grad
 
-    # copies: the tape adds into adjoints in place, so g must not be shared
     def backward(g):
-        return g.copy() if ra else None, g.copy() if rb else None
+        return g if ra else None, g if rb else None
 
     return _record(out, (a, b), backward)
 
@@ -373,18 +386,20 @@ def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     rows with one block-sized hidden buffer.
 
     On a tape the node keeps x's row source (`_row_source`) alone: a layer
-    norm's or an embedding's output is rebuilt block by block from what its
-    own producer keeps, and only a plain x is held. Backward recomputes each
-    block's pre-activation x @ w1 + b1 with the forward's own call, so it is
-    bit for bit the same, then gelu and its derivative from it, and sums the
-    weight and bias gradients over the blocks. Nothing n x ffn_hidden is
-    built, taped or not."""
+    norm's, an ffn's or an embedding's output is rebuilt block by block from
+    what its own producer keeps, and only a plain x is held. Backward
+    recomputes each block's pre-activation x @ w1 + b1 with the forward's
+    own call, so it is bit for bit the same, then gelu and its derivative
+    from it, and sums the weight and bias gradients over the blocks. The
+    output's `source` runs the forward again on each whole block that the
+    rows asked for touch, from the same source and weights. Nothing
+    n x ffn_hidden is built, taped or not."""
     parents = (x, w1, b1, w2, b2)
     _check_affine("ffn", x.shape, w1, b1)
     _check_affine("ffn", (x.rows, w1.cols), w2, b2)
     n, hidden = x.rows, w1.cols
     blocks = _row_blocks(n)
-    w1d, b1d = w1.data, b1.data
+    w1d, b1d, w2d, b2d = w1.data, b1.data, w2.data, b2.data
 
     def pre(xb, h):
         """xb @ w1 + b1 on one block of rows, written into h."""
@@ -392,19 +407,37 @@ def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
         h += b1d
         return h
 
+    def run(xb, h, out):
+        """The forward on one block of rows: written into out, via h."""
+        hb = pre(xb, h)
+        _gelu(hb, hb)
+        yb = _mm(hb, w2d, out=out)
+        yb += b2d
+
     h = np.empty((min(n, _BLOCK), hidden))
     y = np.empty((n, w2.cols))
     for rows, part in blocks:
-        hb = pre(x.data[rows], h[part])
-        _gelu(hb, hb)
-        yb = _mm(hb, w2.data, out=y[rows])
-        yb += b2.data
+        run(x.data[rows], h[part], y[rows])
 
     rx, rw1, rb1, rw2, rb2 = (p.requires_grad for p in parents)
     inner = rx or rw1 or rb1  # whether gradient goes below the gelu
-    w2d = w2.data if inner else None
     x_rows = _row_source(x)
     x_shape, w1_shape, w2_shape = x.shape, w1.shape, w2.shape
+
+    source = None
+    if _recording(parents):
+
+        def source(rows, out):
+            # whole forward blocks, rebuilt by the forward's own calls, so
+            # rows that straddle two blocks get the same bits too
+            h = np.empty((min(n, _BLOCK), hidden))
+            xbuf = np.empty((min(n, _BLOCK), x_shape[1]))
+            ybuf = np.empty((min(n, _BLOCK), w2_shape[1]))
+            for block, part in blocks[rows.start // _BLOCK:(rows.stop - 1) // _BLOCK + 1]:
+                run(x_rows(block, xbuf[part]), h[part], ybuf[part])
+                lo, hi = max(block.start, rows.start), min(block.stop, rows.stop)
+                out[lo - rows.start:hi - rows.start] = ybuf[lo - block.start:hi - block.start]
+            return out
 
     def backward(g):
         gx = np.empty(x_shape) if rx else None
@@ -429,7 +462,7 @@ def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
         gb2 = g.sum(axis=0, keepdims=True) if rb2 else None
         return gx, gw1, gb1, gw2, gb2
 
-    return _record(Tensor(y), parents, backward)
+    return _record(Tensor(y, source=source), parents, backward)
 
 
 def softmax_rows(x: Tensor) -> Tensor:
@@ -607,8 +640,8 @@ def windowed_attention(
 
 
 def layer_norm_rows(x: Tensor, gain: Tensor, bias: Tensor, residual: Tensor | None = None) -> Tensor:
-    """Row-wise layer norm of x, or of x + residual as one node; each of x
-    and residual then gets its own gradient array.
+    """Row-wise layer norm of x, or of x + residual as one node; backward
+    then returns one gradient array for both.
 
     Forward and backward run over blocks of _BLOCK rows, so their
     temporaries are block-sized. On a tape the node saves the normalized
@@ -679,9 +712,7 @@ def layer_norm_rows(x: Tensor, gain: Tensor, bias: Tensor, residual: Tensor | No
                 gxb *= inv[rows]
         if not fused:
             return gx, ggain, gbias
-        # copies: the tape adds into adjoints in place, so no array is shared
-        gr = gx.copy() if rx and rres else gx
-        return gx, ggain, gbias, gr
+        return gx, ggain, gbias, gx
 
     return _record(Tensor(y, source=source), parents, backward)
 

@@ -9,7 +9,9 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 def test_a_tiny_run_writes_every_key(tmp_path):
     """`python -m jnrf.bench` on one short length: a cell at window 512 and
-    one at window = n, each from its own process, then the file."""
+    one at window = n, each from its own process, then the file. The
+    training step's memory is in n x d_model units: what is live after the
+    forward is part of both peaks."""
     out = tmp_path / "bench.json"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
     subprocess.run(
@@ -27,3 +29,6 @@ def test_a_tiny_run_writes_every_key(tmp_path):
             assert 0 < t["q1_s"] <= t["median_s"] <= t["q3_s"]
             assert t["maxrss_mb"] > 0
         assert cell["train"]["maxrss_mb"] >= cell["predict"]["maxrss_mb"]
+        memory = [cell["train"][f"{key}_units"] for key in ("live", "forward_peak", "backward_peak")]
+        live, forward_peak, backward_peak = memory
+        assert 0 < live <= forward_peak and live <= backward_peak, memory

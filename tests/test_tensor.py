@@ -307,10 +307,10 @@ class TestRowBlocks:
 
 
 class TestRowSources:
-    """A taped layer norm's output and an embedding's output rebuild any
-    block of their rows; ffn and windowed_attention fed such a tensor keep
-    its source, not its data, and give the same output and gradients, bit
-    for bit, as when fed a plain copy of it."""
+    """A taped layer norm's output, a taped ffn's output and an embedding's
+    output rebuild any block of their rows; ffn and windowed_attention fed
+    such a tensor keep its source, not its data, and give the same output
+    and gradients, bit for bit, as when fed a plain copy of it."""
 
     N, D = 2 * B + 3, 6
 
@@ -321,16 +321,22 @@ class TestRowSources:
             with Tape():
                 t = T.layer_norm_rows(*(Tensor(a, requires_grad=True) for a in (x, gain, bias)))
         else:
-            table = EmbeddingTable(rng.standard_normal((50, self.D)))
+            table = EmbeddingTable(rng.standard_normal((50, 4 if kind == "ffn" else self.D)))
             t = embed(rng.integers(0, 50, self.N), table)
+        if kind == "ffn":  # the input MLP: an ffn of an embedding
+            ws = [rng.standard_normal(s) for s in [(4, 9), (1, 9), (9, self.D), (1, self.D)]]
+            with Tape():
+                t = T.ffn(t, *(Tensor(w, requires_grad=True) for w in ws))
         assert t.source is not None
-        for rows in (slice(0, 1), slice(B - 1, B + 2), slice(self.N - 5, self.N)):
+        # rows inside one _BLOCK, across one or two block boundaries, all rows
+        for rows in (slice(0, 1), slice(B - 1, B + 2), slice(B - 1, 2 * B + 1),
+                     slice(self.N - 5, self.N), slice(0, self.N)):
             out = np.empty((rows.stop - rows.start, self.D))
             assert t.source(rows, out) is out
             assert np.array_equal(out, t.data[rows])
         return t
 
-    @pytest.mark.parametrize("kind", ["layer_norm", "embed"])
+    @pytest.mark.parametrize("kind", ["layer_norm", "embed", "ffn"])
     @pytest.mark.parametrize("op", ["ffn", "windowed_attention"])
     def test_op_fed_a_row_source_equals_it_fed_a_copy(self, op, kind):
         rng = np.random.default_rng(121)
@@ -365,6 +371,12 @@ class TestRowSources:
     def test_untaped_layer_norm_output_has_no_source(self):
         x = Tensor(np.random.default_rng(122).standard_normal((5, 4)))
         y = T.layer_norm_rows(x, Tensor(np.ones((1, 4))), Tensor(np.zeros((1, 4))))
+        assert y.source is None
+
+    def test_untaped_ffn_output_has_no_source(self):
+        rng = np.random.default_rng(123)
+        shapes = [(5, 4), (4, 3), (1, 3), (3, 2), (1, 2)]
+        y = T.ffn(*(Tensor(rng.standard_normal(s)) for s in shapes))
         assert y.source is None
 
 
@@ -886,6 +898,40 @@ class TestTapeSemantics:
             loss = sum_all(T.add(mul(x, x), x))  # d/dx(x^2 + x) = 2x + 1
         tape.backward(loss)
         np.testing.assert_allclose(x.grad, 2.0 * x.data + 1.0)
+
+    def test_one_array_for_two_parents_is_never_written(self):
+        # add and the fused norm each hand both parents one gradient array:
+        # s and c get one, which add then hands on to x and r; x and r each
+        # gain another contribution later in the sweep, from c and d, which
+        # must reach that parent alone
+        rng = np.random.default_rng(18)
+        g = rng.standard_normal((3, 4))
+        with Tape() as tape:
+            T.add(*(Tensor(g, requires_grad=True) for _ in range(2)))
+            T.layer_norm_rows(*(Tensor(a, requires_grad=True) for a in (g, g[:1], g[:1])),
+                              residual=Tensor(g, requires_grad=True))
+        (gx, gr), (gy, _, _, gres) = (backward(g) for _, _, backward in tape.nodes)
+        assert gx is gr is g and gy is gres
+
+        def build(a, b, w, gain, bias):
+            x, r = T.gelu(a), scale(b, 0.5)
+            c, d = mul(x, w), mul(r, w)
+            s = T.add(x, r)
+            return sum_all(T.add(mul(T.layer_norm_rows(s, gain, bias, residual=c), w), d))
+
+        arrs = [rng.standard_normal(s) for s in [(3, 4), (3, 4), (3, 4), (1, 4), (1, 4)]]
+        grad_check(build, arrs, tol=1e-5)
+
+    def test_two_leaves_handed_one_array_get_one_each(self):
+        a, b = (Tensor(np.ones((2, 3)), requires_grad=True) for _ in range(2))
+        w = Tensor(np.arange(6.0).reshape(2, 3))
+        with Tape() as tape:
+            loss = sum_all(mul(T.add(a, b), w))
+        tape.backward(loss)
+        assert a.grad is not b.grad
+        a.grad += 1.0
+        np.testing.assert_array_equal(b.grad, w.data)
+        np.testing.assert_array_equal(a.grad, w.data + 1.0)
 
     def test_add_gives_each_parent_its_own_adjoint(self):
         # a gains a second contribution (from c) after add(a, b) hands both
