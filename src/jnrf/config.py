@@ -5,8 +5,10 @@ fields training reads. Training takes one whole document per Adam step, so
 no key sets a batch size or splits documents. Both are frozen and validate
 themselves on construction. Unknown keys are rejected; every key has a
 default, so an empty file is a valid configuration. Values keep the type of
-their default. '#' starts a comment. Every error in parsed text names its
-line.
+their default. Every error in parsed text names its line. '#' starts a
+comment, so no value can hold one, a path included: `vocab` (one token per
+line; `python -m jnrf` requires it) or `embeddings` (token<TAB>vector lines;
+empty means the seeded random table), both relative to the working directory.
 """
 
 from __future__ import annotations
@@ -66,6 +68,8 @@ class RunConfig(ModelConfig):
     granularity: str = "document"
     epochs: int = 10
     lr: float = 1e-3
+    vocab: str = ""
+    embeddings: str = ""
 
     def __post_init__(self):
         super().__post_init__()
@@ -111,8 +115,12 @@ def parse_config_text(text: str) -> RunConfig:
 
 
 def load_config(path: str) -> RunConfig:
-    with open(path, encoding="utf-8") as f:
-        return parse_config_text(f.read())
+    """Parse a config file, a UTF-8 byte order mark skipped; errors name it."""
+    try:
+        with open(path, encoding="utf-8-sig") as f:
+            return parse_config_text(f.read())
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}", exc.key) from None
 
 
 def serialize_config(cfg: RunConfig) -> str:

@@ -29,14 +29,14 @@ def random_table(vocab: Vocab, d: int, seed: int) -> EmbeddingTable:
 
 
 def load_table(path: str | None, vocab: Vocab, d: int, seed: int = 0) -> EmbeddingTable:
-    """Read a "token<TAB>v1 v2 ... vd" file ordered into vocab-id rows, or
-    fall back to a seeded random table when no path is given."""
+    """Read a "token<TAB>v1 ... vd" file, UTF-8 byte order mark skipped, into
+    vocab-id rows, or fall back to a seeded random table when no path is given."""
     if not path:
         return random_table(vocab, d, seed)
     if not os.path.exists(path):
         raise ConfigError(f"{path}: embeddings file does not exist")
     rows: dict[str, np.ndarray] = {}
-    with open(path, encoding="utf-8") as f:
+    with open(path, encoding="utf-8-sig") as f:
         for lineno, line in enumerate(f, start=1):
             line = line.rstrip("\n")
             if not line:

@@ -177,7 +177,6 @@ def train(
     train_docs: list[Document],
     dev_docs: list[Document],
     cfg: RunConfig,
-    log_path: str | None = None,
 ) -> TrainResult:
     if not train_docs:
         raise TrainingError("empty training corpus")
@@ -191,25 +190,15 @@ def train(
 
     history: list[EpochStats] = []
     best_f1, best_snapshot, best_epoch = -1.0, None, 0
-    log = open(log_path, "a", encoding="utf-8") if log_path else None
-    try:
-        for epoch in range(1, cfg.epochs + 1):
-            t0 = time.perf_counter()
-            order = rng.permutation(len(instances))
-            loss_sum = _document_pass(model, table, instances, order, state)
-            dev_f1 = dev_e2e_f1(model, table, dev_docs) if dev_docs else 0.0
-            seconds = time.perf_counter() - t0
-            stats = EpochStats(epoch, loss_sum / len(instances), dev_f1, seconds)
-            history.append(stats)
-            if log:
-                log.write(f"{epoch}\t{stats.train_loss:.6f}\t{dev_f1:.4f}\t{seconds:.3f}\n")
-                log.flush()
-            if dev_docs and dev_f1 > best_f1:
-                best_f1, best_epoch = dev_f1, epoch
-                best_snapshot = {n: p.data.copy() for n, p in model.params.items()}
-    finally:
-        if log:
-            log.close()
+    for epoch in range(1, cfg.epochs + 1):
+        t0 = time.perf_counter()
+        order = rng.permutation(len(instances))
+        loss_sum = _document_pass(model, table, instances, order, state)
+        dev_f1 = dev_e2e_f1(model, table, dev_docs) if dev_docs else 0.0
+        history.append(EpochStats(epoch, loss_sum / len(instances), dev_f1, time.perf_counter() - t0))
+        if dev_docs and dev_f1 > best_f1:
+            best_f1, best_epoch = dev_f1, epoch
+            best_snapshot = {n: p.data.copy() for n, p in model.params.items()}
 
     if not dev_docs:
         return TrainResult(cfg.epochs, 0.0, history)

@@ -135,7 +135,8 @@ def test_apply_rejects_another_mixer(tmp_path):
          "config key 'n_blocks' is 2 in the config text, 1 in the model"),
         ("", "config key 'emb_dim' is 64 in the config text, 2 in the model"),
         (CONFIG_TEXT + "mixer = mlp\n",
-         "config text does not parse: line 13: duplicate key 'mixer' (first set on line 4)"),
+         f"config text does not parse: line {len(CONFIG_TEXT.splitlines()) + 1}: "
+         "duplicate key 'mixer' (first set on line 4)"),
     ],
     ids=["another-key", "defaults", "unparsed"],
 )

@@ -28,14 +28,16 @@ NON_DEFAULT = {
     "seed": 7,
     "epochs": 2,
     "lr": 0.0025,
+    "vocab": "data/vocab.txt",
+    "embeddings": "data/emb.tsv",
 }
 
 MODEL_KEYS = [f.name for f in dataclasses.fields(ModelConfig)]
 
 
-def test_the_keys_are_the_model_fields_plus_four_run_fields():
+def test_the_keys_are_the_model_fields_plus_six_run_fields():
     keys = [f.name for f in dataclasses.fields(RunConfig)]
-    assert keys == [*MODEL_KEYS, "seed", "granularity", "epochs", "lr"]
+    assert keys == [*MODEL_KEYS, "seed", "granularity", "epochs", "lr", "vocab", "embeddings"]
     assert [k for k in keys if k != "granularity"] == list(NON_DEFAULT)
 
 
@@ -59,9 +61,29 @@ def test_all_keys_round_trip_together(tmp_path):
     assert load_config(str(path)) == cfg
 
 
+def test_a_byte_order_mark_is_skipped(tmp_path):
+    text = serialize_config(RunConfig(**NON_DEFAULT))
+    plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes() == b"\xef\xbb\xbf" + plain.read_bytes()
+    assert load_config(str(marked)) == load_config(str(plain)) == RunConfig(**NON_DEFAULT)
+
+
+def test_a_file_error_names_the_file_and_the_line(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("epochs = 2\nepoch = 3\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match=rf"^{path}: line 2: unknown key 'epoch'$"):
+        load_config(str(path))
+    path.write_text("lr = 0.01\nepochs = 0\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match=rf"^{path}: line 2: epochs must be >= 1, got 0$") as e:
+        load_config(str(path))
+    assert e.value.key == "epochs"
+
+
 def test_comments_and_spacing():
-    cfg = parse_config_text("  epochs=4   # four\n# lr = 5\nmixer =  mlp\n")
-    assert (cfg.epochs, cfg.lr, cfg.mixer) == (4, 1e-3, "mlp")
+    cfg = parse_config_text("  epochs=4   # four\n# lr = 5\nmixer =  mlp\nvocab = data/v.txt  # words\nembeddings =\n")
+    assert (cfg.epochs, cfg.lr, cfg.mixer, cfg.vocab, cfg.embeddings) == (4, 1e-3, "mlp", "data/v.txt", "")
 
 
 def test_unknown_key_names_its_line():

@@ -21,6 +21,16 @@ class TestLoadTable:
         assert table.weights.shape == (3, 3)
         np.testing.assert_array_equal(table.weights[1], [1, 2, 3])
 
+    def test_a_byte_order_mark_is_skipped(self, tmp_path):
+        text = "[UNK]\t0 0 0\naa\t1 2 3\nbb\t4 5 6\n"
+        plain, marked = tmp_path / "plain.tsv", tmp_path / "marked.tsv"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes() == b"\xef\xbb\xbf" + plain.read_bytes()
+        a, b = load_table(str(marked), vocab3(), d=3), load_table(str(plain), vocab3(), d=3)
+        assert np.array_equal(a.weights, b.weights)
+        np.testing.assert_array_equal(a.weights[0], [0, 0, 0])
+
     def test_inconsistent_width_rejected(self, tmp_path):
         path = tmp_path / "emb.tsv"
         path.write_text("[UNK]\t0 0 0\naa\t1 2 3 4\nbb\t4 5 6\n")
