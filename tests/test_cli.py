@@ -91,6 +91,15 @@ def test_predict_will_not_write_into_the_gold_directory(data):
     assert (data / "docs" / "d1.ann").read_bytes() == gold
 
 
+def test_predict_writes_a_crlf_text_back_byte_for_byte(data):
+    text = b"take\r\naspirin now\r\n"
+    (data / "docs" / "d1.txt").write_bytes(text)
+    (data / "docs" / "d1.ann").write_text("T1\tDrug 6 13\taspirin\n", encoding="utf-8")
+    proc = jnrf("predict", tiny_checkpoint(data), data / "docs", "--out", data / "pred")
+    assert proc.returncode == 0, proc.stderr
+    assert (data / "pred" / "d1.txt").read_bytes() == text
+
+
 def test_predict_reads_the_embeddings_table_named_in_the_checkpoint(data):
     emb = data / "emb.tsv"
     emb.write_text("[UNK]\t0 0\naspirin\t1 2\n5\t3 4\nmg\t5 6\n", encoding="utf-8")

@@ -148,6 +148,15 @@ class TestLoadBrat:
         surfaces = [[e.surface for e in d.gold_entities] for d in docs]
         assert surfaces == [["warfarin"], [], ["aspirin"]]
 
+    def test_crlf_line_ends_count_in_the_offsets(self, tmp_path):
+        """Offsets count the characters of the file as written, so each
+        CRLF is two of them."""
+        (tmp_path / "d.txt").write_bytes(b"take\r\naspirin now\r\n")
+        (tmp_path / "d.ann").write_text("T1\tDrug 6 13\taspirin\n", encoding="utf-8")
+        doc = load_brat_file(str(tmp_path / "d.txt"))
+        assert doc.text == "take\r\naspirin now\r\n"
+        assert [e.surface for e in doc.gold_entities] == ["aspirin"]
+
     def test_empty_dir_is_named(self, tmp_path):
         (tmp_path / "a.ann").write_text("", encoding="utf-8")
         with pytest.raises(BratParseError, match=rf"^no \.txt documents under {re.escape(str(tmp_path))}$"):
