@@ -23,12 +23,6 @@ class Params:
     def __getitem__(self, name: str) -> Tensor:
         return self._store[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._store
-
-    def __iter__(self):
-        return iter(self._store)
-
     def __len__(self):
         return len(self._store)
 
@@ -38,9 +32,6 @@ class Params:
     def zero_grad(self):
         for t in self._store.values():
             t.grad = None
-
-    def count(self) -> int:
-        return sum(t.data.size for t in self._store.values())
 
 def linear_init(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     return rng.standard_normal((fan_in, fan_out)) / np.sqrt(fan_in)
