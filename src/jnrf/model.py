@@ -7,14 +7,17 @@ cross-entropy losses summed into the training objective, each one
 Relation scoring runs over pooled entities only: one (|L|, |H|) score
 matrix, attributes by drugs. An attribute of type X can only be in an X-Drug
 relation (`parse_brat` rejects any other pairing), so scoring row l under
-that one head is exact. Pooling groups the attributes by head, so each
-head's rows are one block: its projected attributes against its projected
-drugs, plus (a_j*D + b_j)*D. The cost is |H| * |L| scores plus, per head
-present, projections of the drugs and of that head's attributes; it never
-grows with the square of the document length. In training one tape node
-(`T.relation_scores`) writes every block straight into the score matrix and
-adds the polynomial from the integer token positions, recomputing D per
-block of rows, so the scores are the only (|L|, |H|) array it makes.
+that one head is exact. Pooling keeps one re-embedded row per distinct span
+start and each drug's and attribute's row index, with the attributes
+grouped by head, so each head's rows are one block: its projected
+attributes against its projected drugs, plus (a_j*D + b_j)*D. The cost is
+|H| * |L| scores plus, per head present, projections of the drugs and of
+that head's attributes; it never grows with the square of the document
+length. In training one tape node (`T.relation_scores`) gathers and
+projects each head's rows, writes every block straight into the score
+matrix and adds the polynomial from the integer token positions,
+recomputing D per block of rows, so the scores are the only (|L|, |H|)
+array it makes.
 Prediction (`predict_relations`) runs the same block loop into one
 block-sized buffer and keeps each row's argmax alone, so it makes no
 (|L|, |H|) array at all. The relation loss's log-softmax runs over
@@ -49,7 +52,7 @@ from .corpus import (
 from .embedding import EmbeddingTable, embed
 from .mixers import ffn, init_mixer_params, shared_lm
 from .params import Params, add_linear, linear_init
-from .tensor import ShapeError, Tensor
+from .tensor import Tensor
 
 N_REL_HEADS = len(RELATION_TYPES)
 # type X can only be Arg1 of an X-Drug relation; -1 marks a drug
@@ -108,12 +111,14 @@ def decode_bio(logits: np.ndarray):
 
 @dataclass
 class Pooled:
-    """Selective pooling output: drugs (queries) and attributes (keys).
+    """Selective pooling output: the pooled rows `x`, one per distinct span
+    start, with drug h at row `h_rows[h]` and attribute l at row `l_rows[l]`.
     `h_index` and `l_index` are the pooled spans' indices in `spans`;
     `heads[l]` is the relation head of attribute l, and it ascends."""
 
-    q: Tensor | None
-    k: Tensor | None
+    x: Tensor | None
+    h_rows: np.ndarray
+    l_rows: np.ndarray
     pos_h: np.ndarray
     pos_l: np.ndarray
     heads: np.ndarray
@@ -148,17 +153,14 @@ def selective_pool(e2: Tensor, spans, embed=None) -> Pooled:
     l_index = np.flatnonzero(head >= 0)
     l_index = l_index[np.argsort(head[l_index], kind="stable")]
     pos_h, pos_l = first[h_index], first[l_index]
-    pooled = Pooled(None, None, pos_h, pos_l, head[l_index], h_index, l_index, spans)
+    read, at = np.unique(np.concatenate([pos_h, pos_l]), return_inverse=True)
+    nh = len(h_index)
+    pooled = Pooled(None, at[:nh], at[nh:], pos_h, pos_l, head[l_index], h_index, l_index, spans)
     if pooled.empty:
         return pooled
-    starts = np.concatenate([pos_h, pos_l])
-    read = np.unique(starts)
-    rows = T.pick_rows(e2, read)
+    pooled.x = T.pick_rows(e2, read)
     if embed is not None:
-        rows = embed(rows)
-    at = np.searchsorted(read, starts)
-    nh = len(h_index)
-    pooled.q, pooled.k = T.pick_rows(rows, at[:nh]), T.pick_rows(rows, at[nh:])
+        pooled.x = embed(pooled.x)
     return pooled
 
 
@@ -198,16 +200,14 @@ def joint_loss(lner: Tensor, lre: Tensor | None) -> Tensor:
     return T.add(lner, lre)
 
 
-def predict_relations(ks, qs, alpha: Tensor, heads, pos_l, pos_h) -> list[tuple[int, int, int]]:
+def predict_relations(x: Tensor, l_rows, h_rows, heads, weights, alpha: Tensor, pos_l, pos_h):
     """Forced-argmax inference on the operands of `T.relation_scores`: each
     pooled attribute (row) picks the highest-scoring drug under its own head
     (ties to the lowest index); needs at least one drug. `T.relation_argmax`
     takes each row's argmax block by block, so no (|L|, |H|) array is made.
-    Returns (drug idx in H, attr idx in L, head) triples, the head being
-    heads[i] for every row of key block i."""
-    best = T.relation_argmax(ks, qs, alpha, heads, pos_l, pos_h)
-    row_heads = np.repeat(np.asarray(heads, dtype=np.intp), [k.rows for k in ks])
-    return list(zip(best.tolist(), range(len(best)), row_heads.tolist()))
+    Returns (drug idx in H, attr idx in L, head) triples."""
+    best = T.relation_argmax(x, l_rows, h_rows, heads, weights, alpha, pos_l, pos_h)
+    return list(zip(best.tolist(), range(len(best)), np.asarray(heads).tolist()))
 
 
 class JNRF:
@@ -242,36 +242,20 @@ class JNRF:
     def re_embed(self, e2: Tensor) -> Tensor:
         return ffn(e2, self.params, "re")
 
-    def relation_blocks(self, q: Tensor, k: Tensor, heads):
-        """The operands of `T.relation_scores` for attributes k and drugs q:
-        (ks, qs, present), one block per head present. heads must ascend, as
-        `selective_pool` orders them, so each head's rows are one block: block
-        i is that head's attributes projected, k_l W_k^j + bias, and qs[i]
-        the drugs projected, q W_q^j. `T.relation_scores` checks the rest."""
-        heads = np.asarray(heads, dtype=np.intp)
-        if len(heads) != k.rows:
-            raise ShapeError(f"relation_scores: {len(heads)} heads for {k.rows} attribute rows")
-        if np.any(heads[1:] < heads[:-1]):
-            raise ShapeError(
-                f"relation_scores: heads must ascend (grouped by head), got {heads.tolist()}"
-            )
-        present, starts = np.unique(heads, return_index=True)
-        ks, qs = [], []
-        for j, lo, hi in zip(present, starts, [*starts[1:], len(heads)]):
-            qs.append(T.matmul(q, self.params[f"rel.{j}.q.w"]))
-            ks.append(T.linear(
-                T.pick_rows(k, np.arange(lo, hi)), self.params[f"rel.{j}.k.w"], self.params[f"rel.{j}.k.b"]
-            ))
-        return ks, qs, present
-
-    def relation_scores(self, q: Tensor, k: Tensor, pos_l, pos_h, heads) -> Tensor:
+    def relation_scores(self, pooled: Pooled) -> Tensor:
         """(|L|, |H|) scores: attribute l against every drug under its own
         head j = heads[l], the bilinear form (k_l W_k^j + bias) (q W_q^j)^T
-        plus (a_j D + b_j) D, where D = |pos_l[l] - pos_h| is the token
-        distance from the integer start positions; one `T.relation_scores`
-        node writes every block of `relation_blocks` into one array."""
-        ks, qs, present = self.relation_blocks(q, k, heads)
-        return T.relation_scores(ks, qs, self.params["alpha"], present, pos_l, pos_h)
+        plus (a_j D + b_j) D, where k_l and q are the attribute's and the
+        drugs' pooled rows and D = |pos_l[l] - pos_h| the token distance from
+        the integer start positions; one `T.relation_scores` node."""
+        return T.relation_scores(*self._relation_operands(pooled))
+
+    def _relation_operands(self, pooled: Pooled):
+        """The operands of `T.relation_scores` and `predict_relations`."""
+        p = self.params
+        weights = [(p[f"rel.{j}.q.w"], p[f"rel.{j}.k.w"], p[f"rel.{j}.k.b"]) for j in range(N_REL_HEADS)]
+        return (pooled.x, pooled.l_rows, pooled.h_rows, pooled.heads, weights, p["alpha"],
+                pooled.pos_l, pooled.pos_h)
 
     def instance_losses(self, inst: EncodedInstance, table: EmbeddingTable):
         """(joint, ner, re) loss tensors for one document."""
@@ -286,7 +270,7 @@ class JNRF:
         pooled = selective_pool(e2, spans, self.re_embed)
         if pooled.empty:
             return lner, lner, None
-        psi = self.relation_scores(pooled.q, pooled.k, pooled.pos_l, pooled.pos_h, pooled.heads)
+        psi = self.relation_scores(pooled)
         targets = build_relation_targets(pooled, inst.spans, inst.relations)
         lre = re_loss(psi, targets)
         return joint_loss(lner, lre), lner, lre
@@ -302,8 +286,7 @@ class JNRF:
         pooled = selective_pool(e2, spans, self.re_embed)
         if pooled.empty:
             return spans, []
-        ks, qs, present = self.relation_blocks(pooled.q, pooled.k, pooled.heads)
-        triples = predict_relations(ks, qs, self.params["alpha"], present, pooled.pos_l, pooled.pos_h)
+        triples = predict_relations(*self._relation_operands(pooled))
         drug, attr = pooled.h_index.tolist(), pooled.l_index.tolist()
         return spans, [(drug[h], attr[l], j) for h, l, j in triples]
 

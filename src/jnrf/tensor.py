@@ -39,10 +39,10 @@ reaching a tensor that another tape recorded raises TapeError. Leaf `.grad`s
 are written only once the sweep has finished, so a raising sweep writes none.
 
 `add`, the one elementwise op, takes operands of equal shape; nothing
-broadcasts. A bias row goes through `linear`, which computes x @ w + b as
-one node, and a two-layer MLP through `ffn`, gelu(x @ w1 + b1) @ w2 + b2 as
-one node that keeps x's row source alone: backward computes x @ w1 + b1,
-gelu and its derivative again, one row block at a time.
+broadcasts, and a bias row is added inside the op whose weights it goes
+with. A two-layer MLP goes through `ffn`, gelu(x @ w1 + b1) @ w2 + b2 as one
+node that keeps x's row source alone: backward computes x @ w1 + b1, gelu
+and its derivative again, one row block at a time.
 `layer_norm_rows(x, gain, bias, residual=r)` normalizes x + r as one node,
 keeping the normalized rows and each row's inverse deviation.
 
@@ -58,16 +58,18 @@ per head alone; backward recomputes each window's q, k and v and each
 block's exponentials and merged rows, so no n-row q, k, v or merged array
 is kept, and no matrix against a window's keys has more than _BLOCK rows.
 
-`relation_scores` is the relation head's scoring as one node, and
-`relation_argmax` prediction's row argmax of the same scores with no node.
-Both run one generator, `_score_blocks`, which checks the operands once and
-then yields the scores _SCORE_ROWS rows at a time: each relation head's
-attribute rows in the block, projected, times its projected drugs, plus the
-distance polynomial (a D + b) D, with the token distances D recomputed from
-integer positions each time. `relation_scores` writes the blocks into one
-(|L|, |H|) output and saves the projections and each block's (head, rows)
-alone; backward recomputes D block by block again. `relation_argmax` keeps
-each row's argmax and nothing (|L|, |H|).
+`relation_scores` is the whole relation head as one node, from the pooled
+rows x to the (|L|, |H|) scores, and `relation_argmax` prediction's row
+argmax of the same scores with no node. Both check the operands once
+(`_relation_runs`) and run one generator, `_score_blocks`, over each head's
+run of attributes: it projects the head's attribute rows of x, x[l_rows] @
+wk + bk, and drug rows, x[h_rows] @ wq, and yields the scores _SCORE_ROWS
+rows at a time, the projections' product plus the distance polynomial
+(a D + b) D, with the token distances D recomputed from integer positions
+each time. `relation_scores` writes the blocks into one (|L|, |H|) output
+and saves the gathered drug and attribute rows and each block's (head,
+rows) alone; backward recomputes the projections and D again.
+`relation_argmax` keeps each row's argmax and nothing (|L|, |H|).
 
 `cross_entropy_rows` is each of the model's losses as one node: minus the
 log-softmax at a list of target cells, any number per row, summed and
@@ -296,23 +298,6 @@ def _check_affine(op: str, x_shape, w: Tensor, b: Tensor):
         raise ShapeError(f"{op}: inner dimensions disagree: {x_shape} x {w.shape}")
     if b.shape != (1, w.cols):
         raise ShapeError(f"{op}: bias must be (1, {w.cols}), got {b.shape}")
-
-
-def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """x @ w + b as one node; b is a (1, w.cols) row added to every row."""
-    _check_affine("linear", x.shape, w, b)
-    y = _mm(x.data, w.data)
-    y += b.data
-    rx, rw, rb = x.requires_grad, w.requires_grad, b.requires_grad
-    xd, wd = x.data if rw else None, w.data if rx else None
-
-    def backward(g):
-        gx = _mm(g, wd.T) if rx else None
-        gw = _mm(xd.T, g) if rw else None
-        gb = g.sum(axis=0, keepdims=True) if rb else None
-        return gx, gw, gb
-
-    return _record(Tensor(y), (x, w, b), backward)
 
 
 def _same_shape(op: str, a: Tensor, b: Tensor):
@@ -747,95 +732,131 @@ def _distances(pos_l, pos_h):
     return distances
 
 
-def _score_blocks(ks, qs, alpha: Tensor, heads, pos_l, pos_h, out=None):
-    """Check relation scoring's operands, then yield (head, rows, scores)
-    for each block of at most _SCORE_ROWS rows inside a key block, `rows`
-    counting over all of them: the block's distances D and polynomial
-    (a D + b) D into two block-sized buffers, then its product k[rows] @ q^T,
-    and their sum while both are still in cache. The scores are out[rows]
-    when `out` is given, else they overwrite the block's distances, and the
-    next block overwrites them."""
-    heads = np.asarray(heads, dtype=np.intp)
-    if not len(ks) == len(qs) == len(heads):
-        raise ShapeError(f"relation_scores: {len(ks)} key and {len(qs)} query blocks for {len(heads)} heads")
-    if alpha.cols != 2:
-        raise ShapeError(f"relation_scores: alpha must hold (a, b) rows, got {alpha.shape}")
-    nl, nh = sum(k.rows for k in ks), qs[0].rows if qs else len(pos_h)
-    if (len(pos_l), len(pos_h)) != (nl, nh):
+def _relation_runs(x: Tensor, l_rows, h_rows, heads, weights, alpha: Tensor, pos_l, pos_h):
+    """Check relation scoring's operands. Returns l_rows and h_rows as index
+    arrays and (j, run) for each head j present, ascending, with run the
+    slice of attributes under head j."""
+    l_rows, h_rows, heads = (np.asarray(a, dtype=np.intp) for a in (l_rows, h_rows, heads))
+    if l_rows.ndim != 1 or h_rows.ndim != 1 or heads.shape != l_rows.shape:
+        raise ShapeError(f"relation_scores: {heads.size} heads for {l_rows.size} attribute rows")
+    if np.any(heads[1:] < heads[:-1]) or heads.size and not 0 <= heads[0] <= heads[-1] < len(weights):
         raise ShapeError(
-            f"relation_scores: positions must be (|L|, |H|) = {(nl, nh)}, got {(len(pos_l), len(pos_h))}"
+            f"relation_scores: heads must ascend (grouped by head) in [0, {len(weights)}), got {heads.tolist()}"
         )
-    for k, q in zip(ks, qs):
-        if q.shape != (nh, k.cols):
-            raise ShapeError(f"relation_scores: a query block must be ({nh}, {k.cols}), got {q.shape}")
+    if alpha.shape != (len(weights), 2):
+        raise ShapeError(f"relation_scores: alpha must hold one (a, b) row per head, got {alpha.shape}")
+    if (len(pos_l), len(pos_h)) != (l_rows.size, h_rows.size):
+        raise ShapeError(
+            f"relation_scores: positions must be (|L|, |H|) = {(l_rows.size, h_rows.size)}, "
+            f"got {(len(pos_l), len(pos_h))}"
+        )
+    both = np.concatenate([l_rows, h_rows])
+    if both.size and not (0 <= both.min() and both.max() < x.rows):
+        raise ShapeError(f"relation_scores: a row index lies outside x's {x.rows} rows")
+    present, starts = np.unique(heads, return_index=True)
+    ends = [*starts[1:].tolist(), heads.size]
+    runs = [(j, slice(lo, hi)) for j, lo, hi in zip(present.tolist(), starts.tolist(), ends)]
+    for j, _ in runs:
+        shapes, m = [w.shape for w in weights[j]], weights[j][0].cols
+        if shapes != [(x.cols, m), (x.cols, m), (1, m)]:
+            raise ShapeError(f"relation_scores: head {j}'s (wq, wk, bk) must be {(x.cols, m)}, "
+                             f"{(x.cols, m)} and {(1, m)}, got {shapes}")
+    return l_rows, h_rows, runs
+
+
+def _head_projections(xq, xk, wq, wk, bk):
+    """(xq @ wq, xk @ wk + bk): a head's drug and attribute rows projected."""
+    k = _mm(xk, wk)
+    k += bk
+    return _mm(xq, wq), k
+
+
+def _score_blocks(xq, xk, runs, weights, alpha, pos_l, pos_h, out=None):
+    """Yield (head, rows, scores) for each block of at most _SCORE_ROWS rows
+    inside a head's run: the block's distances D and polynomial (a D + b) D
+    into two block-sized buffers, then its product k[rows] @ q^T, and their
+    sum while both are still in cache. xq holds the drugs' rows and xk the
+    attributes'; each head projects them once, q = xq @ wq and, for its run,
+    k = xk[run] @ wk + bk. The scores are out[rows] when `out` is given,
+    else they overwrite the block's distances, and the next block
+    overwrites them."""
     distances = _distances(pos_l, pos_h)
-    buffers = np.empty((2, min(nl, _SCORE_ROWS), nh))
-    lo = 0
-    for k, q, j in zip(ks, qs, heads.tolist()):
+    buffers = np.empty((2, min(len(xk), _SCORE_ROWS), len(xq)))
+    for j, run in runs:
+        q, k = _head_projections(xq, xk[run], *(w.data for w in weights[j]))
         a, b = alpha.data[j]
-        for rows, part in _row_blocks(lo + k.rows, _SCORE_ROWS, lo):
+        for rows, part in _row_blocks(run.stop, _SCORE_ROWS, run.start):
             d, t = distances(rows, buffers[0, part]), buffers[1, part]
             np.multiply(d, a, out=t)
             t += b
             t *= d
             s = out[rows] if out is not None else d
-            _mm(k.data[rows.start - lo:rows.stop - lo], q.data.T, out=s)
+            _mm(k[rows.start - run.start:rows.stop - run.start], q.T, out=s)
             s += t
             yield j, rows, s
-        lo += k.rows
 
 
-def relation_scores(ks, qs, alpha: Tensor, heads, pos_l, pos_h) -> Tensor:
+def relation_scores(x: Tensor, l_rows, h_rows, heads, weights, alpha: Tensor, pos_l, pos_h) -> Tensor:
     """Relation scores of attributes against drugs, (|L|, |H|), as one node.
 
-    Block i is the next ks[i].rows rows: ks[i] @ qs[i]^T, with qs[i] of
-    shape (|H|, d), plus (a D + b) D, where (a, b) = alpha[heads[i]] and D is
-    the token distance |pos_l - pos_h| of the block's attributes to every
-    drug. The one block loop, `_score_blocks`, checks the operands and
-    writes the scores straight into the output, _SCORE_ROWS rows at a time,
-    with D and the polynomial in two block-sized buffers. Neither forward
-    nor the tape holds D or any (|L|, |H|) array but the output.
+    Attribute l is row l_rows[l] of the pooled rows x, and drug h row
+    h_rows[h]; heads[l] is attribute l's head, ascending, and weights[j] =
+    (wq, wk, bk) head j's projections. Row l is (x[l_rows[l]] wk + bk)
+    (x[h_rows] wq)^T plus (a D + b) D, with (a, b) = alpha[heads[l]] and D
+    the token distance |pos_l[l] - pos_h|. `_score_blocks` writes the scores
+    straight into the output, _SCORE_ROWS rows at a time. The node keeps the
+    drugs' and attributes' rows of x alone.
 
-    Backward returns g[block] @ qs[i] and g[block]^T @ ks[i] per key block
-    and, into row heads[i] of alpha's gradient, the sums of g D^2 and g D
-    over the block, recomputing D for each (head, rows) the loop visited."""
-    ks, qs = tuple(ks), tuple(qs)
-    nl, nh = len(pos_l), len(pos_h)
+    Backward recomputes each head's projections with the forward's calls.
+    It sums the drugs' gradient over the heads from the last down, and x's
+    gradient is the attributes' scatter plus the drugs', so a row shared by
+    a drug and an attribute gets both. An absent head's weights get no
+    gradient. Row j of alpha's gradient is the sums of g D^2 and g D over
+    head j's rows, with D recomputed for each block the loop visited."""
+    l_rows, h_rows, runs = _relation_runs(x, l_rows, h_rows, heads, weights, alpha, pos_l, pos_h)
+    nl, nh = len(l_rows), len(h_rows)
+    xq, xk = x.data[h_rows], x.data[l_rows]
     out = np.empty((nl, nh))
-    layout = [(j, rows) for j, rows, _ in _score_blocks(ks, qs, alpha, heads, pos_l, pos_h, out)]
-    spans = list(itertools.pairwise(itertools.accumulate((k.rows for k in ks), initial=0)))
+    layout = [(j, rows) for j, rows, _ in _score_blocks(xq, xk, runs, weights, alpha, pos_l, pos_h, out)]
     distances = _distances(pos_l, pos_h)
-
-    rks, rqs = [k.requires_grad for k in ks], [q.requires_grad for q in qs]
-    kd = [k.data if r else None for k, r in zip(ks, rqs)]
-    qd = [q.data if r else None for q, r in zip(qs, rks)]
-    ralpha, alpha_shape = alpha.requires_grad, alpha.shape
+    parents = (x, *(w for triple in weights for w in triple), alpha)
+    wd = [[w.data for w in triple] for triple in weights]
+    x_shape = x.shape
 
     def backward(g):
-        gks = [_mm(g[lo:hi], q) if q is not None else None for q, (lo, hi) in zip(qd, spans)]
-        gqs = [_mm(g[lo:hi].T, k) if k is not None else None for k, (lo, hi) in zip(kd, spans)]
-        galpha = None
-        if ralpha:
-            galpha = np.zeros(alpha_shape)
-            buffers = np.empty((2, min(nl, _SCORE_ROWS), nh))
-            for j, rows in layout:
-                d, t = buffers[:, :rows.stop - rows.start]
-                np.multiply(g[rows], distances(rows, d), out=t)
-                galpha[j, 1] += t.sum()
-                t *= d
-                galpha[j, 0] += t.sum()
-        return (*gks, *gqs, galpha)
+        gw = [[None] * 3 for _ in wd]
+        gq, gk = np.zeros(xq.shape), np.empty(xk.shape)
+        for j, run in reversed(runs):
+            wq, wk, bk = wd[j]
+            q, k = _head_projections(xq, xk[run], wq, wk, bk)
+            gkj, gqj = _mm(g[run], q), _mm(g[run].T, k)
+            gw[j] = [_mm(xq.T, gqj), _mm(xk[run].T, gkj), gkj.sum(axis=0, keepdims=True)]
+            _mm(gkj, wk.T, out=gk[run])
+            gq += _mm(gqj, wq.T)
+        gx, gh = np.zeros(x_shape), np.zeros(x_shape)
+        np.add.at(gx, l_rows, gk)
+        np.add.at(gh, h_rows, gq)
+        galpha = np.zeros((len(wd), 2))
+        buffers = np.empty((2, min(nl, _SCORE_ROWS), nh))
+        for j, rows in layout:
+            d, t = buffers[:, :rows.stop - rows.start]
+            np.multiply(g[rows], distances(rows, d), out=t)
+            galpha[j, 1] += t.sum()
+            t *= d
+            galpha[j, 0] += t.sum()
+        return (gx + gh, *(grad for triple in gw for grad in triple), galpha)
 
-    return _record(Tensor(out), (*ks, *qs, alpha), backward)
+    return _record(Tensor(out), parents, backward)
 
 
-def relation_argmax(ks, qs, alpha: Tensor, heads, pos_l, pos_h) -> np.ndarray:
-    """Each row's argmax of relation_scores(ks, qs, alpha, heads, pos_l,
-    pos_h).data, ties to the lowest column, from the same block loop and so
-    from the same scores bit for bit. No tape: each block's scores live in
-    one block-sized buffer, so no (|L|, |H|) array is made."""
-    best = np.empty(len(pos_l), dtype=np.intp)
-    for _, rows, s in _score_blocks(ks, qs, alpha, heads, pos_l, pos_h):
+def relation_argmax(x: Tensor, l_rows, h_rows, heads, weights, alpha: Tensor, pos_l, pos_h) -> np.ndarray:
+    """Each row's argmax of relation_scores(...).data on the same operands,
+    ties to the lowest column, from the same block loop and so from the
+    same scores bit for bit. No tape: each block's scores live in one
+    block-sized buffer, so no (|L|, |H|) array is made."""
+    l_rows, h_rows, runs = _relation_runs(x, l_rows, h_rows, heads, weights, alpha, pos_l, pos_h)
+    best = np.empty(len(l_rows), dtype=np.intp)
+    for _, rows, s in _score_blocks(x.data[h_rows], x.data[l_rows], runs, weights, alpha, pos_l, pos_h):
         np.argmax(s, axis=1, out=best[rows])
     return best
 

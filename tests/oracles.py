@@ -88,6 +88,18 @@ def layer_norm_input_grad(x: np.ndarray, gain: np.ndarray, g: np.ndarray, eps: f
     return out
 
 
+def linear(x, w, b):
+    """x @ w + b as a tape op, the ffn reference's own; b is a (1, w.cols)
+    row added to every row."""
+    T._check_affine("linear", x.shape, w, b)
+    xd, wd = x.data, w.data
+    y = T._mm(xd, wd)
+    y += b.data
+    return T._record(T.Tensor(y), (x, w, b), lambda g: (
+        T._mm(g, wd.T), T._mm(xd.T, g), g.sum(axis=0, keepdims=True)
+    ))
+
+
 def mul(a, b):
     """a * b elementwise as a tape op; operands take equal shapes."""
     T._same_shape("mul", a, b)

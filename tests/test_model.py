@@ -143,12 +143,12 @@ class TestSelectivePooling:
         spans = [(2, 3, "Drug"), (5, 6, "Strength")]
         pooled = selective_pool(Tensor(e3), spans)
         assert len(pooled.h_spans) == 1 and len(pooled.l_spans) == 1
-        np.testing.assert_array_equal(pooled.q.data[0], e3[2])
-        np.testing.assert_array_equal(pooled.k.data[0], e3[5])
+        np.testing.assert_array_equal(pooled.x.data[pooled.h_rows[0]], e3[2])
+        np.testing.assert_array_equal(pooled.x.data[pooled.l_rows[0]], e3[5])
 
     def test_no_drugs_is_empty(self):
         pooled = selective_pool(Tensor(np.zeros((4, 6))), [(0, 1, "Route")])
-        assert pooled.empty and pooled.q is None
+        assert pooled.empty and pooled.x is None
 
     def test_candidate_pair_count(self):
         spans = [(i, i + 1, "Drug") for i in range(3)] + [
@@ -175,13 +175,14 @@ class TestSelectivePooling:
         assert pooled.h_spans == [(3, 4, "Drug"), (16, 18, "Drug")]
         np.testing.assert_array_equal(pooled.pos_l, [s for s, _, _ in want])
         np.testing.assert_array_equal(pooled.heads, [0, 0, 1, 4, 4, 4, 7])
-        np.testing.assert_array_equal(pooled.k.data, e3[[s for s, _, _ in want]])
+        np.testing.assert_array_equal(pooled.x.data[pooled.l_rows], e3[[s for s, _, _ in want]])
+        np.testing.assert_array_equal(pooled.x.data[pooled.h_rows], e3[[3, 16]])
 
 
     def test_embed_on_gathered_rows_equals_embed_then_pool(self):
         """The relation FFN runs on the rows pooling reads alone: the same
-        q and k as embedding every row first, and the same gradients up to
-        the order BLAS sums the weight gradients' rows in."""
+        drug and attribute rows as embedding every row first, and the same
+        gradients up to the order BLAS sums the weight gradients' rows in."""
         model = JNRF(TINY, seed=27)
         rng = np.random.default_rng(28)
         e2 = rng.standard_normal((30, 6))
@@ -207,12 +208,13 @@ class TestSelectivePooling:
             x = Tensor(e2, requires_grad=True)
             with Tape() as tape:
                 pooled = build(x)
-                loss = T.add(sum_all(mul(pooled.q, Tensor(cq))), sum_all(mul(pooled.k, Tensor(ck))))
+                drugs, attrs = T.pick_rows(pooled.x, pooled.h_rows), T.pick_rows(pooled.x, pooled.l_rows)
+                loss = T.add(sum_all(mul(drugs, Tensor(cq))), sum_all(mul(attrs, Tensor(ck))))
             tape.backward(loss)
             results.append((pooled, x.grad, {n: model.params[n].grad for n in ("re.1.w", "re.2.w")}))
         (got, gx, gw), (want, wx, ww) = results
-        assert np.array_equal(got.q.data, want.q.data)
-        assert np.array_equal(got.k.data, want.k.data)
+        for rows in ("h_rows", "l_rows"):
+            assert np.array_equal(got.x.data[getattr(got, rows)], want.x.data[getattr(want, rows)])
         assert rel_err(gx, wx) < 1e-14
         for name in gw:
             assert rel_err(gw[name], ww[name]) < 1e-14, name
@@ -224,9 +226,10 @@ class TestSelectivePooling:
 def node_distances(pos_l, pos_h) -> np.ndarray:
     """The token distances D that the relation-score node adds as
     (0 D + 1) D, read off its output with every bilinear term zero."""
-    pos_l, pos_h = np.asarray(pos_l), np.asarray(pos_h)
-    k, q = Tensor(np.zeros((len(pos_l), 1))), Tensor(np.zeros((len(pos_h), 1)))
-    return T.relation_scores([k], [q], Tensor([[0.0, 1.0]]), [0], pos_l, pos_h).data
+    nl, nh = len(pos_l), len(pos_h)
+    zeros = [[Tensor(np.zeros((1, 1))), Tensor(np.zeros((1, 1))), Tensor(np.zeros((1, 1)))]]
+    return T.relation_scores(Tensor(np.zeros((1, 1))), np.zeros(nl, dtype=int), np.zeros(nh, dtype=int),
+                             np.zeros(nl), zeros, Tensor([[0.0, 1.0]]), pos_l, pos_h).data
 
 
 class TestDistanceMatrix:
@@ -249,6 +252,15 @@ class TestDistanceMatrix:
         assert np.array_equal(got, old)
 
 
+def pooled_rows(q, k, pos_l, pos_h, heads, requires_grad: bool = False) -> Pooled:
+    """Pooling of drugs q and attributes k, arrays of rows: x is q's rows
+    then k's."""
+    nh, nl = len(q), len(k)
+    x = Tensor(np.concatenate([q, k]), requires_grad=requires_grad)
+    return Pooled(x, np.arange(nh), nh + np.arange(nl), np.asarray(pos_h), np.asarray(pos_l),
+                  np.asarray(heads), np.arange(nh), np.arange(nl), [])
+
+
 class TestRelationScores:
     def zeroed_model(self):
         model = JNRF(TINY, seed=5)
@@ -260,9 +272,7 @@ class TestRelationScores:
     def test_pure_quadratic_term(self):
         model = self.zeroed_model()
         model.params["alpha"].data[0] = [1.0, 0.0]
-        psi = model.relation_scores(
-            Tensor(np.zeros((1, 6))), Tensor(np.zeros((1, 6))), np.array([3]), np.array([5]), [0]
-        )
+        psi = model.relation_scores(pooled_rows(np.zeros((1, 6)), np.zeros((1, 6)), [3], [5], [0]))
         assert psi.item() == 4.0
 
     def test_alpha_zero_equals_plain_scores(self):
@@ -270,7 +280,7 @@ class TestRelationScores:
         rng = np.random.default_rng(7)
         q, k = rng.standard_normal((2, 6)), rng.standard_normal((3, 6))
         for j in range(8):
-            psi = model.relation_scores(Tensor(q), Tensor(k), [1, 2, 9], [0, 5], [j] * 3)
+            psi = model.relation_scores(pooled_rows(q, k, [1, 2, 9], [0, 5], [j] * 3))
             qj = q @ model.params[f"rel.{j}.q.w"].data
             kj = k @ model.params[f"rel.{j}.k.w"].data + model.params[f"rel.{j}.k.b"].data
             np.testing.assert_array_equal(psi.data, kj @ qj.T)
@@ -286,7 +296,7 @@ class TestRelationScores:
         base = alpha.data.copy()
 
         def run():
-            psi = model.relation_scores(Tensor(q), Tensor(k), pos_l, pos_h, heads)
+            psi = model.relation_scores(pooled_rows(q, k, pos_l, pos_h, heads))
             return sum_all(mul(psi, Tensor(w)))
 
         with Tape() as tape:
@@ -301,9 +311,9 @@ class TestRelationScores:
         assert rel_err(alpha.grad, fd_grad(value, base)) < 1e-6
 
     def test_every_parent_gradient_vs_finite_differences(self):
-        """Heads 2, 5 and 6 present, head 2 with one row; the inputs, each
-        present head's projections and alpha against central differences,
-        and no gradient reaching an absent head's projections."""
+        """Heads 2, 5 and 6 present, head 2 with one row; the pooled rows,
+        each present head's projections and alpha against central
+        differences, and no gradient reaching an absent head's projections."""
         model = JNRF(TINY, seed=30)
         rng = np.random.default_rng(31)
         model.params["alpha"].data[...] = rng.standard_normal((8, 2)) * [1e-3, 0.1]
@@ -311,17 +321,17 @@ class TestRelationScores:
         pos_l, pos_h = np.array([7, 0, 25, 33, 11, 45]), np.array([2, 19, 40])
         heads = [2, 5, 5, 6, 6, 6]
         w = rng.standard_normal((6, 3))
-        q, k = Tensor(q0.copy(), requires_grad=True), Tensor(k0.copy(), requires_grad=True)
+        pooled = pooled_rows(q0, k0, pos_l, pos_h, heads, requires_grad=True)
 
         def run():
-            psi = model.relation_scores(q, k, pos_l, pos_h, heads)
+            psi = model.relation_scores(pooled)
             return sum_all(mul(psi, Tensor(w)))
 
         model.params.zero_grad()
         with Tape() as tape:
             loss = run()
         tape.backward(loss)
-        checked = {"q": q, "k": k, "alpha": model.params["alpha"]}
+        checked = {"x": pooled.x, "alpha": model.params["alpha"]}
         for j in (2, 5, 6):
             for name in ("q.w", "k.w", "k.b"):
                 checked[f"rel.{j}.{name}"] = model.params[f"rel.{j}.{name}"]
@@ -342,23 +352,23 @@ class TestRelationScores:
 
     def test_heads_must_ascend(self):
         model = JNRF(TINY, seed=5)
-        q, k = Tensor(np.zeros((2, 6))), Tensor(np.zeros((3, 6)))
+        q, k = np.zeros((2, 6)), np.zeros((3, 6))
         with pytest.raises(ShapeError, match=r"heads must ascend .*\[4, 0, 4\]"):
-            model.relation_scores(q, k, [0, 1, 2], [0, 1], [4, 0, 4])
+            model.relation_scores(pooled_rows(q, k, [0, 1, 2], [0, 1], [4, 0, 4]))
 
     def test_heads_must_match_attribute_rows(self):
         model = JNRF(TINY, seed=5)
-        q, k = Tensor(np.zeros((2, 6))), Tensor(np.zeros((3, 6)))
+        q, k = np.zeros((2, 6)), np.zeros((3, 6))
         with pytest.raises(ShapeError, match=r"relation_scores: 2 heads for 3 attribute rows"):
-            model.relation_scores(q, k, [0, 1, 2], [0, 1], [0, 0])
+            model.relation_scores(pooled_rows(q, k, [0, 1, 2], [0, 1], [0, 0]))
 
     @pytest.mark.parametrize("shape", [(2, 2), (5, 2), (3, 1), (2, 3)], ids=lambda s: "%dx%d" % s)
     def test_dist_must_be_attributes_by_drugs(self, shape):
         """The positions give distances of shape (len(pos_l), len(pos_h))."""
         model = JNRF(TINY, seed=5)
-        q, k = Tensor(np.zeros((2, 6))), Tensor(np.zeros((3, 6)))
+        q, k = np.zeros((2, 6)), np.zeros((3, 6))
         with pytest.raises(ShapeError, match=re.escape(f"= (3, 2), got {shape}")):
-            model.relation_scores(q, k, np.arange(shape[0]), np.arange(shape[1]), [0, 0, 0])
+            model.relation_scores(pooled_rows(q, k, np.arange(shape[0]), np.arange(shape[1]), [0, 0, 0]))
 
     def test_rows_match_all_heads_oracle(self):
         """Row l is the oracle's plane heads[l], column l: heads grouped,
@@ -369,7 +379,7 @@ class TestRelationScores:
         q, k = rng.standard_normal((3, 6)), rng.standard_normal((7, 6))
         pos_h, pos_l = np.array([4, 30, 17]), np.array([0, 9, 21, 40, 5, 33, 12])
         heads = [0, 0, 2, 4, 4, 6, 7]
-        psi = model.relation_scores(Tensor(q), Tensor(k), pos_l, pos_h, heads)
+        psi = model.relation_scores(pooled_rows(q, k, pos_l, pos_h, heads))
         planes = all_heads_relation_scores(model.params, q, k, pos_h, pos_l)
         assert psi.shape == (7, 3)
         for l, j in enumerate(heads):
@@ -429,7 +439,7 @@ class TestLosses:
         pos_h, pos_l = np.array([2, 19, 40]), np.array([7, 0, 25, 33, 11, 45])
         heads = [0, 1, 1, 5, 5, 7]
         gold_drug = {0: 2, 1: 0, 3: 1, 4: 1, 5: 2}  # attribute 2 has no relation
-        psi = model.relation_scores(Tensor(q), Tensor(k), pos_l, pos_h, heads)
+        psi = model.relation_scores(pooled_rows(q, k, pos_l, pos_h, heads))
         planes = all_heads_relation_scores(model.params, q, k, pos_h, pos_l)
         full = np.zeros((8, 3, 6))
         for l, h in gold_drug.items():
@@ -457,9 +467,10 @@ class TestRelationScoresMemory:
         rng = np.random.default_rng(33)
         nl, nh = 2000, 200
         model.params["alpha"].data[...] = rng.standard_normal((8, 2))
-        q, k = Tensor(rng.standard_normal((nh, 6))), Tensor(rng.standard_normal((nl, 6)))
+        q, k = rng.standard_normal((nh, 6)), rng.standard_normal((nl, 6))
         heads = np.sort(rng.integers(0, 8, nl))
         pos_l, pos_h = rng.integers(0, 8000, nl), rng.integers(0, 8000, nh)
+        pooled = pooled_rows(q, k, pos_l, pos_h, heads)
         gc.collect()
         started = not tracemalloc.is_tracing()
         if started:
@@ -467,7 +478,7 @@ class TestRelationScoresMemory:
         try:
             tracemalloc.reset_peak()
             before = tracemalloc.get_traced_memory()[0]
-            psi = model.relation_scores(q, k, pos_l, pos_h, heads)
+            psi = model.relation_scores(pooled)
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             if started:
@@ -486,10 +497,10 @@ class TestRelationScoresMemory:
         rng = np.random.default_rng(33)
         nl, nh = 2000, 200
         model.params["alpha"].data[...] = rng.standard_normal((8, 2))
-        q, k = Tensor(rng.standard_normal((nh, 6))), Tensor(rng.standard_normal((nl, 6)))
+        q, k = rng.standard_normal((nh, 6)), rng.standard_normal((nl, 6))
         heads = np.sort(rng.integers(0, 8, nl))
         pos_l, pos_h = rng.integers(0, 8000, nl), rng.integers(0, 8000, nh)
-        pooled = Pooled(q, k, pos_h, pos_l, heads, np.arange(nh), np.arange(nl), [])
+        pooled = pooled_rows(q, k, pos_l, pos_h, heads)
         monkeypatch.setattr(M, "selective_pool", lambda e2, spans, embed=None: pooled)
         inst = EncodedInstance(np.arange(8), np.zeros(8, dtype=np.intp), [], [])
         table = tiny_table()
@@ -543,14 +554,14 @@ class TestRowConstantCancels:
 
 
 def predict_on(psi: np.ndarray, heads):
-    """`predict_relations` on operands whose scores are exactly psi: each
-    head's rows of psi are its key block and the identity its query block,
-    and alpha is zero, so the distance polynomial adds 0."""
-    present, starts = np.unique(np.asarray(heads), return_index=True)
+    """`predict_relations` on operands whose scores are exactly psi: the
+    attributes' rows are psi's and the drugs' the identity's, every head's
+    weights are the identity and a zero bias, and alpha is zero, so the
+    distance polynomial adds 0."""
     nl, nh = psi.shape
-    ks = [Tensor(psi[lo:hi]) for lo, hi in zip(starts, [*starts[1:], nl])]
-    qs = [Tensor(np.eye(nh)) for _ in present]
-    operands = (ks, qs, Tensor(np.zeros((8, 2))), present, np.zeros(nl), np.zeros(nh))
+    eye = [[Tensor(np.eye(nh)), Tensor(np.eye(nh)), Tensor(np.zeros((1, nh)))]] * 8
+    operands = (Tensor(np.concatenate([psi, np.eye(nh)])), np.arange(nl), nl + np.arange(nh), heads, eye,
+                Tensor(np.zeros((8, 2))), np.zeros(nl), np.zeros(nh))
     assert np.array_equal(T.relation_scores(*operands).data, psi)
     return predict_relations(*operands)
 
@@ -594,39 +605,45 @@ class TestPredictRelations:
         """Exactly argmax(T.relation_scores(...).data, axis=1), ties to the
         lowest drug, with |L| not a multiple of _SCORE_ROWS. With ties the
         operands are small integers, so every score is exact, and each drug
-        is repeated at the same position: every row ties in pairs."""
+        row is repeated at the same position: every row ties in pairs."""
         rng = np.random.default_rng(sum(sizes) + nh)
-        nl, heads = sum(sizes), np.sort(rng.choice(8, len(sizes), replace=False))
+        nl, present = sum(sizes), np.sort(rng.choice(8, len(sizes), replace=False))
+        shapes = ((6, 6), (6, 6), (1, 6))
         if ties:
-            half = rng.integers(-3, 4, (nh // 2, 6)).astype(float)
-            qs = [Tensor(np.repeat(half + j, 2, axis=0)) for j in range(len(sizes))]
-            ks = [Tensor(rng.integers(-3, 4, (n, 6)).astype(float)) for n in sizes]
-            alpha = Tensor(rng.integers(-2, 3, (8, 2)).astype(float))
+            draw = lambda shape, top: rng.integers(-top, top + 1, shape).astype(float)  # noqa: E731
+            drugs, attrs = np.repeat(draw((nh // 2, 6), 3), 2, axis=0), draw((nl, 6), 3)
+            weights = [[Tensor(draw(s, 2)) for s in shapes] for _ in range(8)]
+            alpha = Tensor(draw((8, 2), 2))
             pos_h = np.repeat(rng.integers(0, 500, nh // 2), 2)
         else:
-            qs = [Tensor(rng.standard_normal((nh, 6))) for _ in sizes]
-            ks = [Tensor(rng.standard_normal((n, 6))) for n in sizes]
+            drugs, attrs = rng.standard_normal((nh, 6)), rng.standard_normal((nl, 6))
+            weights = [[Tensor(rng.standard_normal(s)) for s in shapes] for _ in range(8)]
             alpha = Tensor(rng.standard_normal((8, 2)) * [1e-3, 0.1])
             pos_h = rng.integers(0, 8000, nh)
         pos_l = rng.integers(0, 8000, nl)
-        psi = T.relation_scores(ks, qs, alpha, heads, pos_l, pos_h).data
+        heads = np.repeat(present, sizes)
+        operands = (Tensor(np.concatenate([attrs, drugs])), np.arange(nl), nl + np.arange(nh), heads, weights,
+                    alpha, pos_l, pos_h)
+        psi = T.relation_scores(*operands).data
         if ties:
             assert np.array_equal(psi[:, 0::2], psi[:, 1::2])
-        triples = predict_relations(ks, qs, alpha, heads, pos_l, pos_h)
+        triples = predict_relations(*operands)
         assert [h for h, _, _ in triples] == np.argmax(psi, axis=1).tolist()
         assert [l for _, l, _ in triples] == list(range(nl))
-        assert [j for _, _, j in triples] == np.repeat(heads, sizes).tolist()
+        assert [j for _, _, j in triples] == heads.tolist()
 
-    def test_model_prediction_equals_the_argmax_of_its_scores(self):
+    def test_model_prediction_equals_the_argmax_of_its_scores(self, monkeypatch):
         model = JNRF(TINY, seed=34)
         rng = np.random.default_rng(35)
         model.params["alpha"].data[...] = rng.standard_normal((8, 2)) * [1e-3, 0.1]
-        q, k = Tensor(rng.standard_normal((9, 6))), Tensor(rng.standard_normal((300, 6)))
+        q, k = rng.standard_normal((9, 6)), rng.standard_normal((300, 6))
         heads = np.sort(rng.integers(0, 8, 300))
         pos_l, pos_h = rng.integers(0, 8000, 300), rng.integers(0, 8000, 9)
-        psi = model.relation_scores(q, k, pos_l, pos_h, heads).data
-        ks, qs, present = model.relation_blocks(q, k, heads)
-        triples = predict_relations(ks, qs, model.params["alpha"], present, pos_l, pos_h)
+        pooled = pooled_rows(q, k, pos_l, pos_h, heads)
+        psi = model.relation_scores(pooled).data
+        monkeypatch.setattr(M, "selective_pool", lambda e2, spans, embed=None: pooled)
+        inst = EncodedInstance(np.arange(8), np.zeros(8, dtype=np.intp), [], [])
+        _, triples = model.predict_instance(inst, tiny_table())
         assert triples == list(zip(np.argmax(psi, axis=1).tolist(), range(300), heads.tolist()))
 
 
@@ -927,14 +944,24 @@ def test_an_attribute_related_to_two_drugs_targets_both():
 
 
 @pytest.mark.parametrize("mixer", ["fnet", "windowed_attention"])
-def test_a_training_step_records_42_tape_nodes(mixer):
-    """Each loss is one node, so the losses and their sum take 3 of them."""
+def test_a_training_step_records_16_tape_nodes(mixer):
+    """Each loss is one node, so the losses and their sum take 3 of them,
+    and the relation scores one whatever heads are present: pooling's
+    gather and the relation FFN 2 more, the input MLP 1, each of the two
+    blocks 4 and the NER head 1. The second instance's attributes are all
+    of one type, so one head is present, against all eight in the first."""
     cfg = ModelConfig(mixer=mixer)
     rng = np.random.default_rng(51)
     table = EmbeddingTable(rng.standard_normal((50, cfg.emb_dim)))
-    with Tape() as tape:
-        JNRF(cfg, seed=0).instance_losses(synthetic_instance(2048, rng), table)
-    assert len(tape.nodes) == 42
+    every_head = synthetic_instance(2048, rng)
+    one_head = dataclasses.replace(every_head, spans=[
+        (s, e, etype if etype == "Drug" else "Route") for s, e, etype in every_head.spans
+    ])
+    for inst, present in ((every_head, 8), (one_head, 1)):
+        with Tape() as tape:
+            JNRF(cfg, seed=0).instance_losses(inst, table)
+        assert len(np.unique(selective_pool(Tensor(np.zeros((2048, 1))), inst.spans).heads)) == present
+        assert len(tape.nodes) == 16
 
 
 class TestTrainStepMemory:

@@ -13,10 +13,12 @@ from jnrf.instrument import COUNTER
 from jnrf.tensor import ShapeError, Tape, TapeError, Tensor
 
 from oracles import (
+    all_heads_relation_scores,
     composed_cross_entropy_rows,
     concat_rows,
     fd_grad,
     layer_norm_input_grad,
+    linear,
     linear_map_matrix,
     mul,
     naive_mix,
@@ -77,11 +79,12 @@ class TestMatmul:
             grad_check(lambda x, y: sum_all(T.matmul(x, y)), [a, b])
 
 
+# `linear` is the ffn reference's own tape op (oracles.py); it is checked here
 class TestLinear:
     def test_forward_is_numpy_affine(self):
         rng = np.random.default_rng(14)
         x, w, b = (rng.standard_normal(s) for s in [(5, 4), (4, 3), (1, 3)])
-        out = T.linear(Tensor(x), Tensor(w), Tensor(b))
+        out = linear(Tensor(x), Tensor(w), Tensor(b))
         assert np.array_equal(out.data, x @ w + b)
 
     def test_gradients_vs_finite_differences(self):
@@ -91,7 +94,7 @@ class TestLinear:
             w = rng.standard_normal((4, 2))
             row = rng.standard_normal((1, 2))
             c = rng.standard_normal((3, 2))
-            grad_check(lambda a, m, r, cc: sum_all(mul(T.linear(a, m, r), cc)), [x, w, row, c])
+            grad_check(lambda a, m, r, cc: sum_all(mul(linear(a, m, r), cc)), [x, w, row, c])
 
     def test_gradients_are_matmul_then_row_sum(self):
         rng = np.random.default_rng(15)
@@ -99,7 +102,7 @@ class TestLinear:
         g = rng.standard_normal((6, 3))
         xt, wt, bt = (Tensor(a, requires_grad=True) for a in (x, w, b))
         with Tape() as tape:
-            loss = sum_all(mul(T.linear(xt, wt, bt), Tensor(g)))
+            loss = sum_all(mul(linear(xt, wt, bt), Tensor(g)))
         tape.backward(loss)
         assert np.array_equal(xt.grad, g @ w.T)
         assert np.array_equal(wt.grad, x.T @ g)
@@ -107,18 +110,18 @@ class TestLinear:
 
     def test_inner_dimension_mismatch_rejected(self):
         with pytest.raises(ShapeError, match=r"linear: inner dimensions.*\(2, 3\).*\(2, 3\)"):
-            T.linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))), Tensor(np.zeros((1, 3))))
+            linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))), Tensor(np.zeros((1, 3))))
 
     @pytest.mark.parametrize("shape", [(1, 3), (2, 2), (1, 1)], ids=lambda s: "%dx%d" % s)
     def test_bias_must_be_one_row_of_output_width(self, shape):
         with pytest.raises(ShapeError, match=r"bias must be \(1, 2\)"):
-            T.linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 2))), Tensor(np.zeros(shape)))
+            linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 2))), Tensor(np.zeros(shape)))
 
     def test_counts_multiplies_like_matmul(self):
         x, w, b = (Tensor(np.ones(s), requires_grad=True) for s in [(5, 4), (4, 3), (1, 3)])
         m0 = COUNTER.total
         with Tape() as tape:
-            loss = sum_all(T.linear(x, w, b))
+            loss = sum_all(linear(x, w, b))
         assert COUNTER.total - m0 == 5 * 4 * 3
         tape.backward(loss)
         assert COUNTER.total - m0 == 3 * 5 * 4 * 3
@@ -126,7 +129,7 @@ class TestLinear:
 
 def composed_ffn(x, w1, b1, w2, b2):
     """The two-node reference for T.ffn: linear, gelu, linear."""
-    return T.linear(T.gelu(T.linear(x, w1, b1)), w2, b2)
+    return linear(T.gelu(linear(x, w1, b1)), w2, b2)
 
 
 class TestFfn:
@@ -672,52 +675,111 @@ class TestStructuralOps:
         grad_check(lambda a, c: sum_all(mul(transpose(a), c)), [x, w])
 
 
+def head_weights(rng, n_heads: int, d: int, m: int):
+    """(wq, wk, bk) arrays for each of n_heads relation heads, x's width d
+    projected to m."""
+    return [[rng.standard_normal(s) for s in ((d, m), (d, m), (1, m))] for _ in range(n_heads)]
+
+
+def as_weights(arrays):
+    return [[Tensor(a, requires_grad=True) for a in triple] for triple in arrays]
+
+
 class TestRelationScoresOp:
+    """x's rows 1 and 4 are both a drug's and an attribute's, row 6 is two
+    attributes', and row 2 nobody's; heads 0, 2 and 3 of four are present,
+    head 2 with one attribute."""
+
+    L_ROWS, H_ROWS = [0, 1, 6, 4, 6, 5], [3, 1, 7, 4]
+    HEADS, POS_L, POS_H = [0, 0, 2, 3, 3, 3], [3, 17, 0, 40, 9, 22], [5, 30, 11, 0]
+
+    def arrays(self, seed, d=5, m=3):
+        rng = np.random.default_rng(seed)
+        return (rng.standard_normal((8, d)), head_weights(rng, 4, d, m),
+                rng.standard_normal((4, 2)) * [1e-3, 0.1])
+
+    def scores(self, x, weights, alpha):
+        return T.relation_scores(x, self.L_ROWS, self.H_ROWS, self.HEADS, weights, alpha, self.POS_L, self.POS_H)
+
+    def test_scores_match_the_all_heads_oracle(self):
+        x, weights, alpha = self.arrays(39)
+        psi = self.scores(Tensor(x), as_weights(weights), Tensor(alpha)).data
+        params = {"alpha": Tensor(alpha)}
+        for j, (wq, wk, bk) in enumerate(weights):
+            params.update({f"rel.{j}.q.w": Tensor(wq), f"rel.{j}.k.w": Tensor(wk), f"rel.{j}.k.b": Tensor(bk)})
+        planes = all_heads_relation_scores(params, x[self.H_ROWS], x[self.L_ROWS], self.POS_H, self.POS_L)
+        assert psi.shape == (6, 4)
+        for l, j in enumerate(self.HEADS):
+            assert rel_err(psi[l], planes[j, :, l]) < 1e-12, l
+
     def test_gradients_of_every_parent(self):
-        """Three blocks of 2, 1 and 3 rows under heads 0, 2 and 3 of four;
-        head 1 is absent and gets a zero row of alpha's gradient."""
-        rng = np.random.default_rng(40)
-        sizes, nh, d = (2, 1, 3), 4, 5
-        ks = [rng.standard_normal((m, d)) for m in sizes]
-        qs = [rng.standard_normal((nh, d)) for _ in sizes]
-        alpha = rng.standard_normal((4, 2)) * [1e-3, 0.1]
-        pos_l, pos_h = [3, 17, 0, 40, 9, 22], [5, 30, 11, 0]
-        c = rng.standard_normal((6, nh))
+        """x (with its shared rows accumulated), every present head's weights
+        and alpha against central differences."""
+        x, weights, alpha = self.arrays(40)
+        c = np.random.default_rng(41).standard_normal((6, 4))
+        present, absent = [weights[j] for j in (0, 2, 3)], [Tensor(w) for w in weights[1]]
 
-        def build(k0, k1, k2, q0, q1, q2, a, w):
-            psi = T.relation_scores([k0, k1, k2], [q0, q1, q2], a, [0, 2, 3], pos_l, pos_h)
-            return sum_all(mul(psi, w))
+        def build(x, *rest):
+            *flat, a, w = rest
+            triples = [flat[i:i + 3] for i in range(0, 9, 3)]
+            return sum_all(mul(self.scores(x, [triples[0], absent, *triples[1:]], a), w))
 
-        grad_check(build, [*ks, *qs, alpha, c])
-        a = Tensor(alpha, requires_grad=True)
+        grad_check(build, [x, *(w for triple in present for w in triple), alpha, c])
+
+    def test_an_absent_head_gets_no_gradient(self):
+        x, weights, alpha = self.arrays(42)
+        tensors, a = as_weights(weights), Tensor(alpha, requires_grad=True)
         with Tape() as tape:
-            loss = build(*map(Tensor, ks + qs), a, Tensor(c))
+            loss = sum_all(self.scores(Tensor(x, requires_grad=True), tensors, a))
         tape.backward(loss)
-        assert not a.grad[1].any()
+        assert all(w.grad is None for w in tensors[1])
+        assert all(w.grad is not None for j in (0, 2, 3) for w in tensors[j])
+        assert not a.grad[1].any() and a.grad[[0, 2, 3]].all()
+
+    def test_gradients_past_one_score_block(self):
+        """|L| = _SCORE_ROWS + 9 attributes, head 1's run straddling the
+        block boundary."""
+        rng = np.random.default_rng(43)
+        nl, nh, d = T._SCORE_ROWS + 9, 3, 4
+        heads = np.repeat([0, 1, 2], [60, 70, nl - 130])
+        l_rows, h_rows = rng.integers(0, 40, nl), rng.integers(0, 40, nh)
+        pos_l, pos_h = rng.integers(0, 300, nl), rng.integers(0, 300, nh)
+        weights = head_weights(rng, 3, d, d)
+        arrs = [rng.standard_normal((40, d)), *(w for triple in weights for w in triple),
+                rng.standard_normal((3, 2)) * [1e-4, 1e-2], rng.standard_normal((nl, nh))]
+
+        def build(x, *rest):
+            *flat, a, w = rest
+            triples = [flat[i:i + 3] for i in range(0, 9, 3)]
+            return sum_all(mul(T.relation_scores(x, l_rows, h_rows, heads, triples, a, pos_l, pos_h), w))
+
+        grad_check(build, arrs)
 
     def test_blocks_and_polynomial(self):
-        rng = np.random.default_rng(41)
-        ks = [rng.standard_normal((m, 3)) for m in (3, 2)]
-        qs = [rng.standard_normal((2, 3)) for _ in ks]
-        alpha = rng.standard_normal((8, 2))
+        """With wq = wk = I and bk = 0, attribute l against drug h scores
+        x[l_rows[l]] . x[h_rows[h]] plus the polynomial."""
+        rng = np.random.default_rng(44)
+        x, alpha = rng.standard_normal((7, 3)), rng.standard_normal((8, 2))
+        l_rows, h_rows, heads = [4, 0, 6, 2, 1], [5, 3], [1, 1, 1, 6, 6]
         pos_l, pos_h = np.array([4, 0, 9, 12, 1]), np.array([7, 2])
-        got = T.relation_scores(list(map(Tensor, ks)), list(map(Tensor, qs)), Tensor(alpha), [1, 6],
-                                pos_l, pos_h).data
-        for l, (j, block, row) in enumerate([(1, 0, 0), (1, 0, 1), (1, 0, 2), (6, 1, 0), (6, 1, 1)]):
+        eye = [[Tensor(np.eye(3)), Tensor(np.eye(3)), Tensor(np.zeros((1, 3)))]] * 8
+        got = T.relation_scores(Tensor(x), l_rows, h_rows, heads, eye, Tensor(alpha), pos_l, pos_h).data
+        for l, j in enumerate(heads):
             for h in range(2):
                 dist = abs(int(pos_l[l]) - int(pos_h[h]))
-                want = ks[block][row] @ qs[block][h] + alpha[j, 0] * dist**2 + alpha[j, 1] * dist
+                want = x[l_rows[l]] @ x[h_rows[h]] + alpha[j, 0] * dist**2 + alpha[j, 1] * dist
                 assert abs(got[l, h] - want) < 1e-12
 
     def test_rows_past_one_block(self):
         """More rows than _BLOCK: every row block gets its own distances."""
         n, rng = T._BLOCK + 7, np.random.default_rng(42)
         pos_l, pos_h = rng.integers(0, 9000, n), rng.integers(0, 9000, 3)
-        zeros = [Tensor(np.zeros((n, 2)))], [Tensor(np.zeros((3, 2)))]
+        zeros = [[Tensor(np.zeros((2, 2))), Tensor(np.zeros((2, 2))), Tensor(np.zeros((1, 2)))]]
         alpha = Tensor(np.array([[0.5, -2.0]]), requires_grad=True)
         g = rng.standard_normal((n, 3))
         with Tape() as tape:
-            psi = T.relation_scores(*zeros, alpha, [0], pos_l, pos_h)
+            psi = T.relation_scores(Tensor(np.zeros((4, 2))), np.zeros(n, dtype=int), [1, 2, 3], np.zeros(n),
+                                    zeros, alpha, pos_l, pos_h)
             loss = sum_all(mul(psi, Tensor(g)))
         tape.backward(loss)
         dist = np.abs(pos_l[:, None] - pos_h[None, :]).astype(np.float64)
@@ -725,15 +787,29 @@ class TestRelationScoresOp:
         assert rel_err(alpha.grad, [[(g * dist**2).sum(), (g * dist).sum()]]) < 1e-12
 
     @pytest.mark.parametrize("pos_l, pos_h, q_shape", [
-        ([0, 1], [0, 1], (2, 2)),       # 2 positions for 3 rows
-        ([0, 1, 2], [0], (2, 2)),       # a query block of 2 rows for 1 drug
-        ([0, 1, 2], [0, 1], (2, 3)),    # width 3 against the keys' 2
+        ([0, 1], [0, 1], (2, 2)),       # 2 positions for 3 attributes
+        ([0, 1, 2], [0], (2, 2)),       # 1 position for 2 drugs
+        ([0, 1, 2], [0, 1], (2, 3)),    # a drug projection of width 3 against the attributes' 2
     ])
     def test_shapes_must_agree(self, pos_l, pos_h, q_shape):
-        k, q = Tensor(np.zeros((3, 2))), Tensor(np.zeros(q_shape))
+        weights = [[Tensor(np.zeros(q_shape)), Tensor(np.zeros((2, 2))), Tensor(np.zeros((1, 2)))]]
         with pytest.raises(ShapeError, match="relation_scores"):
-            T.relation_scores([k], [q], Tensor(np.zeros((8, 2))), [0], pos_l, pos_h)
+            T.relation_scores(Tensor(np.zeros((5, 2))), [0, 1, 2], [3, 4], [0, 0, 0], weights,
+                              Tensor(np.zeros((1, 2))), pos_l, pos_h)
 
+    @pytest.mark.parametrize("l_rows, h_rows, heads, message", [
+        ([0, 1], [2], [0, 0, 0], "3 heads for 2 attribute rows"),
+        ([0, 1], [2], [1, 0], r"heads must ascend \(grouped by head\) in \[0, 2\), got \[1, 0\]"),
+        ([0, 1], [2], [0, 2], r"heads must ascend \(grouped by head\) in \[0, 2\), got \[0, 2\]"),
+        ([0, 1], [2], [-1, 0], r"heads must ascend \(grouped by head\) in \[0, 2\), got \[-1, 0\]"),
+        ([0, 3], [2], [0, 0], "a row index lies outside x's 3 rows"),
+        ([0, 1], [-1], [0, 0], "a row index lies outside x's 3 rows"),
+    ], ids=["heads", "order", "head-range", "negative-head", "attribute-row", "drug-row"])
+    def test_indices_must_agree(self, l_rows, h_rows, heads, message):
+        weights = [[Tensor(np.zeros((2, 2))), Tensor(np.zeros((2, 2))), Tensor(np.zeros((1, 2)))]] * 2
+        with pytest.raises(ShapeError, match=message):
+            T.relation_scores(Tensor(np.zeros((3, 2))), l_rows, h_rows, heads, weights,
+                              Tensor(np.zeros((2, 2))), np.zeros(len(l_rows)), np.zeros(len(h_rows)))
 
     @pytest.mark.parametrize("op", [T.relation_scores, T.relation_argmax], ids=lambda f: f.__name__)
     @pytest.mark.parametrize(
@@ -742,14 +818,13 @@ class TestRelationScoresOp:
         ids=["short-pos_l", "short-pos_h", "long-pos_h"],
     )
     def test_positions_must_be_attributes_by_drugs(self, op, pos_l, pos_h):
-        """Scoring and its argmax check the positions in the one block loop:
-        (|L|, |H|) is the key blocks' rows by the query blocks' rows."""
-        ks = [Tensor(np.zeros((1, 2))), Tensor(np.zeros((2, 2)))]
-        qs = [Tensor(np.zeros((2, 2)))] * 2
+        """Scoring and its argmax check the positions before the block loop:
+        (|L|, |H|) is the attribute rows by the drug rows."""
+        weights = [[Tensor(np.zeros((2, 2))), Tensor(np.zeros((2, 2))), Tensor(np.zeros((1, 2)))]] * 8
         got = (len(pos_l), len(pos_h))
         message = f"relation_scores: positions must be (|L|, |H|) = (3, 2), got {got}"
         with pytest.raises(ShapeError, match=re.escape(message)):
-            op(ks, qs, Tensor(np.zeros((8, 2))), [0, 5], pos_l, pos_h)
+            op(Tensor(np.zeros((4, 2))), [0, 1, 2], [3, 0], [0, 5, 5], weights, Tensor(np.zeros((8, 2))), pos_l, pos_h)
 
 
 class TestFourierMixOp:
