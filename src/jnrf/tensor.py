@@ -777,13 +777,16 @@ def _score_blocks(xq, xk, runs, weights, alpha, pos_l, pos_h, out=None):
     into two block-sized buffers, then its product k[rows] @ q^T, and their
     sum while both are still in cache. xq holds the drugs' rows and xk the
     attributes'; each head projects them once, q = xq @ wq and, for its run,
-    k = xk[run] @ wk + bk. The scores are out[rows] when `out` is given,
-    else they overwrite the block's distances, and the next block
+    k = xk[run] @ wk + bk, and copies q^T into a contiguous array: OpenBLAS's
+    AVX-512 kernels sum a product with the transposed view in an order that
+    depends on the thread count. The scores are out[rows] when `out` is
+    given, else they overwrite the block's distances, and the next block
     overwrites them."""
     distances = _distances(pos_l, pos_h)
     buffers = np.empty((2, min(len(xk), _SCORE_ROWS), len(xq)))
     for j, run in runs:
         q, k = _head_projections(xq, xk[run], *(w.data for w in weights[j]))
+        qt = np.ascontiguousarray(q.T)
         a, b = alpha.data[j]
         for rows, part in _row_blocks(run.stop, _SCORE_ROWS, run.start):
             d, t = distances(rows, buffers[0, part]), buffers[1, part]
@@ -791,7 +794,7 @@ def _score_blocks(xq, xk, runs, weights, alpha, pos_l, pos_h, out=None):
             t += b
             t *= d
             s = out[rows] if out is not None else d
-            _mm(k[rows.start - run.start:rows.stop - run.start], q.T, out=s)
+            _mm(k[rows.start - run.start:rows.stop - run.start], qt, out=s)
             s += t
             yield j, rows, s
 

@@ -1034,29 +1034,34 @@ class TestTrainStepMemory:
 
 
 def gradient_digests() -> dict[str, str]:
-    """sha256 of each gradient's bytes after the backward of the NER loss of
-    a default-config windowed-attention training step on a 6000-token
-    `synthetic_instance`."""
-    cfg = ModelConfig(mixer="windowed_attention")
-    rng = np.random.default_rng(53)
-    table = EmbeddingTable(rng.standard_normal((50, cfg.emb_dim)))
-    model = JNRF(cfg, seed=0)
-    with Tape() as tape:
-        _, lner, _ = model.instance_losses(synthetic_instance(6000, rng), table)
-    tape.backward(lner)
-    return {
-        name: hashlib.sha256(p.grad.tobytes()).hexdigest()
-        for name, p in model.params.items() if p.grad is not None
-    }
+    """sha256 of each gradient's bytes after the backward of the joint loss
+    of a default-config training step on a 6000-token `synthetic_instance`,
+    for the fnet and the windowed-attention mixer."""
+    digests = {}
+    for mixer in ("fnet", "windowed_attention"):
+        cfg = ModelConfig(mixer=mixer)
+        rng = np.random.default_rng(53)
+        table = EmbeddingTable(rng.standard_normal((50, cfg.emb_dim)))
+        model = JNRF(cfg, seed=0)
+        with Tape() as tape:
+            loss, _, lre = model.instance_losses(synthetic_instance(6000, rng), table)
+        assert lre is not None
+        tape.backward(loss)
+        digests.update({
+            f"{mixer} {name}": hashlib.sha256(p.grad.tobytes()).hexdigest()
+            for name, p in model.params.items() if p.grad is not None
+        })
+    return digests
 
 
-def test_attention_gradients_have_the_same_bytes_under_1_and_2_blas_threads():
-    """wo's gradient is summed window by window, in window order. One
-    product merged^T g over all n rows gave lm.0.wo and lm.1.wo other bytes
-    under 2 BLAS threads than under 1. The relation loss is left out: with
-    OpenBLAS's AVX-512 kernels, the relation scores' product k @ q^T over an
-    odd number of drugs has other bytes under 2 threads, and its gradient
-    reaches every weight."""
+def test_joint_gradients_have_the_same_bytes_under_1_and_2_blas_threads():
+    """Every product whose inner dimension grows with the document is summed
+    in an order that does not depend on the BLAS thread count: wo's gradient
+    window by window, and each relation score block against a contiguous
+    copy of q^T. One product merged^T g over all n rows gave lm.0.wo and
+    lm.1.wo other bytes under 2 threads than under 1, and with OpenBLAS's
+    AVX-512 kernels so did k @ q^T against the transposed view of q over an
+    odd number of drugs, which reaches every weight's gradient."""
     here = os.path.dirname(os.path.abspath(__file__))
     src = os.path.join(os.path.dirname(here), "src")
     code = (
@@ -1070,7 +1075,7 @@ def test_attention_gradients_have_the_same_bytes_under_1_and_2_blas_threads():
         ).stdout)
         for threads in ("1", "2")
     )
-    assert sorted(one) == sorted(two)
+    assert sorted(one) == sorted(two) and len(one) > 100
     assert [name for name in one if one[name] != two[name]] == []
 
 
