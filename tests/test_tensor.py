@@ -798,14 +798,14 @@ class TestRelationScoresOp:
                               Tensor(np.zeros((1, 2))), pos_l, pos_h)
 
     @pytest.mark.parametrize("l_rows, h_rows, heads, message", [
-        ([0, 1], [2], [0, 0, 0], "3 heads for 2 attribute rows"),
-        ([0, 1], [2], [1, 0], r"heads must ascend \(grouped by head\) in \[0, 2\), got \[1, 0\]"),
         ([0, 1], [2], [0, 2], r"heads must ascend \(grouped by head\) in \[0, 2\), got \[0, 2\]"),
         ([0, 1], [2], [-1, 0], r"heads must ascend \(grouped by head\) in \[0, 2\), got \[-1, 0\]"),
         ([0, 3], [2], [0, 0], "a row index lies outside x's 3 rows"),
         ([0, 1], [-1], [0, 0], "a row index lies outside x's 3 rows"),
-    ], ids=["heads", "order", "head-range", "negative-head", "attribute-row", "drug-row"])
-    def test_indices_must_agree(self, l_rows, h_rows, heads, message):
+    ], ids=["head-past-the-weights", "negative-head", "attribute-row", "drug-row"])
+    def test_indices_must_lie_in_range(self, l_rows, h_rows, heads, message):
+        """A head without weights and a row outside x are rejected, not read
+        from the far end by a negative index."""
         weights = [[Tensor(np.zeros((2, 2))), Tensor(np.zeros((2, 2))), Tensor(np.zeros((1, 2)))]] * 2
         with pytest.raises(ShapeError, match=message):
             T.relation_scores(Tensor(np.zeros((3, 2))), l_rows, h_rows, heads, weights,
