@@ -41,7 +41,8 @@ THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 def synthetic_instance(n: int, rng) -> EncodedInstance:
     """n tokens with entities of 1-3 tokens about every 8 tokens, a third of
-    them drugs, each attribute related to a random drug; token ids < 50."""
+    them drugs, each attribute related to a random drug if there is one;
+    token ids < 50."""
     spans, labels = [], np.zeros(n, dtype=np.intp)
     pos = 0
     while pos + 12 < n:
@@ -53,7 +54,7 @@ def synthetic_instance(n: int, rng) -> EncodedInstance:
         labels[pos + 1:pos + length] = bio_label(etype, False)
         pos += length
     drugs = [i for i, s in enumerate(spans) if s[2] == "Drug"]
-    relations = [(i, drugs[rng.integers(len(drugs))]) for i, s in enumerate(spans) if s[2] != "Drug"]
+    relations = [(i, drugs[rng.integers(len(drugs))]) for i, s in enumerate(spans) if s[2] != "Drug" and drugs]
     return EncodedInstance(rng.integers(0, 50, n), labels, spans, relations)
 
 

@@ -14,11 +14,19 @@ gradient, or None. Neither nodes nor backward closures hold a produced
 Tensor: each closure captures only the arrays and flags its gradient reads,
 so an output that no backward reads is freed as soon as its caller drops it.
 
+The tape alone decides which parents get a gradient: a backward returns one
+gradient per parent, in order, and the sweep drops the ones whose link is
+None (a backward that returns another number raises). No op reads its
+parents' `requires_grad`, except that `ffn` skips its input's gradient when
+the input needs none: the input MLP's input is the constant embedding, and
+that gradient would cost an n x emb_dim array and one product per row block.
+An absent relation head's weights, whose gradient is zero, get None.
+
 The sweep adds a parent's contributions out of place (adjoint + contribution
 into a new array) and never writes into an array a backward returned, so a
-backward may hand one array to two parents: `add` hands both its own g, and
-the fused `layer_norm_rows` one gradient to x and the residual. A leaf's
-`.grad` is a copy only when another leaf already holds that array.
+backward may hand one array to two parents, as `add` does and the fused
+`layer_norm_rows` does to x and the residual. A leaf's `.grad` is a copy
+only when another leaf already holds that array.
 
 A tensor may carry a row source: a function that rebuilds any block of its
 rows, bit for bit, from arrays that are kept anyway. A taped
@@ -201,10 +209,11 @@ class Tape:
 
     def backward(self, loss: Tensor):
         """Accumulate d(loss)/d(leaf) into every reachable leaf's .grad,
-        emptying the tape. Contributions are summed out of place, never
-        into an array a backward returned, so a backward may return one
-        array for two parents; nothing else names the old adjoint of a sum,
-        so it is freed at once."""
+        emptying the tape. Each backward returns one gradient per parent,
+        and a parent linked as None gets none. Contributions are summed out
+        of place, never into an array a backward returned, so a backward may
+        return one array for two parents; nothing else names the old
+        adjoint of a sum, so it is freed at once."""
         if loss.shape != (1, 1):
             raise ShapeError(f"backward seed must be 1x1, got {loss.shape}")
         if self._spent:
@@ -225,7 +234,7 @@ class Tape:
             g = adjoint.pop(serial, None)
             if g is None:
                 continue
-            for link, contrib in zip(links, backward(g)):
+            for link, contrib in zip(links, backward(g), strict=True):
                 if link is None or contrib is None:
                     continue
                 if link is _ELSEWHERE:
@@ -284,11 +293,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.cols != b.rows:
         raise ShapeError(f"matmul: inner dimensions disagree: {a.shape} x {b.shape}")
     out = Tensor(_mm(a.data, b.data))
-    ra, rb = a.requires_grad, b.requires_grad
-    ad, bd = a.data if rb else None, b.data if ra else None
+    ad, bd = a.data, b.data
 
     def backward(g):
-        return _mm(g, bd.T) if ra else None, _mm(ad.T, g) if rb else None
+        return _mm(g, bd.T), _mm(ad.T, g)
 
     return _record(out, (a, b), backward)
 
@@ -308,10 +316,9 @@ def _same_shape(op: str, a: Tensor, b: Tensor):
 def add(a: Tensor, b: Tensor) -> Tensor:
     _same_shape("add", a, b)
     out = Tensor(a.data + b.data)
-    ra, rb = a.requires_grad, b.requires_grad
 
     def backward(g):
-        return g if ra else None, g if rb else None
+        return g, g
 
     return _record(out, (a, b), backward)
 
@@ -404,8 +411,7 @@ def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     for rows, part in blocks:
         run(x.data[rows], h[part], y[rows])
 
-    rx, rw1, rb1, rw2, rb2 = (p.requires_grad for p in parents)
-    inner = rx or rw1 or rb1  # whether gradient goes below the gelu
+    rx = x.requires_grad  # False on the input MLP's constant embedding: no n x emb_dim gradient
     x_rows = _row_source(x)
     x_shape, w1_shape, w2_shape = x.shape, w1.shape, w2.shape
 
@@ -426,26 +432,19 @@ def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
 
     def backward(g):
         gx = np.empty(x_shape) if rx else None
-        gw1 = np.zeros(w1_shape) if rw1 else None
-        gb1 = np.zeros((1, hidden)) if rb1 else None
-        gw2 = np.zeros(w2_shape) if rw2 else None
+        gw1, gb1, gw2 = np.zeros(w1_shape), np.zeros((1, hidden)), np.zeros(w2_shape)
         h = np.empty((min(n, _BLOCK), hidden))
         xbuf = np.empty((min(n, _BLOCK), x_shape[1]))  # a rebuilt block of x
         for rows, part in blocks:
             xb, hb, gr = x_rows(rows, xbuf[part]), h[part], g[rows]
-            dh = _gelu(pre(xb, hb), hb, derivative=inner)
-            if rw2:
-                gw2 += _mm(hb.T, gr)
-            if inner:
-                dh *= _mm(gr, w2d.T)
-                if rx:
-                    _mm(dh, w1d.T, out=gx[rows])
-                if rw1:
-                    gw1 += _mm(xb.T, dh)
-                if rb1:
-                    gb1 += dh.sum(axis=0, keepdims=True)
-        gb2 = g.sum(axis=0, keepdims=True) if rb2 else None
-        return gx, gw1, gb1, gw2, gb2
+            dh = _gelu(pre(xb, hb), hb, derivative=True)
+            gw2 += _mm(hb.T, gr)
+            dh *= _mm(gr, w2d.T)
+            if rx:
+                _mm(dh, w1d.T, out=gx[rows])
+            gw1 += _mm(xb.T, dh)
+            gb1 += dh.sum(axis=0, keepdims=True)
+        return gx, gw1, gb1, gw2, g.sum(axis=0, keepdims=True)
 
     return _record(Tensor(y, source=source), parents, backward)
 
@@ -583,13 +582,11 @@ def windowed_attention(
         for _ in query_blocks(rows.start, q, k, v, merged, ebuf, saved=False):
             pass  # the forward needs only the merged rows
         _mm(merged[part], wod, out=y[rows])
-    rx, rwq, rwk, rwv, rwo = (t.requires_grad for t in parents)
     x_rows = _row_source(x)
 
     def backward(g):
-        gx = np.empty((n, d)) if rx else None
-        gwq, gwk, gwv = (np.zeros((d, m)) if r else None for r in (rwq, rwk, rwv))
-        gwo = np.zeros(wod.shape) if rwo else None
+        gx, gwo = np.empty((n, d)), np.zeros(wod.shape)
+        gwq, gwk, gwv = (np.zeros((d, m)) for _ in range(3))
         xbuf = np.empty((min(n, window), d))
         merged, ebuf = buffers()
         dbuf = np.empty_like(ebuf)  # one block's d loss / d (q k^T)
@@ -610,15 +607,13 @@ def windowed_attention(
                 _mm(gs, k[:, cols], out=gq[b, cols])
                 gk[:, cols] += _mm(gs.T, q[b, cols])
             gq *= s
-            if rx:
-                gxr = _mm(gq, wqd.T, out=gx[rows])
-                gxr += _mm(gk, wkd.T)
-                gxr += _mm(gv, wvd.T)
-            for gw, gp in ((gwq, gq), (gwk, gk), (gwv, gv)):
-                if gw is not None:
-                    gw += _mm(xr.T, gp)
-            if rwo:
-                gwo += _mm(merged[part].T, gr)
+            gxr = _mm(gq, wqd.T, out=gx[rows])
+            gxr += _mm(gk, wkd.T)
+            gxr += _mm(gv, wvd.T)
+            gwq += _mm(xr.T, gq)
+            gwk += _mm(xr.T, gk)
+            gwv += _mm(xr.T, gv)
+            gwo += _mm(merged[part].T, gr)
         return gx, gwq, gwk, gwv, gwo
 
     return _record(Tensor(y), parents, backward)
@@ -644,6 +639,7 @@ def layer_norm_rows(x: Tensor, gain: Tensor, bias: Tensor, residual: Tensor | No
     keep = _recording(parents)
     n, d = x.shape
     blocks = _row_blocks(n)
+    gd, bd, n_parents = gain.data, bias.data, len(parents)
     xh = np.empty((n, d) if keep else (min(n, _BLOCK), d))
     inv = np.empty((n, 1))
     y = np.empty((n, d))
@@ -657,47 +653,33 @@ def layer_norm_rows(x: Tensor, gain: Tensor, bias: Tensor, residual: Tensor | No
         np.square(xb, out=yb)
         inv[rows] = 1.0 / np.sqrt(yb.mean(axis=1, keepdims=True) + _LN_EPS)
         xb *= inv[rows]
-        np.multiply(xb, gain.data, out=yb)
-        yb += bias.data
+        np.multiply(xb, gd, out=yb)
+        yb += bd
 
     source = None
     if keep:
-        gd, bd = gain.data, bias.data
 
         def source(rows, out):
             np.multiply(xh[rows], gd, out=out)
             out += bd
             return out
 
-    rx, rgain, rbias = x.requires_grad, gain.requires_grad, bias.requires_grad
-    fused = residual is not None
-    rres = fused and residual.requires_grad
-    gaind = gain.data if rx or rres else None
-
     def backward(g):
-        ggain = np.zeros((1, d)) if rgain else None
-        gbias = np.zeros((1, d)) if rbias else None
-        gx = np.empty((n, d)) if rx or rres else None
+        ggain, gbias, gx = np.zeros((1, d)), np.zeros((1, d)), np.empty((n, d))
         for rows, _ in blocks:
-            gr, xb = g[rows], xh[rows]
+            gr, xb, gxb = g[rows], xh[rows], gx[rows]
             tmp = gr * xb
-            if rgain:
-                ggain += tmp.sum(axis=0, keepdims=True)
-            if rbias:
-                gbias += gr.sum(axis=0, keepdims=True)
-            if gx is not None:
-                gxb = gx[rows]
-                np.multiply(gr, gaind, out=gxb)
-                m1 = gxb.mean(axis=1, keepdims=True)
-                np.multiply(gxb, xb, out=tmp)
-                m2 = tmp.mean(axis=1, keepdims=True)
-                gxb -= m1
-                np.multiply(xb, m2, out=tmp)
-                gxb -= tmp
-                gxb *= inv[rows]
-        if not fused:
-            return gx, ggain, gbias
-        return gx, ggain, gbias, gx
+            ggain += tmp.sum(axis=0, keepdims=True)
+            gbias += gr.sum(axis=0, keepdims=True)
+            np.multiply(gr, gd, out=gxb)
+            m1 = gxb.mean(axis=1, keepdims=True)
+            np.multiply(gxb, xb, out=tmp)
+            m2 = tmp.mean(axis=1, keepdims=True)
+            gxb -= m1
+            np.multiply(xb, m2, out=tmp)
+            gxb -= tmp
+            gxb *= inv[rows]
+        return (gx, ggain, gbias, gx)[:n_parents]  # x and the residual share gx
 
     return _record(Tensor(y, source=source), parents, backward)
 
@@ -719,15 +701,13 @@ def pick_rows(x: Tensor, indices) -> Tensor:
 
 def _distances(pos_l, pos_h):
     """The function (rows, buffer) -> |pos_l[rows] - pos_h|, the token
-    distances D of those attributes to every drug, written into the buffer.
-    D's signed form pos_l[i] - pos_h[j] is the product [pos_l, 1] @ [1, -pos_h]:
-    one BLAS call per row block, exact since the positions are integers
-    (below 2**53) and every product and sum is one of integers."""
-    left = np.stack([np.asarray(pos_l, dtype=np.float64), np.ones(len(pos_l))], axis=1)
-    right = np.stack([np.ones(len(pos_h)), -np.asarray(pos_h, dtype=np.float64)])
+    distances D of those attributes to every drug, written into the buffer:
+    exact, since the positions are integers below 2**53."""
+    left = np.asarray(pos_l, dtype=np.float64)[:, None]
+    right = np.asarray(pos_h, dtype=np.float64)
 
     def distances(rows, buffer):
-        return np.abs(np.matmul(left[rows], right, out=buffer), out=buffer)
+        return np.abs(np.subtract(left[rows], right, out=buffer), out=buffer)
 
     return distances
 

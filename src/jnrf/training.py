@@ -43,13 +43,13 @@ EPS = 1e-8
 class AdamState:
     """First/second moment estimates per parameter plus the step count."""
 
-    lr: float = 1e-3
+    lr: float
     step_count: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
 
     @classmethod
-    def for_params(cls, params: Params, lr: float = 1e-3) -> "AdamState":
+    def for_params(cls, params: Params, lr: float) -> "AdamState":
         state = cls(lr=lr)
         for name, p in params.items():
             state.m[name] = np.zeros(p.shape)

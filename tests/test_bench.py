@@ -4,6 +4,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
+from jnrf.bench import synthetic_instance
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
@@ -32,3 +36,18 @@ def test_a_tiny_run_writes_every_key(tmp_path):
         memory = [cell["train"][f"{key}_units"] for key in ("live", "forward_peak", "backward_peak")]
         live, forward_peak, backward_peak = memory
         assert 0 < live <= forward_peak and live <= backward_peak, memory
+
+
+def test_every_short_instance_builds():
+    """At seed 1, lengths 13 to 21 draw an attribute and no drug: such an
+    instance builds with no relation. Every relation joins an attribute to
+    a drug."""
+    drugless = 0
+    for n in range(1, 65):
+        inst = synthetic_instance(n, np.random.default_rng(1))
+        types = [etype for _, _, etype in inst.spans]
+        assert len(inst.ids) == len(inst.labels) == n
+        drugless += "Drug" not in types and len(types) > 0
+        for attr, drug in inst.relations:
+            assert types[drug] == "Drug" and types[attr] != "Drug", (n, attr, drug)
+    assert drugless > 0

@@ -1039,3 +1039,74 @@ class TestTapeSemantics:
             runs.append((loss.item(), xt.grad.copy()))
         assert runs[0][0] == runs[1][0]
         assert np.array_equal(runs[0][1], runs[1][1])
+
+    def test_a_backward_returns_one_gradient_per_parent(self):
+        a, b = (Tensor(np.ones((2, 3)), requires_grad=True) for _ in range(2))
+        with Tape() as tape:
+            loss = sum_all(T._record(Tensor(a.data + b.data), (a, b), lambda g: (g,)))
+        with pytest.raises(ValueError, match="zip"):
+            tape.backward(loss)
+        assert a.grad is None and b.grad is None
+
+
+def _filter_operands():
+    """name -> (op on the parents, the parents' arrays) for each op with more
+    than one parent."""
+    rng = np.random.default_rng(60)
+
+    def arrays(*shapes):
+        return [rng.standard_normal(s) for s in shapes]
+
+    l_rows, h_rows, heads, pos_l, pos_h = [0, 4, 2], [1, 4], [0, 1, 1], [2, 9, 5], [0, 7]
+
+    def relation_scores(x, *rest):
+        weights, alpha = [rest[:3], rest[3:6]], rest[6]
+        return T.relation_scores(x, l_rows, h_rows, heads, weights, alpha, pos_l, pos_h)
+
+    return {
+        "add": (T.add, arrays((3, 4), (3, 4))),
+        "matmul": (T.matmul, arrays((3, 4), (4, 2))),
+        "ffn": (T.ffn, arrays((5, 4), (4, 6), (1, 6), (6, 3), (1, 3))),
+        "windowed_attention": (
+            lambda *ts: T.windowed_attention(*ts, window=3, n_heads=2),
+            arrays((7, 4), (4, 4), (4, 4), (4, 4), (4, 5)),
+        ),
+        "layer_norm_rows": (T.layer_norm_rows, arrays((5, 4), (1, 4), (1, 4))),
+        "layer_norm_rows_residual": (
+            lambda x, gain, bias, r: T.layer_norm_rows(x, gain, bias, residual=r),
+            arrays((5, 4), (1, 4), (1, 4), (5, 4)),
+        ),
+        "relation_scores": (relation_scores, arrays((6, 4), (4, 3), (4, 3), (1, 3), (4, 3), (4, 3), (1, 3), (2, 2))),
+    }
+
+
+FILTER_OPERANDS = _filter_operands()
+
+
+class TestTapeFilter:
+    """A parent that needs no gradient gets none, and every other parent the
+    same bytes as when all of them need one: the tape drops the gradient,
+    whatever the op computes."""
+
+    @staticmethod
+    def grads(name, frozen=None):
+        op, arrays = FILTER_OPERANDS[name]
+        parents = [Tensor(a, requires_grad=i != frozen) for i, a in enumerate(arrays)]
+        with Tape() as tape:
+            out = op(*parents)
+            c = Tensor(np.random.default_rng(61).standard_normal(out.shape))
+            loss = sum_all(mul(out, c))
+        tape.backward(loss)
+        return [p.grad for p in parents]
+
+    @pytest.mark.parametrize(
+        "name, frozen", [(name, i) for name, (_, arrays) in FILTER_OPERANDS.items() for i in range(len(arrays))]
+    )
+    def test_a_parent_without_requires_grad_gets_none(self, name, frozen):
+        every = self.grads(name)
+        got = self.grads(name, frozen)
+        assert all(g is not None for g in every)
+        assert got[frozen] is None
+        for i, (want, g) in enumerate(zip(every, got)):
+            if i != frozen:
+                assert g.tobytes() == want.tobytes(), i

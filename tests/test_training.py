@@ -35,7 +35,7 @@ class TestAdamStep:
         params = Params()
         params.add("a", np.ones((1, 2)))
         params.add("b", np.ones((2, 2)))
-        state = AdamState.for_params(params)
+        state = AdamState.for_params(params, lr=1e-3)
         params["a"].grad = np.full((1, 2), 0.5)
         grad = np.zeros((2, 2))
         grad[1, 0] = bad

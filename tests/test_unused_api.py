@@ -66,3 +66,24 @@ def test_every_tensor_op_is_called_in_the_package():
                 used.add(node.attr)
     assert len(ops) == 12
     assert [op for op in ops if op not in used] == TENSOR_OPS_UNCALLED
+
+
+# The tape alone decides which parents get a gradient (`Tape._link` drops a
+# leaf that needs none), so an op's backward returns one for every parent.
+# `ffn` is the one exception: it skips its input's gradient when the input,
+# the input MLP's constant embedding, needs none.
+READS_REQUIRES_GRAD = ["Tensor", "Tape", "_recording", "ffn"]
+
+
+def test_only_the_tape_and_ffn_read_requires_grad():
+    tensor = ROOT / "src" / "jnrf" / "tensor.py"
+    readers = [
+        node.name
+        for node in ast.parse(tensor.read_text(encoding="utf-8")).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and any(
+            isinstance(sub, ast.Attribute) and sub.attr == "requires_grad" and isinstance(sub.ctx, ast.Load)
+            for sub in ast.walk(node)
+        )
+    ]
+    assert [name for name in readers if name not in READS_REQUIRES_GRAD] == []
