@@ -206,12 +206,13 @@ def render_ann(entities, relations) -> str:
 def load_brat_file(txt_path: str) -> Document:
     """The .txt/.ann pair at one stem, with the stem as doc id; a parse
     error names the .ann file. The text is read as written, line ends and
-    all, since standoff offsets count its characters."""
+    all, since standoff offsets count its characters; the .ann drops a byte
+    order mark, which would otherwise hide its first line's tag."""
     stem = os.path.splitext(txt_path)[0]
     ann_path = stem + ".ann"
     with open(txt_path, encoding="utf-8", newline="") as f:
         text = f.read()
-    with open(ann_path, encoding="utf-8") as f:
+    with open(ann_path, encoding="utf-8-sig") as f:
         ann = f.read()
     try:
         return parse_brat(text, ann, os.path.basename(stem))

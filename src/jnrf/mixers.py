@@ -1,20 +1,25 @@
-"""Pluggable token-mixing layers sharing one residual + LayerNorm skeleton.
+"""The weight-shared language model: `shared_lm` runs one residual
+skeleton for every mixer, block after block,
 
-fnet_block:   h = LN(x + fourier_mix(x));  out = LN(h + FFN(h))
-mlp_block:    h = LN(x);                   out = LN(h + FFN(h))
-windowed_attention_block: fourier_mix replaced by scaled dot-product
-self-attention applied independently per non-overlapping window; no token
-attends across a window boundary, and window = n is exactly full attention.
-The attention is one tape node per block (`T.windowed_attention`): it saves
-x's row source and each row's softmax max and sum per head, and backward
-recomputes each window's q, k and v projections, its exponentials and its
-merged heads instead of keeping them. The FFN's input and every block's
-input, the first block's too, carry a row source: the first block's input
-is the input MLP's output, an ffn's, and every other input a layer norm's.
-So the nodes that read them again in backward rebuild their rows, from the
-layer norm's saved rows or by running the input MLP again on the
-embedding, instead of keeping a copy. Each mixer's output goes straight
-into the layer norm as its residual, so it is freed when that returns.
+    x = LN1(x + mix(x))        (LN1(x) for the mlp mixer)
+    x = LN2(x + FFN(x))
+
+and rebinding x frees each block's input as soon as the first layer norm
+returns. `fnet_block` mixes with the Fourier transform and
+`windowed_attention_block` with scaled dot-product self-attention applied
+independently per non-overlapping window; no token attends across a window
+boundary, and window = n is exactly full attention. Both are the mix
+sublayer alone. The attention is one tape node per block
+(`T.windowed_attention`): it saves x's row source and each row's softmax
+max and sum per head, and backward recomputes each window's q, k and v
+projections, its exponentials and its merged heads instead of keeping
+them. The FFN's input and every block's input, the first block's too,
+carry a row source: the first block's input is the input MLP's output, an
+ffn's, and every other input a layer norm's. So the nodes that read them
+again in backward rebuild their rows, from the layer norm's saved rows or
+by running the input MLP again on the embedding, instead of keeping a
+copy. Each mixer's and FFN's output goes straight into its layer norm as
+the residual, so it is freed when that returns.
 
 The Fourier sublayer contributes no trainable parameters; each block trains
 only its two LayerNorms and the FFN (plus q/k/v/o projections for the
@@ -51,35 +56,22 @@ def ffn(x: Tensor, params: Params, prefix: str) -> Tensor:
     )
 
 
-def _ffn_sublayer(h: Tensor, params: Params, p: str) -> Tensor:
-    return T.layer_norm_rows(
-        h, params[f"{p}.ln2.g"], params[f"{p}.ln2.b"], residual=ffn(h, params, f"{p}.ffn")
-    )
-
-
 def fnet_block(x: Tensor, params: Params, prefix: str) -> Tensor:
-    h = T.layer_norm_rows(
+    return T.layer_norm_rows(
         x, params[f"{prefix}.ln1.g"], params[f"{prefix}.ln1.b"], residual=T.fourier_mix(x)
     )
-    return _ffn_sublayer(h, params, prefix)
-
-
-def mlp_mixer_block(x: Tensor, params: Params, prefix: str) -> Tensor:
-    h = T.layer_norm_rows(x, params[f"{prefix}.ln1.g"], params[f"{prefix}.ln1.b"])
-    return _ffn_sublayer(h, params, prefix)
 
 
 def windowed_attention_block(
     x: Tensor, params: Params, prefix: str, window: int, n_attn_heads: int
 ) -> Tensor:
-    h = T.layer_norm_rows(
+    return T.layer_norm_rows(
         x, params[f"{prefix}.ln1.g"], params[f"{prefix}.ln1.b"],
         residual=T.windowed_attention(
             x, params[f"{prefix}.wq"], params[f"{prefix}.wk"], params[f"{prefix}.wv"],
             params[f"{prefix}.wo"], window, n_attn_heads,
         ),
     )
-    return _ffn_sublayer(h, params, prefix)
 
 
 def shared_lm(x: Tensor, cfg: ModelConfig, params: Params) -> Tensor:
@@ -90,7 +82,10 @@ def shared_lm(x: Tensor, cfg: ModelConfig, params: Params) -> Tensor:
         if cfg.mixer == "fnet":
             x = fnet_block(x, params, p)
         elif cfg.mixer == "mlp":
-            x = mlp_mixer_block(x, params, p)
+            x = T.layer_norm_rows(x, params[f"{p}.ln1.g"], params[f"{p}.ln1.b"])
         else:  # windowed_attention; ModelConfig admits no other mixer
             x = windowed_attention_block(x, params, p, cfg.window, cfg.n_attn_heads)
+        x = T.layer_norm_rows(
+            x, params[f"{p}.ln2.g"], params[f"{p}.ln2.b"], residual=ffn(x, params, f"{p}.ffn")
+        )
     return x

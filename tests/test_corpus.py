@@ -157,6 +157,17 @@ class TestLoadBrat:
         assert doc.text == "take\r\naspirin now\r\n"
         assert [e.surface for e in doc.gold_entities] == ["aspirin"]
 
+    def test_byte_order_mark_on_the_ann_keeps_its_first_entity(self, tmp_path):
+        """A BOM read as text would make line 1's tag "\\ufeffT1", a line
+        that is skipped, and then R1's reference to T1 dangles."""
+        (tmp_path / "d.txt").write_text("take aspirin 50 mg", encoding="utf-8")
+        ann = "T1\tDrug 5 12\taspirin\nT2\tStrength 13 18\t50 mg\nR1\tStrength-Drug Arg1:T2 Arg2:T1\n"
+        (tmp_path / "d.ann").write_text(ann, encoding="utf-8-sig")
+        doc = load_brat_file(str(tmp_path / "d.txt"))
+        assert [e.surface for e in doc.gold_entities] == ["aspirin", "50 mg"]
+        (rel,) = doc.gold_relations
+        assert (rel.arg1.surface, rel.arg2.surface) == ("50 mg", "aspirin")
+
     def test_empty_dir_is_named(self, tmp_path):
         (tmp_path / "a.ann").write_text("", encoding="utf-8")
         with pytest.raises(BratParseError, match=rf"^no \.txt documents under {re.escape(str(tmp_path))}$"):

@@ -1,5 +1,6 @@
 import gc
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,21 +8,17 @@ import pytest
 from jnrf import tensor as T
 from jnrf.config import ModelConfig
 from jnrf.instrument import COUNTER
-from jnrf.mixers import (
-    fnet_block,
-    init_mixer_params,
-    mlp_mixer_block,
-    shared_lm,
-    windowed_attention_block,
-)
+from jnrf.mixers import fnet_block, init_mixer_params, shared_lm
 from jnrf.params import Params
 from jnrf.tensor import Tape, Tensor
 
 from oracles import composed_windowed_attention, fd_grad, mul, rel_err, sum_all
 
 
-def make_params(kind="fnet", n_blocks=1, d=8, ffn=12, heads=1, seed=0):
-    cfg = ModelConfig(mixer=kind, n_blocks=n_blocks, d_model=d, ffn_hidden=ffn, n_attn_heads=heads)
+def make_params(kind="fnet", n_blocks=1, d=8, ffn=12, heads=1, seed=0, window=512):
+    cfg = ModelConfig(
+        mixer=kind, n_blocks=n_blocks, d_model=d, ffn_hidden=ffn, n_attn_heads=heads, window=window
+    )
     params = Params()
     init_mixer_params(params, cfg, np.random.default_rng(seed))
     return cfg, params
@@ -41,16 +38,17 @@ def test_fnet_block_length_one():
     assert np.all(np.isfinite(out.data))
 
 
-def _block_grad_check(block_fn, kind, tol=1e-5, n=9, d=8, seed=2, **kw):
-    heads = {"heads": kw["n_attn_heads"]} if "n_attn_heads" in kw else {}
-    cfg, params = make_params(kind=kind, d=d, seed=seed, **heads)
+def _block_grad_check(kind, tol=1e-5, n=9, d=8, seed=2, **kw):
+    """A one-block shared_lm, mix and FFN sublayers both, against finite
+    differences for its input and every parameter."""
+    cfg, params = make_params(kind=kind, d=d, seed=seed, **kw)
     rng = np.random.default_rng(seed + 1)
     x = rng.standard_normal((n, d))
     w = rng.standard_normal((n, d))
     xt = Tensor(x, requires_grad=True)
 
     def run():
-        return sum_all(mul(block_fn(xt, params, "lm.0", **kw), Tensor(w)))
+        return sum_all(mul(shared_lm(xt, cfg, params), Tensor(w)))
 
     with Tape() as tape:
         loss = run()
@@ -78,33 +76,31 @@ def _block_grad_check(block_fn, kind, tol=1e-5, n=9, d=8, seed=2, **kw):
 
 
 def test_fnet_block_gradients():
-    _block_grad_check(fnet_block, "fnet")
+    _block_grad_check("fnet")
 
 
 def test_mlp_block_gradients():
-    _block_grad_check(mlp_mixer_block, "mlp")
+    _block_grad_check("mlp")
 
 
 def test_attention_block_gradients():
-    _block_grad_check(
-        windowed_attention_block, "windowed_attention", n=6, window=4, n_attn_heads=2
-    )
+    _block_grad_check("windowed_attention", n=6, window=4, heads=2)
 
 
 class TestMlpMixer:
     def test_permutation_equivariance(self):
-        _, params = make_params(kind="mlp")
+        cfg, params = make_params(kind="mlp")
         rng = np.random.default_rng(3)
         x = rng.standard_normal((7, 8))
         perm = rng.permutation(7)
-        out = mlp_mixer_block(Tensor(x), params, "lm.0")
-        out_p = mlp_mixer_block(Tensor(x[perm]), params, "lm.0")
+        out = shared_lm(Tensor(x), cfg, params)
+        out_p = shared_lm(Tensor(x[perm]), cfg, params)
         np.testing.assert_allclose(out_p.data, out.data[perm], atol=1e-12)
 
     def test_duplicate_rows_stay_duplicates(self):
-        _, params = make_params(kind="mlp")
+        cfg, params = make_params(kind="mlp")
         row = np.random.default_rng(4).standard_normal(8)
-        out = mlp_mixer_block(Tensor(np.stack([row, row, row])), params, "lm.0")
+        out = shared_lm(Tensor(np.stack([row, row, row])), cfg, params)
         np.testing.assert_array_equal(out.data[0], out.data[1])
         np.testing.assert_array_equal(out.data[1], out.data[2])
 
@@ -124,7 +120,8 @@ def _full_attention(x, wq, wk, wv, wo, n_heads):
 
 
 def _full_attention_oracle(x, params, p, n_heads):
-    """Single-window attention block recomputed with plain numpy."""
+    """A one-block attention shared_lm over a single window, mix and FFN
+    sublayers, recomputed with plain numpy."""
     mixed = _full_attention(x, *(params[f"{p}.{w}"].data for w in ("wq", "wk", "wv", "wo")), n_heads)
 
     def ln(z, g, b):
@@ -141,36 +138,36 @@ def _full_attention_oracle(x, params, p, n_heads):
 
 class TestWindowedAttention:
     def test_single_window_is_full_attention(self):
-        _, params = make_params(kind="windowed_attention", heads=2)
+        cfg, params = make_params(kind="windowed_attention", heads=2)
         rng = np.random.default_rng(5)
         x = rng.standard_normal((6, 8))
         want = _full_attention_oracle(x, params, "lm.0", 2)
         for window in (6, 100):
-            got = windowed_attention_block(Tensor(x), params, "lm.0", window, 2)
+            got = shared_lm(Tensor(x), replace(cfg, window=window), params)
             assert np.max(np.abs(got.data - want)) < 1e-9
 
     def test_boundary_isolation(self):
-        _, params = make_params(kind="windowed_attention")
-        rng = np.random.default_rng(6)
         window = 4
+        cfg, params = make_params(kind="windowed_attention", window=window)
+        rng = np.random.default_rng(6)
         x = rng.standard_normal((10, 8))
-        base = windowed_attention_block(Tensor(x), params, "lm.0", window, 1).data
+        base = shared_lm(Tensor(x), cfg, params).data
         bumped = x.copy()
         bumped[0] += 10.0
-        out = windowed_attention_block(Tensor(bumped), params, "lm.0", window, 1).data
+        out = shared_lm(Tensor(bumped), cfg, params).data
         # tokens 0..3 share token 0's window and may move; 4.. must not
         assert np.max(np.abs(out[window:] - base[window:])) == 0.0
         assert np.max(np.abs(out[:window] - base[:window])) > 0.0
 
     def test_segmentation_counts(self):
         # n=1030 at window 512 -> segments of 512, 512 and 6
-        _, params = make_params(kind="windowed_attention")
+        cfg, params = make_params(kind="windowed_attention")
         rng = np.random.default_rng(7)
         x = rng.standard_normal((1030, 8))
-        base = windowed_attention_block(Tensor(x), params, "lm.0", 512, 1).data
+        base = shared_lm(Tensor(x), cfg, params).data
         bumped = x.copy()
         bumped[1024] += 5.0
-        out = windowed_attention_block(Tensor(bumped), params, "lm.0", 512, 1).data
+        out = shared_lm(Tensor(bumped), cfg, params).data
         changed = np.where(np.abs(out - base).max(axis=1) > 0)[0]
         assert changed.min() >= 1024 and changed.max() <= 1029
 
@@ -302,12 +299,12 @@ class TestWindowedAttentionOp:
             assert units <= bound, f"window {window}: peak {units:.2f} units"
 
     def test_block_node_count_does_not_grow_with_n(self):
-        _, params = make_params(kind="windowed_attention", heads=2)
+        cfg, params = make_params(kind="windowed_attention", heads=2, window=WINDOW)
         counts = []
         for n in (1, WINDOW, 9 * WINDOW + 1):
             xt = Tensor(np.random.default_rng(n).standard_normal((n, 8)), requires_grad=True)
             with Tape() as tape:
-                windowed_attention_block(xt, params, "lm.0", WINDOW, 2)
+                shared_lm(xt, cfg, params)
             counts.append(len(tape.nodes))
         assert counts == [4, 4, 4]  # attention, two layer norms, ffn
 
