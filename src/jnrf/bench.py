@@ -1,19 +1,19 @@
-"""Train-step and prediction cost of attention by document length.
+"""Train-step and prediction cost of every mixer by document length.
 
     python -m jnrf.bench [--lengths 2048 4096 8192] [--repeats 5] [--out PATH]
 
-For each length n, one cell runs the default-config windowed-attention
-model at window 512 and one at window = n, full attention, on
-`synthetic_instance(n)`. Each cell runs in a fresh process, so its
-ru_maxrss is its own: `predict_instance` first, then one training step
-(forward and backward, no Adam), each `--repeats` times, with the median
-and quartiles of each time and ru_maxrss after each phase. The training
-step's reading is the process's peak, which includes prediction's. Once
-that is read, one more, untimed training step is traced with tracemalloc
-(`step_memory`), in units of one n x d_model float64 array. The result goes
-to BENCH_attention.json at the repository root, with the BLAS build and the
-BLAS thread variables the cells ran under; a variable that is not set runs
-as "1", one thread.
+For each length n, four cells run the default-config model on
+`synthetic_instance(n)`: `fnet` and `mlp`, whose window is null since they
+have none, and windowed attention at window 512 and at window = n, full
+attention. Each cell runs in a fresh process, so its ru_maxrss is its own:
+`predict_instance` first, then one training step (forward and backward, no
+Adam), each `--repeats` times, with the median and quartiles of each time
+and ru_maxrss after each phase. The training step's reading is the
+process's peak, which includes prediction's. Once that is read, one more,
+untimed training step is traced with tracemalloc (`step_memory`), in units
+of one n x d_model float64 array. The result goes to BENCH_scaling.json at
+the repository root, with the BLAS build and the BLAS thread variables the
+cells ran under; a variable that is not set runs as "1", one thread.
 """
 
 import argparse
@@ -35,7 +35,7 @@ from .embedding import EmbeddingTable
 from .model import JNRF, EncodedInstance, ModelConfig
 from .tensor import Tape
 
-OUT = Path(__file__).resolve().parents[2] / "BENCH_attention.json"
+OUT = Path(__file__).resolve().parents[2] / "BENCH_scaling.json"
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -89,11 +89,11 @@ def step_memory(model: JNRF, inst: EncodedInstance, table: EmbeddingTable) -> di
     }
 
 
-def run_cell(mixer: str, n: int, window: int, repeats: int) -> dict:
+def run_cell(mixer: str, n: int, window: int | None, repeats: int) -> dict:
     """One cell in this process: each phase's times in seconds and this
     process's ru_maxrss in MB once the phase is done, then the training
-    step's `step_memory`."""
-    cfg = ModelConfig(mixer=mixer, window=window)
+    step's `step_memory`. `window` is None for a mixer without one."""
+    cfg = ModelConfig(mixer=mixer) if window is None else ModelConfig(mixer=mixer, window=window)
     rng = np.random.default_rng(1)
     inst = synthetic_instance(n, rng)
     table = EmbeddingTable(rng.standard_normal((50, cfg.emb_dim)))
@@ -124,17 +124,18 @@ def main(argv=None) -> int:
     ap.add_argument("--repeats", type=int, default=5)
     ap.add_argument("--out", type=Path, default=OUT)
     ap.add_argument("--cell", nargs=3, metavar=("MIXER", "N", "WINDOW"),
-                    help="run one cell in this process and print it as JSON")
+                    help="run one cell in this process and print it as JSON (WINDOW null for fnet and mlp)")
     args = ap.parse_args(argv)
     if args.cell:
         mixer, n, window = args.cell
-        print(json.dumps(run_cell(mixer, int(n), int(window), args.repeats)))
+        print(json.dumps(run_cell(mixer, int(n), json.loads(window), args.repeats)))
         return 0
     threads = {v: os.environ.get(v, "1") for v in THREAD_VARS}
     cells = []
     for n in args.lengths:
-        for window in (512, n):
-            cell = ["windowed_attention", str(n), str(window)]
+        for mixer, window in (("fnet", None), ("mlp", None),
+                              ("windowed_attention", 512), ("windowed_attention", n)):
+            cell = [mixer, str(n), json.dumps(window)]
             print("cell", *cell, file=sys.stderr, flush=True)
             done = subprocess.run(
                 [sys.executable, "-m", "jnrf.bench", "--cell", *cell, "--repeats", str(args.repeats)],

@@ -20,6 +20,7 @@ sentence is one bisect on a list of sentence ends built once per document.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import defaultdict
 from dataclasses import dataclass, field
 from operator import attrgetter
 
@@ -107,10 +108,14 @@ def _greedy_match(pred, gold, order, type_of, same) -> dict[str, MatchCounts]:
     an item leaves it from the middle in O(1). After the sort, the work is
     linear in P + G: each item is dropped or taken once, and a walk ends at
     one item. Relations add a rescan of the gold items whose first argument
-    overlaps but whose other fields `same` rejects."""
-    open_gold: dict[str, list] = {}
+    overlaps but whose other fields `same` rejects.
+
+    A type's list, sweep and counts are built when its first item arrives,
+    not once per item; a prediction of a type with no gold item is a false
+    positive with no walk."""
+    open_gold: dict[str, list] = defaultdict(list)
     for g in sorted(gold, key=order):
-        open_gold.setdefault(type_of(g), []).append(g)
+        open_gold[type_of(g)].append(g)
     sweeps, counts = {}, {}
     for t, items in open_gold.items():
         keys = [order(g) for g in items]
@@ -121,8 +126,14 @@ def _greedy_match(pred, gold, order, type_of, same) -> dict[str, MatchCounts]:
         counts[t] = MatchCounts(fn=len(items))
     for p in sorted(pred, key=order):
         t = type_of(p)
-        c = counts.setdefault(t, MatchCounts())
-        items, starts, ends, link = sweeps.setdefault(t, ([], [], [], [0]))
+        if t not in sweeps:  # no gold item of this type
+            if t in counts:
+                counts[t].fp += 1
+            else:
+                counts[t] = MatchCounts(fp=1)
+            continue
+        c = counts[t]
+        items, starts, ends, link = sweeps[t]
         lo, hi = order(p)[:2]
         n = len(items)
         prev, i = n, link[n]
@@ -234,7 +245,7 @@ def build_report(pred_docs: list[PredictedDoc], gold_docs: list[Document]) -> Ev
     report.ner_by_type = {t: MatchCounts() for t in ENTITY_TYPES}
     report.e2e_by_type = {t: MatchCounts() for t in RELATION_TYPES}
     per_doc_e2e: dict[str, MatchCounts] = {}
-    by_distance: dict[int, MatchCounts] = {}
+    by_distance: dict[int, MatchCounts] = defaultdict(MatchCounts)
 
     for doc_id, gold in sorted(golds.items()):
         pred = preds[doc_id]
@@ -244,16 +255,16 @@ def build_report(pred_docs: list[PredictedDoc], gold_docs: list[Document]) -> Ev
         report.e2e.add(doc_counts)
         # distance strata: gold relations keyed by gold distance, predictions
         # by their own distance, matched within the stratum
-        strata: dict[int, tuple[list, list]] = {}  # distance -> (pred, gold)
+        strata: dict[int, tuple[list, list]] = defaultdict(lambda: ([], []))  # distance -> (pred, gold)
         ends = sentence_ends(gold)
         for r in gold.gold_relations:
             d = sentence_distance(r, gold, ends)
-            strata.setdefault(d, ([], []))[1].append(r)
+            strata[d][1].append(r)
             report.distance_gold_counts[d] = report.distance_gold_counts.get(d, 0) + 1
         for r in pred.relations:
-            strata.setdefault(sentence_distance(r, gold, ends), ([], []))[0].append(r)
+            strata[sentence_distance(r, gold, ends)][0].append(r)
         for d, (p, g) in strata.items():
-            by_distance.setdefault(d, MatchCounts()).add(_tally(match_relations(p, g)))
+            by_distance[d].add(_tally(match_relations(p, g)))
     report.by_sentence_distance = dict(sorted(by_distance.items()))
 
     lengths = {doc_id: len(golds[doc_id]) for doc_id in golds}

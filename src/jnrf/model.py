@@ -258,16 +258,19 @@ class JNRF:
                 pooled.pos_l, pooled.pos_h)
 
     def instance_losses(self, inst: EncodedInstance, table: EmbeddingTable):
-        """(joint, ner, re) loss tensors for one document."""
+        """(joint, ner, re) loss tensors for one document. The encoder output
+        and the NER logits are dropped once their last reader has run, so
+        neither is alive while the relation head scores."""
         e2 = self.encode(inst.ids, table)
         logits = self.ner_head(e2)
         lner = ner_loss(logits, inst.labels)
-
         if self.config.train_pooling == "predicted":
             _, spans = decode_bio(logits.data)
         else:
             spans = inst.spans
+        del logits
         pooled = selective_pool(e2, spans, self.re_embed)
+        del e2
         if pooled.empty:
             return lner, lner, None
         psi = self.relation_scores(pooled)

@@ -21,12 +21,19 @@ parents' `requires_grad`, except that `ffn` skips its input's gradient when
 the input needs none: the input MLP's input is the constant embedding, and
 that gradient would cost an n x emb_dim array and one product per row block.
 An absent relation head's weights, whose gradient is zero, get None.
+A gradient is an array of the parent's shape, except `pick_rows`': its
+picked rows alone (`_RowGrad`), so that selective pooling builds no n-row
+zero array to scatter a few hundred rows into.
 
 The sweep adds a parent's contributions out of place (adjoint + contribution
 into a new array) and never writes into an array a backward returned, so a
 backward may hand one array to two parents, as `add` does and the fused
-`layer_norm_rows` does to x and the residual. A leaf's `.grad` is a copy
-only when another leaf already holds that array.
+`layer_norm_rows` does to x and the residual. A row gradient is added into
+a copy of the dense adjoint, and made dense when it reaches a leaf or is a
+node's only adjoint. Selective pooling's indices come from `np.unique`,
+so each row gets one addition and the sum has the bits of adding the
+dense gradient. A leaf's `.grad` is a copy only when another leaf already
+holds that array.
 
 A tensor may carry a row source: a function that rebuilds any block of its
 rows, bit for bit, from arrays that are kept anyway. A taped
@@ -97,6 +104,7 @@ alone, and the derivative is computed in backward.
 """
 
 import itertools
+from typing import NamedTuple
 
 import numpy as np
 
@@ -170,6 +178,32 @@ class _Serial(int):
     data = memoryview(b"")
 
 
+class _RowGrad(NamedTuple):
+    """A gradient of the given shape that is zero but on some rows: row
+    rows[i] is values[i], summed where a row repeats."""
+
+    rows: np.ndarray
+    values: np.ndarray
+    shape: tuple
+
+    def into(self, dense: np.ndarray) -> np.ndarray:
+        np.add.at(dense, self.rows, self.values)
+        return dense
+
+    def dense(self) -> np.ndarray:
+        return self.into(np.zeros(self.shape))
+
+
+def _sum(a, b) -> np.ndarray:
+    """a + b in a new array, where either may be a _RowGrad: its rows are
+    added into a copy of the other."""
+    if isinstance(b, _RowGrad):
+        a, b = b, a
+    if not isinstance(a, _RowGrad):
+        return a + b
+    return a.into(b.dense() if isinstance(b, _RowGrad) else b.copy())
+
+
 class TapeError(RuntimeError):
     """Raised on a second backward over a tape, on a loss it did not record,
     or when gradient reaches a tensor that another tape recorded."""
@@ -234,18 +268,22 @@ class Tape:
             g = adjoint.pop(serial, None)
             if g is None:
                 continue
+            if isinstance(g, _RowGrad):
+                g = g.dense()
             for link, contrib in zip(links, backward(g), strict=True):
                 if link is None or contrib is None:
                     continue
                 if link is _ELSEWHERE:
                     raise TapeError("gradient reached a tensor that another tape recorded")
                 if isinstance(link, Tensor):  # a leaf
+                    if isinstance(contrib, _RowGrad):
+                        contrib = contrib.dense()
                     if link in leaf_grads:
                         leaf_grads[link] = leaf_grads[link] + contrib
                     else:
                         leaf_grads[link] = contrib if link.grad is None else link.grad + contrib
                 elif link in adjoint:
-                    adjoint[link] = adjoint[link] + contrib
+                    adjoint[link] = _sum(adjoint[link], contrib)
                 else:
                     adjoint[link] = contrib
             contrib = None  # else the last one lives on through the next node
@@ -692,9 +730,7 @@ def pick_rows(x: Tensor, indices) -> Tensor:
     shape = x.shape
 
     def backward(g):
-        gx = np.zeros(shape)
-        np.add.at(gx, idx, g)
-        return (gx,)
+        return (_RowGrad(idx, g, shape),)
 
     return _record(out, (x,), backward)
 

@@ -12,10 +12,11 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_a_tiny_run_writes_every_key(tmp_path):
-    """`python -m jnrf.bench` on one short length: a cell at window 512 and
-    one at window = n, each from its own process, then the file. The
-    training step's memory is in n x d_model units: what is live after the
-    forward is part of both peaks."""
+    """`python -m jnrf.bench` on one short length: an `fnet` and an `mlp`
+    cell with no window, and attention cells at window 512 and at window =
+    n, each from its own process, then the file. The training step's memory
+    is in n x d_model units: what is live after the forward is part of both
+    peaks."""
     out = tmp_path / "bench.json"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
     subprocess.run(
@@ -25,9 +26,11 @@ def test_a_tiny_run_writes_every_key(tmp_path):
     record = json.loads(out.read_text())
     assert sorted(record) == ["blas", "cells", "command", "cpus", "machine", "numpy", "python", "threads"]
     assert record["blas"]["name"] and record["threads"]["OPENBLAS_NUM_THREADS"]
-    assert [(c["n"], c["window"]) for c in record["cells"]] == [(40, 512), (40, 40)]
+    assert [(c["mixer"], c["n"], c["window"]) for c in record["cells"]] == [
+        ("fnet", 40, None), ("mlp", 40, None), ("windowed_attention", 40, 512), ("windowed_attention", 40, 40),
+    ]
     for cell in record["cells"]:
-        assert cell["mixer"] == "windowed_attention" and cell["repeats"] == 2
+        assert cell["repeats"] == 2
         for phase in ("predict", "train"):
             t = cell[phase]
             assert 0 < t["q1_s"] <= t["median_s"] <= t["q3_s"]

@@ -203,6 +203,53 @@ class TestMatchingWork:
         assert calls[0] <= 2 * self.N
 
 
+class TestContainersPerKey:
+    """The matcher and the report build a type's or a stratum's containers
+    when its first item arrives, not once per item."""
+
+    def test_one_match_counts_per_type(self, monkeypatch):
+        made = []
+
+        class Counting(evaluation.MatchCounts):
+            def __init__(self, *args, **kwargs):
+                made.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(evaluation, "MatchCounts", Counting)
+        # 50 predictions of 3 types, one of which has no gold entity
+        pred = [EntitySpan(f"P{i}", TYPES[i % 3], 2 * i, 2 * i + 1) for i in range(50)]
+        gold = [EntitySpan(f"T{i}", TYPES[i % 2], 3 * i, 3 * i + 2) for i in range(20)]
+        by_type = match_entities(pred, gold)
+        assert sorted(by_type) == sorted(TYPES)
+        for t in TYPES:
+            alone = naive_entities([e for e in pred if e.etype == t], [e for e in gold if e.etype == t])
+            assert as_tuple(by_type[t]) == alone
+        assert len(made) <= len(TYPES)
+
+    def test_a_predicted_entity_of_a_type_with_no_gold_entity_is_one_false_positive(self):
+        gold = [EntitySpan("T1", "Drug", 0, 4)]
+        pred = [EntitySpan("P1", "Route", 0, 4), EntitySpan("P2", "Drug", 0, 4)]
+        by_type = match_entities(pred, gold)
+        assert as_tuple(by_type["Route"]) == (0, 1, 0) and as_tuple(by_type["Drug"]) == (1, 0, 0)
+        assert as_tuple(report_of(pred, gold).ner_by_type["Route"]) == (0, 1, 0)
+
+    def test_a_predicted_relation_at_a_distance_no_gold_relation_has(self):
+        # the gold relation is within sentence 0; the predicted one joins
+        # "oral" in sentence 2 to the drug in sentence 0, distance -2
+        doc = parse_brat(
+            "aspirin 5 mg daily. take it. oral.",
+            "T1\tDrug 0 7\taspirin\nT2\tStrength 8 12\t5 mg\nT3\tRoute 29 33\toral\n"
+            "R1\tStrength-Drug Arg1:T2 Arg2:T1\n",
+            "d",
+        )
+        prepare(doc, Vocab(["[UNK]", "aspirin", "daily", "take", "5", "mg", "oral", "."]))
+        drug, _, route = doc.gold_entities
+        pred = PredictedDoc("d", list(doc.gold_entities), [Relation("Route-Drug", route, drug)])
+        report = build_report([pred], [doc])
+        assert {d: as_tuple(c) for d, c in report.by_sentence_distance.items()} == {-2: (0, 1, 0), 0: (0, 0, 1)}
+        assert report.distance_gold_counts == {0: 1}
+
+
 class TestCountsByType:
     @HYPOTHESIS
     @given(pred=entities(), gold=entities(), pred_rels=relations(), gold_rels=relations())

@@ -654,6 +654,30 @@ class TestStructuralOps:
         w = rng.standard_normal((3, 3))
         grad_check(lambda a, c: sum_all(mul(T.pick_rows(a, [4, 0, 4]), c)), [x, w])
 
+    @pytest.mark.parametrize("readers", ["one pick", "two picks", "pick swept first", "dense swept first"])
+    def test_picked_rows_of_an_op_output(self, readers):
+        """pick_rows' gradient is its rows alone, which the sweep adds into an
+        op output's adjoint: as its only adjoint, twice, or with another
+        reader's dense gradient arriving after it or before it."""
+        rng = np.random.default_rng(10)
+        arrs = [rng.standard_normal((5, 3)), rng.standard_normal((2, 3)), rng.standard_normal((5, 3))]
+
+        def build(a, c, v):
+            h = scale(a, 3.0)
+
+            def picked(rows):
+                return sum_all(mul(T.pick_rows(h, rows), c))
+
+            if readers == "one pick":
+                return picked([1, 3])
+            if readers == "two picks":
+                return T.add(picked([0, 2]), picked([2, 4]))
+            if readers == "pick swept first":  # the sweep runs the last recorded op first
+                return T.add(sum_all(mul(h, v)), picked([4, 1]))
+            return T.add(picked([4, 1]), sum_all(mul(h, v)))
+
+        grad_check(build, arrs)
+
     # `concat_rows` and `transpose` are the windowed-attention oracle's own
     # tape ops (oracles.py); their gradients are checked here
     def test_slices_and_concat(self):
