@@ -215,7 +215,6 @@ class EvalReport:
     e2e_by_type: dict = field(default_factory=dict)
     by_length_bin: list = field(default_factory=list)  # (lo, hi, doc count, MatchCounts)
     by_sentence_distance: dict = field(default_factory=dict)
-    distance_gold_counts: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -258,9 +257,7 @@ def build_report(pred_docs: list[PredictedDoc], gold_docs: list[Document]) -> Ev
         strata: dict[int, tuple[list, list]] = defaultdict(lambda: ([], []))  # distance -> (pred, gold)
         ends = sentence_ends(gold)
         for r in gold.gold_relations:
-            d = sentence_distance(r, gold, ends)
-            strata[d][1].append(r)
-            report.distance_gold_counts[d] = report.distance_gold_counts.get(d, 0) + 1
+            strata[sentence_distance(r, gold, ends)][1].append(r)
         for r in pred.relations:
             strata[sentence_distance(r, gold, ends)][0].append(r)
         for d, (p, g) in strata.items():
@@ -314,7 +311,7 @@ def render_report_text(report: EvalReport) -> str:
     table(
         "By sentence distance",
         [
-            (str(d), c, f"gold={report.distance_gold_counts.get(d, 0)}")
+            (str(d), c, f"gold={c.tp + c.fn}")
             for d, c in sorted(report.by_sentence_distance.items())
         ],
     )

@@ -25,8 +25,8 @@ each row, the drug axis, so the model has no term that is constant along a
 row (a drug bias, a constant c_j): it would cancel.
 
 Prediction stays in arrays up to its output: `decode_bio` finds span
-boundaries with whole-array comparisons, and a predicted relation is
-(drug span index, attribute span index, head) into the decoded spans, which
+boundaries with whole-array comparisons, and a predicted relation is a
+(drug span index, attribute span index) pair into the decoded spans, which
 `predictions_to_brat` turns into standoff entities and relations.
 """
 
@@ -194,20 +194,15 @@ def re_loss(psi: Tensor, targets: tuple[np.ndarray, np.ndarray]) -> Tensor:
     return T.cross_entropy_rows(psi, *targets, nh * nl)
 
 
-def joint_loss(lner: Tensor, lre: Tensor | None) -> Tensor:
-    if lre is None:
-        return lner
-    return T.add(lner, lre)
-
-
 def predict_relations(x: Tensor, l_rows, h_rows, heads, weights, alpha: Tensor, pos_l, pos_h):
     """Forced-argmax inference on the operands of `T.relation_scores`: each
     pooled attribute (row) picks the highest-scoring drug under its own head
     (ties to the lowest index); needs at least one drug. `T.relation_argmax`
     takes each row's argmax block by block, so no (|L|, |H|) array is made.
-    Returns (drug idx in H, attr idx in L, head) triples."""
+    Returns (drug idx in H, attr idx in L) pairs; the attribute's type
+    names the relation."""
     best = T.relation_argmax(x, l_rows, h_rows, heads, weights, alpha, pos_l, pos_h)
-    return list(zip(best.tolist(), range(len(best)), np.asarray(heads).tolist()))
+    return list(zip(best.tolist(), range(len(best))))
 
 
 class JNRF:
@@ -276,12 +271,12 @@ class JNRF:
         psi = self.relation_scores(pooled)
         targets = build_relation_targets(pooled, inst.spans, inst.relations)
         lre = re_loss(psi, targets)
-        return joint_loss(lner, lre), lner, lre
+        return T.add(lner, lre), lner, lre
 
     def predict_instance(self, inst: EncodedInstance, table: EmbeddingTable):
         """Decode spans and relations with no tape; relations use predicted
         spans and forced argmax drug selection. Returns the spans and the
-        relations as (drug span index, attribute span index, head), both
+        relations as (drug span index, attribute span index) pairs, both
         indices into the spans."""
         e2 = self.encode(inst.ids, table)
         logits = self.ner_head(e2)
@@ -289,19 +284,20 @@ class JNRF:
         pooled = selective_pool(e2, spans, self.re_embed)
         if pooled.empty:
             return spans, []
-        triples = predict_relations(*self._relation_operands(pooled))
+        pairs = predict_relations(*self._relation_operands(pooled))
         drug, attr = pooled.h_index.tolist(), pooled.l_index.tolist()
-        return spans, [(drug[h], attr[l], j) for h, l, j in triples]
+        return spans, [(drug[h], attr[l]) for h, l in pairs]
 
 
 def predictions_to_brat(doc: Document, spans, relations):
     """Map token-level predictions back to character offsets as standoff
     entities/relations ready for rendering. Relations are (drug span index,
-    attribute span index, head), as `predict_instance` returns them."""
+    attribute span index) pairs, as `predict_instance` returns them; the
+    attribute's type X names the relation X-Drug."""
     starts, ends, text = doc.tokens.start, doc.tokens.end, doc.text
     entities = []
     for i, (ts, te, etype) in enumerate(spans, 1):
         start, end = starts[ts], ends[te - 1]
         entities.append(EntitySpan(f"T{i}", etype, start, end, text[start:end]))
-    rels = [Relation(RELATION_TYPES[j], entities[l], entities[h]) for h, l, j in relations]
+    rels = [Relation(f"{entities[l].etype}-Drug", entities[l], entities[h]) for h, l in relations]
     return entities, rels

@@ -25,15 +25,17 @@ A gradient is an array of the parent's shape, except `pick_rows`': its
 picked rows alone (`_RowGrad`), so that selective pooling builds no n-row
 zero array to scatter a few hundred rows into.
 
-The sweep adds a parent's contributions out of place (adjoint + contribution
-into a new array) and never writes into an array a backward returned, so a
-backward may hand one array to two parents, as `add` does and the fused
-`layer_norm_rows` does to x and the residual. A row gradient is added into
-a copy of the dense adjoint, and made dense when it reaches a leaf or is a
-node's only adjoint. Selective pooling's indices come from `np.unique`,
-so each row gets one addition and the sum has the bits of adding the
-dense gradient. A leaf's `.grad` is a copy only when another leaf already
-holds that array.
+The sweep keeps one adjoint map, keyed by a node's serial or by a leaf, and
+one helper adds every contribution into it, the loss's seed of 1 included; a
+leaf's sum starts from its `.grad`. It adds out of place (adjoint +
+contribution into a new array) and never writes into an array a backward
+returned, so a backward may hand one array to two parents, as `add` does and
+the fused `layer_norm_rows` does to x and the residual. A row gradient is
+added into a copy of the dense adjoint, and made dense (`_dense`) when its
+node runs or a leaf takes it. Selective pooling's indices come from
+`np.unique`, so each row gets one addition and the sum has the bits of
+adding the dense gradient. A leaf's `.grad` is a copy only when another leaf
+already holds that array.
 
 A tensor may carry a row source: a function that rebuilds any block of its
 rows, bit for bit, from arrays that are kept anyway. A taped
@@ -190,8 +192,10 @@ class _RowGrad(NamedTuple):
         np.add.at(dense, self.rows, self.values)
         return dense
 
-    def dense(self) -> np.ndarray:
-        return self.into(np.zeros(self.shape))
+
+def _dense(g) -> np.ndarray:
+    """g as an array: a _RowGrad's rows added into zeros, else g itself."""
+    return g.into(np.zeros(g.shape)) if isinstance(g, _RowGrad) else g
 
 
 def _sum(a, b) -> np.ndarray:
@@ -201,7 +205,7 @@ def _sum(a, b) -> np.ndarray:
         a, b = b, a
     if not isinstance(a, _RowGrad):
         return a + b
-    return a.into(b.dense() if isinstance(b, _RowGrad) else b.copy())
+    return a.into(_dense(b) if isinstance(b, _RowGrad) else b.copy())
 
 
 class TapeError(RuntimeError):
@@ -243,11 +247,12 @@ class Tape:
 
     def backward(self, loss: Tensor):
         """Accumulate d(loss)/d(leaf) into every reachable leaf's .grad,
-        emptying the tape. Each backward returns one gradient per parent,
-        and a parent linked as None gets none. Contributions are summed out
-        of place, never into an array a backward returned, so a backward may
-        return one array for two parents; nothing else names the old
-        adjoint of a sum, so it is freed at once."""
+        emptying the tape. `accumulate` puts every contribution, the loss's
+        seed of 1 included, into one adjoint map keyed by a node's serial or
+        by a leaf; a leaf's sum starts from its .grad, and a parent linked as
+        None gets none. Sums are out of place, never into an array a backward
+        returned, so a backward may return one array for two parents; nothing
+        else names the old adjoint of a sum, so it is freed at once."""
         if loss.shape != (1, 1):
             raise ShapeError(f"backward seed must be 1x1, got {loss.shape}")
         if self._spent:
@@ -255,40 +260,28 @@ class Tape:
         if loss._node is not None and loss._node[0] != self._id:
             raise TapeError("the loss was not recorded on this tape")
         self._spent = True
-        if loss._node is None:
-            if loss.requires_grad:
-                seed = np.ones((1, 1))
-                loss.grad = seed if loss.grad is None else loss.grad + seed
-            return
-        adjoint = {loss._node[1]: np.ones((1, 1))}
-        leaf_grads = {}  # leaf Tensor -> its .grad after this sweep
+        adjoint = {}
+
+        def accumulate(link, contrib):
+            if link is None or contrib is None:
+                return
+            if link is _ELSEWHERE:
+                raise TapeError("gradient reached a tensor that another tape recorded")
+            start = adjoint.get(link, link.grad if isinstance(link, Tensor) else None)
+            adjoint[link] = contrib if start is None else _sum(start, contrib)
+
+        accumulate(self._link(loss), np.ones((1, 1)))
         nodes = self.nodes
         while nodes:
             serial, links, backward = nodes.pop()
             g = adjoint.pop(serial, None)
-            if g is None:
-                continue
-            if isinstance(g, _RowGrad):
-                g = g.dense()
-            for link, contrib in zip(links, backward(g), strict=True):
-                if link is None or contrib is None:
-                    continue
-                if link is _ELSEWHERE:
-                    raise TapeError("gradient reached a tensor that another tape recorded")
-                if isinstance(link, Tensor):  # a leaf
-                    if isinstance(contrib, _RowGrad):
-                        contrib = contrib.dense()
-                    if link in leaf_grads:
-                        leaf_grads[link] = leaf_grads[link] + contrib
-                    else:
-                        leaf_grads[link] = contrib if link.grad is None else link.grad + contrib
-                elif link in adjoint:
-                    adjoint[link] = _sum(adjoint[link], contrib)
-                else:
-                    adjoint[link] = contrib
+            if g is not None:
+                for link, contrib in zip(links, backward(_dense(g)), strict=True):
+                    accumulate(link, contrib)
             contrib = None  # else the last one lives on through the next node
         held = set()  # ids of the arrays already given to a leaf
-        for leaf, grad in leaf_grads.items():
+        for leaf, grad in adjoint.items():  # leaves alone: each node popped its own
+            grad = _dense(grad)
             leaf.grad = grad.copy() if id(grad) in held else grad
             held.add(id(leaf.grad))
 
@@ -827,11 +820,12 @@ def relation_scores(x: Tensor, l_rows, h_rows, heads, weights, alpha: Tensor, po
     drugs' and attributes' rows of x alone.
 
     Backward recomputes each head's projections with the forward's calls.
-    It sums the drugs' gradient over the heads from the last down, and x's
-    gradient is the attributes' scatter plus the drugs', so a row shared by
-    a drug and an attribute gets both. An absent head's weights get no
-    gradient. Row j of alpha's gradient is the sums of g D^2 and g D over
-    head j's rows, with D recomputed for each block the loop visited."""
+    It sums the drugs' gradient over the heads from the last down, and
+    scatters the attributes' and then the drugs' rows into one x gradient,
+    so a row shared by a drug and an attribute gets both. An absent head's
+    weights get no gradient. Row j of alpha's gradient is the sums of g D^2
+    and g D over head j's rows, with D recomputed for each block the loop
+    visited."""
     l_rows, h_rows, runs = _relation_runs(x, l_rows, h_rows, heads, weights, alpha, pos_l, pos_h)
     nl, nh = len(l_rows), len(h_rows)
     xq, xk = x.data[h_rows], x.data[l_rows]
@@ -852,9 +846,9 @@ def relation_scores(x: Tensor, l_rows, h_rows, heads, weights, alpha: Tensor, po
             gw[j] = [_mm(xq.T, gqj), _mm(xk[run].T, gkj), gkj.sum(axis=0, keepdims=True)]
             _mm(gkj, wk.T, out=gk[run])
             gq += _mm(gqj, wq.T)
-        gx, gh = np.zeros(x_shape), np.zeros(x_shape)
+        gx = np.zeros(x_shape)
         np.add.at(gx, l_rows, gk)
-        np.add.at(gh, h_rows, gq)
+        np.add.at(gx, h_rows, gq)
         galpha = np.zeros((len(wd), 2))
         buffers = np.empty((2, min(nl, _SCORE_ROWS), nh))
         for j, rows in layout:
@@ -863,7 +857,7 @@ def relation_scores(x: Tensor, l_rows, h_rows, heads, weights, alpha: Tensor, po
             galpha[j, 1] += t.sum()
             t *= d
             galpha[j, 0] += t.sum()
-        return (gx + gh, *(grad for triple in gw for grad in triple), galpha)
+        return (gx, *(grad for triple in gw for grad in triple), galpha)
 
     return _record(Tensor(out), parents, backward)
 

@@ -60,6 +60,9 @@ class AdamState:
 def adam_step(params: Params, state: AdamState):
     """One bias-corrected update; grads are left as-is (caller zeroes).
 
+    The moments m and v are updated in place, and each weight takes
+    p -= lr * (m / bc1) / (sqrt(v / bc2) + eps) in that order of operations.
+
     Raises TrainingError, before touching any weight or moment, when a
     gradient holds an inf or a NaN.
     """
@@ -74,29 +77,13 @@ def adam_step(params: Params, state: AdamState):
     t = state.step_count
     bc1 = 1.0 - BETA1**t
     bc2 = 1.0 - BETA2**t
-    # two scratch arrays, as large as the largest parameter, serve every
-    # parameter in turn; each update keeps the operation order of
-    # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
-    scratch = np.empty((2, max((g.size for g in grads.values()), default=0)))
     for name, p in params.items():
-        g = grads[name]
-        m = state.m[name]
-        v = state.v[name]
-        a, b = (s[:g.size].reshape(g.shape) for s in scratch)
-        np.multiply(g, 1.0 - BETA1, out=a)
+        g, m, v = grads[name], state.m[name], state.v[name]
         m *= BETA1
-        m += a
-        np.multiply(g, 1.0 - BETA2, out=a)
-        a *= g
+        m += (1.0 - BETA1) * g
         v *= BETA2
-        v += a
-        np.divide(m, bc1, out=a)
-        a *= state.lr
-        np.divide(v, bc2, out=b)
-        np.sqrt(b, out=b)
-        b += EPS
-        a /= b
-        p.data -= a
+        v += (1.0 - BETA2) * g * g
+        p.data -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
 
 
 def _in_document(exc: Exception, doc_id: str) -> Exception:

@@ -247,7 +247,8 @@ class TestContainersPerKey:
         pred = PredictedDoc("d", list(doc.gold_entities), [Relation("Route-Drug", route, drug)])
         report = build_report([pred], [doc])
         assert {d: as_tuple(c) for d, c in report.by_sentence_distance.items()} == {-2: (0, 1, 0), 0: (0, 0, 1)}
-        assert report.distance_gold_counts == {0: 1}
+        # the rendered gold count of a stratum is its tp + fn
+        assert {d: c.tp + c.fn for d, c in report.by_sentence_distance.items()} == {-2: 0, 0: 1}
 
 
 class TestCountsByType:
@@ -302,7 +303,6 @@ class TestReordering:
         assert again.ner == report.ner and again.e2e == report.e2e
         assert again.ner_by_type == report.ner_by_type and again.e2e_by_type == report.e2e_by_type
         assert again.by_sentence_distance == report.by_sentence_distance
-        assert again.distance_gold_counts == report.distance_gold_counts
         assert again.by_length_bin == report.by_length_bin
 
 
@@ -331,7 +331,10 @@ class TestStrata:
         assert {d: as_tuple(c) for d, c in report.by_sentence_distance.items()} == {
             d: summed(parts) for d, parts in want.items()
         }
-        assert report.distance_gold_counts == dict(gold_counts)
+        # the rendered gold count of a stratum is its tp + fn
+        assert {d: c.tp + c.fn for d, c in report.by_sentence_distance.items()} == {
+            d: gold_counts[d] for d in want
+        }
 
         lengths = [len(g.tokens) for _, g in docs]
         want_bins = []
@@ -484,5 +487,7 @@ class TestRenderReportText:
             for line, (_, counts) in zip(lines[2:], rows):
                 shown = [float(line[i:i + 9]) for i in (18, 27, 36)]
                 assert shown == [round(100 * x, 2) for x in counts.prf()], line
+        # a distance row ends with its gold count, which TestStrata checks is tp + fn
+        assert [line.split()[-1] for line in sections[3][2:]] == [f"gold={c.tp + c.fn}" for _, c in want_rows[3]]
         # the rows above are not all trivially 0 or 100
         assert 0 < report.ner.f1 < 1 and 0 < report.e2e.f1 < 1

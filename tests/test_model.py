@@ -28,7 +28,6 @@ from jnrf.model import (
     build_relation_targets,
     decode_bio,
     encode_document,
-    joint_loss,
     ner_loss,
     predict_relations,
     predictions_to_brat,
@@ -447,13 +446,6 @@ class TestLosses:
         got = re_loss(psi, (list(gold_drug), list(gold_drug.values()))).item()
         assert rel_err(got, scalar_re_loss(planes, full)) < 1e-12
 
-    def test_joint_sum(self):
-        assert joint_loss(Tensor([[2.0]]), Tensor([[0.5]])).item() == 2.5
-
-    def test_joint_degenerate_is_ner(self):
-        lner = Tensor([[1.25]])
-        assert joint_loss(lner, None) is lner
-
 
 class TestRelationScoresMemory:
     def test_prediction_peak_is_about_the_output(self):
@@ -571,17 +563,14 @@ class TestPredictRelations:
         from jnrf.corpus import relation_head
 
         j = relation_head("Form-Drug")
-        triples = predict_on(np.array([[0.1, 3.2]]), [j])
-        assert triples == [(1, 0, j)]
+        assert predict_on(np.array([[0.1, 3.2]]), [j]) == [(1, 0)]
 
     def test_single_drug_takes_all(self):
         psi = np.random.default_rng(13).standard_normal((3, 1))
-        triples = predict_on(psi, [2, 4, 6])  # Dosage, Route, Reason
-        assert triples == [(0, 0, 2), (0, 1, 4), (0, 2, 6)]
+        assert predict_on(psi, [2, 4, 6]) == [(0, 0), (0, 1), (0, 2)]  # Dosage, Route, Reason
 
     def test_tie_takes_lowest_drug(self):
-        triples = predict_on(np.zeros((1, 3)), [7])  # ADE
-        assert triples[0][0] == 0
+        assert predict_on(np.zeros((1, 3)), [7]) == [(0, 0)]  # ADE
 
     def test_column_shift_invariance(self):
         rng = np.random.default_rng(14)
@@ -627,10 +616,7 @@ class TestPredictRelations:
         psi = T.relation_scores(*operands).data
         if ties:
             assert np.array_equal(psi[:, 0::2], psi[:, 1::2])
-        triples = predict_relations(*operands)
-        assert [h for h, _, _ in triples] == np.argmax(psi, axis=1).tolist()
-        assert [l for _, l, _ in triples] == list(range(nl))
-        assert [j for _, _, j in triples] == heads.tolist()
+        assert predict_relations(*operands) == list(zip(np.argmax(psi, axis=1).tolist(), range(nl)))
 
     def test_model_prediction_equals_the_argmax_of_its_scores(self, monkeypatch):
         model = JNRF(TINY, seed=34)
@@ -643,8 +629,8 @@ class TestPredictRelations:
         psi = model.relation_scores(pooled).data
         monkeypatch.setattr(M, "selective_pool", lambda e2, spans, embed=None: pooled)
         inst = EncodedInstance(np.arange(8), np.zeros(8, dtype=np.intp), [], [])
-        _, triples = model.predict_instance(inst, tiny_table())
-        assert triples == list(zip(np.argmax(psi, axis=1).tolist(), range(300), heads.tolist()))
+        _, pairs = model.predict_instance(inst, tiny_table())
+        assert pairs == list(zip(np.argmax(psi, axis=1).tolist(), range(300)))
 
 
 def build_toy_doc():
@@ -806,8 +792,8 @@ class TestEndToEnd:
         inst = encode_document(doc)
         spans = inst.spans
         relations = [
-            (0, 1, 0),  # Strength-Drug: drug span 0, attribute span 1
-            (0, 3, 6),  # Reason-Drug
+            (0, 1),  # Strength-Drug: drug span 0, attribute span 1
+            (0, 3),  # Reason-Drug
         ]
         entities, rels = predictions_to_brat(doc, spans, relations)
         from jnrf.corpus import render_ann

@@ -927,6 +927,19 @@ class TestTapeSemantics:
         tape.backward(loss)
         assert tape.nodes == []
 
+    def test_backward_from_a_leaf_loss_empties_the_tape(self):
+        """A leaf loss gets its seed of 1 added to its .grad, and the sweep
+        still pops every node the tape recorded, freeing what each saved."""
+        x = Tensor(np.ones((2, 3)), requires_grad=True)
+        loss = Tensor([[2.0]], requires_grad=True)
+        loss.grad = np.array([[0.5]])
+        with Tape() as tape:
+            sum_all(T.gelu(scale(x, 2.0)))
+        assert len(tape.nodes) == 3
+        tape.backward(loss)
+        assert tape.nodes == []
+        assert loss.grad.tolist() == [[1.5]] and x.grad is None
+
     def test_second_backward_raises(self):
         x = Tensor(np.ones((2, 3)), requires_grad=True)
         with Tape() as tape:

@@ -10,7 +10,7 @@ import pytest
 
 from jnrf import tensor as T
 from jnrf.config import ConfigError, ModelConfig, RunConfig
-from jnrf.corpus import Tokens, parse_brat, relation_head
+from jnrf.corpus import Tokens, parse_brat
 from jnrf.evaluation import PredictedDoc, build_report
 from jnrf.model import JNRF, encode_document, predictions_to_brat
 from jnrf.params import Params
@@ -68,7 +68,7 @@ class TestAdamStep:
                 want = scalar_adam(
                     float(start[name][idx]), [float(g[idx]) for g in grads[name]], lr=0.01
                 )
-                assert abs(p.data[idx] - want) <= 1e-12, (name, idx)
+                assert p.data[idx] == want, (name, idx)
 
 
 def test_train_without_dev_docs_keeps_final_weights():
@@ -263,7 +263,7 @@ def test_the_pipeline_reads_token_columns_only(monkeypatch):
     for doc in docs:
         inst = encode_document(doc)
         preds.append(PredictedDoc(doc.doc_id, *predictions_to_brat(doc, *model.predict_instance(inst, table))))
-        relations = [(drug, attr, relation_head(f"{inst.spans[attr][2]}-Drug")) for attr, drug in inst.relations]
+        relations = [(drug, attr) for attr, drug in inst.relations]
         gold_spans.append(PredictedDoc(doc.doc_id, *predictions_to_brat(doc, inst.spans, relations)))
     build_report(preds, docs)
     # the gold token spans map back onto the gold characters
@@ -301,17 +301,16 @@ def test_dev_e2e_f1_equals_the_report():
         inst = encode_document(doc)
         spans = inst.spans
         drugs = [j for j, s in enumerate(spans) if s[2] == "Drug"]
-        relations = []  # (drug span index, attribute span index, head)
+        relations = []  # (drug span index, attribute span index)
         for r, (attr, drug) in enumerate(inst.relations):
             if r % 3 == i:
                 continue  # a missed relation
-            head = relation_head(f"{spans[attr][2]}-Drug")
             if r % 3 == (i + 1) % 3 and len(drugs) > 1:
                 # a relation to the wrong drug
                 wrong = next(d for d in drugs if d != drug)
-                relations.append((wrong, attr, head))
+                relations.append((wrong, attr))
             else:
-                relations.append((drug, attr, head))
+                relations.append((drug, attr))
         by_doc[doc.doc_id] = (spans, relations)
     # stands in for a model that predicts these spans and relations
     model = SimpleNamespace(predict_instance=lambda inst, table: by_doc[inst.doc_id])

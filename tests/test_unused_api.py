@@ -6,7 +6,8 @@ attribute, or a string naming an attribute (as the benchmark's tracer passes
 to `getattr`) in the package or the benchmark refers to it; the package
 includes its command line, `jnrf/__main__.py`. A method is matched by its
 name alone; references from the tests do not count. Every public name must
-be used: none is exempt."""
+be used: none is exempt. A private top-level function, class or constant
+must be read somewhere in the package outside its own definition."""
 
 import ast
 from pathlib import Path
@@ -87,3 +88,36 @@ def test_only_the_tape_and_ffn_read_requires_grad():
         )
     ]
     assert [name for name in readers if name not in READS_REQUIRES_GRAD] == []
+
+
+def private_definitions(tree: ast.Module):
+    """(name, defining node) of each private module-level function, class
+    and constant: a name with one leading underscore, not a dunder."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node
+
+
+def test_every_private_name_is_referenced():
+    """A private module-level function, class or constant of `src/jnrf/` is
+    read by name or attribute somewhere in `src/jnrf/` outside its own
+    definition, so a helper that lost its last caller does not linger."""
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted((ROOT / "src" / "jnrf").glob("*.py"))]
+    private = [item for tree in trees for item in private_definitions(tree)]
+    readers = {}  # name -> top-level nodes that read it
+    for tree in trees:
+        for top in tree.body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    readers.setdefault(node.id, set()).add(id(top))
+                elif isinstance(node, ast.Attribute):
+                    readers.setdefault(node.attr, set()).add(id(top))
+    assert [name for name, node in private if not readers.get(name, set()) - {id(node)}] == []
