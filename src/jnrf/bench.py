@@ -31,7 +31,6 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import ATTRIBUTE_TYPES, bio_label
-from .embedding import EmbeddingTable
 from .model import JNRF, EncodedInstance, ModelConfig
 from .tensor import Tape
 
@@ -58,7 +57,7 @@ def synthetic_instance(n: int, rng) -> EncodedInstance:
     return EncodedInstance(rng.integers(0, 50, n), labels, spans, relations)
 
 
-def step_memory(model: JNRF, inst: EncodedInstance, table: EmbeddingTable) -> dict:
+def step_memory(model: JNRF, inst: EncodedInstance, table: np.ndarray) -> dict:
     """One training step's memory from tracemalloc, in units of one
     n x d_model float64 array, counted from just before the forward: what is
     live once the forward has returned, the forward's peak, and the peak
@@ -96,7 +95,7 @@ def run_cell(mixer: str, n: int, window: int | None, repeats: int) -> dict:
     cfg = ModelConfig(mixer=mixer) if window is None else ModelConfig(mixer=mixer, window=window)
     rng = np.random.default_rng(1)
     inst = synthetic_instance(n, rng)
-    table = EmbeddingTable(rng.standard_normal((50, cfg.emb_dim)))
+    table = rng.standard_normal((50, cfg.emb_dim))
     model = JNRF(cfg, seed=0)
     cell = {"mixer": mixer, "n": n, "window": window, "repeats": repeats}
     for phase in ("predict", "train"):

@@ -37,8 +37,7 @@ class ModelConfig:
     ffn_hidden: int = 128
     mixer: str = "fnet"           # fnet | mlp | windowed_attention
     n_blocks: int = 2
-    window: int = 512             # windowed_attention only
-    n_attn_heads: int = 1         # windowed_attention only
+    window: int = 512             # windowed_attention only; single-head
     train_pooling: str = "gold"   # gold | predicted spans during training
 
     def __post_init__(self):
@@ -48,11 +47,8 @@ class ModelConfig:
                  "gold|predicted", self.train_pooling)
         _require(self.emb_dim >= 1 and self.emb_dim % 2 == 0, "emb_dim",
                  "even and >= 1 for positional encodings", self.emb_dim)
-        for key in ("d_model", "ffn_hidden", "n_blocks", "window", "n_attn_heads"):
+        for key in ("d_model", "ffn_hidden", "n_blocks", "window"):
             _require(getattr(self, key) >= 1, key, ">= 1", getattr(self, key))
-        if self.mixer == "windowed_attention":
-            _require(self.d_model % self.n_attn_heads == 0, "n_attn_heads",
-                     f"a divisor of d_model={self.d_model}", self.n_attn_heads)
 
     @classmethod
     def from_run_config(cls, cfg: RunConfig) -> ModelConfig:

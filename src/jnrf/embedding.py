@@ -17,20 +17,15 @@ from .tensor import Tensor
 from .tokenizer import Vocab
 
 
-class EmbeddingTable:
-    def __init__(self, weights: np.ndarray):
-        self.weights = np.asarray(weights, dtype=np.float64)
-        self.vocab_size, self.d = self.weights.shape
-
-
-def random_table(vocab: Vocab, d: int, seed: int) -> EmbeddingTable:
+def random_table(vocab: Vocab, d: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
-    return EmbeddingTable(rng.standard_normal((len(vocab), d)))
+    return rng.standard_normal((len(vocab), d))
 
 
-def load_table(path: str | None, vocab: Vocab, d: int, seed: int = 0) -> EmbeddingTable:
+def load_table(path: str | None, vocab: Vocab, d: int, seed: int = 0) -> np.ndarray:
     """Read a "token<TAB>v1 ... vd" file, UTF-8 byte order mark skipped, into
-    vocab-id rows, or fall back to a seeded random table when no path is given."""
+    a (vocab, d) array of vocab-id rows, or fall back to a seeded random table
+    when no path is given."""
     if not path:
         return random_table(vocab, d, seed)
     if not os.path.exists(path):
@@ -62,7 +57,7 @@ def load_table(path: str | None, vocab: Vocab, d: int, seed: int = 0) -> Embeddi
     missing = [t for t in vocab.tokens if t not in rows]
     if missing:
         raise ConfigError(f"{path}: missing embeddings for {missing[:5]}")
-    return EmbeddingTable(np.stack([rows[t] for t in vocab.tokens]))
+    return np.stack([rows[t] for t in vocab.tokens])
 
 
 _PE_CACHE: dict[int, np.ndarray] = {}
@@ -84,16 +79,18 @@ def pe_matrix(n: int, d: int) -> np.ndarray:
     return cached[:n]
 
 
-def embed(vocab_ids, table: EmbeddingTable) -> Tensor:
-    """Rows weights[id] + PE(position); constant with respect to training.
-    The output's `source` rebuilds any block of rows as
-    weights[ids[rows]] + PE[rows] from the table and the cached encodings, so
+def embed(vocab_ids, table: np.ndarray) -> Tensor:
+    """Rows table[id] + PE(position), from a (vocab, d) table; constant with
+    respect to training. The output's `source` rebuilds any block of rows as
+    table[ids[rows]] + PE[rows] from the table and the cached encodings, so
     an op that saves its input keeps no n-row copy of it."""
     ids = np.asarray(vocab_ids, dtype=np.intp)
-    if ids.size and (ids.min() < 0 or ids.max() >= table.vocab_size):
-        bad = ids[(ids < 0) | (ids >= table.vocab_size)][0]
-        raise ConfigError(f"vocab id {bad} out of range [0, {table.vocab_size})")
-    weights, pe = table.weights, pe_matrix(len(ids), table.d)
+    weights = np.asarray(table, dtype=np.float64)
+    vocab_size, d = weights.shape
+    if ids.size and (ids.min() < 0 or ids.max() >= vocab_size):
+        bad = ids[(ids < 0) | (ids >= vocab_size)][0]
+        raise ConfigError(f"vocab id {bad} out of range [0, {vocab_size})")
+    pe = pe_matrix(len(ids), d)
 
     def source(rows, out):
         # the ids are checked above; "clip" lets take write straight into out

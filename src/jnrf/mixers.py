@@ -6,13 +6,13 @@ skeleton for every mixer, block after block,
 
 and rebinding x frees each block's input as soon as the first layer norm
 returns. `fnet_block` mixes with the Fourier transform and
-`windowed_attention_block` with scaled dot-product self-attention applied
-independently per non-overlapping window; no token attends across a window
-boundary, and window = n is exactly full attention. Both are the mix
+`windowed_attention_block` with single-head scaled dot-product
+self-attention applied independently per non-overlapping window; no token
+attends across a window boundary, and window = n is exactly full attention. Both are the mix
 sublayer alone. The attention is one tape node per block
 (`T.windowed_attention`): it saves x's row source and each row's softmax
-max and sum per head, and backward recomputes each window's q, k and v
-projections, its exponentials and its merged heads instead of keeping
+max and sum, and backward recomputes each window's q, k and v
+projections, its exponentials and its merged rows instead of keeping
 them. The FFN's input and every block's input, the first block's too,
 carry a row source: the first block's input is the input MLP's output, an
 ffn's, and every other input a layer norm's. So the nodes that read them
@@ -62,14 +62,12 @@ def fnet_block(x: Tensor, params: Params, prefix: str) -> Tensor:
     )
 
 
-def windowed_attention_block(
-    x: Tensor, params: Params, prefix: str, window: int, n_attn_heads: int
-) -> Tensor:
+def windowed_attention_block(x: Tensor, params: Params, prefix: str, window: int) -> Tensor:
     return T.layer_norm_rows(
         x, params[f"{prefix}.ln1.g"], params[f"{prefix}.ln1.b"],
         residual=T.windowed_attention(
             x, params[f"{prefix}.wq"], params[f"{prefix}.wk"], params[f"{prefix}.wv"],
-            params[f"{prefix}.wo"], window, n_attn_heads,
+            params[f"{prefix}.wo"], window,
         ),
     )
 
@@ -84,7 +82,7 @@ def shared_lm(x: Tensor, cfg: ModelConfig, params: Params) -> Tensor:
         elif cfg.mixer == "mlp":
             x = T.layer_norm_rows(x, params[f"{p}.ln1.g"], params[f"{p}.ln1.b"])
         else:  # windowed_attention; ModelConfig admits no other mixer
-            x = windowed_attention_block(x, params, p, cfg.window, cfg.n_attn_heads)
+            x = windowed_attention_block(x, params, p, cfg.window)
         x = T.layer_norm_rows(
             x, params[f"{p}.ln2.g"], params[f"{p}.ln2.b"], residual=ffn(x, params, f"{p}.ffn")
         )

@@ -49,7 +49,7 @@ from .corpus import (
     label_parts,
     relation_head,
 )
-from .embedding import EmbeddingTable, embed
+from .embedding import embed
 from .mixers import ffn, init_mixer_params, shared_lm
 from .params import Params, add_linear, linear_init
 from .tensor import Tensor
@@ -225,7 +225,7 @@ class JNRF:
         # zero-initialized so training starts distance-agnostic
         self.params.add("alpha", np.zeros((N_REL_HEADS, 2)))
 
-    def encode(self, ids, table: EmbeddingTable) -> Tensor:
+    def encode(self, ids, table: np.ndarray) -> Tensor:
         """Embedding, token-wise input MLP, then the weight-shared language
         model; the single output feeds both heads. The embedding is made
         here, so nothing holds its output once the input MLP has returned."""
@@ -252,7 +252,7 @@ class JNRF:
         return (pooled.x, pooled.l_rows, pooled.h_rows, pooled.heads, weights, p["alpha"],
                 pooled.pos_l, pooled.pos_h)
 
-    def instance_losses(self, inst: EncodedInstance, table: EmbeddingTable):
+    def instance_losses(self, inst: EncodedInstance, table: np.ndarray):
         """(joint, ner, re) loss tensors for one document. The encoder output
         and the NER logits are dropped once their last reader has run, so
         neither is alive while the relation head scores."""
@@ -273,7 +273,7 @@ class JNRF:
         lre = re_loss(psi, targets)
         return T.add(lner, lre), lner, lre
 
-    def predict_instance(self, inst: EncodedInstance, table: EmbeddingTable):
+    def predict_instance(self, inst: EncodedInstance, table: np.ndarray):
         """Decode spans and relations with no tape; relations use predicted
         spans and forced argmax drug selection. Returns the spans and the
         relations as (drug span index, attribute span index) pairs, both

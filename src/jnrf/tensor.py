@@ -63,17 +63,19 @@ and its derivative again, one row block at a time.
 `layer_norm_rows(x, gain, bias, residual=r)` normalizes x + r as one node,
 keeping the normalized rows and each row's inverse deviation.
 
-`windowed_attention` is one node per attention sublayer, run one window at
-a time: each window projects its own q, k and v, and each head takes its
+`windowed_attention` is one single-head node per attention sublayer, run
+one window at a time: each window projects its own q, k and v, and takes its
 queries _BLOCK rows at a time against all of the window's keys, as
 memory-efficient exact attention does (Rabe & Staats 2021; FlashAttention,
-Dao et al. 2022). A block's exponentials exp(q k^T - max) go into one
-_BLOCK x window buffer, and its rows of softmax(q k^T) v, computed as
-(e v) / sum e, into one window-sized merged buffer, which is multiplied by
-the output projection. It saves x's row source and each row's max and sum
-per head alone; backward recomputes each window's q, k and v and each
-block's exponentials and merged rows, so no n-row q, k, v or merged array
-is kept, and no matrix against a window's keys has more than _BLOCK rows.
+Dao et al. 2022). One head costs the same multiplies as any split of the
+width into heads: rows x window x width for q k^T and again for e v. A
+block's exponentials exp(q k^T - max) go into one _BLOCK x window buffer,
+and its rows of softmax(q k^T) v, computed as (e v) / sum e, into one
+window-sized merged buffer, which is multiplied by the output projection.
+It saves x's row source and each row's max and sum alone, two n-long
+arrays; backward recomputes each window's q, k and v and each block's
+exponentials and merged rows, so no n-row q, k, v or merged array is kept,
+and no matrix against a window's keys has more than _BLOCK rows.
 
 `relation_scores` is the whole relation head as one node, from the pooled
 rows x to the (|L|, |H|) scores, and `relation_argmax` prediction's row
@@ -525,12 +527,12 @@ def cross_entropy_rows(logits: Tensor, rows, cols, norm: float) -> Tensor:
     return _record(Tensor(-picked.sum() / norm), (logits,), backward)
 
 
-def _exp_scores(qb: np.ndarray, kc: np.ndarray, out: np.ndarray, top: np.ndarray | None = None):
-    """(e, top): e = exp(qb kc^T - top), written into `out`, a buffer of
-    (rows of qb, rows of kc), and top each row's max of qb kc^T unless it is
+def _exp_scores(qb: np.ndarray, k: np.ndarray, out: np.ndarray, top: np.ndarray | None = None):
+    """(e, top): e = exp(qb k^T - top), written into `out`, a buffer of
+    (rows of qb, rows of k), and top each row's max of qb k^T unless it is
     given. Fed the forward's top, backward rebuilds the forward's e bit for
     bit."""
-    z = _mm(qb, kc.T, out=out)
+    z = _mm(qb, k.T, out=out)
     if top is None:
         top = z.max(axis=1)
     z -= top[:, None]
@@ -539,27 +541,26 @@ def _exp_scores(qb: np.ndarray, kc: np.ndarray, out: np.ndarray, top: np.ndarray
 
 
 def windowed_attention(
-    x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor, window: int, n_heads: int
+    x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor, window: int
 ) -> Tensor:
-    """Multi-head self-attention inside non-overlapping windows of `window`
+    """Single-head self-attention inside non-overlapping windows of `window`
     rows, as one node, run one window at a time: each window projects its
-    own rows, q = x @ wq scaled by dk^-0.5, k = x @ wk and v = x @ wv, and
-    each head takes its queries _BLOCK rows at a time against all of the
-    window's keys. A block's exponentials e = exp(q k^T - max) go into one
-    reused _BLOCK x window buffer, and its merged rows, softmax(q k^T) v =
-    (e v) / sum e, into one window-sized buffer, which is then multiplied by
-    wo into the window's output rows. No row attends across a window
+    own rows, q = x @ wq scaled by m^-0.5 (m = wq's width), k = x @ wk and
+    v = x @ wv, and takes its queries _BLOCK rows at a time against all of
+    the window's keys. A block's exponentials e = exp(q k^T - max) go into
+    one reused _BLOCK x window buffer, and its merged rows, softmax(q k^T) v
+    = (e v) / sum e, into one window-sized buffer, which is then multiplied
+    by wo into the window's output rows. No row attends across a window
     boundary.
 
     On a tape the node saves x's row source (`_row_source`) and each row's
-    max and sum per head, two (n_heads, n) arrays. Backward walks the
-    windows again, reads each window's rows of x once through that source,
-    recomputes its q, k and v and each block's exponentials (`_exp_scores`,
-    from the saved max) and merged rows with the forward's own calls, so
-    they are bit-identical to it, and sums wo's gradient window by window.
-    In neither pass does a q, k, v or merged array hold more than one
-    window's rows, or a matrix against a window's keys more than _BLOCK
-    query rows."""
+    max and sum, two n-long arrays. Backward walks the windows again, reads
+    each window's rows of x once through that source, recomputes its q, k
+    and v and each block's exponentials (`_exp_scores`, from the saved max)
+    and merged rows with the forward's own calls, so they are bit-identical
+    to it, and sums wo's gradient window by window. In neither pass does a
+    q, k, v or merged array hold more than one window's rows, or a matrix
+    against a window's keys more than _BLOCK query rows."""
     parents = (x, wq, wk, wv, wo)
     d, m = x.cols, wq.cols
     for name, w in (("wq", wq), ("wk", wk), ("wv", wv)):
@@ -567,17 +568,16 @@ def windowed_attention(
             raise ShapeError(f"windowed_attention: {name} must be ({d}, {m}), got {w.shape}")
     if wo.rows != m:
         raise ShapeError(f"windowed_attention: wo must have {m} rows, got {wo.shape}")
-    if window < 1 or n_heads < 1 or m % n_heads:
-        raise ShapeError(f"windowed_attention: window {window} and {n_heads} heads over width {m}")
-    n, dk = x.rows, m // n_heads
-    s = dk ** -0.5
+    if window < 1:
+        raise ShapeError(f"windowed_attention: window must be >= 1, got {window}")
+    n = x.rows
+    s = m ** -0.5
     windows = _row_blocks(n, window)
-    heads = [slice(h * dk, (h + 1) * dk) for h in range(n_heads)]
     wqd, wkd, wvd, wod = (t.data for t in parents[1:])
-    top, total = np.empty((2, n_heads, n))  # each row's max and sum of e, per head
+    top, total = np.empty((2, n))  # each row's max and sum of e
 
     def buffers():
-        """One window's merged heads and one block's exponentials."""
+        """One window's merged rows and one block's exponentials."""
         return np.empty((min(n, window), m)), np.empty(min(n, _BLOCK) * min(n, window))
 
     def project(xr):
@@ -586,25 +586,23 @@ def windowed_attention(
         return q, _mm(xr, wkd), _mm(xr, wvd)
 
     def query_blocks(lo, q, k, v, merged, ebuf, saved):
-        """Each head's query blocks of the window from row lo: writes the
-        block's exponentials into ebuf and its merged rows into merged, then
-        yields (cols, rows in the window, e, merged rows, sum e). Without
-        `saved` it takes each row's max and sum of e and saves them; with it,
-        it reads them back."""
+        """The window's query blocks from row lo: writes each block's
+        exponentials into ebuf and its merged rows into merged, then yields
+        (rows in the window, e, merged rows, sum e). Without `saved` it takes
+        each row's max and sum of e and saves them; with it, it reads them
+        back."""
         r = k.shape[0]
-        for h, cols in enumerate(heads):
-            kc, vc = k[:, cols], v[:, cols]
-            for rows, _ in _row_blocks(r):
-                at = slice(lo + rows.start, lo + rows.stop)
-                out = ebuf[:(rows.stop - rows.start) * r].reshape(-1, r)
-                e, t = _exp_scores(q[rows, cols], kc, out, top[h, at] if saved else None)
-                if not saved:
-                    top[h, at] = t
-                    e.sum(axis=1, out=total[h, at])
-                tot = total[h, at, None]
-                mb = _mm(e, vc, out=merged[rows, cols])
-                mb /= tot
-                yield cols, rows, e, mb, tot
+        for rows, _ in _row_blocks(r):
+            at = slice(lo + rows.start, lo + rows.stop)
+            out = ebuf[:(rows.stop - rows.start) * r].reshape(-1, r)
+            e, t = _exp_scores(q[rows], k, out, top[at] if saved else None)
+            if not saved:
+                top[at] = t
+                e.sum(axis=1, out=total[at])
+            tot = total[at, None]
+            mb = _mm(e, v, out=merged[rows])
+            mb /= tot
+            yield rows, e, mb, tot
 
     y = np.empty((n, wo.cols))
     merged, ebuf = buffers()
@@ -627,16 +625,16 @@ def windowed_attention(
             gr = g[rows]
             gm = _mm(gr, wod.T)
             gq, gk, gv = np.empty_like(q), np.zeros_like(k), np.zeros_like(v)
-            for cols, b, e, mb, tot in query_blocks(rows.start, q, k, v, merged, ebuf, saved=True):
+            for b, e, mb, tot in query_blocks(rows.start, q, k, v, merged, ebuf, saved=True):
                 # d loss / d (q k^T) = e (gm v^T - gm . merged) / sum e, with
-                # gm scaled by 1 / sum e on the dk side
-                gl = gm[b, cols] / tot
-                gv[:, cols] += _mm(e.T, gl)
-                gs = _mm(gl, v[:, cols].T, out=dbuf[:e.size].reshape(e.shape))
+                # gm scaled by 1 / sum e on the m side
+                gl = gm[b] / tot
+                gv += _mm(e.T, gl)
+                gs = _mm(gl, v.T, out=dbuf[:e.size].reshape(e.shape))
                 gs -= (gl * mb).sum(axis=1, keepdims=True)
                 gs *= e
-                _mm(gs, k[:, cols], out=gq[b, cols])
-                gk[:, cols] += _mm(gs.T, q[b, cols])
+                _mm(gs, k, out=gq[b])
+                gk += _mm(gs.T, q[b])
             gq *= s
             gxr = _mm(gq, wqd.T, out=gx[rows])
             gxr += _mm(gk, wkd.T)

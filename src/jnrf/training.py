@@ -18,7 +18,6 @@ import numpy as np
 
 from .config import ConfigError, ModelConfig, RunConfig, parse_config_text
 from .corpus import Document
-from .embedding import EmbeddingTable
 from .evaluation import MatchCounts, match_relations
 from .model import JNRF, EncodedInstance, encode_document, predictions_to_brat
 from .params import Params
@@ -91,7 +90,7 @@ def _in_document(exc: Exception, doc_id: str) -> Exception:
     return type(exc)(f"{exc} in document {doc_id!r}")
 
 
-def dev_e2e_f1(model: JNRF, table: EmbeddingTable, docs: list[Document]) -> float:
+def dev_e2e_f1(model: JNRF, table: np.ndarray, docs: list[Document]) -> float:
     """Relation F1 of the model's predictions on `docs`; a ConfigError or
     ShapeError from a document's prediction is raised again naming it."""
     counts = MatchCounts()
@@ -160,7 +159,7 @@ def _document_pass(model, table, instances: list[EncodedInstance], order, state)
 
 def train(
     model: JNRF,
-    table: EmbeddingTable,
+    table: np.ndarray,
     train_docs: list[Document],
     dev_docs: list[Document],
     cfg: RunConfig,
@@ -252,14 +251,20 @@ class _Reader:
         return out
 
 
+def _parse_config(path: str, config_text: str) -> RunConfig:
+    """The parsed config text; a text that does not parse, a key of an older
+    model included, raises CheckpointError naming the path and the line."""
+    try:
+        return parse_config_text(config_text)
+    except ConfigError as exc:
+        raise CheckpointError(f"{path}: config text does not parse: {exc}") from None
+
+
 def _check_config(path: str, config_text: str, config: ModelConfig, where: str):
     """Raise CheckpointError, naming the path and the key, unless
     `config_text` parses and sets every `ModelConfig` key as `config` has
     it; a key the text leaves out takes its default."""
-    try:
-        saved = ModelConfig.from_run_config(parse_config_text(config_text))
-    except ConfigError as exc:
-        raise CheckpointError(f"{path}: config text does not parse: {exc}") from None
+    saved = ModelConfig.from_run_config(_parse_config(path, config_text))
     for key in (f.name for f in fields(ModelConfig)):
         theirs, ours = getattr(saved, key), getattr(config, key)
         if theirs != ours:
@@ -292,7 +297,8 @@ class Checkpoint:
 
 def load_checkpoint(path: str) -> Checkpoint:
     """Read a checkpoint written by `save_checkpoint`; any file that is not
-    one, in whole, raises CheckpointError naming the path."""
+    one, in whole, or whose config text does not parse, raises
+    CheckpointError naming the path."""
     with open(path, "rb") as f:
         r = _Reader(path, f.read())
     if r.take(len(_MAGIC), "magic") != _MAGIC:
@@ -304,6 +310,7 @@ def load_checkpoint(path: str) -> Checkpoint:
     params = r.records(r.unpack("<I", "parameter count")[0])
     if r.at != len(r.data):
         raise r.error("unexpected bytes after the last record")
+    _parse_config(path, config_text)
     return Checkpoint(path, config_text, params)
 
 

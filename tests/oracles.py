@@ -151,30 +151,20 @@ def concat_rows(parts):
     ))
 
 
-def composed_windowed_attention(x, wq, wk, wv, wo, window: int, n_heads: int):
-    """Windowed attention built from the tape's elementary ops, one window
-    and head at a time: each window's rows are sliced out and projected, a
-    head's columns are picked by a matmul with 0/1 selection columns, the
-    head computes softmax(q_h k_h^T / sqrt(dk)) v_h, the heads go back side
-    by side through the transposed selections, the window is multiplied by
-    wo, and the windows are concatenated (`scale`, `transpose` and
-    `concat_rows` above). Takes and returns Tensors, so a tape records every
-    step and gives the reference gradients."""
+def composed_windowed_attention(x, wq, wk, wv, wo, window: int):
+    """Single-head windowed attention built from the tape's elementary ops,
+    one window at a time: each window's rows are sliced out and projected,
+    softmax(q k^T / sqrt(m)) v is multiplied by wo, and the windows are
+    concatenated (`scale`, `transpose` and `concat_rows` above). Takes and
+    returns Tensors, so a tape records every step and gives the reference
+    gradients."""
     n, m = x.rows, wq.cols
-    dk = m // n_heads
-    eye = np.eye(m)
     parts = []
     for s0 in range(0, n, window):
         xs = T.pick_rows(x, np.arange(s0, min(s0 + window, n)))
         q, k, v = (T.matmul(xs, w) for w in (wq, wk, wv))
-        merged = None
-        for h in range(n_heads):
-            pick = T.Tensor(eye[:, h * dk:(h + 1) * dk])
-            qh = scale(T.matmul(q, pick), dk ** -0.5)
-            att = T.softmax_rows(T.matmul(qh, transpose(T.matmul(k, pick))))
-            head = T.matmul(T.matmul(att, T.matmul(v, pick)), transpose(pick))
-            merged = head if merged is None else T.add(merged, head)
-        parts.append(T.matmul(merged, wo))
+        att = T.softmax_rows(T.matmul(scale(q, m ** -0.5), transpose(k)))
+        parts.append(T.matmul(T.matmul(att, v), wo))
     return parts[0] if len(parts) == 1 else concat_rows(parts)
 
 

@@ -147,6 +147,22 @@ def test_save_rejects_config_text_of_another_model(tmp_path, text, message):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_a_file_with_the_deleted_head_count_key_names_it(tmp_path):
+    """Files of the same layout written while `n_attn_heads` was a key all
+    set it, on the line after `window`."""
+    path, data = saved_bytes(tmp_path, trained_model())
+    old = CONFIG_TEXT.replace("window = 512\n", "window = 512\nn_attn_heads = 1\n").encode()
+    new = CONFIG_TEXT.encode()
+    assert data[12:16 + len(new)] == struct.pack("<I", len(new)) + new
+    path.write_bytes(data[:12] + struct.pack("<I", len(old)) + old + data[16 + len(new):])
+    line = CONFIG_TEXT.splitlines().index("window = 512") + 2
+    with pytest.raises(
+        CheckpointError,
+        match=rf"^{re.escape(str(path))}: config text does not parse: line {line}: unknown key 'n_attn_heads'$",
+    ):
+        load_checkpoint(str(path))
+
+
 @pytest.mark.parametrize(
     "record, value", [("in.1.w", np.nan), ("alpha", np.inf), ("rel.3.k.b", -np.inf)]
 )

@@ -1,10 +1,7 @@
-import ast
 import dataclasses
-import pathlib
 
 import pytest
 
-import jnrf
 from jnrf.config import (
     ConfigError,
     ModelConfig,
@@ -23,7 +20,6 @@ NON_DEFAULT = {
     "mixer": "windowed_attention",
     "n_blocks": 3,
     "window": 128,
-    "n_attn_heads": 4,
     "train_pooling": "predicted",
     "seed": 7,
     "epochs": 2,
@@ -94,7 +90,7 @@ def test_unknown_key_names_its_line():
 @pytest.mark.parametrize(
     "key",
     ["synth_train", "bench_trials", "corpus_dir", "vocab_path", "embeddings_path",
-     "checkpoint_path", "out_dir", "pool", "accumulate_over"],
+     "checkpoint_path", "out_dir", "pool", "accumulate_over", "n_attn_heads"],
 )
 def test_deleted_key_is_unknown(key):
     with pytest.raises(ConfigError, match=rf"^line 3: unknown key '{key}'$"):
@@ -131,8 +127,8 @@ def test_duplicate_key_names_both_lines():
 def test_validation_error_names_the_line_that_set_the_key():
     with pytest.raises(ConfigError, match=r"^line 3: mixer must be "):
         parse_config_text("epochs = 2\n# a comment\nmixer = conv\nlr = 0.01\n")
-    with pytest.raises(ConfigError, match=r"^line 2: n_attn_heads must be a divisor of d_model=64,"):
-        parse_config_text("mixer = windowed_attention\nn_attn_heads = 5\n")
+    with pytest.raises(ConfigError, match=r"^line 2: window must be >= 1, got 0$"):
+        parse_config_text("mixer = windowed_attention\nwindow = 0\n")
 
 
 def test_fields_are_frozen():
@@ -164,9 +160,9 @@ def test_granularity_document_still_parses():
         ({"ffn_hidden": 0}, "ffn_hidden"),
         ({"n_blocks": 0}, "n_blocks"),
         ({"window": 0}, "window"),
-        ({"n_attn_heads": 0}, "n_attn_heads"),
-        ({"mixer": "windowed_attention", "n_attn_heads": 0}, "n_attn_heads"),
-        ({"mixer": "windowed_attention", "d_model": 6, "n_attn_heads": 4}, "n_attn_heads"),
+        ({"mixer": "windowed_attention", "window": 0}, "window"),
+        ({"mixer": "windowed_attention", "d_model": 0}, "d_model"),
+        ({"lr": float("-inf")}, "lr"),
         ({"mixer": "conv"}, "mixer"),
         ({"granularity": "sentence"}, "granularity"),
         ({"train_pooling": "none"}, "train_pooling"),
@@ -188,25 +184,5 @@ def test_invalid_values_rejected(values, key):
 def test_model_config_validates_on_its_own():
     with pytest.raises(ConfigError, match=r"^emb_dim must be "):
         ModelConfig(emb_dim=0)
-    with pytest.raises(ConfigError, match=r"^n_attn_heads must be a divisor of d_model=6"):
-        ModelConfig(mixer="windowed_attention", d_model=6, n_attn_heads=4)
-
-
-def test_heads_need_not_divide_width_for_other_mixers():
-    # n_attn_heads is read by windowed attention only
-    assert ModelConfig(mixer="fnet", d_model=6, n_attn_heads=4).n_attn_heads == 4
-
-
-def test_every_key_but_granularity_is_read_outside_config():
-    """No configuration key that nothing uses: each RunConfig field is read
-    as an attribute in some module of the package other than config.py.
-    `granularity` is exempt: it has one legal value and nothing reads it, but
-    the benchmark's config text sets `granularity = document`, which must
-    keep parsing."""
-    read = set()
-    for path in pathlib.Path(jnrf.__file__).parent.glob("*.py"):
-        if path.name != "config.py":
-            tree = ast.parse(path.read_text(encoding="utf-8"))
-            read.update(n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute))
-    keys = [f.name for f in dataclasses.fields(RunConfig)]
-    assert [k for k in keys if k not in read] == ["granularity"]
+    with pytest.raises(ConfigError, match=r"^window must be >= 1, got 0$"):
+        ModelConfig(mixer="windowed_attention", window=0)

@@ -3,7 +3,7 @@ import pytest
 
 from jnrf import embedding
 from jnrf.config import ConfigError
-from jnrf.embedding import EmbeddingTable, embed, load_table, pe_matrix, random_table
+from jnrf.embedding import embed, load_table, pe_matrix, random_table
 from jnrf.tokenizer import Vocab
 
 from oracles import scalar_positional_encoding
@@ -18,8 +18,8 @@ class TestLoadTable:
         path = tmp_path / "emb.tsv"
         path.write_text("[UNK]\t0 0 0\naa\t1 2 3\nbb\t4 5 6\n")
         table = load_table(str(path), vocab3(), d=3)
-        assert table.weights.shape == (3, 3)
-        np.testing.assert_array_equal(table.weights[1], [1, 2, 3])
+        assert table.shape == (3, 3)
+        np.testing.assert_array_equal(table[1], [1, 2, 3])
 
     def test_a_byte_order_mark_is_skipped(self, tmp_path):
         text = "[UNK]\t0 0 0\naa\t1 2 3\nbb\t4 5 6\n"
@@ -28,8 +28,8 @@ class TestLoadTable:
         marked.write_text(text, encoding="utf-8-sig")
         assert marked.read_bytes() == b"\xef\xbb\xbf" + plain.read_bytes()
         a, b = load_table(str(marked), vocab3(), d=3), load_table(str(plain), vocab3(), d=3)
-        assert np.array_equal(a.weights, b.weights)
-        np.testing.assert_array_equal(a.weights[0], [0, 0, 0])
+        assert np.array_equal(a, b)
+        np.testing.assert_array_equal(a[0], [0, 0, 0])
 
     def test_inconsistent_width_rejected(self, tmp_path):
         path = tmp_path / "emb.tsv"
@@ -78,14 +78,14 @@ class TestLoadTable:
     @pytest.mark.parametrize("path", [None, ""])
     def test_fallback_only_without_a_path(self, path):
         table = load_table(path, vocab3(), d=4, seed=3)
-        assert np.array_equal(table.weights, random_table(vocab3(), 4, 3).weights)
+        assert np.array_equal(table, random_table(vocab3(), 4, 3))
 
     def test_fallback_is_deterministic(self):
         a = load_table(None, vocab3(), d=16, seed=7)
         b = load_table(None, vocab3(), d=16, seed=7)
-        assert np.array_equal(a.weights, b.weights)
+        assert np.array_equal(a, b)
         c = load_table(None, vocab3(), d=16, seed=8)
-        assert not np.array_equal(a.weights, c.weights)
+        assert not np.array_equal(a, c)
 
 
 class TestPositionalEncoding:
@@ -120,7 +120,7 @@ class TestPositionalEncoding:
 
 class TestEmbed:
     def test_zero_table_gives_pure_positional(self):
-        table = EmbeddingTable(np.zeros((4, 6)))
+        table = np.zeros((4, 6))
         out = embed([1, 3, 2], table)
         np.testing.assert_allclose(out.data[2], scalar_positional_encoding(2, 6))
 
@@ -128,11 +128,11 @@ class TestEmbed:
         table = random_table(vocab3(), d=6, seed=1)
         out = embed([2], table)
         np.testing.assert_allclose(
-            out.data[0], table.weights[2] + scalar_positional_encoding(0, 6)
+            out.data[0], table[2] + scalar_positional_encoding(0, 6)
         )
 
     def test_out_of_range_id(self):
-        table = EmbeddingTable(np.zeros((2, 4)))
+        table = np.zeros((2, 4))
         with pytest.raises(ConfigError, match="out of range"):
             embed([0, 5], table)
 
@@ -143,6 +143,6 @@ class TestEmbed:
 
     @pytest.mark.parametrize("n", [1, 2, 777, 16384])
     def test_unbounded_length(self, n):
-        table = EmbeddingTable(np.zeros((4, 8)))
+        table = np.zeros((4, 8))
         out = embed(np.zeros(n, dtype=int), table)
         assert out.shape == (n, 8)

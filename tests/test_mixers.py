@@ -15,10 +15,8 @@ from jnrf.tensor import Tape, Tensor
 from oracles import composed_windowed_attention, fd_grad, mul, rel_err, sum_all
 
 
-def make_params(kind="fnet", n_blocks=1, d=8, ffn=12, heads=1, seed=0, window=512):
-    cfg = ModelConfig(
-        mixer=kind, n_blocks=n_blocks, d_model=d, ffn_hidden=ffn, n_attn_heads=heads, window=window
-    )
+def make_params(kind="fnet", n_blocks=1, d=8, ffn=12, seed=0, window=512):
+    cfg = ModelConfig(mixer=kind, n_blocks=n_blocks, d_model=d, ffn_hidden=ffn, window=window)
     params = Params()
     init_mixer_params(params, cfg, np.random.default_rng(seed))
     return cfg, params
@@ -84,7 +82,7 @@ def test_mlp_block_gradients():
 
 
 def test_attention_block_gradients():
-    _block_grad_check("windowed_attention", n=6, window=4, heads=2)
+    _block_grad_check("windowed_attention", n=6, window=4)
 
 
 class TestMlpMixer:
@@ -105,24 +103,18 @@ class TestMlpMixer:
         np.testing.assert_array_equal(out.data[1], out.data[2])
 
 
-def _full_attention(x, wq, wk, wv, wo, n_heads):
-    """Multi-head attention over all rows, then wo, with plain numpy."""
-    dk = wq.shape[1] // n_heads
+def _full_attention(x, wq, wk, wv, wo):
+    """Single-head attention over all rows, then wo, with plain numpy."""
     q, k, v = x @ wq, x @ wk, x @ wv
-    outs = []
-    for h in range(n_heads):
-        sl = slice(h * dk, (h + 1) * dk)
-        scores = (q[:, sl] / np.sqrt(dk)) @ k[:, sl].T
-        e = np.exp(scores - scores.max(axis=1, keepdims=True))
-        att = e / e.sum(axis=1, keepdims=True)
-        outs.append(att @ v[:, sl])
-    return np.concatenate(outs, axis=1) @ wo
+    scores = (q / np.sqrt(wq.shape[1])) @ k.T
+    e = np.exp(scores - scores.max(axis=1, keepdims=True))
+    return (e / e.sum(axis=1, keepdims=True)) @ v @ wo
 
 
-def _full_attention_oracle(x, params, p, n_heads):
+def _full_attention_oracle(x, params, p):
     """A one-block attention shared_lm over a single window, mix and FFN
     sublayers, recomputed with plain numpy."""
-    mixed = _full_attention(x, *(params[f"{p}.{w}"].data for w in ("wq", "wk", "wv", "wo")), n_heads)
+    mixed = _full_attention(x, *(params[f"{p}.{w}"].data for w in ("wq", "wk", "wv", "wo")))
 
     def ln(z, g, b):
         mu = z.mean(axis=1, keepdims=True)
@@ -138,10 +130,10 @@ def _full_attention_oracle(x, params, p, n_heads):
 
 class TestWindowedAttention:
     def test_single_window_is_full_attention(self):
-        cfg, params = make_params(kind="windowed_attention", heads=2)
+        cfg, params = make_params(kind="windowed_attention")
         rng = np.random.default_rng(5)
         x = rng.standard_normal((6, 8))
-        want = _full_attention_oracle(x, params, "lm.0", 2)
+        want = _full_attention_oracle(x, params, "lm.0")
         for window in (6, 100):
             got = shared_lm(Tensor(x), replace(cfg, window=window), params)
             assert np.max(np.abs(got.data - want)) < 1e-9
@@ -182,12 +174,12 @@ def _attention_inputs(n, seed, d=8):
     return x, weights, rng.standard_normal((n, d))
 
 
-def _attention_run(op, x, weights, c, window, heads):
+def _attention_run(op, x, weights, c, window):
     """op's output, then the gradients of sum(out * c) for x, wq, wk, wv, wo."""
     xt = Tensor(x, requires_grad=True)
     wt = [Tensor(w, requires_grad=True) for w in weights]
     with Tape() as tape:
-        out = op(xt, *wt, window, heads)
+        out = op(xt, *wt, window)
         loss = sum_all(mul(out, Tensor(c)))
     tape.backward(loss)
     return [out.data, xt.grad] + [w.grad for w in wt]
@@ -200,31 +192,31 @@ COMPOSED = [(n, WINDOW) for n in (1, WINDOW - 1, WINDOW, WINDOW + 1, 2 * WINDOW 
 class TestWindowedAttentionOp:
     """T.windowed_attention against the per-window composition of
     elementary ops, for lengths around the window edge and around the edge
-    of a query block."""
+    of a query block, each on two random draws."""
 
-    @pytest.mark.parametrize("heads", [1, 2])
+    @pytest.mark.parametrize("draw", [1, 2])
     @pytest.mark.parametrize("n, window", COMPOSED, ids=[str(n) for n, _ in COMPOSED])
-    def test_matches_the_composition(self, n, window, heads):
-        x, weights, c = _attention_inputs(n, seed=n + 10 * heads)
-        got = _attention_run(T.windowed_attention, x, weights, c, window, heads)
-        want = _attention_run(composed_windowed_attention, x, weights, c, window, heads)
+    def test_matches_the_composition(self, n, window, draw):
+        x, weights, c = _attention_inputs(n, seed=n + 10 * draw)
+        got = _attention_run(T.windowed_attention, x, weights, c, window)
+        want = _attention_run(composed_windowed_attention, x, weights, c, window)
         for name, a, b in zip(("out", "x", "wq", "wk", "wv", "wo"), got, want):
             assert rel_err(a, b) < 1e-12, name
-        untaped = T.windowed_attention(Tensor(x), *map(Tensor, weights), window, heads)
+        untaped = T.windowed_attention(Tensor(x), *map(Tensor, weights), window)
         np.testing.assert_array_equal(untaped.data, got[0])
 
-    @pytest.mark.parametrize("heads", [1, 2])
+    @pytest.mark.parametrize("draw", [1, 2])
     @pytest.mark.parametrize("n", [1, WINDOW, 2 * WINDOW + 3])
-    def test_window_at_least_n_is_full_attention(self, n, heads):
-        x, weights, _ = _attention_inputs(n, seed=20 + n)
-        want = _full_attention(x, *weights, heads)
+    def test_window_at_least_n_is_full_attention(self, n, draw):
+        x, weights, _ = _attention_inputs(n, seed=10 * draw + n)
+        want = _full_attention(x, *weights)
         for window in (n, n + 5):
-            got = T.windowed_attention(Tensor(x), *map(Tensor, weights), window, heads)
+            got = T.windowed_attention(Tensor(x), *map(Tensor, weights), window)
             assert rel_err(got.data, want) < 1e-12
 
-    @pytest.mark.parametrize("heads", [1, 2])
-    def test_backward_recomputes_the_forward_probabilities_bit_for_bit(self, heads, monkeypatch):
-        x, weights, c = _attention_inputs(2 * BIG + 5, seed=30)
+    @pytest.mark.parametrize("draw", [1, 2])
+    def test_backward_recomputes_the_forward_probabilities_bit_for_bit(self, draw, monkeypatch):
+        x, weights, c = _attention_inputs(2 * BIG + 5, seed=29 + draw)
         seen = []
 
         def exp_scores(*args, _exp_scores=T._exp_scores):
@@ -235,9 +227,9 @@ class TestWindowedAttentionOp:
         monkeypatch.setattr(T, "_exp_scores", exp_scores)
         xt = Tensor(x, requires_grad=True)
         with Tape() as tape:
-            out = T.windowed_attention(xt, *map(Tensor, weights), BIG, heads)
+            out = T.windowed_attention(xt, *map(Tensor, weights), BIG)
             loss = sum_all(mul(out, Tensor(c)))
-        cells = 5 * heads  # windows of 2, 2 and 1 query blocks
+        cells = 5  # windows of 2, 2 and 1 query blocks
         assert len(seen) == cells
         tape.backward(loss)
         assert len(seen) == 2 * cells
@@ -245,13 +237,13 @@ class TestWindowedAttentionOp:
             np.testing.assert_array_equal(recomputed, forward)
 
     def test_multiplies_are_the_closed_form_with_recomputed_projections(self):
-        n, heads = 2 * WINDOW + 3, 2
+        n = 2 * WINDOW + 3
         x, weights, c = _attention_inputs(n, seed=35)
         d = m = x.shape[1]  # wo is (m, d)
         sizes = [WINDOW, WINDOW, 3]
         forward = (
             3 * n * d * m                             # q, k and v, window by window
-            + sum(2 * r * r * m for r in sizes)       # q k^T and e v, every head
+            + sum(2 * r * r * m for r in sizes)       # q k^T and e v
             + n * m * d                               # merged @ wo
         )
         backward = (
@@ -264,14 +256,14 @@ class TestWindowedAttentionOp:
             + 3 * d * n * m                           # wq's, wk's and wv's gradients
         )
         m0 = COUNTER.total
-        _attention_run(T.windowed_attention, x, weights, c, WINDOW, heads)
+        _attention_run(T.windowed_attention, x, weights, c, WINDOW)
         assert COUNTER.total - m0 == forward + backward
 
     def test_prediction_peak_is_about_two_outputs(self):
         """With no tape, attention over n = 8 * 512 + 100 rows at width 64
-        allocates the output, one window's q, k, v and merged heads and one
+        allocates the output, one window's q, k, v and merged rows and one
         _BLOCK x window buffer of exponentials. At window 512 that is at most
-        3 units of n * d float64s; keeping n-row merged heads and a window's
+        3 units of n * d float64s; keeping n-row merged rows and a window's
         probabilities read 3.35, and projecting q, k and v over all n rows
         first 6.0. At window = n, the window's four arrays are a unit each
         and the buffer _BLOCK / d = 4 units, at most 10 in all; a window x
@@ -288,7 +280,7 @@ class TestWindowedAttentionOp:
             try:
                 tracemalloc.reset_peak()
                 before = tracemalloc.get_traced_memory()[0]
-                out = T.windowed_attention(x, *weights, window, 1)
+                out = T.windowed_attention(x, *weights, window)
                 peak = tracemalloc.get_traced_memory()[1] - before
             finally:
                 if started:
@@ -299,7 +291,7 @@ class TestWindowedAttentionOp:
             assert units <= bound, f"window {window}: peak {units:.2f} units"
 
     def test_block_node_count_does_not_grow_with_n(self):
-        cfg, params = make_params(kind="windowed_attention", heads=2, window=WINDOW)
+        cfg, params = make_params(kind="windowed_attention", window=WINDOW)
         counts = []
         for n in (1, WINDOW, 9 * WINDOW + 1):
             xt = Tensor(np.random.default_rng(n).standard_normal((n, 8)), requires_grad=True)
@@ -312,11 +304,11 @@ class TestWindowedAttentionOp:
         x, weights, _ = _attention_inputs(5, seed=40)
         ws = list(map(Tensor, weights))
         with pytest.raises(T.ShapeError, match="wk must be"):
-            T.windowed_attention(Tensor(x), ws[0], Tensor(weights[1][:6]), ws[2], ws[3], 4, 1)
+            T.windowed_attention(Tensor(x), ws[0], Tensor(weights[1][:6]), ws[2], ws[3], 4)
         with pytest.raises(T.ShapeError, match="wo must have 8 rows"):
-            T.windowed_attention(Tensor(x), *ws[:3], Tensor(weights[3][:6]), 4, 1)
-        with pytest.raises(T.ShapeError, match="3 heads"):
-            T.windowed_attention(Tensor(x), *ws, 4, 3)
+            T.windowed_attention(Tensor(x), *ws[:3], Tensor(weights[3][:6]), 4)
+        with pytest.raises(T.ShapeError, match="window must be >= 1, got 0"):
+            T.windowed_attention(Tensor(x), *ws, 0)
 
 
 class TestSharedLm:

@@ -19,7 +19,6 @@ from jnrf import model as M
 from jnrf import tensor as T
 from jnrf.bench import step_memory, synthetic_instance
 from jnrf.corpus import NUM_LABELS, bio_label, parse_brat
-from jnrf.embedding import EmbeddingTable
 from jnrf.model import (
     JNRF,
     EncodedInstance,
@@ -54,7 +53,7 @@ TINY = ModelConfig(emb_dim=6, d_model=6, ffn_hidden=8, mixer="fnet", n_blocks=1)
 
 def tiny_table(vocab_size=20, d=6, seed=0):
     rng = np.random.default_rng(seed)
-    return EmbeddingTable(rng.standard_normal((vocab_size, d)))
+    return rng.standard_normal((vocab_size, d))
 
 
 class TestNerHead:
@@ -750,7 +749,7 @@ class TestEndToEnd:
         self._gradient_check(TINY, self._CHECKED)
 
     def test_attention_model_gradient_check(self):
-        cfg = dataclasses.replace(TINY, mixer="windowed_attention", n_attn_heads=2, window=5)
+        cfg = dataclasses.replace(TINY, mixer="windowed_attention", window=5)
         assert len(encode_document(build_two_drug_doc()[0]).ids) > 3 * cfg.window  # 4 windows
         self._gradient_check(cfg, (*self._CHECKED, "lm.0.wq", "lm.0.wk", "lm.0.wv", "lm.0.wo"))
 
@@ -938,7 +937,7 @@ def test_a_training_step_records_16_tape_nodes(mixer):
     of one type, so one head is present, against all eight in the first."""
     cfg = ModelConfig(mixer=mixer)
     rng = np.random.default_rng(51)
-    table = EmbeddingTable(rng.standard_normal((50, cfg.emb_dim)))
+    table = rng.standard_normal((50, cfg.emb_dim))
     every_head = synthetic_instance(2048, rng)
     one_head = dataclasses.replace(every_head, spans=[
         (s, e, etype if etype == "Drug" else "Route") for s, e, etype in every_head.spans
@@ -1018,7 +1017,7 @@ class TestTrainStepMemory:
         case = "full_attention" if window == n else mixer
         model = JNRF(cfg, seed=0)
         rng = np.random.default_rng(50)
-        table = EmbeddingTable(rng.standard_normal((50, cfg.emb_dim)))
+        table = rng.standard_normal((50, cfg.emb_dim))
         inst = synthetic_instance(n, rng)
         model.instance_losses(inst, table)  # untaped: fills the positional-encoding cache
         got = step_memory(model, inst, table)
@@ -1036,7 +1035,7 @@ def gradient_digests() -> dict[str, str]:
     for mixer in ("fnet", "windowed_attention"):
         cfg = ModelConfig(mixer=mixer)
         rng = np.random.default_rng(53)
-        table = EmbeddingTable(rng.standard_normal((50, cfg.emb_dim)))
+        table = rng.standard_normal((50, cfg.emb_dim))
         model = JNRF(cfg, seed=0)
         with Tape() as tape:
             loss, _, lre = model.instance_losses(synthetic_instance(6000, rng), table)
@@ -1083,7 +1082,7 @@ class TestTapeKeepsNoOutputs:
         cfg = ModelConfig()
         model = JNRF(cfg, seed=0)
         rng = np.random.default_rng(52)
-        table = EmbeddingTable(rng.standard_normal((50, cfg.emb_dim)))
+        table = rng.standard_normal((50, cfg.emb_dim))
         inst = synthetic_instance(300, rng)  # two row blocks
         refs = {"fourier_mix": [], "ffn": []}
         for name, kept in refs.items():
@@ -1118,7 +1117,7 @@ class TestTapeKeepsNoOutputs:
         cfg = ModelConfig(mixer=mixer, window=100)
         model = JNRF(cfg, seed=0)
         rng = np.random.default_rng(54)
-        table = EmbeddingTable(rng.standard_normal((50, cfg.emb_dim)))
+        table = rng.standard_normal((50, cfg.emb_dim))
         inst = synthetic_instance(300, rng)
         mixer_op = "fourier_mix" if mixer == "fnet" else "windowed_attention"
         kept, calls = [], []  # (op, weakref to its output's data); (op, ops whose outputs are alive)
@@ -1144,7 +1143,7 @@ class TestTapeKeepsNoOutputs:
         cfg = ModelConfig(train_pooling=pooling)
         model = JNRF(cfg, seed=0)
         rng = np.random.default_rng(55)
-        table = EmbeddingTable(rng.standard_normal((50, cfg.emb_dim)))
+        table = rng.standard_normal((50, cfg.emb_dim))
         inst = synthetic_instance(300, rng)
         refs, alive = {}, []
         for name in ("encode", "ner_head"):

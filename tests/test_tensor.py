@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from jnrf import fourier, tensor as T
-from jnrf.embedding import EmbeddingTable, embed
+from jnrf.embedding import embed
 from jnrf.instrument import COUNTER
 from jnrf.tensor import ShapeError, Tape, TapeError, Tensor
 
@@ -324,7 +324,7 @@ class TestRowSources:
             with Tape():
                 t = T.layer_norm_rows(*(Tensor(a, requires_grad=True) for a in (x, gain, bias)))
         else:
-            table = EmbeddingTable(rng.standard_normal((50, 4 if kind == "ffn" else self.D)))
+            table = rng.standard_normal((50, 4 if kind == "ffn" else self.D))
             t = embed(rng.integers(0, 50, self.N), table)
         if kind == "ffn":  # the input MLP: an ffn of an embedding
             ws = [rng.standard_normal(s) for s in [(4, 9), (1, 9), (9, self.D), (1, self.D)]]
@@ -351,7 +351,7 @@ class TestRowSources:
             shapes, g_cols = [(d, 4)] * 3 + [(4, 5)], 5
 
             def run(x, *ws):
-                return T.windowed_attention(x, *ws, window=100, n_heads=2)
+                return T.windowed_attention(x, *ws, window=100)
         ws = [rng.standard_normal(s) for s in shapes]
         g = rng.standard_normal((n, g_cols))
         t = self.sourced(kind)
@@ -1105,7 +1105,7 @@ def _filter_operands():
         "matmul": (T.matmul, arrays((3, 4), (4, 2))),
         "ffn": (T.ffn, arrays((5, 4), (4, 6), (1, 6), (6, 3), (1, 3))),
         "windowed_attention": (
-            lambda *ts: T.windowed_attention(*ts, window=3, n_heads=2),
+            lambda *ts: T.windowed_attention(*ts, window=3),
             arrays((7, 4), (4, 4), (4, 4), (4, 4), (4, 5)),
         ),
         "layer_norm_rows": (T.layer_norm_rows, arrays((5, 4), (1, 4), (1, 4))),

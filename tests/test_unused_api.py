@@ -7,10 +7,14 @@ to `getattr`) in the package or the benchmark refers to it; the package
 includes its command line, `jnrf/__main__.py`. A method is matched by its
 name alone; references from the tests do not count. Every public name must
 be used: none is exempt. A private top-level function, class or constant
-must be read somewhere in the package outside its own definition."""
+must be read somewhere in the package outside its own definition, and a
+configuration key somewhere outside `config.py`."""
 
 import ast
+import dataclasses
 from pathlib import Path
+
+from jnrf.config import RunConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -67,6 +71,23 @@ def test_every_tensor_op_is_called_in_the_package():
                 used.add(node.attr)
     assert len(ops) == 12
     assert [op for op in ops if op not in used] == TENSOR_OPS_UNCALLED
+
+
+# Nothing in the package reads `granularity`: it has one legal value, and it
+# stays a key only because the benchmark's config text sets it.
+CONFIG_KEYS_UNREAD = ["granularity"]
+
+
+def test_every_config_key_is_read_outside_config():
+    """No configuration key that nothing uses: each `RunConfig` field is read
+    as an attribute somewhere in `src/jnrf/` outside `config.py`."""
+    read = set()
+    for path in (ROOT / "src" / "jnrf").glob("*.py"):
+        if path.name != "config.py":
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            read.update(n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute))
+    keys = [f.name for f in dataclasses.fields(RunConfig)]
+    assert [k for k in keys if k not in read] == CONFIG_KEYS_UNREAD
 
 
 # The tape alone decides which parents get a gradient (`Tape._link` drops a
