@@ -17,54 +17,65 @@ import argparse
 import os
 import sys
 
-from .config import ConfigError, ModelConfig, RunConfig, load_config, parse_config_text, serialize_config
+import numpy as np
+
+from .config import ConfigError, ModelConfig, RunConfig, load_config
 from .corpus import BratParseError, load_brat_dir, render_ann
 from .embedding import load_table
 from .evaluation import PredictedDoc, build_report, render_report_text
 from .model import JNRF, encode_document, predictions_to_brat
 from .tensor import ShapeError
 from .tokenizer import AlignmentError, Vocab, VocabError, prepare
-from .training import CheckpointError, TrainingError, apply_checkpoint, load_checkpoint, save_checkpoint, train
+from .training import CheckpointError, TrainingError, load_checkpoint, save_checkpoint, train
 
 _ERRORS = (ConfigError, VocabError, BratParseError, AlignmentError, ShapeError, TrainingError,
-           CheckpointError, OSError)
+           CheckpointError, FloatingPointError, OSError)
 
 
 def _setup(cfg: RunConfig, source: str):
-    """The model, vocabulary and embedding table `cfg` sets; errors name `source`."""
+    """The vocabulary and embedding table `cfg` sets; errors name `source`."""
     if not cfg.vocab:
         raise ConfigError(f"{source}: no 'vocab' key; the command needs a vocabulary file", "vocab")
     vocab = Vocab.load(cfg.vocab)
-    table = load_table(cfg.embeddings, vocab, cfg.emb_dim, cfg.seed)
-    return JNRF(ModelConfig.from_run_config(cfg), seed=cfg.seed), vocab, table
+    return vocab, load_table(cfg.embeddings, vocab, cfg.emb_dim, cfg.seed)
 
 
 def _documents(dirpath: str, vocab: Vocab):
-    return [prepare(doc, vocab) for doc in load_brat_dir(dirpath)]
+    """The BRAT documents under `dirpath`, prepared; alignment errors name the .ann."""
+    docs = load_brat_dir(dirpath)
+    for doc in docs:
+        try:
+            prepare(doc, vocab)
+        except AlignmentError as exc:
+            raise AlignmentError(f"{os.path.join(dirpath, doc.doc_id)}.ann: {exc}") from None
+    return docs
 
 
 def _train(args):
     cfg = load_config(args.config)
-    model, vocab, table = _setup(cfg, args.config)
+    vocab, table = _setup(cfg, args.config)
+    model = JNRF(ModelConfig.from_run_config(cfg), seed=cfg.seed)
     dev = _documents(args.dev, vocab) if args.dev else []
     result = train(model, table, _documents(args.train_dir, vocab), dev, cfg)
     for s in result.history:
         print(f"epoch {s.epoch}  train_loss {s.train_loss:.6f}  dev_e2e_f1 {s.dev_f1:.4f}  {s.seconds:.3f} s")
     print(f"selected epoch {result.best_epoch}  dev_e2e_f1 {result.best_dev_f1:.4f}")
-    save_checkpoint(args.out, model, serialize_config(cfg))
+    save_checkpoint(args.out, model, cfg)
 
 
 def _predict(args):
-    ckpt = load_checkpoint(args.checkpoint)
-    model, vocab, table = _setup(parse_config_text(ckpt.config_text), args.checkpoint)
-    apply_checkpoint(model, ckpt)
+    cfg, model = load_checkpoint(args.checkpoint)
+    vocab, table = _setup(cfg, args.checkpoint)
     docs = _documents(args.data_dir, vocab)
     os.makedirs(args.out, exist_ok=True)
     if os.path.samefile(args.out, args.data_dir):
         raise ConfigError(f"{args.out}: --out is DATA_DIR, whose .ann files predictions would overwrite")
     preds = []
     for doc in docs:
-        entities, relations = predictions_to_brat(doc, *model.predict_instance(encode_document(doc), table))
+        try:
+            entities, relations = predictions_to_brat(doc, *model.predict_instance(encode_document(doc), table))
+        except FloatingPointError as exc:
+            raise CheckpointError(f"{args.checkpoint}: {exc} in document {doc.doc_id!r}") from None
         preds.append(PredictedDoc(doc.doc_id, entities, relations))
         stem = os.path.join(args.out, doc.doc_id)
         for ext, text in ((".txt", doc.text), (".ann", render_ann(entities, relations))):
@@ -89,7 +100,8 @@ def main(argv=None) -> int:
     cmd.set_defaults(run=_predict)
     args = parser.parse_args(argv)
     try:
-        args.run(args)
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            args.run(args)
     except _ERRORS as exc:
         print(f"jnrf: {exc}", file=sys.stderr)
         return 1

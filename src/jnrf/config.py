@@ -73,6 +73,8 @@ class RunConfig(ModelConfig):
         _require(self.granularity == "document", "granularity", "document", self.granularity)
         _require(self.epochs >= 1, "epochs", ">= 1", self.epochs)
         _require(math.isfinite(self.lr) and self.lr > 0, "lr", "finite and > 0", self.lr)
+        for key in ("vocab", "embeddings"):  # open() rejects a NUL with ValueError
+            _require("\0" not in getattr(self, key), key, "a path without NUL", getattr(self, key))
 
 
 _DEFAULTS = {f.name: f.default for f in fields(RunConfig)}
@@ -110,11 +112,29 @@ def parse_config_text(text: str) -> RunConfig:
         raise ConfigError(f"line {line_of[e.key]}: {e}", e.key) from None
 
 
+def decode_utf8(data: bytes, where: str, error: type[Exception]) -> str:
+    """`data` as UTF-8 text; an undecodable byte raises `error` naming
+    `where`, the byte's line and its offset in `data`."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = 1 + data[:exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n").count(b"\n")
+        raise error(f"{where} is not UTF-8 ({exc.reason} at line {line}, byte {exc.start})") from None
+
+
+def read_text(path: str, error: type[Exception]) -> str:
+    """A UTF-8 file's text as text mode reads it, a byte order mark dropped and
+    each "\\r\\n" or "\\r" read as "\\n"; `decode_utf8` errors name the path."""
+    with open(path, "rb") as f:
+        text = decode_utf8(f.read(), path, error)
+    return text.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n")
+
+
 def load_config(path: str) -> RunConfig:
     """Parse a config file, a UTF-8 byte order mark skipped; errors name it."""
+    text = read_text(path, ConfigError)
     try:
-        with open(path, encoding="utf-8-sig") as f:
-            return parse_config_text(f.read())
+        return parse_config_text(text)
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}", exc.key) from None
 

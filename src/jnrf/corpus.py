@@ -15,6 +15,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 
+from .config import decode_utf8, read_text
+
 ENTITY_TYPES = (
     "Drug", "Strength", "Form", "Dosage", "Frequency",
     "Route", "Duration", "Reason", "ADE",
@@ -210,10 +212,9 @@ def load_brat_file(txt_path: str) -> Document:
     order mark, which would otherwise hide its first line's tag."""
     stem = os.path.splitext(txt_path)[0]
     ann_path = stem + ".ann"
-    with open(txt_path, encoding="utf-8", newline="") as f:
-        text = f.read()
-    with open(ann_path, encoding="utf-8-sig") as f:
-        ann = f.read()
+    with open(txt_path, "rb") as f:
+        text = decode_utf8(f.read(), txt_path, BratParseError)
+    ann = read_text(ann_path, BratParseError)
     try:
         return parse_brat(text, ann, os.path.basename(stem))
     except BratParseError as exc:

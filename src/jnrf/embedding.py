@@ -12,7 +12,7 @@ import os
 
 import numpy as np
 
-from .config import ConfigError
+from .config import ConfigError, read_text
 from .tensor import Tensor
 from .tokenizer import Vocab
 
@@ -31,29 +31,27 @@ def load_table(path: str | None, vocab: Vocab, d: int, seed: int = 0) -> np.ndar
     if not os.path.exists(path):
         raise ConfigError(f"{path}: embeddings file does not exist")
     rows: dict[str, np.ndarray] = {}
-    with open(path, encoding="utf-8-sig") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            tok, _, rest = line.partition("\t")
-            fields = rest.split()
-            try:
-                vec = np.array([float(v) for v in fields])
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{lineno}: {exc}") from None
-            bad = np.flatnonzero(~np.isfinite(vec))
-            if bad.size:
-                raise ConfigError(
-                    f"{path}:{lineno}: non-finite value {fields[bad[0]]!r} in the embedding of {tok!r}"
-                )
-            if len(vec) != d:
-                raise ConfigError(f"{path}:{lineno}: embedding width {len(vec)} != {d}")
-            if tok not in vocab:
-                raise ConfigError(f"{path}:{lineno}: token {tok!r} not in vocabulary")
-            if tok in rows:
-                raise ConfigError(f"{path}:{lineno}: duplicate embedding for token {tok!r}")
-            rows[tok] = vec
+    for lineno, line in enumerate(read_text(path, ConfigError).split("\n"), start=1):
+        if not line:
+            continue
+        tok, _, rest = line.partition("\t")
+        fields = rest.split()
+        try:
+            vec = np.array([float(v) for v in fields])
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{lineno}: {exc}") from None
+        bad = np.flatnonzero(~np.isfinite(vec))
+        if bad.size:
+            raise ConfigError(
+                f"{path}:{lineno}: non-finite value {fields[bad[0]]!r} in the embedding of {tok!r}"
+            )
+        if len(vec) != d:
+            raise ConfigError(f"{path}:{lineno}: embedding width {len(vec)} != {d}")
+        if tok not in vocab:
+            raise ConfigError(f"{path}:{lineno}: token {tok!r} not in vocabulary")
+        if tok in rows:
+            raise ConfigError(f"{path}:{lineno}: duplicate embedding for token {tok!r}")
+        rows[tok] = vec
     missing = [t for t in vocab.tokens if t not in rows]
     if missing:
         raise ConfigError(f"{path}: missing embeddings for {missing[:5]}")

@@ -23,6 +23,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_left, bisect_right
 
+from .config import read_text
 from .corpus import Document, Tokens, bio_label
 
 UNK = "[UNK]"
@@ -74,8 +75,7 @@ class Vocab:
     def load(cls, path: str) -> "Vocab":
         """One token per line; blank lines and a UTF-8 byte order mark are
         skipped. Errors name the file and the line."""
-        with open(path, encoding="utf-8-sig") as f:
-            lines = [(n, tok) for n, line in enumerate(f, start=1) if (tok := line.rstrip("\n"))]
+        lines = [(n, tok) for n, tok in enumerate(read_text(path, VocabError).split("\n"), start=1) if tok]
         try:
             return cls(tok for _, tok in lines)
         except VocabError as exc:

@@ -4,6 +4,9 @@ binary checkpoints.
 Each step is one whole document at its native length: one forward, one
 backward and one Adam step, with no padding anywhere. An epoch visits the
 training documents once, in a seeded random order.
+
+A checkpoint holds a run's config text and the model's weights, and loads
+as the model that text builds: never into a model of another configuration.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .config import ConfigError, ModelConfig, RunConfig, parse_config_text
+from .config import ConfigError, ModelConfig, RunConfig, decode_utf8, parse_config_text, serialize_config
 from .corpus import Document
 from .evaluation import MatchCounts, match_relations
 from .model import JNRF, EncodedInstance, encode_document, predictions_to_brat
@@ -91,13 +94,14 @@ def _in_document(exc: Exception, doc_id: str) -> Exception:
 
 
 def dev_e2e_f1(model: JNRF, table: np.ndarray, docs: list[Document]) -> float:
-    """Relation F1 of the model's predictions on `docs`; a ConfigError or
-    ShapeError from a document's prediction is raised again naming it."""
+    """Relation F1 of the model's predictions on `docs`; a ConfigError,
+    ShapeError or FloatingPointError from a document's prediction is raised
+    again naming it."""
     counts = MatchCounts()
     for doc in docs:
         try:
             spans, relations = model.predict_instance(encode_document(doc), table)
-        except (ConfigError, ShapeError) as exc:
+        except (ConfigError, ShapeError, FloatingPointError) as exc:
             raise _in_document(exc, doc.doc_id) from exc
         _, pred_rels = predictions_to_brat(doc, spans, relations)
         for c in match_relations(pred_rels, doc.gold_relations).values():
@@ -134,15 +138,16 @@ def _document_pass(model, table, instances: list[EncodedInstance], order, state)
 
     Raises TrainingError, before backward runs on it, when a document's
     loss is not finite, and `adam_step`'s error, naming the document too,
-    when a gradient is not. A ConfigError or ShapeError from a document's
-    forward pass is raised again naming the document, before its step."""
+    when a gradient is not. A ConfigError, ShapeError or FloatingPointError
+    from a document's forward pass is raised again naming the document,
+    before its step."""
     total = 0.0
     for idx in order:
         inst = instances[idx]
         with Tape() as tape:
             try:
                 loss, _, _ = model.instance_losses(inst, table)
-            except (ConfigError, ShapeError) as exc:
+            except (ConfigError, ShapeError, FloatingPointError) as exc:
                 raise _in_document(exc, inst.doc_id) from exc
             value = loss.item()
             if not math.isfinite(value):
@@ -202,9 +207,7 @@ _VERSION = 3  # bump with any change to the file format or the parameter layout
 
 def _write_record(f, name: str, arr: np.ndarray):
     blob = name.encode("utf-8")
-    f.write(struct.pack("<I", len(blob)))
-    f.write(blob)
-    f.write(struct.pack("<II", arr.shape[0], arr.shape[1]))
+    f.write(struct.pack("<I", len(blob)) + blob + struct.pack("<II", *arr.shape))
     f.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
@@ -228,10 +231,7 @@ class _Reader:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
 
     def text(self, n: int, what: str) -> str:
-        try:
-            return self.take(n, what).decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise self.error(f"{what} is not UTF-8 ({exc.reason} at byte {exc.start})") from None
+        return decode_utf8(self.take(n, what), f"{self.path}: {what}", CheckpointError)
 
     def records(self, count: int) -> dict:
         """`count` named (rows, cols) float64 parameter records; names must
@@ -251,54 +251,29 @@ class _Reader:
         return out
 
 
-def _parse_config(path: str, config_text: str) -> RunConfig:
-    """The parsed config text; a text that does not parse, a key of an older
-    model included, raises CheckpointError naming the path and the line."""
-    try:
-        return parse_config_text(config_text)
-    except ConfigError as exc:
-        raise CheckpointError(f"{path}: config text does not parse: {exc}") from None
-
-
-def _check_config(path: str, config_text: str, config: ModelConfig, where: str):
-    """Raise CheckpointError, naming the path and the key, unless
-    `config_text` parses and sets every `ModelConfig` key as `config` has
-    it; a key the text leaves out takes its default."""
-    saved = ModelConfig.from_run_config(_parse_config(path, config_text))
+def save_checkpoint(path: str, model: JNRF, cfg: RunConfig):
+    """Write the model's weights and `cfg` as config text. `cfg` must set the
+    model's own configuration: one of another model raises CheckpointError,
+    naming the path and the first key that differs, and writes nothing."""
     for key in (f.name for f in fields(ModelConfig)):
-        theirs, ours = getattr(saved, key), getattr(config, key)
-        if theirs != ours:
-            raise CheckpointError(f"{path}: config key {key!r} is {theirs!r} in {where}, {ours!r} in the model")
-
-
-def save_checkpoint(path: str, model: JNRF, config_text: str):
-    """Write the model's weights and the run's config text, which must set
-    the model's own configuration; a rejected text writes nothing."""
-    _check_config(path, config_text, model.config, "the config text")
+        ours, theirs = getattr(cfg, key), getattr(model.config, key)
+        if ours != theirs:
+            raise CheckpointError(f"{path}: config key {key!r} is {ours!r} in the config, {theirs!r} in the model")
     tmp = path + ".tmp"
     with open(tmp, "wb") as f:
-        f.write(_MAGIC)
-        f.write(struct.pack("<I", _VERSION))
-        blob = config_text.encode("utf-8")
-        f.write(struct.pack("<I", len(blob)))
-        f.write(blob)
-        f.write(struct.pack("<I", len(model.params)))
+        blob = serialize_config(cfg).encode("utf-8")
+        f.write(_MAGIC + struct.pack("<II", _VERSION, len(blob)) + blob + struct.pack("<I", len(model.params)))
         for name, p in model.params.items():
             _write_record(f, name, p.data)
     os.replace(tmp, path)
 
 
-@dataclass
-class Checkpoint:
-    path: str  # the file it was loaded from; apply_checkpoint's errors name it
-    config_text: str
-    params: dict
-
-
-def load_checkpoint(path: str) -> Checkpoint:
-    """Read a checkpoint written by `save_checkpoint`; any file that is not
-    one, in whole, or whose config text does not parse, raises
-    CheckpointError naming the path."""
+def load_checkpoint(path: str) -> tuple[RunConfig, JNRF]:
+    """The run config of a checkpoint written by `save_checkpoint`, and the
+    model that config builds, holding the file's weights. A file that is not
+    such a checkpoint, in whole, raises CheckpointError naming the path: its
+    config text must parse, and its records must be that model's parameters,
+    each by name and shape, none missing and none besides."""
     with open(path, "rb") as f:
         r = _Reader(path, f.read())
     if r.take(len(_MAGIC), "magic") != _MAGIC:
@@ -307,29 +282,21 @@ def load_checkpoint(path: str) -> Checkpoint:
     if version != _VERSION:
         raise r.error(f"checkpoint version {version} != supported {_VERSION}")
     config_text = r.text(r.unpack("<I", "config text length")[0], "config text")
-    params = r.records(r.unpack("<I", "parameter count")[0])
+    records = r.records(r.unpack("<I", "parameter count")[0])
     if r.at != len(r.data):
         raise r.error("unexpected bytes after the last record")
-    _parse_config(path, config_text)
-    return Checkpoint(path, config_text, params)
-
-
-def apply_checkpoint(model: JNRF, ckpt: Checkpoint):
-    """Copy checkpoint weights into the model after validating every name
-    and shape, and then its config text against the model's configuration,
-    so a rejected checkpoint leaves the model as it was; each error starts
-    with the checkpoint's path."""
+    try:
+        cfg = parse_config_text(config_text)
+    except ConfigError as exc:
+        raise r.error(f"config text does not parse: {exc}") from None
+    model = JNRF(ModelConfig.from_run_config(cfg), seed=cfg.seed)
     for name, p in model.params.items():
-        if name not in ckpt.params:
-            raise CheckpointError(f"{ckpt.path}: checkpoint is missing parameter {name!r}")
-        arr = ckpt.params[name]
+        if name not in records:
+            raise r.error(f"checkpoint is missing parameter {name!r}")
+        arr = records.pop(name)
         if arr.shape != p.shape:
-            raise CheckpointError(
-                f"{ckpt.path}: parameter {name!r}: checkpoint shape {arr.shape} != model {p.shape}"
-            )
-    extra = set(ckpt.params) - set(n for n, _ in model.params.items())
-    if extra:
-        raise CheckpointError(f"{ckpt.path}: checkpoint has unknown parameters {sorted(extra)[:3]}")
-    _check_config(ckpt.path, ckpt.config_text, model.config, "the checkpoint")
-    for name, p in model.params.items():
-        p.data[...] = ckpt.params[name]
+            raise r.error(f"parameter {name!r}: checkpoint shape {arr.shape} != model {p.shape}")
+        p.data[...] = arr
+    if records:
+        raise r.error(f"checkpoint has unknown parameters {sorted(records)[:3]}")
+    return cfg, model

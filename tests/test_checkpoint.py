@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import io
 import re
@@ -12,20 +13,14 @@ from jnrf.config import RunConfig, serialize_config
 from jnrf.corpus import NUM_LABELS
 from jnrf.model import JNRF, ModelConfig, encode_document
 from jnrf.tensor import Tape
-from jnrf.training import (
-    AdamState,
-    CheckpointError,
-    adam_step,
-    apply_checkpoint,
-    load_checkpoint,
-    save_checkpoint,
-)
+from jnrf.training import AdamState, CheckpointError, adam_step, load_checkpoint, save_checkpoint
 
 from test_model import build_toy_doc, tiny_table
 
 # the smallest model: every parameter name is present, the file stays small
-SMALL = ModelConfig(emb_dim=2, d_model=2, ffn_hidden=2, mixer="fnet", n_blocks=1)
-CONFIG_TEXT = serialize_config(RunConfig(emb_dim=2, d_model=2, ffn_hidden=2, n_blocks=1, lr=0.05))
+RUN = RunConfig(emb_dim=2, d_model=2, ffn_hidden=2, mixer="fnet", n_blocks=1, lr=0.05)
+SMALL = ModelConfig.from_run_config(RUN)
+CONFIG_TEXT = serialize_config(RUN)
 
 
 def trained_model(seed=3):
@@ -42,26 +37,38 @@ def trained_model(seed=3):
 
 def saved_bytes(tmp_path, model, name="ckpt.bin"):
     path = tmp_path / name
-    save_checkpoint(str(path), model, CONFIG_TEXT)
+    save_checkpoint(str(path), model, RUN)
     return path, path.read_bytes()
+
+
+def write_checkpoint(path, records: dict, text: str = CONFIG_TEXT):
+    """A checkpoint file of `text` and the named `records`, laid out as
+    `save_checkpoint` lays out its own."""
+    blob = text.encode("utf-8")
+    with open(path, "wb") as f:
+        f.write(training._MAGIC + struct.pack("<II", training._VERSION, len(blob)) + blob)
+        f.write(struct.pack("<I", len(records)))
+        for name, arr in records.items():
+            training._write_record(f, name, arr)
 
 
 def test_round_trip(tmp_path):
     model = trained_model()
-    path, _ = saved_bytes(tmp_path, model)
-    ckpt = load_checkpoint(str(path))
-
-    fresh = JNRF(SMALL, seed=99)
-    apply_checkpoint(fresh, ckpt)
-    assert list(ckpt.params) == [name for name, _ in model.params.items()]
-    for name, p in model.params.items():
-        np.testing.assert_array_equal(fresh.params[name].data, p.data, err_msg=name)
+    path, data = saved_bytes(tmp_path, model)
+    weights = {name: p.data for name, p in model.params.items()}
+    write_checkpoint(tmp_path / "crafted.bin", weights)
+    assert (tmp_path / "crafted.bin").read_bytes() == data
     for j in range(8):
-        assert ckpt.params[f"rel.{j}.q.w"].shape == ckpt.params[f"rel.{j}.k.w"].shape == (2, 2)
-        assert ckpt.params[f"rel.{j}.k.b"].shape == (1, 2)
-        assert f"rel.{j}.q.b" not in ckpt.params
-    assert ckpt.params["alpha"].shape == (8, 2)
-    assert ckpt.config_text == CONFIG_TEXT
+        assert weights[f"rel.{j}.q.w"].shape == weights[f"rel.{j}.k.w"].shape == (2, 2)
+        assert weights[f"rel.{j}.k.b"].shape == (1, 2)
+        assert f"rel.{j}.q.b" not in weights
+    assert weights["alpha"].shape == (8, 2)
+
+    cfg, loaded = load_checkpoint(str(path))
+    assert cfg == RUN and loaded.config == SMALL
+    assert [name for name, _ in loaded.params.items()] == list(weights)
+    for name, arr in weights.items():
+        np.testing.assert_array_equal(loaded.params[name].data, arr, err_msg=name)
 
 
 def test_same_state_saves_byte_identical(tmp_path):
@@ -87,63 +94,36 @@ def test_trailing_bytes_rejected(tmp_path):
         load_checkpoint(str(path))
 
 
-def rejected_and_untouched(model, ckpt, message):
-    """apply_checkpoint raises CheckpointError matching `message`, and every
-    weight keeps its value from before the call."""
-    before = {n: p.data.copy() for n, p in model.params.items()}
-    assert any(n in ckpt.params and not np.array_equal(ckpt.params[n], a) for n, a in before.items())
-    with pytest.raises(CheckpointError, match=message):
-        apply_checkpoint(model, ckpt)
-    for name, p in model.params.items():
-        np.testing.assert_array_equal(p.data, before[name], err_msg=name)
-
-
-def test_apply_errors_name_the_file(tmp_path):
-    path, _ = saved_bytes(tmp_path, trained_model())
-    ckpt = load_checkpoint(str(path))
-    assert ckpt.path == str(path)
+def test_record_errors_name_the_file(tmp_path):
+    """Records that are not the parameters of the model the file's config
+    text builds: a wrong shape, a missing one and one besides."""
+    path = tmp_path / "crafted.bin"
     where = re.escape(str(path))
-    wider = JNRF(ModelConfig(emb_dim=2, d_model=4, ffn_hidden=2, mixer="fnet", n_blocks=1))
-    rejected_and_untouched(
-        wider, ckpt,
-        rf"^{where}: parameter 'in\.2\.w': checkpoint shape \(2, 2\) != model \(2, 4\)$",
-    )
-    del ckpt.params["alpha"]
-    rejected_and_untouched(JNRF(SMALL), ckpt, rf"^{where}: checkpoint is missing parameter 'alpha'$")
-    ckpt.params["alpha"] = np.zeros((8, 2))
-    ckpt.params["extra"] = np.zeros((1, 1))
-    rejected_and_untouched(
-        JNRF(SMALL), ckpt, rf"^{where}: checkpoint has unknown parameters \['extra'\]$"
-    )
-
-
-def test_apply_rejects_another_mixer(tmp_path):
-    """`fnet` and `mlp` have the same parameter names and shapes, so only
-    the config text tells their checkpoints apart."""
-    path, _ = saved_bytes(tmp_path, trained_model())
-    mlp = JNRF(ModelConfig(emb_dim=2, d_model=2, ffn_hidden=2, mixer="mlp", n_blocks=1))
-    rejected_and_untouched(
-        mlp, load_checkpoint(str(path)),
-        rf"^{re.escape(str(path))}: config key 'mixer' is 'fnet' in the checkpoint, 'mlp' in the model$",
-    )
+    weights = {name: p.data for name, p in trained_model().params.items()}
+    cases = [
+        ({**weights, "in.2.w": np.zeros((2, 4))},
+         rf"parameter 'in\.2\.w': checkpoint shape \(2, 4\) != model \(2, 2\)"),
+        ({n: a for n, a in weights.items() if n != "alpha"}, r"checkpoint is missing parameter 'alpha'"),
+        ({**weights, "extra": np.zeros((1, 1))}, r"checkpoint has unknown parameters \['extra'\]"),
+    ]
+    for records, message in cases:
+        write_checkpoint(path, records)
+        with pytest.raises(CheckpointError, match=rf"^{where}: {message}$"):
+            load_checkpoint(str(path))
 
 
 @pytest.mark.parametrize(
-    "text, message",
+    "cfg, message",
     [
-        (CONFIG_TEXT.replace("n_blocks = 1", "n_blocks = 2"),
-         "config key 'n_blocks' is 2 in the config text, 1 in the model"),
-        ("", "config key 'emb_dim' is 64 in the config text, 2 in the model"),
-        (CONFIG_TEXT + "mixer = mlp\n",
-         f"config text does not parse: line {len(CONFIG_TEXT.splitlines()) + 1}: "
-         "duplicate key 'mixer' (first set on line 4)"),
+        (dataclasses.replace(RUN, n_blocks=2), "config key 'n_blocks' is 2 in the config, 1 in the model"),
+        (RunConfig(), "config key 'emb_dim' is 64 in the config, 2 in the model"),
     ],
-    ids=["another-key", "defaults", "unparsed"],
+    ids=["another-key", "defaults"],
 )
-def test_save_rejects_config_text_of_another_model(tmp_path, text, message):
+def test_save_rejects_config_text_of_another_model(tmp_path, cfg, message):
     path = tmp_path / "ckpt.bin"
     with pytest.raises(CheckpointError, match=rf"^{re.escape(f'{path}: {message}')}$"):
-        save_checkpoint(str(path), trained_model(), text)
+        save_checkpoint(str(path), trained_model(), cfg)
     assert list(tmp_path.iterdir()) == []
 
 
@@ -238,10 +218,11 @@ def test_huge_record_dimensions_rejected(tmp_path):
 @pytest.mark.parametrize(
     "target, message",
     [
-        (b"in.1.w", r"parameter 0 name is not UTF-8 \(invalid start byte at byte 0\)"),
-        (CONFIG_TEXT.encode(), r"config text is not UTF-8 \(invalid start byte at byte 0\)"),
+        (b"in.1.w", r"parameter 0 name is not UTF-8 \(invalid start byte at line 1, byte 0\)"),
+        (CONFIG_TEXT.encode(), r"config text is not UTF-8 \(invalid start byte at line 1, byte 0\)"),
+        (b"d_model", rf"config text is not UTF-8 \(invalid start byte at line 2, byte {CONFIG_TEXT.index('d_model')}\)"),
     ],
-    ids=["parameter name", "config text"],
+    ids=["parameter name", "config text", "config text line 2"],
 )
 def test_non_utf8_text_rejected(tmp_path, target, message):
     path, data = saved_bytes(tmp_path, trained_model())

@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from jnrf.config import RunConfig, serialize_config
+from jnrf.__main__ import main
+from jnrf.config import RunConfig
 from jnrf.model import JNRF, ModelConfig
 from jnrf.training import save_checkpoint
 
@@ -32,6 +33,17 @@ def fails(*args) -> str:
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("jnrf: "), proc.stderr
+    return lines[0]
+
+
+def main_fails(capsys, *args) -> str:
+    """Run `main(args)` in this process, check that it failed as bad input
+    should, and return its one line of stderr."""
+    assert main([str(a) for a in args]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("jnrf: "), err
     return lines[0]
 
 
@@ -62,6 +74,13 @@ def test_a_config_without_vocab_is_rejected(data):
     assert not (data / "m.ckpt").exists()
 
 
+def test_a_nul_in_a_path_names_the_config_line(data, capsys):
+    cfg = data / "run.cfg"
+    cfg.write_text("epochs = 1\nvocab = v\0.txt\n")
+    line = main_fails(capsys, "train", cfg, data / "docs", "--out", data / "m.ckpt")
+    assert line == f"jnrf: {cfg}: line 2: vocab must be a path without NUL, got 'v\\x00.txt'"
+
+
 def test_a_malformed_ann_line_names_the_file_and_the_line(data):
     ann = data / "docs" / "d1.ann"
     ann.write_text("T1\tDrug 0 7\taspirin\nT2\tStrength 8\t5\n")
@@ -69,11 +88,43 @@ def test_a_malformed_ann_line_names_the_file_and_the_line(data):
     assert line == f"jnrf: {ann}: line 2: bad offset field '8'"
 
 
-def tiny_checkpoint(data: Path) -> Path:
-    text = serialize_config(RunConfig(**TINY, vocab=str(data / "vocab.txt")))
+@pytest.mark.parametrize("name", ["run.cfg", "vocab.txt", "emb.tsv", "docs/d1.txt", "docs/d1.ann"])
+def test_an_undecodable_byte_names_the_file_and_the_line(data, capsys, name):
+    """Every text file `train` reads. All but the BRAT text drop a byte order
+    mark, and the byte offset counts it."""
+    (data / "emb.tsv").write_text("[UNK]\t0 0\naspirin\t1 2\n5\t3 4\nmg\t5 6\n", encoding="utf-8")
+    cfg = data / "run.cfg"
+    cfg.write_text(cfg.read_text() + "".join(f"{k} = {v}\n" for k, v in TINY.items()) + f"embeddings = {data / 'emb.tsv'}\n")
+    path = data / name
+    text = (b"" if name == "docs/d1.txt" else b"\xef\xbb\xbf") + path.read_bytes()
+    at = text.index(b"\n") + 1
+    path.write_bytes(text[:at] + b"\xff" + text[at:])
+    line = main_fails(capsys, "train", cfg, data / "docs", "--out", data / "m.ckpt")
+    assert line == f"jnrf: {path} is not UTF-8 (invalid start byte at line 2, byte {at})"
+
+
+def test_an_entity_overlap_names_the_ann_file(data, capsys):
+    ann = data / "docs" / "d1.ann"
+    ann.write_text("T1\tDrug 0 7\taspirin\nT2\tStrength 3 9\tirin 5\n")
+    line = main_fails(capsys, "train", data / "run.cfg", data / "docs", "--out", data / "m.ckpt")
+    assert line == f"jnrf: {ann}: d1: token 0 ('aspirin') overlaps both T1 (Drug) and T2 (Strength)"
+
+
+def tiny_checkpoint(data: Path, model: JNRF | None = None) -> Path:
     path = data / "m.ckpt"
-    save_checkpoint(str(path), JNRF(ModelConfig(**TINY)), text)
+    model = model or JNRF(ModelConfig(**TINY))
+    save_checkpoint(str(path), model, RunConfig(**TINY, vocab=str(data / "vocab.txt")))
     return path
+
+
+def test_weights_that_overflow_name_the_checkpoint_and_the_document(data, capsys):
+    """A finite but huge weight loads, and then overflows in the forward pass."""
+    model = JNRF(ModelConfig(**TINY))
+    model.params["in.1.w"].data[...] = 1e200
+    path = tiny_checkpoint(data, model)
+    line = main_fails(capsys, "predict", path, data / "docs", "--out", data / "pred")
+    assert line.startswith(f"jnrf: {path}: overflow encountered in ")
+    assert line.endswith(" in document 'd1'")
 
 
 def test_a_truncated_checkpoint_names_its_path(data):

@@ -6,8 +6,10 @@ from jnrf.config import (
     ConfigError,
     ModelConfig,
     RunConfig,
+    decode_utf8,
     load_config,
     parse_config_text,
+    read_text,
     serialize_config,
 )
 
@@ -64,6 +66,23 @@ def test_a_byte_order_mark_is_skipped(tmp_path):
     marked.write_text(text, encoding="utf-8-sig")
     assert marked.read_bytes() == b"\xef\xbb\xbf" + plain.read_bytes()
     assert load_config(str(marked)) == load_config(str(plain)) == RunConfig(**NON_DEFAULT)
+
+
+def test_read_text_reads_as_text_mode_does(tmp_path):
+    """A byte order mark dropped and every line end read as "\\n"; a
+    next-line or line-separator character is not a line end."""
+    path = tmp_path / "f.txt"
+    path.write_bytes("\ufeffa\r\nb\rc\nd\x85e\u2028f\r".encode("utf-8"))
+    with open(path, encoding="utf-8-sig") as f:
+        assert read_text(str(path), ConfigError) == f.read() == "a\nb\nc\nd\x85e\u2028f\n"
+
+
+def test_an_undecodable_byte_names_its_line_and_file_offset():
+    """Lines end at "\\r\\n", "\\r" or "\\n", and the offset counts a
+    byte order mark."""
+    data = b"\xef\xbb\xbfa\r\nb\rc\nd\xff"
+    with pytest.raises(ConfigError, match=r"^f is not UTF-8 \(invalid start byte at line 4, byte 11\)$"):
+        decode_utf8(data, "f", ConfigError)
 
 
 def test_a_file_error_names_the_file_and_the_line(tmp_path):
@@ -174,6 +193,8 @@ def test_granularity_document_still_parses():
         ({"lr": -1e-3}, "lr"),
         ({"lr": float("nan")}, "lr"),
         ({"lr": float("inf")}, "lr"),
+        ({"vocab": "v\0.txt"}, "vocab"),
+        ({"embeddings": "e.tsv\0"}, "embeddings"),
     ],
 )
 def test_invalid_values_rejected(values, key):

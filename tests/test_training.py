@@ -332,6 +332,8 @@ class TestDeterminism:
         assert pred1 == pred2
 
     def test_train_is_bit_identical_across_hash_seeds(self):
+        """Each subprocess sets another hash seed and another BLAS thread
+        count; every run, this one included, gives the same digest."""
         here = os.path.dirname(os.path.abspath(__file__))
         src = os.path.join(os.path.dirname(here), "src")
         code = (
@@ -341,8 +343,8 @@ class TestDeterminism:
         digests = {
             subprocess.run(
                 [sys.executable, "-c", code], check=True, capture_output=True, text=True,
-                env={**os.environ, "PYTHONHASHSEED": hash_seed},
+                env={**os.environ, "PYTHONHASHSEED": hash_seed, "OPENBLAS_NUM_THREADS": threads},
             ).stdout.strip()
-            for hash_seed in ("1", "2")
+            for hash_seed, threads in (("1", "1"), ("2", "2"))
         }
         assert digests == {run_digest()}
