@@ -74,8 +74,9 @@ def _predict(args):
     for doc in docs:
         try:
             entities, relations = predictions_to_brat(doc, *model.predict_instance(encode_document(doc), table))
-        except FloatingPointError as exc:
-            raise CheckpointError(f"{args.checkpoint}: {exc} in document {doc.doc_id!r}") from None
+        except FloatingPointError as exc:  # from the weights, or from the table
+            where = args.checkpoint + (f" or {cfg.embeddings}" if cfg.embeddings else "")
+            raise CheckpointError(f"{where}: {exc} in document {doc.doc_id!r}") from None
         preds.append(PredictedDoc(doc.doc_id, entities, relations))
         stem = os.path.join(args.out, doc.doc_id)
         for ext, text in ((".txt", doc.text), (".ann", render_ann(entities, relations))):

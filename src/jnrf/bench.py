@@ -6,14 +6,17 @@ For each length n, four cells run the default-config model on
 `synthetic_instance(n)`: `fnet` and `mlp`, whose window is null since they
 have none, and windowed attention at window 512 and at window = n, full
 attention. Each cell runs in a fresh process, so its ru_maxrss is its own:
-`predict_instance` first, then one training step (forward and backward, no
-Adam), each `--repeats` times, with the median and quartiles of each time
-and ru_maxrss after each phase. The training step's reading is the
-process's peak, which includes prediction's. Once that is read, one more,
-untimed training step is traced with tracemalloc (`step_memory`), in units
-of one n x d_model float64 array. The result goes to BENCH_scaling.json at
-the repository root, with the BLAS build and the BLAS thread variables the
-cells ran under; a variable that is not set runs as "1", one thread.
+the encoder (`JNRF.encode` plus `ner_head`), whose work depends on n and
+the mixer alone, then `predict_instance`, whose other work grows with the
+spans it decodes (recorded as `spans`: `drugs`, |H|, and `attributes`, |L|),
+then one training step (forward and backward, no Adam), each `--repeats`
+times, with the median and quartiles of each time and ru_maxrss after each
+phase. The training step's reading is the process's peak, which includes
+prediction's. Once that is read, one more, untimed training step is traced
+with tracemalloc (`step_memory`), in units of one n x d_model float64
+array. The result goes to BENCH_scaling.json at the repository root, with
+the BLAS build and the BLAS thread variables the cells ran under; a
+variable that is not set runs as "1", one thread.
 """
 
 import argparse
@@ -98,12 +101,14 @@ def run_cell(mixer: str, n: int, window: int | None, repeats: int) -> dict:
     table = rng.standard_normal((50, cfg.emb_dim))
     model = JNRF(cfg, seed=0)
     cell = {"mixer": mixer, "n": n, "window": window, "repeats": repeats}
-    for phase in ("predict", "train"):
+    for phase in ("encode", "predict", "train"):
         times = []
         for _ in range(repeats):
             start = time.perf_counter()
-            if phase == "predict":
-                model.predict_instance(inst, table)
+            if phase == "encode":
+                model.ner_head(model.encode(inst.ids, table))
+            elif phase == "predict":
+                spans, _ = model.predict_instance(inst, table)
             else:
                 with Tape() as tape:
                     loss, _, _ = model.instance_losses(inst, table)
@@ -113,6 +118,8 @@ def run_cell(mixer: str, n: int, window: int | None, repeats: int) -> dict:
         q1, median, q3 = np.percentile(times, [25, 50, 75]).tolist()
         maxrss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
         cell[phase] = {"median_s": median, "q1_s": q1, "q3_s": q3, "maxrss_mb": maxrss}
+    drugs = sum(etype == "Drug" for _, _, etype in spans)
+    cell["predict"].update(spans=len(spans), drugs=drugs, attributes=len(spans) - drugs)
     cell["train"].update(step_memory(model, inst, table))
     return cell
 

@@ -13,7 +13,7 @@ character starts, character ends and vocabulary ids, in text order. A
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .config import decode_utf8, read_text
 
@@ -106,6 +106,7 @@ class Document:
     bio_labels: list[int] = field(default_factory=list)
     # token index range per gold entity, aligned with gold_entities
     entity_token_spans: list[tuple[int, int]] = field(default_factory=list)
+    path: str = ""  # the .txt file it was read from, if any; errors name it
 
     def __len__(self):
         return len(self.tokens)
@@ -216,7 +217,7 @@ def load_brat_file(txt_path: str) -> Document:
         text = decode_utf8(f.read(), txt_path, BratParseError)
     ann = read_text(ann_path, BratParseError)
     try:
-        return parse_brat(text, ann, os.path.basename(stem))
+        return replace(parse_brat(text, ann, os.path.basename(stem)), path=txt_path)
     except BratParseError as exc:
         raise BratParseError(f"{ann_path}: {exc}") from None
 

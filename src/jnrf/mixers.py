@@ -21,31 +21,17 @@ by running the input MLP again on the embedding, instead of keeping a
 copy. Each mixer's and FFN's output goes straight into its layer norm as
 the residual, so it is freed when that returns.
 
-The Fourier sublayer contributes no trainable parameters; each block trains
-only its two LayerNorms and the FFN (plus q/k/v/o projections for the
-attention kind).
+This module is forward code alone; `model.parameter_layout` names block b's
+parameters `lm.{b}.*`. The Fourier sublayer has none: each block trains its
+two LayerNorms and the FFN (plus q/k/v/o projections for the attention kind).
 """
 
 from __future__ import annotations
 
 from . import tensor as T
 from .config import ModelConfig
-from .params import Params, add_layer_norm, add_linear, linear_init
+from .params import Params
 from .tensor import Tensor
-
-
-def init_mixer_params(params: Params, cfg: ModelConfig, rng):
-    """Block b's parameters are named `lm.{b}.*`."""
-    d = cfg.d_model
-    for b in range(cfg.n_blocks):
-        p = f"lm.{b}"
-        add_layer_norm(params, f"{p}.ln1", d)
-        add_linear(params, rng, f"{p}.ffn.1", d, cfg.ffn_hidden)
-        add_linear(params, rng, f"{p}.ffn.2", cfg.ffn_hidden, d)
-        add_layer_norm(params, f"{p}.ln2", d)
-        if cfg.mixer == "windowed_attention":
-            for name in ("wq", "wk", "wv", "wo"):
-                params.add(f"{p}.{name}", linear_init(rng, d, d))
 
 
 def ffn(x: Tensor, params: Params, prefix: str) -> Tensor:

@@ -50,8 +50,8 @@ from .corpus import (
     relation_head,
 )
 from .embedding import embed
-from .mixers import ffn, init_mixer_params, shared_lm
-from .params import Params, add_linear, linear_init
+from .mixers import ffn, shared_lm
+from .params import Params
 from .tensor import Tensor
 
 N_REL_HEADS = len(RELATION_TYPES)
@@ -75,6 +75,7 @@ class EncodedInstance:
     spans: list[tuple[int, int, str]]   # gold (tok_start, tok_end, etype)
     relations: list[tuple[int, int]]    # (attr span idx, drug span idx)
     doc_id: str = ""
+    path: str = ""                      # the document's .txt file, if it has one
 
 
 def encode_document(doc: Document) -> EncodedInstance:
@@ -85,7 +86,7 @@ def encode_document(doc: Document) -> EncodedInstance:
     ]
     index_of = {id(ent): i for i, ent in enumerate(doc.gold_entities)}
     relations = [(index_of[id(r.arg1)], index_of[id(r.arg2)]) for r in doc.gold_relations]
-    return EncodedInstance(ids, labels, spans, relations, doc.doc_id)
+    return EncodedInstance(ids, labels, spans, relations, doc.doc_id, doc.path)
 
 
 def decode_bio(logits: np.ndarray):
@@ -205,25 +206,43 @@ def predict_relations(x: Tensor, l_rows, h_rows, heads, weights, alpha: Tensor, 
     return list(zip(best.tolist(), range(len(best))))
 
 
+def parameter_layout(config: ModelConfig) -> list[tuple[str, tuple[int, int]]]:
+    """Every parameter's name and shape, in the order `JNRF` draws them and
+    a checkpoint stores them; `alpha` holds each relation head's (a, b)."""
+    e, d, f = config.emb_dim, config.d_model, config.ffn_hidden
+
+    def linear(p, fan_in, fan_out):
+        return [(f"{p}.w", (fan_in, fan_out)), (f"{p}.b", (1, fan_out))]
+
+    def norm(p):
+        return [(f"{p}.g", (1, d)), (f"{p}.b", (1, d))]
+
+    layout = linear("in.1", e, f) + linear("in.2", f, d)
+    for b in range(config.n_blocks):
+        p = f"lm.{b}"
+        layout += norm(f"{p}.ln1") + linear(f"{p}.ffn.1", d, f) + linear(f"{p}.ffn.2", f, d) + norm(f"{p}.ln2")
+        if config.mixer == "windowed_attention":
+            layout += [(f"{p}.{w}", (d, d)) for w in ("wq", "wk", "wv", "wo")]
+    layout += linear("ner.1", d, f) + linear("ner.2", f, NUM_LABELS) + linear("re.1", d, f) + linear("re.2", f, d)
+    for j in range(N_REL_HEADS):
+        layout += [(f"rel.{j}.q.w", (d, d))] + linear(f"rel.{j}.k", d, d)
+    return layout + [("alpha", (N_REL_HEADS, 2))]
+
+
 class JNRF:
     def __init__(self, config: ModelConfig, seed: int = 0):
+        """Draws `parameter_layout(config)` in order from one generator: a name
+        whose last part starts with `w` draws standard normals / sqrt(fan_in),
+        a gain `g` starts at 1, and a bias `b` and `alpha` at 0."""
         self.config = config
         self.params = Params()
         rng = np.random.default_rng(seed)
-        c = config
-        add_linear(self.params, rng, "in.1", c.emb_dim, c.ffn_hidden)
-        add_linear(self.params, rng, "in.2", c.ffn_hidden, c.d_model)
-        init_mixer_params(self.params, c, rng)
-        add_linear(self.params, rng, "ner.1", c.d_model, c.ffn_hidden)
-        add_linear(self.params, rng, "ner.2", c.ffn_hidden, NUM_LABELS)
-        add_linear(self.params, rng, "re.1", c.d_model, c.ffn_hidden)
-        add_linear(self.params, rng, "re.2", c.ffn_hidden, c.d_model)
-        for j in range(N_REL_HEADS):
-            self.params.add(f"rel.{j}.q.w", linear_init(rng, c.d_model, c.d_model))
-            add_linear(self.params, rng, f"rel.{j}.k", c.d_model, c.d_model)
-        # distance polynomial coefficients, one (a, b) row per head;
-        # zero-initialized so training starts distance-agnostic
-        self.params.add("alpha", np.zeros((N_REL_HEADS, 2)))
+        for name, shape in parameter_layout(config):
+            last = name.rsplit(".", 1)[-1]
+            if last.startswith("w"):
+                self.params.add(name, rng.standard_normal(shape) / np.sqrt(shape[0]))
+            else:
+                self.params.add(name, np.full(shape, 1.0 if last == "g" else 0.0))
 
     def encode(self, ids, table: np.ndarray) -> Tensor:
         """Embedding, token-wise input MLP, then the weight-shared language

@@ -5,8 +5,9 @@ Each step is one whole document at its native length: one forward, one
 backward and one Adam step, with no padding anywhere. An epoch visits the
 training documents once, in a seeded random order.
 
-A checkpoint holds a run's config text and the model's weights, and loads
-as the model that text builds: never into a model of another configuration.
+A checkpoint holds a run's config text and a record per parameter, in
+`parameter_layout` order, and loads as the model that text builds: never
+into a model of another configuration or from records in another order.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ import numpy as np
 
 from .config import ConfigError, ModelConfig, RunConfig, decode_utf8, parse_config_text, serialize_config
 from .corpus import Document
-from .evaluation import MatchCounts, match_relations
-from .model import JNRF, EncodedInstance, encode_document, predictions_to_brat
+from .evaluation import PredictedDoc, build_report
+from .model import JNRF, EncodedInstance, encode_document, parameter_layout, predictions_to_brat
 from .params import Params
 from .tensor import ShapeError, Tape
 
@@ -88,25 +89,23 @@ def adam_step(params: Params, state: AdamState):
         p.data -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
 
 
-def _in_document(exc: Exception, doc_id: str) -> Exception:
-    """`exc`'s kind, its message followed by the document it came from."""
-    return type(exc)(f"{exc} in document {doc_id!r}")
+def _in_document(exc: Exception, doc) -> Exception:
+    """`exc`'s kind, its message followed by the document's file, or its id."""
+    return type(exc)(f"{exc} in document {doc.path or doc.doc_id!r}")
 
 
 def dev_e2e_f1(model: JNRF, table: np.ndarray, docs: list[Document]) -> float:
-    """Relation F1 of the model's predictions on `docs`; a ConfigError,
-    ShapeError or FloatingPointError from a document's prediction is raised
-    again naming it."""
-    counts = MatchCounts()
+    """Relation F1 of the model's predictions on `docs`, as `build_report`
+    scores it; a ConfigError, ShapeError or FloatingPointError from a
+    document's prediction is raised again naming it."""
+    preds = []
     for doc in docs:
         try:
             spans, relations = model.predict_instance(encode_document(doc), table)
         except (ConfigError, ShapeError, FloatingPointError) as exc:
-            raise _in_document(exc, doc.doc_id) from exc
-        _, pred_rels = predictions_to_brat(doc, spans, relations)
-        for c in match_relations(pred_rels, doc.gold_relations).values():
-            counts.add(c)
-    return counts.f1
+            raise _in_document(exc, doc) from exc
+        preds.append(PredictedDoc(doc.doc_id, *predictions_to_brat(doc, spans, relations)))
+    return build_report(preds, docs).e2e.f1
 
 
 @dataclass
@@ -148,16 +147,16 @@ def _document_pass(model, table, instances: list[EncodedInstance], order, state)
             try:
                 loss, _, _ = model.instance_losses(inst, table)
             except (ConfigError, ShapeError, FloatingPointError) as exc:
-                raise _in_document(exc, inst.doc_id) from exc
+                raise _in_document(exc, inst) from exc
             value = loss.item()
             if not math.isfinite(value):
-                raise TrainingError(f"non-finite loss {value} in document {inst.doc_id!r}")
+                raise _in_document(TrainingError(f"non-finite loss {value}"), inst)
             tape.backward(loss)
         total += value
         try:
             adam_step(model.params, state)
         except TrainingError as exc:
-            raise _in_document(exc, inst.doc_id) from exc
+            raise _in_document(exc, inst) from exc
         model.params.zero_grad()
     return total
 
@@ -177,7 +176,7 @@ def train(
     instances = [encode_document(d) for d in train_docs]
     for inst in instances:
         if len(inst.ids) == 0:
-            raise TrainingError(f"document {inst.doc_id!r} has no tokens")
+            raise TrainingError(f"document {inst.path or inst.doc_id!r} has no tokens")
 
     history: list[EpochStats] = []
     best_f1, best_snapshot, best_epoch = -1.0, None, 0
@@ -233,22 +232,21 @@ class _Reader:
     def text(self, n: int, what: str) -> str:
         return decode_utf8(self.take(n, what), f"{self.path}: {what}", CheckpointError)
 
-    def records(self, count: int) -> dict:
-        """`count` named (rows, cols) float64 parameter records; names must
-        differ and every value must be finite."""
-        out = {}
-        for i in range(count):
-            (n,) = self.unpack("<I", f"parameter {i} name length")
-            name = self.text(n, f"parameter {i} name")
-            rows, cols = self.unpack("<II", f"parameter {name!r} shape")
-            data = self.take(8 * rows * cols, f"parameter {name!r} ({rows}, {cols})")
-            if name in out:
-                raise self.error(f"duplicate parameter record {name!r}")
-            arr = np.frombuffer(data, dtype="<f8").reshape(rows, cols).astype(np.float64)
-            if not np.isfinite(arr).all():
-                raise self.error(f"parameter record {name!r} holds NaN or inf")
-            out[name] = arr
-        return out
+    def name(self, i: int) -> str:
+        return self.text(self.unpack("<I", f"parameter {i} name length")[0], f"parameter {i} name")
+
+    def record(self, i: int, want: str, shape: tuple[int, int]) -> np.ndarray:
+        """Record i, checked to be `want` of `shape` before its values are read."""
+        name = self.name(i)
+        if name != want:
+            raise self.error(f"parameter {i} is {name!r}, the model's is {want!r}")
+        dims = self.unpack("<II", f"parameter {name!r} shape")
+        if dims != shape:
+            raise self.error(f"parameter {name!r}: checkpoint shape {dims} != model {shape}")
+        arr = np.frombuffer(self.take(8 * dims[0] * dims[1], f"parameter {name!r} {shape}"), "<f8")
+        if not np.isfinite(arr).all():
+            raise self.error(f"parameter record {name!r} holds NaN or inf")
+        return arr.reshape(shape)
 
 
 def save_checkpoint(path: str, model: JNRF, cfg: RunConfig):
@@ -272,8 +270,9 @@ def load_checkpoint(path: str) -> tuple[RunConfig, JNRF]:
     """The run config of a checkpoint written by `save_checkpoint`, and the
     model that config builds, holding the file's weights. A file that is not
     such a checkpoint, in whole, raises CheckpointError naming the path: its
-    config text must parse, and its records must be that model's parameters,
-    each by name and shape, none missing and none besides."""
+    config text must parse, and each record must be the next of that model's
+    layout by name and shape before its values are read. The model is drawn
+    only then, so a file makes this allocate about its own size at most."""
     with open(path, "rb") as f:
         r = _Reader(path, f.read())
     if r.take(len(_MAGIC), "magic") != _MAGIC:
@@ -282,21 +281,21 @@ def load_checkpoint(path: str) -> tuple[RunConfig, JNRF]:
     if version != _VERSION:
         raise r.error(f"checkpoint version {version} != supported {_VERSION}")
     config_text = r.text(r.unpack("<I", "config text length")[0], "config text")
-    records = r.records(r.unpack("<I", "parameter count")[0])
-    if r.at != len(r.data):
-        raise r.error("unexpected bytes after the last record")
     try:
         cfg = parse_config_text(config_text)
     except ConfigError as exc:
         raise r.error(f"config text does not parse: {exc}") from None
-    model = JNRF(ModelConfig.from_run_config(cfg), seed=cfg.seed)
-    for name, p in model.params.items():
-        if name not in records:
-            raise r.error(f"checkpoint is missing parameter {name!r}")
-        arr = records.pop(name)
-        if arr.shape != p.shape:
-            raise r.error(f"parameter {name!r}: checkpoint shape {arr.shape} != model {p.shape}")
+    config = ModelConfig.from_run_config(cfg)
+    layout = parameter_layout(config)
+    (count,) = r.unpack("<I", "parameter count")
+    weights = [r.record(i, name, shape) for i, (name, shape) in enumerate(layout[:count])]
+    if count < len(layout):
+        raise r.error(f"checkpoint is missing parameter {layout[count][0]!r}")
+    if count > len(layout):
+        raise r.error(f"checkpoint has unknown parameter {r.name(len(layout))!r}")
+    if r.at != len(r.data):
+        raise r.error("unexpected bytes after the last record")
+    model = JNRF(config, seed=cfg.seed)
+    for (_, p), arr in zip(model.params.items(), weights):
         p.data[...] = arr
-    if records:
-        raise r.error(f"checkpoint has unknown parameters {sorted(records)[:3]}")
     return cfg, model

@@ -3,6 +3,7 @@ import functools
 import io
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from jnrf import training
 from jnrf.config import RunConfig, serialize_config
 from jnrf.corpus import NUM_LABELS
-from jnrf.model import JNRF, ModelConfig, encode_document
+from jnrf.model import JNRF, ModelConfig, encode_document, parameter_layout
 from jnrf.tensor import Tape
 from jnrf.training import AdamState, CheckpointError, adam_step, load_checkpoint, save_checkpoint
 
@@ -104,12 +105,53 @@ def test_record_errors_name_the_file(tmp_path):
         ({**weights, "in.2.w": np.zeros((2, 4))},
          rf"parameter 'in\.2\.w': checkpoint shape \(2, 4\) != model \(2, 2\)"),
         ({n: a for n, a in weights.items() if n != "alpha"}, r"checkpoint is missing parameter 'alpha'"),
-        ({**weights, "extra": np.zeros((1, 1))}, r"checkpoint has unknown parameters \['extra'\]"),
+        ({**weights, "extra": np.zeros((1, 1))}, r"checkpoint has unknown parameter 'extra'"),
     ]
     for records, message in cases:
         write_checkpoint(path, records)
         with pytest.raises(CheckpointError, match=rf"^{where}: {message}$"):
             load_checkpoint(str(path))
+
+
+def test_records_out_of_layout_order_rejected(tmp_path):
+    """`save_checkpoint` writes the records in `parameter_layout` order, and
+    a file is read in that order alone."""
+    path = tmp_path / "crafted.bin"
+    weights = {name: p.data for name, p in trained_model().params.items()}
+    names = list(weights)
+    names[0], names[1] = names[1], names[0]
+    write_checkpoint(path, {name: weights[name] for name in names})
+    with pytest.raises(
+        CheckpointError, match=rf"^{re.escape(str(path))}: parameter 0 is 'in\.1\.b', the model's is 'in\.1\.w'$"
+    ):
+        load_checkpoint(str(path))
+
+
+def test_config_text_of_a_larger_model_is_rejected_before_any_weight_is_drawn(tmp_path):
+    """Config text rewritten to d_model = 700 asks for a model of about 60 MB;
+    the file fails at `in.2.w`, the first record whose shape d_model sets,
+    having allocated about what the file holds."""
+    path, data = saved_bytes(tmp_path, trained_model())
+    old = CONFIG_TEXT.encode()
+    new = CONFIG_TEXT.replace("d_model = 2\n", "d_model = 700\n").encode()
+    assert data[12:16 + len(old)] == struct.pack("<I", len(old)) + old
+    path.write_bytes(data[:12] + struct.pack("<I", len(new)) + new + data[16 + len(old):])
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        with pytest.raises(
+            CheckpointError,
+            match=rf"^{re.escape(str(path))}: parameter 'in\.2\.w': checkpoint shape \(2, 2\) != model \(2, 700\)$",
+        ):
+            load_checkpoint(str(path))
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert peak < 2**20, f"peak {peak} bytes"
 
 
 @pytest.mark.parametrize(
@@ -209,8 +251,8 @@ def test_huge_record_dimensions_rejected(tmp_path):
     path.write_bytes(bytes(buf))
     with pytest.raises(
         CheckpointError,
-        match=rf"^{re.escape(str(path))}: truncated checkpoint file: parameter 'in\.1\.w' "
-        rf"\(2147483648, 2147483648\) needs {8 * 2**62} bytes, \d+ left$",
+        match=rf"^{re.escape(str(path))}: parameter 'in\.1\.w': checkpoint shape "
+        rf"\(2147483648, 2147483648\) != model \(2, 2\)$",
     ):
         load_checkpoint(str(path))
 
@@ -237,7 +279,7 @@ def test_duplicate_record_name_rejected(tmp_path):
     at = data.index(b"in.2.w")  # the third parameter record becomes a second in.1.w
     path.write_bytes(data[:at] + b"in.1.w" + data[at + 6:])
     with pytest.raises(
-        CheckpointError, match=rf"^{re.escape(str(path))}: duplicate parameter record 'in\.1\.w'$"
+        CheckpointError, match=rf"^{re.escape(str(path))}: parameter 2 is 'in\.1\.w', the model's is 'in\.2\.w'$"
     ):
         load_checkpoint(str(path))
 
@@ -301,7 +343,7 @@ LAYOUT = [
 def test_parameter_layout_is_pinned_to_the_checkpoint_version():
     model = JNRF(ModelConfig())
     got = [(name, p.shape) for name, p in model.params.items()]
-    assert got == LAYOUT and training._VERSION == 3, (
+    assert got == parameter_layout(ModelConfig()) == LAYOUT and training._VERSION == 3, (
         "the parameter layout changed: bump training._VERSION, so that files of the "
         "old layout are rejected, and update LAYOUT and the version in this test"
     )
@@ -321,3 +363,24 @@ def test_initial_weights_follow_the_seeded_draw_order(seed):
         else:
             want = np.full(shape, 1.0 if name.endswith(".g") else 0.0)
         np.testing.assert_array_equal(model.params[name].data, want, err_msg=name)
+
+
+def test_attention_projections_follow_each_blocks_second_layer_norm():
+    """The attention mixer's layout is the default's with `wq`, `wk`, `wv`
+    and `wo` after each block's `ln2`, and each of them is drawn in layout
+    order as a weight matrix is."""
+    cfg = ModelConfig(mixer="windowed_attention")
+    want = []
+    for name, shape in LAYOUT:
+        want.append((name, shape))
+        if name.endswith(".ln2.b"):
+            want += [(name.replace("ln2.b", w), (D, D)) for w in ("wq", "wk", "wv", "wo")]
+    assert parameter_layout(cfg) == want
+    rng = np.random.default_rng(5)
+    model = JNRF(cfg, seed=5)
+    for name, shape in want:
+        if name.endswith((".w", ".wq", ".wk", ".wv", ".wo")):
+            expected = rng.standard_normal(shape) / np.sqrt(shape[0])
+        else:
+            expected = np.full(shape, 1.0 if name.endswith(".g") else 0.0)
+        np.testing.assert_array_equal(model.params[name].data, expected, err_msg=name)

@@ -127,6 +127,27 @@ def test_weights_that_overflow_name_the_checkpoint_and_the_document(data, capsys
     assert line.endswith(" in document 'd1'")
 
 
+def test_training_that_overflows_names_the_document_file(data, capsys):
+    """A huge embedding overflows in the forward pass of a training step."""
+    emb = data / "emb.tsv"
+    emb.write_text("[UNK]\t0 0\naspirin\t1e300 2\n5\t3 4\nmg\t5 6\n", encoding="utf-8")
+    cfg = data / "run.cfg"
+    cfg.write_text(cfg.read_text() + "".join(f"{k} = {v}\n" for k, v in TINY.items()) + f"embeddings = {emb}\n")
+    line = main_fails(capsys, "train", cfg, data / "docs", "--out", data / "m.ckpt")
+    assert line.startswith("jnrf: overflow encountered in ")
+    assert line.endswith(f" in document {str(data / 'docs' / 'd1.txt')!r}")
+
+
+def test_prediction_that_overflows_names_the_checkpoint_and_the_embeddings(data, capsys):
+    emb = data / "emb.tsv"
+    emb.write_text("[UNK]\t0 0\naspirin\t1e300 2\n5\t3 4\nmg\t5 6\n", encoding="utf-8")
+    path = data / "m.ckpt"
+    save_checkpoint(str(path), JNRF(ModelConfig(**TINY)), RunConfig(**TINY, vocab=str(data / "vocab.txt"), embeddings=str(emb)))
+    line = main_fails(capsys, "predict", path, data / "docs", "--out", data / "pred")
+    assert line.startswith(f"jnrf: {path} or {emb}: overflow encountered in ")
+    assert line.endswith(" in document 'd1'")
+
+
 def test_a_truncated_checkpoint_names_its_path(data):
     path = tiny_checkpoint(data)
     path.write_bytes(path.read_bytes()[:-5])

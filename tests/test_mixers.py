@@ -8,7 +8,8 @@ import pytest
 from jnrf import tensor as T
 from jnrf.config import ModelConfig
 from jnrf.instrument import COUNTER
-from jnrf.mixers import fnet_block, init_mixer_params, shared_lm
+from jnrf.mixers import fnet_block, shared_lm
+from jnrf.model import JNRF, parameter_layout
 from jnrf.params import Params
 from jnrf.tensor import Tape, Tensor
 
@@ -16,9 +17,12 @@ from oracles import composed_windowed_attention, fd_grad, mul, rel_err, sum_all
 
 
 def make_params(kind="fnet", n_blocks=1, d=8, ffn=12, seed=0, window=512):
+    """The `lm.*` entries of the layout, as the model of `seed` draws them."""
     cfg = ModelConfig(mixer=kind, n_blocks=n_blocks, d_model=d, ffn_hidden=ffn, window=window)
-    params = Params()
-    init_mixer_params(params, cfg, np.random.default_rng(seed))
+    model, params = JNRF(cfg, seed=seed), Params()
+    for name, _ in parameter_layout(cfg):
+        if name.startswith("lm."):
+            params.add(name, model.params[name].data)
     return cfg, params
 
 
