@@ -6,8 +6,9 @@
 `train` trains as the config file sets (`jnrf.config`; `vocab` is required),
 keeps the epoch with the best dev E2E F1 when --dev is given, and writes the
 weights and the config text to CKPT. `predict` rebuilds the model, vocabulary
-and table from that text alone, writes <id>.txt and <id>.ann into DIR, and
-prints the lenient report against DATA_DIR's annotation. Bad input prints one
+and table from that text alone, predicts every document, then writes <id>.txt
+and <id>.ann into DIR and prints the lenient report against DATA_DIR's
+annotation; if any document fails, it writes nothing. Bad input prints one
 line, "jnrf: " and what is wrong where, on stderr, and exits with status 1.
 """
 
@@ -22,11 +23,11 @@ import numpy as np
 from .config import ConfigError, ModelConfig, RunConfig, load_config
 from .corpus import BratParseError, load_brat_dir, render_ann
 from .embedding import load_table
-from .evaluation import PredictedDoc, build_report, render_report_text
-from .model import JNRF, encode_document, predictions_to_brat
+from .evaluation import build_report, render_report_text
+from .model import JNRF
 from .tensor import ShapeError
 from .tokenizer import AlignmentError, Vocab, VocabError, prepare
-from .training import CheckpointError, TrainingError, load_checkpoint, save_checkpoint, train
+from .training import CheckpointError, TrainingError, load_checkpoint, predict_documents, save_checkpoint, train
 
 _ERRORS = (ConfigError, VocabError, BratParseError, AlignmentError, ShapeError, TrainingError,
            CheckpointError, FloatingPointError, OSError)
@@ -70,16 +71,14 @@ def _predict(args):
     os.makedirs(args.out, exist_ok=True)
     if os.path.samefile(args.out, args.data_dir):
         raise ConfigError(f"{args.out}: --out is DATA_DIR, whose .ann files predictions would overwrite")
-    preds = []
-    for doc in docs:
-        try:
-            entities, relations = predictions_to_brat(doc, *model.predict_instance(encode_document(doc), table))
-        except FloatingPointError as exc:  # from the weights, or from the table
-            where = args.checkpoint + (f" or {cfg.embeddings}" if cfg.embeddings else "")
-            raise CheckpointError(f"{where}: {exc} in document {doc.doc_id!r}") from None
-        preds.append(PredictedDoc(doc.doc_id, entities, relations))
+    try:
+        preds = predict_documents(model, table, docs)
+    except FloatingPointError as exc:  # from the weights, or from the table
+        where = args.checkpoint + (f" or {cfg.embeddings}" if cfg.embeddings else "")
+        raise CheckpointError(f"{where}: {exc}") from None
+    for doc, pred in zip(docs, preds):
         stem = os.path.join(args.out, doc.doc_id)
-        for ext, text in ((".txt", doc.text), (".ann", render_ann(entities, relations))):
+        for ext, text in ((".txt", doc.text), (".ann", render_ann(pred.entities, pred.relations))):
             with open(stem + ext, "w", encoding="utf-8", newline="") as f:
                 f.write(text)
     print(render_report_text(build_report(preds, docs)), end="")

@@ -1,22 +1,23 @@
 """Train-step and prediction cost of every mixer by document length.
 
-    python -m jnrf.bench [--lengths 2048 4096 8192] [--repeats 5] [--out PATH]
+    python -m jnrf.bench [--lengths 512 1024 2048 4096 8192] [--repeats 5] [--out PATH]
 
 For each length n, four cells run the default-config model on
 `synthetic_instance(n)`: `fnet` and `mlp`, whose window is null since they
 have none, and windowed attention at window 512 and at window = n, full
-attention. Each cell runs in a fresh process, so its ru_maxrss is its own:
-the encoder (`JNRF.encode` plus `ner_head`), whose work depends on n and
-the mixer alone, then `predict_instance`, whose other work grows with the
-spans it decodes (recorded as `spans`: `drugs`, |H|, and `attributes`, |L|),
-then one training step (forward and backward, no Adam), each `--repeats`
-times, with the median and quartiles of each time and ru_maxrss after each
-phase. The training step's reading is the process's peak, which includes
-prediction's. Once that is read, one more, untimed training step is traced
-with tracemalloc (`step_memory`), in units of one n x d_model float64
-array. The result goes to BENCH_scaling.json at the repository root, with
-the BLAS build and the BLAS thread variables the cells ran under; a
-variable that is not set runs as "1", one thread.
+attention (at n = 512 the same work). Each cell runs in a fresh process, so
+its ru_maxrss is its own. Each phase runs `--repeats` times, recording the
+median and quartiles of its time and ru_maxrss after it: a fixed float64
+kernel (64 products of a seeded (256, 128) by (128, 256) pair), whose median
+is `reference_s`, a loose yardstick for times from other runs; the encoder
+(`JNRF.encode` plus `ner_head`), whose work depends on n and the mixer alone;
+`predict_instance`, whose other work grows with the spans it decodes
+(`spans`: `drugs`, |H|, and `attributes`, |L|); one training step (forward
+and backward, no Adam), whose reading is the process's peak. One more,
+untimed step is traced with tracemalloc (`step_memory`), in units of one
+n x d_model float64 array. The result goes to BENCH_scaling.json at the
+repository root, with the BLAS build and the BLAS thread variables the cells
+ran under; a variable that is not set runs as "1", one thread.
 """
 
 import argparse
@@ -100,12 +101,16 @@ def run_cell(mixer: str, n: int, window: int | None, repeats: int) -> dict:
     inst = synthetic_instance(n, rng)
     table = rng.standard_normal((50, cfg.emb_dim))
     model = JNRF(cfg, seed=0)
+    a, b = np.random.default_rng(0).standard_normal((2, 256, 128))
     cell = {"mixer": mixer, "n": n, "window": window, "repeats": repeats}
-    for phase in ("encode", "predict", "train"):
+    for phase in ("reference", "encode", "predict", "train"):
         times = []
         for _ in range(repeats):
             start = time.perf_counter()
-            if phase == "encode":
+            if phase == "reference":
+                for _ in range(64):
+                    a @ b.T
+            elif phase == "encode":
                 model.ner_head(model.encode(inst.ids, table))
             elif phase == "predict":
                 spans, _ = model.predict_instance(inst, table)
@@ -118,6 +123,7 @@ def run_cell(mixer: str, n: int, window: int | None, repeats: int) -> dict:
         q1, median, q3 = np.percentile(times, [25, 50, 75]).tolist()
         maxrss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
         cell[phase] = {"median_s": median, "q1_s": q1, "q3_s": q3, "maxrss_mb": maxrss}
+    cell["reference_s"] = cell.pop("reference")["median_s"]
     drugs = sum(etype == "Drug" for _, _, etype in spans)
     cell["predict"].update(spans=len(spans), drugs=drugs, attributes=len(spans) - drugs)
     cell["train"].update(step_memory(model, inst, table))
@@ -126,7 +132,7 @@ def run_cell(mixer: str, n: int, window: int | None, repeats: int) -> dict:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--lengths", type=int, nargs="+", default=[2048, 4096, 8192])
+    ap.add_argument("--lengths", type=int, nargs="+", default=[512, 1024, 2048, 4096, 8192])
     ap.add_argument("--repeats", type=int, default=5)
     ap.add_argument("--out", type=Path, default=OUT)
     ap.add_argument("--cell", nargs=3, metavar=("MIXER", "N", "WINDOW"),

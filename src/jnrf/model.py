@@ -74,8 +74,6 @@ class EncodedInstance:
     labels: np.ndarray                  # BIO label ids, length n
     spans: list[tuple[int, int, str]]   # gold (tok_start, tok_end, etype)
     relations: list[tuple[int, int]]    # (attr span idx, drug span idx)
-    doc_id: str = ""
-    path: str = ""                      # the document's .txt file, if it has one
 
 
 def encode_document(doc: Document) -> EncodedInstance:
@@ -86,7 +84,7 @@ def encode_document(doc: Document) -> EncodedInstance:
     ]
     index_of = {id(ent): i for i, ent in enumerate(doc.gold_entities)}
     relations = [(index_of[id(r.arg1)], index_of[id(r.arg2)]) for r in doc.gold_relations]
-    return EncodedInstance(ids, labels, spans, relations, doc.doc_id, doc.path)
+    return EncodedInstance(ids, labels, spans, relations)
 
 
 def decode_bio(logits: np.ndarray):

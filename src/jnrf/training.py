@@ -1,9 +1,11 @@
-"""Adam training loop with unit batches, dev-set model selection and
-binary checkpoints.
+"""Adam training loop with unit batches, dev-set model selection, the one
+prediction pass, and binary checkpoints.
 
 Each step is one whole document at its native length: one forward, one
 backward and one Adam step, with no padding anywhere. An epoch visits the
-training documents once, in a seeded random order.
+training documents once, in a seeded random order. Dev scoring and `jnrf
+predict` both run `predict_documents`. An error in a step or a prediction
+names the document by its .txt file, or by its id when it has none.
 
 A checkpoint holds a run's config text and a record per parameter, in
 `parameter_layout` order, and loads as the model that text builds: never
@@ -16,6 +18,7 @@ import math
 import os
 import struct
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -89,23 +92,26 @@ def adam_step(params: Params, state: AdamState):
         p.data -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
 
 
-def _in_document(exc: Exception, doc) -> Exception:
-    """`exc`'s kind, its message followed by the document's file, or its id."""
-    return type(exc)(f"{exc} in document {doc.path or doc.doc_id!r}")
+@contextmanager
+def _in_document(doc: Document):
+    """Raise a ConfigError, ShapeError, FloatingPointError or TrainingError
+    from the block again, of its kind, naming the document's file or id."""
+    try:
+        yield
+    except (ConfigError, ShapeError, FloatingPointError, TrainingError) as exc:
+        raise type(exc)(f"{exc} in document {doc.path or doc.doc_id!r}") from exc
 
 
-def dev_e2e_f1(model: JNRF, table: np.ndarray, docs: list[Document]) -> float:
-    """Relation F1 of the model's predictions on `docs`, as `build_report`
-    scores it; a ConfigError, ShapeError or FloatingPointError from a
-    document's prediction is raised again naming it."""
+def predict_documents(model: JNRF, table: np.ndarray, docs: list[Document]) -> list[PredictedDoc]:
+    """The model's entities and relations for each document, in order, for
+    `build_report` to score or `jnrf predict` to write. An error from a
+    document's prediction names the document (`_in_document`)."""
     preds = []
     for doc in docs:
-        try:
+        with _in_document(doc):
             spans, relations = model.predict_instance(encode_document(doc), table)
-        except (ConfigError, ShapeError, FloatingPointError) as exc:
-            raise _in_document(exc, doc) from exc
-        preds.append(PredictedDoc(doc.doc_id, *predictions_to_brat(doc, spans, relations)))
-    return build_report(preds, docs).e2e.f1
+            preds.append(PredictedDoc(doc.doc_id, *predictions_to_brat(doc, spans, relations)))
+    return preds
 
 
 @dataclass
@@ -131,32 +137,21 @@ class TrainResult:
     history: list[EpochStats]
 
 
-def _document_pass(model, table, instances: list[EncodedInstance], order, state) -> float:
-    """One tape, backward and Adam step per document, in the given order.
-    Returns the loss sum.
-
-    Raises TrainingError, before backward runs on it, when a document's
-    loss is not finite, and `adam_step`'s error, naming the document too,
-    when a gradient is not. A ConfigError, ShapeError or FloatingPointError
-    from a document's forward pass is raised again naming the document,
-    before its step."""
+def _document_pass(model, table, docs: list[Document], instances: list[EncodedInstance], order, state) -> float:
+    """One tape, backward and Adam step per document, in the given order;
+    `instances[i]` is `docs[i]` encoded. Returns the loss sum. Every error
+    names the document (`_in_document`) and comes before its Adam step
+    changes a weight; a non-finite loss raises TrainingError before backward."""
     total = 0.0
     for idx in order:
-        inst = instances[idx]
-        with Tape() as tape:
-            try:
-                loss, _, _ = model.instance_losses(inst, table)
-            except (ConfigError, ShapeError, FloatingPointError) as exc:
-                raise _in_document(exc, inst) from exc
+        with _in_document(docs[idx]), Tape() as tape:
+            loss, _, _ = model.instance_losses(instances[idx], table)
             value = loss.item()
             if not math.isfinite(value):
-                raise _in_document(TrainingError(f"non-finite loss {value}"), inst)
+                raise TrainingError(f"non-finite loss {value}")
             tape.backward(loss)
-        total += value
-        try:
             adam_step(model.params, state)
-        except TrainingError as exc:
-            raise _in_document(exc, inst) from exc
+        total += value
         model.params.zero_grad()
     return total
 
@@ -173,18 +168,18 @@ def train(
     rng = np.random.default_rng(cfg.seed)
     state = AdamState.for_params(model.params, lr=cfg.lr)
 
+    for doc in train_docs:
+        if len(doc) == 0:
+            raise TrainingError(f"document {doc.path or doc.doc_id!r} has no tokens")
     instances = [encode_document(d) for d in train_docs]
-    for inst in instances:
-        if len(inst.ids) == 0:
-            raise TrainingError(f"document {inst.path or inst.doc_id!r} has no tokens")
 
     history: list[EpochStats] = []
     best_f1, best_snapshot, best_epoch = -1.0, None, 0
     for epoch in range(1, cfg.epochs + 1):
         t0 = time.perf_counter()
         order = rng.permutation(len(instances))
-        loss_sum = _document_pass(model, table, instances, order, state)
-        dev_f1 = dev_e2e_f1(model, table, dev_docs) if dev_docs else 0.0
+        loss_sum = _document_pass(model, table, train_docs, instances, order, state)
+        dev_f1 = build_report(predict_documents(model, table, dev_docs), dev_docs).e2e.f1 if dev_docs else 0.0
         history.append(EpochStats(epoch, loss_sum / len(instances), dev_f1, time.perf_counter() - t0))
         if dev_docs and dev_f1 > best_f1:
             best_f1, best_epoch = dev_f1, epoch

@@ -21,10 +21,9 @@ import synth
 from jnrf.config import load_config, serialize_config
 from jnrf.corpus import parse_brat, render_ann
 from jnrf.embedding import load_table
-from jnrf.evaluation import PredictedDoc, build_report, render_report_text
-from jnrf.model import encode_document, predictions_to_brat
+from jnrf.evaluation import build_report, render_report_text
 from jnrf.tokenizer import Vocab, prepare
-from jnrf.training import load_checkpoint
+from jnrf.training import load_checkpoint, predict_documents
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 SPEC = synth.CorpusSpec(n_docs=36, len_min=300, len_max=600)
@@ -107,10 +106,7 @@ def predict_in_process(root: Path, gen):
     vocab = Vocab.load(cfg.vocab)
     table = load_table(cfg.embeddings, vocab, cfg.emb_dim, cfg.seed)
     docs = [prepare(parse_brat(g.text, g.ann, g.doc_id), vocab) for g in gen.docs[N_TRAIN:]]
-    return docs, [
-        PredictedDoc(d.doc_id, *predictions_to_brat(d, *model.predict_instance(encode_document(d), table)))
-        for d in docs
-    ]
+    return docs, predict_documents(model, table, docs)
 
 
 def test_predict_writes_what_the_functions_give(run):

@@ -124,7 +124,7 @@ def test_weights_that_overflow_name_the_checkpoint_and_the_document(data, capsys
     path = tiny_checkpoint(data, model)
     line = main_fails(capsys, "predict", path, data / "docs", "--out", data / "pred")
     assert line.startswith(f"jnrf: {path}: overflow encountered in ")
-    assert line.endswith(" in document 'd1'")
+    assert line.endswith(f" in document {str(data / 'docs' / 'd1.txt')!r}")
 
 
 def test_training_that_overflows_names_the_document_file(data, capsys):
@@ -145,7 +145,22 @@ def test_prediction_that_overflows_names_the_checkpoint_and_the_embeddings(data,
     save_checkpoint(str(path), JNRF(ModelConfig(**TINY)), RunConfig(**TINY, vocab=str(data / "vocab.txt"), embeddings=str(emb)))
     line = main_fails(capsys, "predict", path, data / "docs", "--out", data / "pred")
     assert line.startswith(f"jnrf: {path} or {emb}: overflow encountered in ")
-    assert line.endswith(" in document 'd1'")
+    assert line.endswith(f" in document {str(data / 'docs' / 'd1.txt')!r}")
+
+
+def test_a_failed_prediction_writes_no_document(data, capsys):
+    """d1 predicts, then d2's one word, read as [UNK], overflows: predict
+    writes no document of either."""
+    (data / "docs" / "d2.txt").write_text("warfarin\n", encoding="utf-8")
+    (data / "docs" / "d2.ann").write_text("", encoding="utf-8")
+    emb = data / "emb.tsv"
+    emb.write_text("[UNK]\t1e300 0\naspirin\t1 2\n5\t3 4\nmg\t5 6\n", encoding="utf-8")
+    path = data / "m.ckpt"
+    save_checkpoint(str(path), JNRF(ModelConfig(**TINY)), RunConfig(**TINY, vocab=str(data / "vocab.txt"), embeddings=str(emb)))
+    line = main_fails(capsys, "predict", path, data / "docs", "--out", data / "pred")
+    assert line.startswith(f"jnrf: {path} or {emb}: overflow encountered in ")
+    assert line.endswith(f" in document {str(data / 'docs' / 'd2.txt')!r}")
+    assert list((data / "pred").iterdir()) == []
 
 
 def test_a_truncated_checkpoint_names_its_path(data):

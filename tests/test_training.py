@@ -21,7 +21,7 @@ from jnrf.training import (
     TrainingError,
     _document_pass,
     adam_step,
-    dev_e2e_f1,
+    predict_documents,
     train,
 )
 
@@ -115,7 +115,7 @@ class TestForwardErrorsNameTheDocument:
             np.testing.assert_array_equal(p.data, before[name], err_msg=name)
             assert p.grad is None, name
         with pytest.raises(error, match=rf"^{match} in document 'toy'$"):
-            dev_e2e_f1(model, table, [doc])
+            predict_documents(model, table, [doc])
 
 
 class TestNonFiniteLoss:
@@ -136,7 +136,7 @@ class TestNonFiniteLoss:
         # there, before its backward and before the second document
         instances = [encode_document(doc), encode_document(doc)]
         with pytest.raises(TrainingError, match=r"^non-finite loss nan in document 'toy'$"):
-            _document_pass(model, table, instances, [0, 1], state)
+            _document_pass(model, table, [doc, doc], instances, [0, 1], state)
         assert model.params["alpha"].grad is None  # backward never ran
         assert state.step_count == 0
         for name, p in model.params.items():
@@ -170,7 +170,32 @@ class TestNonFiniteLoss:
         with pytest.raises(
             TrainingError, match=r"^inf gradient in parameter 'alpha' in document 'toy'$"
         ):
-            _document_pass(model, tiny_table(len(vocab)), [encode_document(doc)], [0], state)
+            _document_pass(model, tiny_table(len(vocab)), [doc], [encode_document(doc)], [0], state)
+        assert state.step_count == 0
+        for name, p in model.params.items():
+            np.testing.assert_array_equal(p.data, before[name], err_msg=name)
+
+    def test_backward_error_names_the_document(self, monkeypatch):
+        doc, vocab = build_toy_doc()
+        model = JNRF(TINY, seed=22)
+        before = {n: p.data.copy() for n, p in model.params.items()}
+        state = AdamState.for_params(model.params, lr=0.05)
+        alpha = model.params["alpha"]
+
+        def overflow(g):
+            raise FloatingPointError("overflow encountered in multiply")
+
+        def losses(inst, table):
+            # a finite loss whose one node overflows in backward
+            loss = Tensor([[0.5]])
+            T._record(loss, (alpha,), overflow)
+            return loss, loss, None
+
+        monkeypatch.setattr(model, "instance_losses", losses)
+        with pytest.raises(
+            FloatingPointError, match=r"^overflow encountered in multiply in document 'toy'$"
+        ):
+            _document_pass(model, tiny_table(len(vocab)), [doc], [encode_document(doc)], [0], state)
         assert state.step_count == 0
         for name, p in model.params.items():
             np.testing.assert_array_equal(p.data, before[name], err_msg=name)
@@ -259,13 +284,12 @@ def test_the_pipeline_reads_token_columns_only(monkeypatch):
     table = tiny_table(len(vocab))
     model = JNRF(ModelConfig.from_run_config(cfg), seed=23)
     train(model, table, docs[:2], docs[2:], cfg)
-    preds, gold_spans = [], []
+    build_report(predict_documents(model, table, docs), docs)
+    gold_spans = []
     for doc in docs:
         inst = encode_document(doc)
-        preds.append(PredictedDoc(doc.doc_id, *predictions_to_brat(doc, *model.predict_instance(inst, table))))
         relations = [(drug, attr) for attr, drug in inst.relations]
         gold_spans.append(PredictedDoc(doc.doc_id, *predictions_to_brat(doc, inst.spans, relations)))
-    build_report(preds, docs)
     # the gold token spans map back onto the gold characters
     assert build_report(gold_spans, docs).e2e.f1 == 1.0
 
@@ -312,10 +336,12 @@ def test_dev_e2e_f1_equals_the_report():
             else:
                 relations.append((drug, attr))
         by_doc[doc.doc_id] = (spans, relations)
-    # stands in for a model that predicts these spans and relations
-    model = SimpleNamespace(predict_instance=lambda inst, table: by_doc[inst.doc_id])
+    # stands in for a model that predicts these spans and relations, one
+    # document per call, in order
+    answers = iter(by_doc[d.doc_id] for d in docs)
+    model = SimpleNamespace(predict_instance=lambda inst, table: next(answers))
 
-    got = dev_e2e_f1(model, tiny_table(len(vocab)), docs)
+    got = build_report(predict_documents(model, tiny_table(len(vocab)), docs), docs).e2e.f1
     preds = [PredictedDoc(d.doc_id, *predictions_to_brat(d, *by_doc[d.doc_id])) for d in docs]
     want = build_report(preds, docs).e2e.f1
     assert 0 < want < 1

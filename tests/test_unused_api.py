@@ -142,3 +142,21 @@ def test_every_private_name_is_referenced():
                 elif isinstance(node, ast.Attribute):
                     readers.setdefault(node.attr, set()).add(id(top))
     assert [name for name, node in private if not readers.get(name, set()) - {id(node)}] == []
+
+
+def test_one_function_calls_predict_instance():
+    """One prediction pass: outside `bench.py`, which times the model's own
+    call, `predict_instance` is called from `training.predict_documents`
+    alone, so dev scoring and `jnrf predict` predict, and name a failing
+    document, one way."""
+    callers = []
+    for path in sorted((ROOT / "src" / "jnrf").glob("*.py")):
+        if path.name == "bench.py":
+            continue
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and "predict_instance" in (
+                    getattr(node.func, "attr", None), getattr(node.func, "id", None)
+                ):
+                    callers.append(f"{path.stem}.{getattr(top, 'name', '<module>')}")
+    assert callers == ["training.predict_documents"]
