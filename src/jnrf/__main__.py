@@ -3,13 +3,13 @@
     python -m jnrf train CONFIG TRAIN_DIR [--dev DIR] --out CKPT
     python -m jnrf predict CKPT DATA_DIR --out DIR
 
-`train` trains as the config file sets (`jnrf.config`; `vocab` is required),
-keeps the epoch with the best dev E2E F1 when --dev is given, and writes the
-weights and the config text to CKPT. `predict` rebuilds the model, vocabulary
-and table from that text alone, predicts every document, then writes <id>.txt
-and <id>.ann into DIR and prints the lenient report against DATA_DIR's
-annotation; if any document fails, it writes nothing. Bad input prints one
-line, "jnrf: " and what is wrong where, on stderr, and exits with status 1.
+`train` trains the model the config file sets (`jnrf.config`; `vocab` is
+required), keeps the epoch with the best dev E2E F1 when --dev is given, and
+saves the model to CKPT. `predict` loads it, rebuilds the vocabulary and table
+from its config alone, predicts every document, then writes <id>.txt and
+<id>.ann into DIR and prints the lenient report against DATA_DIR's annotation;
+if any document fails, it writes nothing. Bad input prints one line, "jnrf: "
+and what is wrong where, on stderr, and exits with status 1.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import sys
 
 import numpy as np
 
-from .config import ConfigError, ModelConfig, RunConfig, load_config
+from .config import ConfigError, RunConfig, load_config
 from .corpus import BratParseError, load_brat_dir, render_ann
 from .embedding import load_table
 from .evaluation import build_report, render_report_text
@@ -55,18 +55,18 @@ def _documents(dirpath: str, vocab: Vocab):
 def _train(args):
     cfg = load_config(args.config)
     vocab, table = _setup(cfg, args.config)
-    model = JNRF(ModelConfig.from_run_config(cfg), seed=cfg.seed)
+    model = JNRF(cfg, seed=cfg.seed)
     dev = _documents(args.dev, vocab) if args.dev else []
     result = train(model, table, _documents(args.train_dir, vocab), dev, cfg)
     for s in result.history:
         print(f"epoch {s.epoch}  train_loss {s.train_loss:.6f}  dev_e2e_f1 {s.dev_f1:.4f}  {s.seconds:.3f} s")
     print(f"selected epoch {result.best_epoch}  dev_e2e_f1 {result.best_dev_f1:.4f}")
-    save_checkpoint(args.out, model, cfg)
+    save_checkpoint(args.out, model)
 
 
 def _predict(args):
-    cfg, model = load_checkpoint(args.checkpoint)
-    vocab, table = _setup(cfg, args.checkpoint)
+    model = load_checkpoint(args.checkpoint)
+    vocab, table = _setup(model.config, args.checkpoint)
     docs = _documents(args.data_dir, vocab)
     os.makedirs(args.out, exist_ok=True)
     if os.path.samefile(args.out, args.data_dir):
@@ -74,7 +74,7 @@ def _predict(args):
     try:
         preds = predict_documents(model, table, docs)
     except FloatingPointError as exc:  # from the weights, or from the table
-        where = args.checkpoint + (f" or {cfg.embeddings}" if cfg.embeddings else "")
+        where = args.checkpoint + (f" or {model.config.embeddings}" if model.config.embeddings else "")
         raise CheckpointError(f"{where}: {exc}") from None
     for doc, pred in zip(docs, preds):
         stem = os.path.join(args.out, doc.doc_id)

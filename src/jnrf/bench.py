@@ -7,9 +7,7 @@ For each length n, four cells run the default-config model on
 have none, and windowed attention at window 512 and at window = n, full
 attention (at n = 512 the same work). Each cell runs in a fresh process, so
 its ru_maxrss is its own. Each phase runs `--repeats` times, recording the
-median and quartiles of its time and ru_maxrss after it: a fixed float64
-kernel (64 products of a seeded (256, 128) by (128, 256) pair), whose median
-is `reference_s`, a loose yardstick for times from other runs; the encoder
+median and quartiles of its time and ru_maxrss after it: the encoder
 (`JNRF.encode` plus `ner_head`), whose work depends on n and the mixer alone;
 `predict_instance`, whose other work grows with the spans it decodes
 (`spans`: `drugs`, |H|, and `attributes`, |L|); one training step (forward
@@ -34,8 +32,9 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import RunConfig
 from .corpus import ATTRIBUTE_TYPES, bio_label
-from .model import JNRF, EncodedInstance, ModelConfig
+from .model import JNRF, EncodedInstance
 from .tensor import Tape
 
 OUT = Path(__file__).resolve().parents[2] / "BENCH_scaling.json"
@@ -96,21 +95,17 @@ def run_cell(mixer: str, n: int, window: int | None, repeats: int) -> dict:
     """One cell in this process: each phase's times in seconds and this
     process's ru_maxrss in MB once the phase is done, then the training
     step's `step_memory`. `window` is None for a mixer without one."""
-    cfg = ModelConfig(mixer=mixer) if window is None else ModelConfig(mixer=mixer, window=window)
+    cfg = RunConfig(mixer=mixer) if window is None else RunConfig(mixer=mixer, window=window)
     rng = np.random.default_rng(1)
     inst = synthetic_instance(n, rng)
     table = rng.standard_normal((50, cfg.emb_dim))
     model = JNRF(cfg, seed=0)
-    a, b = np.random.default_rng(0).standard_normal((2, 256, 128))
     cell = {"mixer": mixer, "n": n, "window": window, "repeats": repeats}
-    for phase in ("reference", "encode", "predict", "train"):
+    for phase in ("encode", "predict", "train"):
         times = []
         for _ in range(repeats):
             start = time.perf_counter()
-            if phase == "reference":
-                for _ in range(64):
-                    a @ b.T
-            elif phase == "encode":
+            if phase == "encode":
                 model.ner_head(model.encode(inst.ids, table))
             elif phase == "predict":
                 spans, _ = model.predict_instance(inst, table)
@@ -123,7 +118,6 @@ def run_cell(mixer: str, n: int, window: int | None, repeats: int) -> dict:
         q1, median, q3 = np.percentile(times, [25, 50, 75]).tolist()
         maxrss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
         cell[phase] = {"median_s": median, "q1_s": q1, "q3_s": q3, "maxrss_mb": maxrss}
-    cell["reference_s"] = cell.pop("reference")["median_s"]
     drugs = sum(etype == "Drug" for _, _, etype in spans)
     cell["predict"].update(spans=len(spans), drugs=drugs, attributes=len(spans) - drugs)
     cell["train"].update(step_memory(model, inst, table))

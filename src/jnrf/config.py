@@ -5,10 +5,11 @@ fields training reads. Training takes one whole document per Adam step, so
 no key sets a batch size or splits documents. Both are frozen and validate
 themselves on construction. Unknown keys are rejected; every key has a
 default, so an empty file is a valid configuration. Values keep the type of
-their default. Every error in parsed text names its line. '#' starts a
-comment, so no value can hold one, a path included: `vocab` (one token per
-line; `python -m jnrf` requires it) or `embeddings` (token<TAB>vector lines;
-empty means the seeded random table), both relative to the working directory.
+their default. Every error in parsed text names its line. A path, `vocab`
+(one token per line; `python -m jnrf` requires it) or `embeddings`
+(token<TAB>vector lines; empty means the seeded random table), is relative to
+the working directory. Config text must read back, so a path holds no '#' (it
+starts a comment), line break or outer whitespace, and encodes as UTF-8.
 """
 
 from __future__ import annotations
@@ -74,7 +75,10 @@ class RunConfig(ModelConfig):
         _require(self.epochs >= 1, "epochs", ">= 1", self.epochs)
         _require(math.isfinite(self.lr) and self.lr > 0, "lr", "finite and > 0", self.lr)
         for key in ("vocab", "embeddings"):  # open() rejects a NUL with ValueError
-            _require("\0" not in getattr(self, key), key, "a path without NUL", getattr(self, key))
+            value = getattr(self, key)
+            _require("\0" not in value, key, "a path without NUL", value)
+            ok = value.encode("utf-8", "replace").decode() == value.strip() and len(value.splitlines()) < 2
+            _require(ok and "#" not in value, key, "UTF-8 without '#', a line break or outer whitespace", value)
 
 
 _DEFAULTS = {f.name: f.default for f in fields(RunConfig)}

@@ -7,7 +7,7 @@ training documents once, in a seeded random order. Dev scoring and `jnrf
 predict` both run `predict_documents`. An error in a step or a prediction
 names the document by its .txt file, or by its id when it has none.
 
-A checkpoint holds a run's config text and a record per parameter, in
+A checkpoint holds its model's config text and a record per parameter, in
 `parameter_layout` order, and loads as the model that text builds: never
 into a model of another configuration or from records in another order.
 """
@@ -19,11 +19,11 @@ import os
 import struct
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import ConfigError, ModelConfig, RunConfig, decode_utf8, parse_config_text, serialize_config
+from .config import ConfigError, RunConfig, decode_utf8, parse_config_text, serialize_config
 from .corpus import Document
 from .evaluation import PredictedDoc, build_report
 from .model import JNRF, EncodedInstance, encode_document, parameter_layout, predictions_to_brat
@@ -244,30 +244,32 @@ class _Reader:
         return arr.reshape(shape)
 
 
-def save_checkpoint(path: str, model: JNRF, cfg: RunConfig):
-    """Write the model's weights and `cfg` as config text. `cfg` must set the
-    model's own configuration: one of another model raises CheckpointError,
-    naming the path and the first key that differs, and writes nothing."""
-    for key in (f.name for f in fields(ModelConfig)):
-        ours, theirs = getattr(cfg, key), getattr(model.config, key)
-        if ours != theirs:
-            raise CheckpointError(f"{path}: config key {key!r} is {ours!r} in the config, {theirs!r} in the model")
+def save_checkpoint(path: str, model: JNRF):
+    """Write the model's weights and `model.config` as config text. A model
+    built from a bare `ModelConfig` saves its model keys alone; the others
+    load as defaults, so `jnrf predict` names the checkpoint and its missing
+    `vocab` key. A failure once `<path>.tmp` is open removes that file."""
     tmp = path + ".tmp"
-    with open(tmp, "wb") as f:
-        blob = serialize_config(cfg).encode("utf-8")
-        f.write(_MAGIC + struct.pack("<II", _VERSION, len(blob)) + blob + struct.pack("<I", len(model.params)))
-        for name, p in model.params.items():
-            _write_record(f, name, p.data)
-    os.replace(tmp, path)
+    f = open(tmp, "wb")
+    try:
+        with f:
+            blob = serialize_config(model.config).encode("utf-8")
+            f.write(_MAGIC + struct.pack("<II", _VERSION, len(blob)) + blob + struct.pack("<I", len(model.params)))
+            for name, p in model.params.items():
+                _write_record(f, name, p.data)
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
 
 
-def load_checkpoint(path: str) -> tuple[RunConfig, JNRF]:
-    """The run config of a checkpoint written by `save_checkpoint`, and the
-    model that config builds, holding the file's weights. A file that is not
-    such a checkpoint, in whole, raises CheckpointError naming the path: its
-    config text must parse, and each record must be the next of that model's
-    layout by name and shape before its values are read. The model is drawn
-    only then, so a file makes this allocate about its own size at most."""
+def load_checkpoint(path: str) -> JNRF:
+    """The model a `save_checkpoint` file holds, built from its config text,
+    which `model.config` keeps whole, with the file's weights. A file that is
+    not such a checkpoint, in whole, raises CheckpointError naming the path:
+    its config text must parse, and each record must be the next of that
+    model's layout by name and shape before its values are read. The model
+    is drawn only then, so a file makes this allocate about its own size."""
     with open(path, "rb") as f:
         r = _Reader(path, f.read())
     if r.take(len(_MAGIC), "magic") != _MAGIC:
@@ -280,8 +282,7 @@ def load_checkpoint(path: str) -> tuple[RunConfig, JNRF]:
         cfg = parse_config_text(config_text)
     except ConfigError as exc:
         raise r.error(f"config text does not parse: {exc}") from None
-    config = ModelConfig.from_run_config(cfg)
-    layout = parameter_layout(config)
+    layout = parameter_layout(cfg)
     (count,) = r.unpack("<I", "parameter count")
     weights = [r.record(i, name, shape) for i, (name, shape) in enumerate(layout[:count])]
     if count < len(layout):
@@ -290,7 +291,7 @@ def load_checkpoint(path: str) -> tuple[RunConfig, JNRF]:
         raise r.error(f"checkpoint has unknown parameter {r.name(len(layout))!r}")
     if r.at != len(r.data):
         raise r.error("unexpected bytes after the last record")
-    model = JNRF(config, seed=cfg.seed)
+    model = JNRF(cfg, seed=cfg.seed)
     for (_, p), arr in zip(model.params.items(), weights):
         p.data[...] = arr
-    return cfg, model
+    return model

@@ -96,13 +96,14 @@ def test_the_checkpoint_holds_the_serialized_config(run):
     root, _, config, _, _ = run
     cfg = load_config(str(config))
     assert serialize_config(cfg).encode("utf-8") in (root / "h1.ckpt").read_bytes()
-    assert load_checkpoint(str(root / "h1.ckpt"))[0] == cfg
+    assert load_checkpoint(str(root / "h1.ckpt")).config == cfg
 
 
 def predict_in_process(root: Path, gen):
     """The dev documents, parsed from the generator's text, and the
     prediction for each, from the checkpoint's config text alone."""
-    cfg, model = load_checkpoint(str(root / "h1.ckpt"))
+    model = load_checkpoint(str(root / "h1.ckpt"))
+    cfg = model.config
     vocab = Vocab.load(cfg.vocab)
     table = load_table(cfg.embeddings, vocab, cfg.emb_dim, cfg.seed)
     docs = [prepare(parse_brat(g.text, g.ann, g.doc_id), vocab) for g in gen.docs[N_TRAIN:]]

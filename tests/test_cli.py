@@ -10,7 +10,7 @@ import pytest
 
 from jnrf.__main__ import main
 from jnrf.config import RunConfig
-from jnrf.model import JNRF, ModelConfig
+from jnrf.model import JNRF
 from jnrf.training import save_checkpoint
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -110,16 +110,20 @@ def test_an_entity_overlap_names_the_ann_file(data, capsys):
     assert line == f"jnrf: {ann}: d1: token 0 ('aspirin') overlaps both T1 (Drug) and T2 (Strength)"
 
 
+def tiny_model(data: Path, **keys) -> JNRF:
+    """A tiny model whose config names the fixture's vocabulary."""
+    return JNRF(RunConfig(**TINY, vocab=str(data / "vocab.txt"), **keys))
+
+
 def tiny_checkpoint(data: Path, model: JNRF | None = None) -> Path:
     path = data / "m.ckpt"
-    model = model or JNRF(ModelConfig(**TINY))
-    save_checkpoint(str(path), model, RunConfig(**TINY, vocab=str(data / "vocab.txt")))
+    save_checkpoint(str(path), model or tiny_model(data))
     return path
 
 
 def test_weights_that_overflow_name_the_checkpoint_and_the_document(data, capsys):
     """A finite but huge weight loads, and then overflows in the forward pass."""
-    model = JNRF(ModelConfig(**TINY))
+    model = tiny_model(data)
     model.params["in.1.w"].data[...] = 1e200
     path = tiny_checkpoint(data, model)
     line = main_fails(capsys, "predict", path, data / "docs", "--out", data / "pred")
@@ -141,8 +145,7 @@ def test_training_that_overflows_names_the_document_file(data, capsys):
 def test_prediction_that_overflows_names_the_checkpoint_and_the_embeddings(data, capsys):
     emb = data / "emb.tsv"
     emb.write_text("[UNK]\t0 0\naspirin\t1e300 2\n5\t3 4\nmg\t5 6\n", encoding="utf-8")
-    path = data / "m.ckpt"
-    save_checkpoint(str(path), JNRF(ModelConfig(**TINY)), RunConfig(**TINY, vocab=str(data / "vocab.txt"), embeddings=str(emb)))
+    path = tiny_checkpoint(data, tiny_model(data, embeddings=str(emb)))
     line = main_fails(capsys, "predict", path, data / "docs", "--out", data / "pred")
     assert line.startswith(f"jnrf: {path} or {emb}: overflow encountered in ")
     assert line.endswith(f" in document {str(data / 'docs' / 'd1.txt')!r}")
@@ -155,12 +158,25 @@ def test_a_failed_prediction_writes_no_document(data, capsys):
     (data / "docs" / "d2.ann").write_text("", encoding="utf-8")
     emb = data / "emb.tsv"
     emb.write_text("[UNK]\t1e300 0\naspirin\t1 2\n5\t3 4\nmg\t5 6\n", encoding="utf-8")
-    path = data / "m.ckpt"
-    save_checkpoint(str(path), JNRF(ModelConfig(**TINY)), RunConfig(**TINY, vocab=str(data / "vocab.txt"), embeddings=str(emb)))
+    path = tiny_checkpoint(data, tiny_model(data, embeddings=str(emb)))
     line = main_fails(capsys, "predict", path, data / "docs", "--out", data / "pred")
     assert line.startswith(f"jnrf: {path} or {emb}: overflow encountered in ")
     assert line.endswith(f" in document {str(data / 'docs' / 'd2.txt')!r}")
     assert list((data / "pred").iterdir()) == []
+
+
+def test_a_failed_save_leaves_no_temporary_file(data, capsys):
+    """--out names a directory: training runs and prints its epochs, then
+    the save fails, naming it, and removes the file it had written."""
+    out = data / "ck"
+    out.mkdir()
+    assert main(["train", str(data / "run.cfg"), str(data / "docs"), "--out", str(out)]) == 1
+    stdout, err = capsys.readouterr()
+    assert stdout.startswith("epoch 1 ")
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("jnrf: ") and repr(str(out)) in lines[0], err
+    assert sorted(p.name for p in data.iterdir()) == ["ck", "docs", "run.cfg", "vocab.txt"]
+    assert list(out.iterdir()) == []
 
 
 def test_a_truncated_checkpoint_names_its_path(data):

@@ -1,6 +1,7 @@
 import dataclasses
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jnrf.config import (
     ConfigError,
@@ -195,11 +196,45 @@ def test_granularity_document_still_parses():
         ({"lr": float("inf")}, "lr"),
         ({"vocab": "v\0.txt"}, "vocab"),
         ({"embeddings": "e.tsv\0"}, "embeddings"),
+        ({"vocab": "run#1/vocab.txt"}, "vocab"),
+        ({"vocab": " v.txt"}, "vocab"),
+        ({"embeddings": "e.tsv\t"}, "embeddings"),
+        ({"vocab": "a\nb"}, "vocab"),
+        ({"embeddings": "a\u2028b"}, "embeddings"),
+        ({"vocab": "v\udc80.txt"}, "vocab"),
     ],
 )
 def test_invalid_values_rejected(values, key):
     with pytest.raises(ConfigError, match=rf"^{key} must be "):
         RunConfig(**values)
+
+
+# characters that config text reads specially, or that UTF-8 cannot encode
+AWKWARD = st.sampled_from(["#", "=", " ", "\t", "\n", "\r", "\x0b", "\x1c", "\x85", "\u2028", "\ufeff", "\0", "\udc80"])
+CHOICES = {"mixer": ["fnet", "mlp", "windowed_attention"], "train_pooling": ["gold", "predicted"], "granularity": ["document"]}
+
+
+def legal_or_path(field):
+    """Values the key's own rule accepts; for a path, any short text."""
+    if field.name in CHOICES:
+        return st.sampled_from(CHOICES[field.name])
+    if isinstance(field.default, float):
+        return st.floats(min_value=0, exclude_min=True, allow_infinity=False)
+    if isinstance(field.default, int):
+        return st.integers(1, 2**40).map(lambda n: 2 * n)
+    return st.text(st.one_of(st.characters(exclude_categories=()), AWKWARD), max_size=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.fixed_dictionaries({f.name: legal_or_path(f) for f in dataclasses.fields(RunConfig)}))
+def test_every_config_that_constructs_reads_back_from_its_text(values):
+    """Whatever a `RunConfig` accepts, its config text carries: serialized,
+    encoded as UTF-8 and parsed, it is the same config."""
+    try:
+        cfg = RunConfig(**values)
+    except ConfigError:
+        return
+    assert parse_config_text(serialize_config(cfg).encode("utf-8").decode("utf-8")) == cfg
 
 
 def test_model_config_validates_on_its_own():

@@ -160,3 +160,20 @@ def test_one_function_calls_predict_instance():
                 ):
                     callers.append(f"{path.stem}.{getattr(top, 'name', '<module>')}")
     assert callers == ["training.predict_documents"]
+
+
+def test_a_model_is_built_from_its_run_config():
+    """Outside `config.py`, nothing in `src/jnrf/` calls `ModelConfig(…)` or
+    names `from_run_config`: a model is built from the one `RunConfig` of
+    its run, which its checkpoint saves, so the two cannot differ."""
+    found = []
+    for path in sorted((ROOT / "src" / "jnrf").glob("*.py")):
+        if path.name == "config.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            called = isinstance(node, ast.Call) and "ModelConfig" in (
+                getattr(node.func, "attr", None), getattr(node.func, "id", None)
+            )
+            if called or (isinstance(node, ast.Attribute) and node.attr == "from_run_config"):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
